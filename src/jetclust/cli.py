@@ -265,13 +265,15 @@ def _cmd_train(opt: _Options) -> int:
 
 
 def _cmd_evaluate(opt: _Options) -> int:
+    n_seeds = int(opt.get("seeds", 1))
+    if n_seeds < 1:
+        raise UsageError(f"--seeds must be >= 1, got {n_seeds}")
     events = _load_dataset(opt)
     config = _shower_config(opt)
     _check_dataset_config(events, config, bool(opt.get("quiet")))
     spec = _planner_spec(opt)
     n_eval = int(opt.get("n_eval", len(events)))
     base = int(opt.get("seed", 0))
-    n_seeds = int(opt.get("seeds", 1))
     result = evaluate(events, spec, config, n_eval=n_eval,
                       seeds=list(range(base, base + n_seeds)))
     print(f"{result.planner}: mean LL {result.mean_ll:.4f} +- {result.sem_ll:.4f} "

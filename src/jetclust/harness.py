@@ -299,6 +299,8 @@ def evaluate(
     mean is the mean of per-seed means and the standard error is taken
     across seeds, matching how trained models with different seeds are
     compared."""
+    if not seeds:
+        raise ValueError("need at least one seed")
     if len(events) < n_eval:
         raise ValueError(f"dataset has {len(events)} events, need {n_eval}")
     subset = list(events[:n_eval])

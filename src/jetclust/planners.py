@@ -4,7 +4,10 @@ with beam-search tree initialization and a max-roll-out final decision.
 All planners return the finished clustering tree together with its
 accumulated log-likelihood, which equals the tree's recomputed
 log-likelihood by construction.  Ties are always broken toward the
-lexicographically smallest action so results are reproducible.
+lexicographically smallest action so results are reproducible.  The
+greedy, beam, MCTS and policy planners cluster one event inside a p_s
+memo scope (`shower.ps_memo`), so a splitting density they need again
+is looked up, not recomputed, and still counted.
 """
 
 import math
@@ -16,6 +19,7 @@ import numpy as np
 from .env import (
     Action,
     ClusterState,
+    action_table,
     apply_action,
     is_terminal,
     leaf_sets,
@@ -24,7 +28,7 @@ from .env import (
     step,
     tree_from_state,
 )
-from .shower import FourMomentum, ShowerConfig, Splitting, Tree, splitting_log_likelihood
+from .shower import FourMomentum, ShowerConfig, Splitting, Tree, ps_memo, splitting_log_likelihood
 
 
 class PriorPolicy(Protocol):
@@ -47,14 +51,7 @@ class ProportionalPsPolicy:
         self.config = config
 
     def priors(self, state: ClusterState) -> np.ndarray:
-        logps = np.array([
-            splitting_log_likelihood(
-                Splitting.from_children(state.particles[a.i], state.particles[a.j]),
-                self.config,
-            )
-            for a in legal_actions(state)
-        ])
-        return _softmax(logps)
+        return _softmax(np.array([r for _, r in _pair_rewards(state, self.config)]))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -93,13 +90,15 @@ def cluster_random(
 
 
 def _pair_rewards(state: ClusterState, config: ShowerConfig) -> list[tuple[Action, float]]:
+    """Every legal action with its reward, in legal-action order."""
     return [
         (a, splitting_log_likelihood(
             Splitting.from_children(state.particles[a.i], state.particles[a.j]), config))
-        for a in legal_actions(state)
+        for a in action_table(state.n)[0]
     ]
 
 
+@ps_memo()
 def cluster_greedy(
     event: list[FourMomentum] | tuple[FourMomentum, ...],
     config: ShowerConfig,
@@ -129,44 +128,50 @@ class _BeamItem:
     path: tuple[tuple[Action, ClusterState], ...]
 
 
-def _partition_key(leafsets: tuple[frozenset[int], ...]) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(tuple(sorted(s)) for s in leafsets))
-
-
 def _beam_from_state(state: ClusterState, b: int, config: ShowerConfig) -> list[_BeamItem]:
     """Level-synchronous beam over partial clusterings ranked by cumulative
-    log-likelihood.  States with identical leaf-set partitions are collapsed
-    to the best-scoring representative, which is lossless because future
-    rewards depend only on the current particle multiset.  Returns the final
+    log-likelihood, ties going to the smaller merge history.  States with
+    identical leaf-set partitions are collapsed to the best-ranked
+    representative, which is lossless because future rewards depend only
+    on the current particle multiset.  Candidates are ranked before any
+    state is built, and only the survivors are built.  Returns the final
     beam (complete clusterings), best first."""
     if b < 1:
         raise ValueError(f"beam width must be >= 1, got {b}")
     items = [_BeamItem(state=state, leafsets=leaf_sets(state), path=())]
     while items[0].state.n > 1:
-        survivors: dict[tuple, _BeamItem] = {}
+        # Every item of a level has a history of the same length, so
+        # (parent history, new history entry) orders candidates as their
+        # own histories would.  No two candidates share both, so the sort
+        # never compares the items themselves.
+        ranked = []
         for item in items:
-            for action, reward in _pair_rewards(item.state, config):
-                nxt = apply_action(item.state, action, reward).next_state
-                i, j = action.i, action.j
-                nls = tuple(
-                    s for k, s in enumerate(item.leafsets) if k != i and k != j
-                ) + (item.leafsets[i] | item.leafsets[j],)
-                key = _partition_key(nls)
-                cand = _BeamItem(state=nxt, leafsets=nls, path=item.path + ((action, nxt),))
-                held = survivors.get(key)
-                if held is None or _beats(cand.state, held.state):
-                    survivors[key] = cand
-        items = sorted(survivors.values(), key=lambda it: (-it.state.cumulative_reward, it.state.history))
-        items = items[:b]
+            st = item.state
+            for action, reward in _pair_rewards(st, config):
+                entry = (st.ids[action.i], st.ids[action.j], st.next_id)
+                ranked.append((-(st.cumulative_reward + reward), st.history, entry,
+                               item, action, reward))
+        ranked.sort()
+        survivors: list[_BeamItem] = []
+        seen: set[frozenset[frozenset[int]]] = set()
+        for _, _, _, item, action, reward in ranked:
+            i, j = action.i, action.j
+            nls = tuple(
+                s for k, s in enumerate(item.leafsets) if k != i and k != j
+            ) + (item.leafsets[i] | item.leafsets[j],)
+            key = frozenset(nls)
+            if key in seen:
+                continue
+            seen.add(key)
+            nxt = apply_action(item.state, action, reward).next_state
+            survivors.append(_BeamItem(state=nxt, leafsets=nls, path=item.path + ((action, nxt),)))
+            if len(survivors) == b:
+                break
+        items = survivors
     return items
 
 
-def _beats(a: ClusterState, b: ClusterState) -> bool:
-    if a.cumulative_reward != b.cumulative_reward:
-        return a.cumulative_reward > b.cumulative_reward
-    return a.history < b.history
-
-
+@ps_memo()
 def cluster_beam(
     event: list[FourMomentum] | tuple[FourMomentum, ...],
     b: int,
@@ -196,7 +201,6 @@ class MctsConfig:
     use_beam_init: bool = True
     final_rule: str = "max-rollout"
     rollout_rule: str = "puct"
-    rng_seed: int = 0
 
     def validate(self) -> None:
         if self.c <= 0.0:
@@ -219,8 +223,7 @@ class SearchNode:
 
     def __init__(self, state: ClusterState, policy: PriorPolicy):
         self.state = state
-        self.actions = legal_actions(state)
-        self.action_index = {a: k for k, a in enumerate(self.actions)}
+        self.actions, self.action_index = action_table(state.n)
         m = len(self.actions)
         self.priors = policy.priors(state) if m else np.zeros(0)
         self.n_visits = 0
@@ -240,9 +243,7 @@ class SearchNode:
 
 def puct_score(node: SearchNode, action: Action, c: float) -> float:
     """Upper confidence bound Q + c * prior * sqrt(N_s) / (1 + N_sa)."""
-    k = node.action_index[action]
-    q = node.w_sa[k] / node.n_sa[k] if node.n_sa[k] > 0 else 0.5
-    return q + c * node.priors[k] * math.sqrt(max(node.n_visits, 1)) / (1.0 + node.n_sa[k])
+    return float(node.puct_scores(c)[node.action_index[action]])
 
 
 @dataclass
@@ -339,6 +340,7 @@ def _decide(
     return int(np.argmax(root.best_return))
 
 
+@ps_memo()
 def mcts_decide(
     root_state: ClusterState,
     policy: PriorPolicy,
@@ -358,6 +360,7 @@ def mcts_decide(
     return root.actions[k]
 
 
+@ps_memo()
 def cluster_mcts(
     event: list[FourMomentum] | tuple[FourMomentum, ...],
     policy: PriorPolicy,
@@ -382,6 +385,7 @@ def cluster_mcts(
     return tree_from_state(root.state), root.state.cumulative_reward, examples
 
 
+@ps_memo()
 def cluster_policy(
     event: list[FourMomentum] | tuple[FourMomentum, ...],
     policy: PriorPolicy,

@@ -11,6 +11,8 @@ algorithms in this package optimise.
 """
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,19 +258,57 @@ def sample_shower(config: ShowerConfig, rng: np.random.Generator) -> Tree:
     return Tree(nodes=nodes, root_index=0, leaf_indices=leaf_indices)
 
 
+# The p_s memo of the open ps_memo() scope, or None outside any scope.
+_PS_MEMO: ContextVar[dict | None] = ContextVar("ps_memo", default=None)
+
+
+@contextmanager
+def ps_memo():
+    """Scope in which splitting_log_likelihood remembers the values it
+    computed.  A scope opened inside another reuses the outer memo.  The
+    memo only saves work: every call is still counted, and a remembered
+    value is the one the kernel would compute."""
+    memo = _PS_MEMO.get()
+    if memo is not None:
+        yield memo
+        return
+    memo = {}
+    token = _PS_MEMO.set(memo)
+    try:
+        yield memo
+    finally:
+        _PS_MEMO.reset(token)
+
+
 def splitting_log_likelihood(s: Splitting, config: ShowerConfig) -> float:
     """log p_s of one merge, a deterministic function of the unordered
-    child pair.  Every call increments the shared evaluation counter."""
+    child pair.  Every call increments the shared evaluation counter,
+    also when the open ps_memo() scope already holds the value."""
     PS_EVALUATIONS.increment()
-    if s.child_a.E < 0.0 or s.child_b.E < 0.0:
+    a, b = s.child_a, s.child_b
+    memo = _PS_MEMO.get()
+    if memo is not None:
+        key = (a.E, a.px, a.py, a.pz, b.E, b.px, b.py, b.pz, config.lam)
+        value = memo.get(key)
+        if value is not None:
+            return value
+    if a.E < 0.0 or b.E < 0.0:
         raise ValueError("child energies must be non-negative")
-    t_a = invariant_mass_sq(s.child_a)
-    t_b = invariant_mass_sq(s.child_b)
-    t_p = invariant_mass_sq(s.child_a + s.child_b)
+    t_a = invariant_mass_sq(a)
+    t_b = invariant_mass_sq(b)
+    t_p = invariant_mass_sq(a + b)
     if t_p <= 0.0:
         # Degenerate (exactly collinear massless) merge: no valid decay.
-        return 2.0 * LOG_DENSITY_FLOOR + _LOG_INV_4PI
-    return _unordered_pair_log_density(t_a, t_b, t_p, config.lam)
+        value = 2.0 * LOG_DENSITY_FLOOR + _LOG_INV_4PI
+    else:
+        value = _unordered_pair_log_density(t_a, t_b, t_p, config.lam)
+    if memo is not None:
+        # The value is symmetric in the children bit for bit (the sum and
+        # the heavier/lighter ordering do not depend on their order), so
+        # it serves the swapped query too.
+        memo[key] = value
+        memo[(b.E, b.px, b.py, b.pz, a.E, a.px, a.py, a.pz, config.lam)] = value
+    return value
 
 
 def tree_log_likelihood(tree: Tree, config: ShowerConfig) -> float:

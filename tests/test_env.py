@@ -3,7 +3,7 @@ import math
 import pytest
 
 import jetclust as jc
-from jetclust.env import apply_action, leaf_sets
+from jetclust.env import action_table, apply_action, leaf_sets
 from jetclust.rng import make_rng
 
 from conftest import make_event
@@ -42,6 +42,17 @@ def test_legal_actions_shapes(small_config):
     for n in (4, 6, 8):
         state = jc.reset(_leaves(small_config, 5, n))
         assert len(jc.legal_actions(state)) == n * (n - 1) // 2
+
+
+def test_action_table_matches_legal_actions(small_config):
+    for n in range(2, 9):
+        state = jc.reset(_leaves(small_config, 3, n))
+        actions, index = action_table(n)
+        assert list(actions) == jc.legal_actions(state)
+        assert [index[a] for a in actions] == list(range(len(actions)))
+        assert action_table(n)[0] is actions
+        with pytest.raises(TypeError):
+            index[jc.Action(0, 1)] = 5
 
 
 def test_legal_actions_empty_at_terminal(small_config):

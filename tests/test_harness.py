@@ -152,6 +152,17 @@ def test_evaluate_requires_enough_events(small_events, small_config):
         evaluate(small_events[:3], {"algo": "greedy"}, small_config, n_eval=5, seeds=[0])
 
 
+def test_evaluate_rejects_empty_seed_list(small_events, small_config, monkeypatch):
+    import jetclust.harness as hmod
+
+    def no_planner(spec, config):
+        raise AssertionError("a planner was built for an empty seed list")
+
+    monkeypatch.setattr(hmod, "build_planner", no_planner)
+    with pytest.raises(ValueError, match="seed"):
+        evaluate(small_events, {"algo": "greedy"}, small_config, n_eval=2, seeds=[])
+
+
 def test_run_result_round_trip(small_events, small_config):
     result = evaluate(small_events, {"algo": "greedy"}, small_config, n_eval=5, seeds=[0])
     text = result.to_json()
@@ -253,6 +264,26 @@ def test_cli_evaluate_emits_multi_seed_result(tmp_path):
     result = jc.RunResult.from_json(out.read_text())
     assert len(result.per_seed) == 5
     assert result.planner == "mcts"
+
+
+def test_cli_evaluate_rejects_fewer_than_one_seed(tmp_path, capsys, monkeypatch):
+    import jetclust.cli as cmod
+
+    data = tmp_path / "d.jsonl"
+    cli(["generate", "--n-events", "4", "--seed", "5", "--out", str(data), *SMALL_FLAGS])
+
+    def no_evaluate(*args, **kwargs):
+        raise AssertionError("events were clustered for an empty seed list")
+
+    monkeypatch.setattr(cmod, "evaluate", no_evaluate)
+    capsys.readouterr()
+    out = tmp_path / "r.json"
+    for n in ("0", "-2"):
+        code = cli(["evaluate", "--algo", "greedy", "--seeds", n, "--in", str(data),
+                    "--out", str(out), "--seed", "5", *SMALL_FLAGS])
+        assert code == 1
+        assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_train_and_policy_cluster(tmp_path, capsys):

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import jetclust as jc
-from jetclust.env import legal_actions, reset
-from jetclust.planners import SearchNode, _beam_from_state
+from jetclust.env import apply_action, leaf_sets, legal_actions, reset
+from jetclust.planners import SearchNode, _beam_from_state, _BeamItem, _pair_rewards
 from jetclust.rng import make_rng
 
 from conftest import make_event
@@ -135,6 +137,142 @@ def test_beam_dedup_keeps_best_representative(small_config):
     items = _beam_from_state(reset(ev), 1000, small_config)
     keys = [tuple(sorted(tuple(sorted(s)) for s in it.leafsets)) for it in items]
     assert len(set(keys)) == len(keys)
+
+
+# The eager beam the lazy one replaced, kept verbatim as the oracle: it
+# builds every candidate state and collapses partitions as it goes.
+
+def _eager_partition_key(leafsets):
+    return tuple(sorted(tuple(sorted(s)) for s in leafsets))
+
+
+def _eager_beam_from_state(state, b, config):
+    if b < 1:
+        raise ValueError(f"beam width must be >= 1, got {b}")
+    items = [_BeamItem(state=state, leafsets=leaf_sets(state), path=())]
+    while items[0].state.n > 1:
+        survivors = {}
+        for item in items:
+            for action, reward in _pair_rewards(item.state, config):
+                nxt = apply_action(item.state, action, reward).next_state
+                i, j = action.i, action.j
+                nls = tuple(
+                    s for k, s in enumerate(item.leafsets) if k != i and k != j
+                ) + (item.leafsets[i] | item.leafsets[j],)
+                key = _eager_partition_key(nls)
+                cand = _BeamItem(state=nxt, leafsets=nls, path=item.path + ((action, nxt),))
+                held = survivors.get(key)
+                if held is None or _eager_beats(cand.state, held.state):
+                    survivors[key] = cand
+        items = sorted(survivors.values(), key=lambda it: (-it.state.cumulative_reward, it.state.history))
+        items = items[:b]
+    return items
+
+
+def _eager_beats(a, b):
+    if a.cumulative_reward != b.cumulative_reward:
+        return a.cumulative_reward > b.cumulative_reward
+    return a.history < b.history
+
+
+def _assert_same_beam(lazy, eager):
+    assert len(lazy) == len(eager)
+    for got, want in zip(lazy, eager):
+        assert got.state.history == want.state.history
+        assert got.state.cumulative_reward.hex() == want.state.cumulative_reward.hex()
+        assert got.state.particles == want.state.particles
+        assert got.leafsets == want.leafsets
+        assert [a for a, _ in got.path] == [a for a, _ in want.path]
+        assert [s.history for _, s in got.path] == [s.history for _, s in want.path]
+        assert [s.cumulative_reward.hex() for _, s in got.path] == \
+            [s.cumulative_reward.hex() for _, s in want.path]
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_lazy_beam_matches_eager_oracle(small_config, medium_events, n):
+    config, events = (small_config, None) if n <= 8 else medium_events
+    leaves = (_event(small_config, 11, n) if events is None
+              else next(e.leaves for e in events if e.n_leaves == n))
+    for b in (1, 2, 3, 5, 1000):
+        _assert_same_beam(_beam_from_state(reset(leaves), b, config),
+                          _eager_beam_from_state(reset(leaves), b, config))
+
+
+def test_lazy_beam_matches_eager_oracle_mid_episode(small_config):
+    state = reset(_event(small_config, 13, 8))
+    for a in (jc.Action(1, 4), jc.Action(0, 2), jc.Action(2, 5)):
+        state = jc.step(state, a, small_config).next_state
+    for b in (1, 2, 3, 5, 1000):
+        _assert_same_beam(_beam_from_state(state, b, small_config),
+                          _eager_beam_from_state(state, b, small_config))
+
+
+def test_lazy_beam_matches_eager_oracle_on_tied_rewards(small_config):
+    # Six equal-mass particles along the coordinate axes: every merge
+    # reward comes in bit-equal ties, so only the tie order ranks them.
+    leaves = [jc.FourMomentum(1.5, *(s if k == axis else 0.0 for k in range(3)))
+              for axis in range(3) for s in (1.0, -1.0)]
+    for b in (1, 2, 3, 5, 1000):
+        _assert_same_beam(_beam_from_state(reset(leaves), b, small_config),
+                          _eager_beam_from_state(reset(leaves), b, small_config))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), b=st.sampled_from([1, 2, 3, 5, 1000]),
+       data=st.data())
+def test_lazy_beam_matches_eager_oracle_on_random_events(small_config, seed, b, data):
+    leaves = jc.sample_shower(small_config, make_rng(seed)).leaf_momenta()
+    assume(len(leaves) <= 9)
+    state = reset(leaves)
+    for _ in range(data.draw(st.integers(0, len(leaves) - 2), label="prefix")):
+        actions = legal_actions(state)
+        a = actions[data.draw(st.integers(0, len(actions) - 1), label="action")]
+        state = jc.step(state, a, small_config).next_state
+    _assert_same_beam(_beam_from_state(state, b, small_config),
+                      _eager_beam_from_state(state, b, small_config))
+
+
+# ---------------------------------------------------------------------------
+# golden log-likelihoods
+# ---------------------------------------------------------------------------
+
+MEDIUM_CONFIG = jc.ShowerConfig(
+    lam=1.5, t_cut=1.0, root=jc.FourMomentum(12.0, 0.0, 0.0, 4.0), rng_seed=2)
+
+# (config, event seed, leaves) -> (LL, counted p_s evaluations) of greedy,
+# beam(5) and MCTS(n_mcts=20, b=5, p_s prior, rng (seed, leaves)), pinned
+# bit for bit.  On the (4, 10) event MCTS ends one ulp above beam(5).
+GOLDEN = [
+    ("small", 13, 8, [("-0x1.7cb4f86e6230ep+3", 84), ("-0x1.71310eabf2b47p+3", 308),
+                      ("-0x1.710a3a75c2eb0p+3", 1356)]),
+    ("medium", 1, 10, [("-0x1.5c6473a3802c6p+4", 165), ("-0x1.59234e5c747cbp+4", 645),
+                       ("-0x1.56630f8a80b08p+4", 3278)]),
+    ("medium", 2, 11, [("-0x1.263020c4e5d80p+5", 220), ("-0x1.1eb9018f259c2p+5", 880),
+                       ("-0x1.19b96dae4208ep+5", 4601)]),
+    ("medium", 3, 9, [("-0x1.1eb8c63c4d97ep+5", 120), ("-0x1.143719ca90c44p+5", 456),
+                      ("-0x1.0fabe1c5d4508p+5", 2396)]),
+    ("medium", 4, 10, [("-0x1.0bf7c8712aec9p+5", 165), ("-0x1.089f1d63145e5p+5", 645),
+                       ("-0x1.089f1d63145e4p+5", 3560)]),
+]
+
+
+@pytest.mark.parametrize("name,seed,n,expected", GOLDEN)
+def test_golden_log_likelihoods_and_costs(small_config, name, seed, n, expected):
+    config = small_config if name == "small" else MEDIUM_CONFIG
+    ev = make_event(config, seed=seed, n_leaves=n).leaf_momenta()
+    runs = [
+        lambda: jc.cluster_greedy(ev, config)[1],
+        lambda: jc.cluster_beam(ev, 5, config)[1],
+        lambda: jc.cluster_mcts(ev, jc.fixed_policy("proportional-to-ps", config),
+                                jc.MctsConfig(n_mcts=20, beam_init_b=5), config,
+                                make_rng(seed, n))[1],
+    ]
+    got = []
+    for run in runs:
+        start = jc.PS_EVALUATIONS.count
+        ll = run()
+        got.append((ll.hex(), jc.PS_EVALUATIONS.count - start))
+    assert got == expected
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +446,35 @@ def test_mcts_better_prior_at_least_greedy_on_average(small_config, oracle_event
         greedy_mean = np.mean([
             jc.cluster_greedy(e.leaves, small_config)[1] for e in oracle_events[:20]])
         assert mcts_mean >= greedy_mean - 1e-9
+
+
+def test_planners_run_inside_one_memo_scope(small_config, monkeypatch):
+    import jetclust.planners as pmod
+    from jetclust import shower
+
+    kernel = shower.splitting_log_likelihood
+    seen = []
+
+    def spy(s, config):
+        seen.append(shower._PS_MEMO.get())
+        return kernel(s, config)
+
+    monkeypatch.setattr(pmod, "splitting_log_likelihood", spy)
+    ev = _event(small_config, 29, 5)
+    policy = jc.fixed_policy("proportional-to-ps", small_config)
+    runs = [
+        lambda: jc.cluster_greedy(ev, small_config),
+        lambda: jc.cluster_beam(ev, 3, small_config),
+        lambda: jc.cluster_mcts(ev, policy, _mcts_cfg(), small_config, make_rng(73)),
+        lambda: jc.mcts_decide(reset(ev), policy, _mcts_cfg(), small_config, make_rng(73)),
+        lambda: jc.cluster_policy(ev, policy, small_config),
+    ]
+    for run in runs:
+        seen.clear()
+        run()
+        assert seen and seen[0] is not None
+        assert all(memo is seen[0] for memo in seen)
+        assert shower._PS_MEMO.get() is None
 
 
 def test_cluster_policy_rollout(small_config):

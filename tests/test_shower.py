@@ -6,7 +6,7 @@ from scipy import integrate, stats
 
 import jetclust as jc
 from jetclust.rng import make_rng
-from jetclust.shower import EPS_MASS_SQ, LOG_DENSITY_FLOOR
+from jetclust.shower import _PS_MEMO, EPS_MASS_SQ, LOG_DENSITY_FLOOR, ps_memo
 
 from conftest import make_event
 
@@ -252,6 +252,75 @@ def test_splitting_increments_cost_counter(small_config):
     jc.splitting_log_likelihood(s, small_config)
     jc.splitting_log_likelihood(s, small_config)
     assert jc.PS_EVALUATIONS.count == before + 2
+
+
+def _memo_pairs(config):
+    # Leaf pairs and sibling pairs of a few events, plus the degenerate
+    # collinear massless merge.
+    pairs = [(jc.FourMomentum(1, 0, 0, 1), jc.FourMomentum(2, 0, 0, 2))]
+    for k in range(5):
+        tree = jc.sample_shower(config, make_rng(71, k))
+        leaves = tree.leaf_momenta()
+        pairs += [(a, b) for i, a in enumerate(leaves) for b in leaves[i + 1:]]
+        pairs += [(tree.nodes[ca].momentum, tree.nodes[cb].momentum)
+                  for ca, cb in (n.children for n in tree.nodes if n.children)]
+    return pairs
+
+
+def test_ps_memo_values_are_bit_identical(small_config):
+    other = jc.ShowerConfig(lam=3.0, t_cut=1.0, root=small_config.root)
+    pairs = _memo_pairs(small_config)
+
+    def ll(a, b, config):
+        return jc.splitting_log_likelihood(jc.Splitting.from_children(a, b), config).hex()
+
+    plain = [(ll(a, b, c), ll(b, a, c)) for a, b in pairs for c in (small_config, other)]
+    with ps_memo():
+        first = [(ll(a, b, c), ll(b, a, c)) for a, b in pairs for c in (small_config, other)]
+        swapped = [(ll(b, a, c), ll(a, b, c)) for a, b in pairs for c in (small_config, other)]
+    assert first == plain
+    assert swapped == [(y, x) for x, y in plain]
+    assert all(x == y for x, y in plain)
+
+
+def test_ps_memo_hit_is_still_counted(small_config):
+    s = jc.Splitting.from_children(jc.FourMomentum(1, 0, 0, 1), jc.FourMomentum(2, 1, 0, 0))
+    swapped = jc.Splitting.from_children(s.child_b, s.child_a)
+    with ps_memo() as memo:
+        before = jc.PS_EVALUATIONS.count
+        jc.splitting_log_likelihood(s, small_config)
+        assert jc.PS_EVALUATIONS.count == before + 1
+        assert len(memo) == 2  # stored under both child orders
+        for k, query in enumerate((s, swapped, s), start=2):
+            jc.splitting_log_likelihood(query, small_config)
+            assert jc.PS_EVALUATIONS.count == before + k
+        assert len(memo) == 2
+
+
+def test_ps_memo_exists_only_inside_a_scope(small_config):
+    s = jc.Splitting.from_children(jc.FourMomentum(1, 0, 0, 1), jc.FourMomentum(2, 1, 0, 0))
+    assert _PS_MEMO.get() is None
+    with ps_memo() as memo:
+        assert _PS_MEMO.get() is memo
+        jc.splitting_log_likelihood(s, small_config)
+    assert _PS_MEMO.get() is None
+    with pytest.raises(RuntimeError):
+        with ps_memo():
+            raise RuntimeError("inside the scope")
+    assert _PS_MEMO.get() is None
+    with ps_memo() as fresh:
+        assert fresh == {} and fresh is not memo
+
+
+def test_ps_memo_nested_scope_reuses_outer(small_config):
+    s = jc.Splitting.from_children(jc.FourMomentum(1, 0, 0, 1), jc.FourMomentum(2, 1, 0, 0))
+    with ps_memo() as outer:
+        with ps_memo() as inner:
+            assert inner is outer
+            jc.splitting_log_likelihood(s, small_config)
+        assert _PS_MEMO.get() is outer
+        assert len(outer) == 2
+    assert _PS_MEMO.get() is None
 
 
 def test_tree_log_likelihood_two_leaf_tree(small_config):
