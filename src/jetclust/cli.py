@@ -152,29 +152,24 @@ def _planner_spec(opt: _Options) -> dict:
     return spec
 
 
-def _load_dataset(opt: _Options):
+def _load_dataset(opt: _Options) -> tuple[list, ShowerConfig]:
+    """The --in events and the shower config.  Clustering scores depend on
+    the density parameters, so probe them by recomputing one stored truth
+    likelihood under the config."""
     infile = opt.get("infile")
     if not infile:
         raise UsageError("--in dataset file is required")
     events = load_events(infile)
     if not events:
         raise ValueError(f"dataset {infile} is empty")
-    return events
-
-
-def _check_dataset_config(events, config: ShowerConfig, quiet: bool) -> None:
-    """Clustering scores depend on the density parameters, so probe them by
-    recomputing one stored truth likelihood under the supplied config."""
-    if not events or quiet:
-        return
+    config = _shower_config(opt)
     event = events[0]
     recomputed = tree_log_likelihood(event.truth, config)
     if abs(recomputed - event.truth_ll) > 1e-6 * max(1.0, abs(event.truth_ll)):
-        print(
-            "warning: the supplied density parameters do not reproduce the "
-            "dataset's stored truth likelihoods; pass the generation flags or --config",
-            file=sys.stderr,
-        )
+        raise UsageError(
+            "the supplied density parameters do not reproduce the dataset's stored "
+            "truth likelihoods; pass the generation flags or --config")
+    return events, config
 
 
 def _cmd_generate(opt: _Options) -> int:
@@ -190,9 +185,7 @@ def _cmd_generate(opt: _Options) -> int:
 
 
 def _cmd_cluster(opt: _Options) -> int:
-    events = _load_dataset(opt)
-    config = _shower_config(opt)
-    _check_dataset_config(events, config, bool(opt.get("quiet")))
+    events, config = _load_dataset(opt)
     spec = _planner_spec(opt)
     result = evaluate(events, spec, config, n_eval=len(events),
                       seeds=[int(opt.get("seed", 0))])
@@ -207,9 +200,7 @@ def _cmd_cluster(opt: _Options) -> int:
 
 
 def _cmd_mle(opt: _Options) -> int:
-    events = _load_dataset(opt)
-    config = _shower_config(opt)
-    _check_dataset_config(events, config, bool(opt.get("quiet")))
+    events, config = _load_dataset(opt)
     max_n = int(opt.get("max_n", 10))
     rows = []
     for event in events:
@@ -230,9 +221,7 @@ def _cmd_mle(opt: _Options) -> int:
 
 
 def _cmd_train(opt: _Options) -> int:
-    events = _load_dataset(opt)
-    config = _shower_config(opt)
-    _check_dataset_config(events, config, bool(opt.get("quiet")))
+    events, config = _load_dataset(opt)
     mode = opt.get("mode", "bc")
     steps = int(opt.get("steps", 20000))
     lr = float(opt.get("lr", 0.03))
@@ -268,9 +257,7 @@ def _cmd_evaluate(opt: _Options) -> int:
     n_seeds = int(opt.get("seeds", 1))
     if n_seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {n_seeds}")
-    events = _load_dataset(opt)
-    config = _shower_config(opt)
-    _check_dataset_config(events, config, bool(opt.get("quiet")))
+    events, config = _load_dataset(opt)
     spec = _planner_spec(opt)
     n_eval = int(opt.get("n_eval", len(events)))
     base = int(opt.get("seed", 0))

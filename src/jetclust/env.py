@@ -4,7 +4,7 @@ ends when a single particle is left.  Transitions are deterministic and
 states are immutable values, so any number of episodes can run
 concurrently."""
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
@@ -33,9 +33,9 @@ class Action:
 class ClusterState:
     particles: tuple[FourMomentum, ...]
     ids: tuple[int, ...]
-    next_id: int
     cumulative_reward: float
-    history: tuple[tuple[int, int, int], ...]  # (id_a, id_b, new_id) per merge
+    # (id_a, id_b) per merge; the k-th merge creates id len(leaves) + k
+    history: tuple[tuple[int, int], ...]
     leaves: tuple[FourMomentum, ...]  # original observed particles, id k = leaves[k]
 
     @property
@@ -62,7 +62,6 @@ def reset(leaves: list[FourMomentum] | tuple[FourMomentum, ...]) -> ClusterState
     return ClusterState(
         particles=leaves,
         ids=tuple(range(len(leaves))),
-        next_id=len(leaves),
         cumulative_reward=0.0,
         history=(),
         leaves=leaves,
@@ -98,13 +97,13 @@ def apply_action(state: ClusterState, action: Action, reward: float) -> Transiti
         raise ValueError(f"illegal action ({i}, {j}) for n={state.n}")
     merged = state.particles[i] + state.particles[j]
     particles = tuple(p for k, p in enumerate(state.particles) if k != i and k != j) + (merged,)
-    ids = tuple(v for k, v in enumerate(state.ids) if k != i and k != j) + (state.next_id,)
+    new_id = len(state.leaves) + len(state.history)
+    ids = tuple(v for k, v in enumerate(state.ids) if k != i and k != j) + (new_id,)
     next_state = ClusterState(
         particles=particles,
         ids=ids,
-        next_id=state.next_id + 1,
         cumulative_reward=state.cumulative_reward + reward,
-        history=state.history + ((state.ids[i], state.ids[j], state.next_id),),
+        history=state.history + ((state.ids[i], state.ids[j]),),
         leaves=state.leaves,
     )
     return Transition(next_state=next_state, reward=reward, done=next_state.n == 1)
@@ -116,8 +115,7 @@ def step(state: ClusterState, action: Action, config: ShowerConfig) -> Transitio
     i, j = action.i, action.j
     if not (0 <= i < j < state.n):
         raise ValueError(f"illegal action ({i}, {j}) for n={state.n}")
-    s = Splitting.from_children(state.particles[i], state.particles[j])
-    reward = splitting_log_likelihood(s, config)
+    reward = splitting_log_likelihood(Splitting(state.particles[i], state.particles[j]), config)
     return apply_action(state, action, reward)
 
 
@@ -139,29 +137,26 @@ def rollout(
 
 def leaf_sets(state: ClusterState) -> tuple[frozenset[int], ...]:
     """For each current particle, the set of original leaf ids it contains."""
-    sets: dict[int, frozenset[int]] = {k: frozenset((k,)) for k in range(len(state.leaves))}
-    for id_a, id_b, new_id in state.history:
-        sets[new_id] = sets[id_a] | sets[id_b]
+    sets = [frozenset((k,)) for k in range(len(state.leaves))]
+    for id_a, id_b in state.history:
+        sets.append(sets[id_a] | sets[id_b])
     return tuple(sets[pid] for pid in state.ids)
 
 
 def tree_from_history(
     leaves: tuple[FourMomentum, ...],
-    history: tuple[tuple[int, int, int], ...],
+    history: Sequence[tuple[int, int]],
 ) -> Tree:
-    """Rebuild the clustering tree from a completed merge history.  Node
-    index equals particle id: leaves first, merged parents in merge order."""
+    """Rebuild the clustering tree from a completed history of (id_a, id_b)
+    merges.  Node index equals particle id: leaves, then merge k at len(leaves) + k."""
     n = len(leaves)
     if len(history) != n - 1:
         raise ValueError(f"history has {len(history)} merges, need {n - 1} for {n} leaves")
     nodes = [TreeNode(momentum=p, t=invariant_mass_sq(p)) for p in leaves]
-    for id_a, id_b, new_id in history:
-        if new_id != len(nodes):
-            raise ValueError("merge ids must be assigned sequentially")
+    for id_a, id_b in history:
+        nodes[id_a].parent = nodes[id_b].parent = len(nodes)
         momentum = nodes[id_a].momentum + nodes[id_b].momentum
         nodes.append(TreeNode(momentum=momentum, t=invariant_mass_sq(momentum), children=(id_a, id_b)))
-        nodes[id_a].parent = new_id
-        nodes[id_b].parent = new_id
     return Tree(nodes=nodes, root_index=len(nodes) - 1, leaf_indices=list(range(n)))
 
 

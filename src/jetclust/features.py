@@ -54,9 +54,6 @@ def extract_pair_features(
             ti * t_scale, tj * t_scale, t_pair * t_scale, n,
         ]
         if include_ps:
-            s = Splitting.from_children(
-                state.particles[act.i], state.particles[act.j]
-            )
-            feats.append(splitting_log_likelihood(s, config))
+            feats.append(splitting_log_likelihood(Splitting(pi, pj), config))
         out[row] = feats
     return out

@@ -123,10 +123,23 @@ def _tree_to_obj(tree: Tree) -> dict:
     }
 
 
+def _check_schema(obj, what: str) -> None:
+    version = obj.get("schema_version") if isinstance(obj, dict) else None
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"{what} has schema_version {version!r}, this version reads {SCHEMA_VERSION}")
+
+
+def _momentum(values) -> FourMomentum:
+    # json.loads gives int or float for a number; bool and str are not numbers
+    if len(values) != 4 or not {int, float}.issuperset(map(type, values)):
+        raise ValueError(f"momentum {values!r} is not four numbers")
+    return FourMomentum(*map(float, values))
+
+
 def _tree_from_obj(obj: dict) -> Tree:
     nodes = []
     for rec in obj["nodes"]:
-        momentum = FourMomentum(*[float(v) for v in rec["p"]])
+        momentum = _momentum(rec["p"])
         nodes.append(TreeNode(
             momentum=momentum,
             t=invariant_mass_sq(momentum),
@@ -149,15 +162,20 @@ def event_to_json(event: EventRecord) -> str:
 
 
 def event_from_json(line: str) -> EventRecord:
+    """Decode one dataset line; ValueError if it is not an event of this
+    schema version."""
     obj = json.loads(line)
-    truth = _tree_from_obj(obj["truth"])
-    return EventRecord(
-        event_id=obj["id"],
-        config_hash=obj["config_hash"],
-        leaves=tuple(FourMomentum(*[float(v) for v in p]) for p in obj["leaves"]),
-        truth=truth,
-        truth_ll=float(obj["truth_ll"]),
-    )
+    _check_schema(obj, "event")
+    try:
+        return EventRecord(
+            event_id=obj["id"],
+            config_hash=obj["config_hash"],
+            leaves=tuple(_momentum(p) for p in obj["leaves"]),
+            truth=_tree_from_obj(obj["truth"]),
+            truth_ll=float(obj["truth_ll"]),
+        )
+    except (KeyError, TypeError) as exc:  # a missing field or a value of the wrong kind
+        raise ValueError(f"malformed event: {exc!r}") from exc
 
 
 def generate_events(config: ShowerConfig, n_events: int) -> list[EventRecord]:
@@ -189,11 +207,21 @@ def write_events(path: str | Path, events: Sequence[EventRecord]) -> None:
 
 
 def load_events(path: str | Path) -> list[EventRecord]:
+    """Read a dataset; a line that is not a valid event raises ValueError
+    naming path:line."""
+    events = []
     try:
         with open(path) as f:
-            return [event_from_json(line) for line in f if line.strip()]
+            for lineno, line in enumerate(f, 1):
+                if not line.strip():
+                    continue
+                try:
+                    events.append(event_from_json(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
     except OSError as exc:
         raise OSError(f"cannot read dataset from {path}: {exc}") from exc
+    return events
 
 
 def generate(config: ShowerConfig, n_events: int, path: str | Path) -> list[EventRecord]:
@@ -233,6 +261,7 @@ class RunResult:
     @classmethod
     def from_json(cls, text: str) -> "RunResult":
         obj = json.loads(text)
+        _check_schema(obj, "run result")
         return cls(
             planner=obj["planner"],
             params=obj["params"],

@@ -93,7 +93,7 @@ def _pair_rewards(state: ClusterState, config: ShowerConfig) -> list[tuple[Actio
     """Every legal action with its reward, in legal-action order."""
     return [
         (a, splitting_log_likelihood(
-            Splitting.from_children(state.particles[a.i], state.particles[a.j]), config))
+            Splitting(state.particles[a.i], state.particles[a.j]), config))
         for a in action_table(state.n)[0]
     ]
 
@@ -148,7 +148,7 @@ def _beam_from_state(state: ClusterState, b: int, config: ShowerConfig) -> list[
         for item in items:
             st = item.state
             for action, reward in _pair_rewards(st, config):
-                entry = (st.ids[action.i], st.ids[action.j], st.next_id)
+                entry = (st.ids[action.i], st.ids[action.j])
                 ranked.append((-(st.cumulative_reward + reward), st.history, entry,
                                item, action, reward))
         ranked.sort()

@@ -350,6 +350,9 @@ def load_weights(path: str | Path) -> tuple[PolicyWeights, dict]:
             raise ValueError(f"{path}: not a weights file")
         if header.get("version") != WEIGHTS_FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported weights format version {header.get('version')}")
+        if header.get("feature_schema") != FEATURE_SCHEMA_VERSION:
+            raise ValueError(f"{path}: feature schema {header.get('feature_schema')!r}, "
+                             f"this version reads {FEATURE_SCHEMA_VERSION}")
         flat = np.frombuffer(f.read(), dtype="<f8")
     arrays = []
     offset = 0

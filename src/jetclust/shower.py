@@ -14,6 +14,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,10 +99,6 @@ class TreeNode:
     # tree came out of the sampler (None for leaves and rebuilt trees).
     split_ll: float | None = None
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
-
 
 @dataclass
 class Tree:
@@ -123,17 +120,11 @@ class Tree:
         return [i for i, node in enumerate(self.nodes) if node.children is not None]
 
 
-@dataclass(frozen=True)
-class Splitting:
-    """One parent -> two children decay; the pair is unordered."""
+class Splitting(NamedTuple):
+    """One merge: two children whose sum is the parent; the pair is unordered."""
 
-    parent: FourMomentum
     child_a: FourMomentum
     child_b: FourMomentum
-
-    @classmethod
-    def from_children(cls, child_a: FourMomentum, child_b: FourMomentum) -> "Splitting":
-        return cls(child_a + child_b, child_a, child_b)
 
 
 def truncated_exp_log_density(t: float, t_max: float, lam: float) -> float:
@@ -319,6 +310,6 @@ def tree_log_likelihood(tree: Tree, config: ShowerConfig) -> float:
         if node.children is None:
             continue
         ca, cb = node.children
-        s = Splitting.from_children(tree.nodes[ca].momentum, tree.nodes[cb].momentum)
-        total += splitting_log_likelihood(s, config)
+        total += splitting_log_likelihood(
+            Splitting(tree.nodes[ca].momentum, tree.nodes[cb].momentum), config)
     return total

@@ -12,7 +12,8 @@ set bit (children are unordered, so this halves the symmetric
 duplicates).  Cost is O(3^n) density evaluations, so n is guarded.
 """
 
-from .shower import FourMomentum, ShowerConfig, Splitting, Tree, TreeNode, invariant_mass_sq, splitting_log_likelihood
+from .env import tree_from_history
+from .shower import FourMomentum, ShowerConfig, Splitting, Tree, splitting_log_likelihood
 
 DEFAULT_N_MAX = 16
 ENUMERATION_N_MAX = 7
@@ -43,8 +44,7 @@ def _fill_table(
             b = (b - 1) & rest
             a_mask = low | b  # proper nonempty subset of mask containing its lowest bit
             c_mask = mask ^ a_mask
-            s = Splitting.from_children(psum[a_mask], psum[c_mask])
-            val = splitting_log_likelihood(s, config) + mll[a_mask] + mll[c_mask]
+            val = splitting_log_likelihood(Splitting(psum[a_mask], psum[c_mask]), config) + mll[a_mask] + mll[c_mask]
             if best_val is None or val > best_val:
                 best_val = val
                 best_split = a_mask
@@ -55,18 +55,16 @@ def _fill_table(
     return mll, best, psum
 
 
-def _backtrack(mask: int, best: list[int], psum: list[FourMomentum], nodes: list[TreeNode]) -> int:
+def _backtrack(mask: int, best: list[int], n: int, history: list[tuple[int, int]]) -> int:
+    """Append the merges of the best tree over `mask` to `history` in
+    post-order and return the particle id of the mask."""
     if mask & (mask - 1) == 0:
-        return mask.bit_length() - 1  # leaf node index
+        return mask.bit_length() - 1  # leaf id
     a_mask = best[mask]
-    ia = _backtrack(a_mask, best, psum, nodes)
-    ib = _backtrack(mask ^ a_mask, best, psum, nodes)
-    momentum = nodes[ia].momentum + nodes[ib].momentum
-    idx = len(nodes)
-    nodes.append(TreeNode(momentum=momentum, t=invariant_mass_sq(momentum), children=(ia, ib)))
-    nodes[ia].parent = idx
-    nodes[ib].parent = idx
-    return idx
+    id_a = _backtrack(a_mask, best, n, history)
+    id_b = _backtrack(mask ^ a_mask, best, n, history)
+    history.append((id_a, id_b))
+    return n + len(history) - 1
 
 
 def exact_mle(
@@ -80,12 +78,11 @@ def exact_mle(
         raise ValueError(f"need at least 2 particles, got {n}")
     if n > n_max:
         raise ValueError(f"{n} leaves exceeds the n_max={n_max} cost guard")
-    mll, best, psum = _fill_table(leaves, config)
+    mll, best, _ = _fill_table(leaves, config)
     full = (1 << n) - 1
-    nodes = [TreeNode(momentum=p, t=invariant_mass_sq(p)) for p in leaves]
-    root = _backtrack(full, best, psum, nodes)
-    tree = Tree(nodes=nodes, root_index=root, leaf_indices=list(range(n)))
-    return mll[full], tree
+    history: list[tuple[int, int]] = []
+    _backtrack(full, best, n, history)
+    return mll[full], tree_from_history(tuple(leaves), history)
 
 
 def _shapes(leaf_ids: tuple[int, ...]):
@@ -123,8 +120,7 @@ def enumerate_all_trees(
             return leaves[shape], 0.0
         pa, lla = score(shape[0])
         pb, llb = score(shape[1])
-        s = Splitting.from_children(pa, pb)
-        return pa + pb, lla + llb + splitting_log_likelihood(s, config)
+        return pa + pb, lla + llb + splitting_log_likelihood(Splitting(pa, pb), config)
 
     best_ll = None
     count = 0

@@ -122,7 +122,7 @@ def test_apply_action_matches_step(small_config):
     state = jc.reset(_leaves(small_config, 3, 4))
     a = jc.Action(0, 2)
     via_step = jc.step(state, a, small_config)
-    s = jc.Splitting.from_children(state.particles[0], state.particles[2])
+    s = jc.Splitting(state.particles[0], state.particles[2])
     reward = jc.splitting_log_likelihood(s, small_config)
     via_apply = apply_action(state, a, reward)
     assert via_step == via_apply
@@ -176,3 +176,26 @@ def test_tree_from_history_requires_completion(small_config):
     state = jc.reset(_leaves(small_config, 3, 4))
     with pytest.raises(ValueError):
         jc.tree_from_state(state)
+
+
+def test_tree_from_history_of_id_pairs():
+    leaves = (
+        jc.FourMomentum(1.1, 0.1, 0.2, 0.3),
+        jc.FourMomentum(2.3, 0.7, -0.4, 1.1),
+        jc.FourMomentum(0.9, -0.2, 0.3, 0.1),
+        jc.FourMomentum(1.7, 0.3, 0.6, -0.9),
+    )
+    # merge k creates id 4 + k: 4 = {1, 3}, 5 = {0, 2}, 6 = the root
+    tree = jc.tree_from_history(leaves, ((1, 3), (0, 2), (4, 5)))
+    assert tree.root_index == 6
+    assert tree.leaf_indices == [0, 1, 2, 3]
+    assert [node.children for node in tree.nodes] == [None] * 4 + [(1, 3), (0, 2), (4, 5)]
+    assert [node.parent for node in tree.nodes] == [5, 4, 5, 4, 6, 6, None]
+    p13 = tuple(a + b for a, b in zip(leaves[1].as_tuple(), leaves[3].as_tuple()))
+    p02 = tuple(a + b for a, b in zip(leaves[0].as_tuple(), leaves[2].as_tuple()))
+    root = tuple(a + b for a, b in zip(p13, p02))
+    for idx, want in ((4, p13), (5, p02), (6, root)):
+        assert [x.hex() for x in tree.nodes[idx].momentum.as_tuple()] == [x.hex() for x in want]
+        assert tree.nodes[idx].t == jc.invariant_mass_sq(jc.FourMomentum(*want))
+    with pytest.raises(ValueError):
+        jc.tree_from_history(leaves, ((1, 3), (0, 2)))

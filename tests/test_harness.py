@@ -95,6 +95,26 @@ def test_load_missing_file_reports_path(tmp_path):
         jc.load_events(tmp_path / "nope.jsonl")
 
 
+@pytest.mark.parametrize("corrupt,reason", [
+    (lambda obj: "{not json", "Expecting property name"),
+    (lambda obj: json.dumps({k: v for k, v in obj.items() if k != "truth_ll"}), "truth_ll"),
+    (lambda obj: json.dumps({**obj, "leaves": [obj["leaves"][0][:3], *obj["leaves"][1:]]}),
+     "not four numbers"),
+    (lambda obj: json.dumps({**obj, "schema_version": 99}), "schema_version 99"),
+], ids=["invalid-json", "missing-truth_ll", "three-number-leaf", "other-schema-version"])
+def test_cli_rejects_bad_event_line(tmp_path, capsys, small_config, corrupt, reason):
+    lines = [event_to_json(e) for e in jc.generate_events(small_config, 3)]
+    lines[1] = corrupt(json.loads(lines[1]))
+    data = tmp_path / "d.jsonl"
+    data.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=reason):
+        jc.load_events(data)
+    assert cli(["cluster", "--algo", "greedy", "--in", str(data), *SMALL_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert f"{data}:2: " in err
+    assert reason in err
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -168,6 +188,14 @@ def test_run_result_round_trip(small_events, small_config):
     text = result.to_json()
     back = jc.RunResult.from_json(text)
     assert back.to_json() == text
+
+
+def test_run_result_rejects_other_schema_version(small_events, small_config):
+    result = evaluate(small_events, {"algo": "greedy"}, small_config, n_eval=2, seeds=[0])
+    obj = json.loads(result.to_json())
+    obj["schema_version"] = 99
+    with pytest.raises(ValueError, match="schema_version 99"):
+        jc.RunResult.from_json(json.dumps(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +341,20 @@ def test_cli_compare(tmp_path, capsys):
     code = cli(["compare", str(r1), str(r2), "--out", str(tmp_path / "cmp")])
     assert code == 0
     assert (tmp_path / "cmp_table.csv").exists()
+
+
+def test_cli_rejects_density_flags_that_miss_the_dataset(tmp_path, capsys):
+    data = tmp_path / "d.jsonl"
+    assert cli(["generate", "--n-events", "4", "--seed", "3", "--lam", "3",
+                "--out", str(data), "--quiet"]) == 0
+    out = tmp_path / "r.json"
+    code = cli(["cluster", "--algo", "greedy", "--in", str(data), "--quiet", "--out", str(out)])
+    assert code == 1
+    assert "density parameters" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli(["cluster", "--algo", "greedy", "--in", str(data), "--quiet", "--lam", "3",
+                "--out", str(out)]) == 0
+    assert out.exists()
 
 
 def test_cli_exit_codes(tmp_path):

@@ -38,7 +38,7 @@ def test_fixed_policy_proportional_to_ps(small_config):
     assert abs(priors.sum() - 1.0) <= 1e-6
     logps = [
         jc.splitting_log_likelihood(
-            jc.Splitting.from_children(state.particles[a.i], state.particles[a.j]),
+            jc.Splitting(state.particles[a.i], state.particles[a.j]),
             small_config)
         for a in legal_actions(state)
     ]
@@ -82,7 +82,7 @@ def test_greedy_first_step_is_argmax_over_three_trees(small_config):
         outcomes.append((a, done.cumulative_reward))
     first_rewards = {
         a: jc.splitting_log_likelihood(
-            jc.Splitting.from_children(state.particles[a.i], state.particles[a.j]),
+            jc.Splitting(state.particles[a.i], state.particles[a.j]),
             small_config)
         for a in legal_actions(state)
     }

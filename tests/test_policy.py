@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -88,7 +89,7 @@ def test_feature_determinism_and_ps_column(small_config):
     assert np.array_equal(x1, x2)
     assert np.all(np.isfinite(x1))
     for row, a in enumerate(legal_actions(state)):
-        s = jc.Splitting.from_children(state.particles[a.i], state.particles[a.j])
+        s = jc.Splitting(state.particles[a.i], state.particles[a.j])
         assert x1[row, -1] == jc.splitting_log_likelihood(s, small_config)
 
 
@@ -316,6 +317,17 @@ def test_load_weights_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b'{"magic": "nope"}\n')
     with pytest.raises(ValueError):
+        jc.load_weights(path)
+
+
+def test_load_weights_rejects_other_feature_schema(tmp_path):
+    path = tmp_path / "weights.bin"
+    jc.save_weights(path, init_weights(feature_dim(), make_rng(9)))
+    header, payload = path.read_bytes().split(b"\n", 1)
+    obj = json.loads(header)
+    obj["feature_schema"] = 99
+    path.write_bytes(json.dumps(obj, sort_keys=True).encode() + b"\n" + payload)
+    with pytest.raises(ValueError, match="feature schema 99"):
         jc.load_weights(path)
 
 

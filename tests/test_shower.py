@@ -202,7 +202,7 @@ def test_shower_bit_identical_under_fixed_seed(small_config):
 
 def test_splitting_symmetric_example():
     config = jc.ShowerConfig(lam=1.0, t_cut=1.0, root=jc.FourMomentum(25, 0, 0, 15))
-    s = jc.Splitting.from_children(jc.FourMomentum(1, 0, 0, 1), jc.FourMomentum(1, 0, 0, -1))
+    s = jc.Splitting(jc.FourMomentum(1, 0, 0, 1), jc.FourMomentum(1, 0, 0, -1))
     # t_p = 4, t_L = t_R = 0: both factors are f(0 | 4, 1), plus the
     # isotropic angular factor.
     expected = 2.0 * math.log(1.0 / (4.0 * (1.0 - math.exp(-1.0)))) - math.log(4.0 * math.pi)
@@ -220,8 +220,8 @@ def test_splitting_child_swap_is_bit_identical(small_config):
     for _ in range(200):
         a = _random_timelike(rng)
         b = _random_timelike(rng)
-        ab = jc.splitting_log_likelihood(jc.Splitting.from_children(a, b), small_config)
-        ba = jc.splitting_log_likelihood(jc.Splitting.from_children(b, a), small_config)
+        ab = jc.splitting_log_likelihood(jc.Splitting(a, b), small_config)
+        ba = jc.splitting_log_likelihood(jc.Splitting(b, a), small_config)
         assert ab == ba
 
 
@@ -229,7 +229,7 @@ def test_splitting_rejects_invalid_momenta(small_config):
     bad = jc.FourMomentum(-1.0, 0.0, 0.0, 0.0)
     ok = jc.FourMomentum(2.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        jc.splitting_log_likelihood(jc.Splitting.from_children(bad, ok), small_config)
+        jc.splitting_log_likelihood(jc.Splitting(bad, ok), small_config)
 
 
 def test_splitting_matches_sampler_recorded_density(small_config):
@@ -241,13 +241,13 @@ def test_splitting_matches_sampler_recorded_density(small_config):
             if node.children is None:
                 continue
             ca, cb = node.children
-            s = jc.Splitting.from_children(tree.nodes[ca].momentum, tree.nodes[cb].momentum)
+            s = jc.Splitting(tree.nodes[ca].momentum, tree.nodes[cb].momentum)
             recomputed = jc.splitting_log_likelihood(s, small_config)
             assert abs(recomputed - node.split_ll) <= 1e-9
 
 
 def test_splitting_increments_cost_counter(small_config):
-    s = jc.Splitting.from_children(jc.FourMomentum(1, 0, 0, 1), jc.FourMomentum(1, 0, 0, -1))
+    s = jc.Splitting(jc.FourMomentum(1, 0, 0, 1), jc.FourMomentum(1, 0, 0, -1))
     before = jc.PS_EVALUATIONS.count
     jc.splitting_log_likelihood(s, small_config)
     jc.splitting_log_likelihood(s, small_config)
@@ -272,7 +272,7 @@ def test_ps_memo_values_are_bit_identical(small_config):
     pairs = _memo_pairs(small_config)
 
     def ll(a, b, config):
-        return jc.splitting_log_likelihood(jc.Splitting.from_children(a, b), config).hex()
+        return jc.splitting_log_likelihood(jc.Splitting(a, b), config).hex()
 
     plain = [(ll(a, b, c), ll(b, a, c)) for a, b in pairs for c in (small_config, other)]
     with ps_memo():
@@ -284,8 +284,8 @@ def test_ps_memo_values_are_bit_identical(small_config):
 
 
 def test_ps_memo_hit_is_still_counted(small_config):
-    s = jc.Splitting.from_children(jc.FourMomentum(1, 0, 0, 1), jc.FourMomentum(2, 1, 0, 0))
-    swapped = jc.Splitting.from_children(s.child_b, s.child_a)
+    s = jc.Splitting(jc.FourMomentum(1, 0, 0, 1), jc.FourMomentum(2, 1, 0, 0))
+    swapped = jc.Splitting(s.child_b, s.child_a)
     with ps_memo() as memo:
         before = jc.PS_EVALUATIONS.count
         jc.splitting_log_likelihood(s, small_config)
@@ -298,7 +298,7 @@ def test_ps_memo_hit_is_still_counted(small_config):
 
 
 def test_ps_memo_exists_only_inside_a_scope(small_config):
-    s = jc.Splitting.from_children(jc.FourMomentum(1, 0, 0, 1), jc.FourMomentum(2, 1, 0, 0))
+    s = jc.Splitting(jc.FourMomentum(1, 0, 0, 1), jc.FourMomentum(2, 1, 0, 0))
     assert _PS_MEMO.get() is None
     with ps_memo() as memo:
         assert _PS_MEMO.get() is memo
@@ -313,7 +313,7 @@ def test_ps_memo_exists_only_inside_a_scope(small_config):
 
 
 def test_ps_memo_nested_scope_reuses_outer(small_config):
-    s = jc.Splitting.from_children(jc.FourMomentum(1, 0, 0, 1), jc.FourMomentum(2, 1, 0, 0))
+    s = jc.Splitting(jc.FourMomentum(1, 0, 0, 1), jc.FourMomentum(2, 1, 0, 0))
     with ps_memo() as outer:
         with ps_memo() as inner:
             assert inner is outer
@@ -325,7 +325,7 @@ def test_ps_memo_nested_scope_reuses_outer(small_config):
 
 def test_tree_log_likelihood_two_leaf_tree(small_config):
     tree = make_event(small_config, seed=61, n_leaves=2)
-    s = jc.Splitting.from_children(*[tree.nodes[i].momentum for i in tree.leaf_indices])
+    s = jc.Splitting(*[tree.nodes[i].momentum for i in tree.leaf_indices])
     assert jc.tree_log_likelihood(tree, small_config) == pytest.approx(
         jc.splitting_log_likelihood(s, small_config), abs=1e-12)
 

@@ -13,7 +13,7 @@ def test_two_leaf_event_is_the_unique_tree(small_config):
     jc.PS_EVALUATIONS.reset()
     ll, mle_tree = jc.exact_mle(leaves, small_config)
     assert jc.PS_EVALUATIONS.count == 1
-    s = jc.Splitting.from_children(*leaves)
+    s = jc.Splitting(*leaves)
     assert ll == pytest.approx(jc.splitting_log_likelihood(s, small_config), abs=1e-12)
     assert mle_tree.n_leaves == 2
 
@@ -84,3 +84,46 @@ def test_mle_tree_structure_is_valid(small_config):
         ca, cb = tree.nodes[idx].children
         assert tree.nodes[ca].parent == idx
         assert tree.nodes[cb].parent == idx
+
+
+MEDIUM_CONFIG = jc.ShowerConfig(
+    lam=1.5, t_cut=1.0, root=jc.FourMomentum(12.0, 0.0, 0.0, 4.0), rng_seed=2)
+
+# (config, make_event seed, leaves, LL as float.hex, root_index,
+#  (children, parent) per node), captured before exact_mle built its tree
+# through tree_from_history.
+MLE_TREE_GOLDEN = [
+    ("small", 31, 6, "-0x1.0a1efbfa717d4p+4", 10,
+     [(None, 6), (None, 7), (None, 7), (None, 6), (None, 8), (None, 9), ((0, 3), 10), ((1, 2), 8),
+      ((7, 4), 9), ((8, 5), 10), ((6, 9), None)]),
+    ("small", 37, 7, "-0x1.0b63c918fb24fp+3", 12,
+     [(None, 9), (None, 8), (None, 11), (None, 7), (None, 7), (None, 10), (None, 10), ((3, 4), 8),
+      ((1, 7), 9), ((0, 8), 12), ((5, 6), 11), ((2, 10), 12), ((9, 11), None)]),
+    ("small", 41, 8, "-0x1.5dc9ec0324241p+3", 14,
+     [(None, 8), (None, 10), (None, 10), (None, 9), (None, 8), (None, 11), (None, 12), (None, 12),
+      ((0, 4), 9), ((8, 3), 14), ((1, 2), 11), ((10, 5), 13), ((6, 7), 13), ((11, 12), 14),
+      ((9, 13), None)]),
+    ("medium", 43, 9, "-0x1.0e3e4c78697a3p+5", 16,
+     [(None, 11), (None, 10), (None, 14), (None, 9), (None, 12), (None, 15), (None, 9), (None, 12),
+      (None, 14), ((3, 6), 10), ((1, 9), 11), ((0, 10), 13), ((4, 7), 13), ((11, 12), 16),
+      ((2, 8), 15), ((14, 5), 16), ((13, 15), None)]),
+    ("medium", 47, 10, "-0x1.01ada1526affap+5", 18,
+     [(None, 12), (None, 15), (None, 13), (None, 15), (None, 13), (None, 10), (None, 16), (None, 16),
+      (None, 10), (None, 11), ((5, 8), 11), ((10, 9), 12), ((0, 11), 14), ((2, 4), 14),
+      ((12, 13), 18), ((1, 3), 17), ((6, 7), 17), ((15, 16), 18), ((14, 17), None)]),
+]
+
+
+@pytest.mark.parametrize("name,seed,n,ll_hex,root,structure", MLE_TREE_GOLDEN,
+                         ids=[f"{g[0]}-seed{g[1]}-n{g[2]}" for g in MLE_TREE_GOLDEN])
+def test_exact_mle_tree_golden(small_config, name, seed, n, ll_hex, root, structure):
+    config = small_config if name == "small" else MEDIUM_CONFIG
+    leaves = make_event(config, seed, n_leaves=n).leaf_momenta()
+    ll, tree = jc.exact_mle(leaves, config)
+    assert ll.hex() == ll_hex
+    assert tree.root_index == root
+    assert [(node.children, node.parent) for node in tree.nodes] == structure
+    assert tree.leaf_indices == list(range(n))
+    for node in tree.nodes[n:]:
+        ca, cb = node.children
+        assert node.momentum == tree.nodes[ca].momentum + tree.nodes[cb].momentum
