@@ -43,8 +43,6 @@ from .planners import (
     cluster_policy,
     cluster_random,
     fixed_policy,
-    mcts_decide,
-    puct_score,
 )
 from .policy import (
     Demonstration,

@@ -2,8 +2,8 @@
 
 Subcommands: generate, cluster, mle, train, evaluate, compare.  Every
 parameter can come from a JSON config file via --config; explicit flags
-win over the file.  Exit codes: 0 success, 1 usage error, 2 runtime
-error.
+win over the file, and a file key that names no flag is a usage error.
+Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
 
 import argparse
@@ -20,9 +20,9 @@ from .harness import (
     evaluate,
     generate,
     load_events,
+    mcts_config,
     write_comparison,
 )
-from .planners import MctsConfig
 from .policy import load_weights, save_weights, train_bc, train_mcts_policy
 from .rng import make_rng
 from .shower import FourMomentum, ShowerConfig, tree_log_likelihood
@@ -96,22 +96,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _planner_flags(p) -> None:
     p.add_argument("--algo", choices=["random", "greedy", "beam", "mcts", "policy"], default=None)
-    p.add_argument("--b", type=int, default=None, help="beam width / MCTS beam-init width")
+    p.add_argument("--b", type=int, default=None,
+                   help="beam width / MCTS beam-init width (0: no beam seeding)")
     p.add_argument("--n-mcts", dest="n_mcts", type=int, default=None)
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--prior", choices=["random", "proportional-to-ps", "nn"], default=None)
     p.add_argument("--weights", default=None)
     p.add_argument("--final-rule", dest="final_rule",
                    choices=["max-rollout", "puct-visits"], default=None)
-    p.add_argument("--no-beam-init", dest="no_beam_init", action="store_true", default=None)
     p.add_argument("--rollout-rule", dest="rollout_rule",
                    choices=["puct", "policy-sample"], default=None)
+
+
+def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
+    """The keys a config file may set: the dest of every flag of every
+    subcommand, so one file can serve several subcommands."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest for p in sub.choices.values() for a in p._actions if a.option_strings}
+    return flags - {"help", "config"}
 
 
 class _Options:
     """Flag > config-file > default resolution."""
 
-    def __init__(self, args):
+    def __init__(self, args, config_keys: set[str]):
         self.args = args
         self.cfg = {}
         if getattr(args, "config", None):
@@ -120,6 +128,12 @@ class _Options:
                 raise UsageError(f"config file not found: {path}")
             with open(path) as f:
                 self.cfg = json.load(f)
+            if not isinstance(self.cfg, dict):
+                raise UsageError(f"config file {path} is not a JSON object")
+            unknown = sorted(set(self.cfg) - config_keys)
+            if unknown:
+                raise UsageError(f"config file {path} has keys that name no flag: "
+                                 f"{', '.join(unknown)}")
 
     def get(self, key, default=None):
         value = getattr(self.args, key, None)
@@ -147,8 +161,6 @@ def _planner_spec(opt: _Options) -> dict:
         value = opt.get(key)
         if value is not None:
             spec[key] = value
-    if opt.get("no_beam_init"):
-        spec["use_beam_init"] = False
     return spec
 
 
@@ -175,6 +187,8 @@ def _load_dataset(opt: _Options) -> tuple[list, ShowerConfig]:
 def _cmd_generate(opt: _Options) -> int:
     config = _shower_config(opt)
     n_events = int(opt.get("n_events", 100))
+    if n_events < 1:
+        raise UsageError(f"--n-events must be >= 1, got {n_events}")
     out = opt.get("out", "events.jsonl")
     events = generate(config, n_events, out)
     if not opt.get("quiet"):
@@ -237,11 +251,7 @@ def _cmd_train(opt: _Options) -> int:
         init_path = opt.get("init_weights")
         if init_path:
             init, _ = load_weights(init_path)
-        cfg = MctsConfig(
-            c=float(opt.get("c", 1.0)),
-            n_mcts=int(opt.get("n_mcts", 10)),
-            beam_init_b=int(opt.get("b", 3)),
-        )
+        cfg = mcts_config({k: opt.get(k) for k in ("c", "n_mcts", "b") if opt.get(k) is not None})
         weights, losses = train_mcts_policy(events, cfg, config, steps, lr, rng,
                                             init=init, include_ps=include_ps)
     out = opt.get("out", "weights.bin")
@@ -257,9 +267,12 @@ def _cmd_evaluate(opt: _Options) -> int:
     n_seeds = int(opt.get("seeds", 1))
     if n_seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {n_seeds}")
+    n_eval = opt.get("n_eval")
+    if n_eval is not None and int(n_eval) < 1:
+        raise UsageError(f"--n-eval must be >= 1, got {n_eval}")
     events, config = _load_dataset(opt)
     spec = _planner_spec(opt)
-    n_eval = int(opt.get("n_eval", len(events)))
+    n_eval = len(events) if n_eval is None else int(n_eval)
     base = int(opt.get("seed", 0))
     result = evaluate(events, spec, config, n_eval=n_eval,
                       seeds=list(range(base, base + n_seeds)))
@@ -296,7 +309,7 @@ def cli(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        opt = _Options(args)
+        opt = _Options(args, _config_keys(parser))
         return args.func(opt)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

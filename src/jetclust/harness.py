@@ -262,16 +262,19 @@ class RunResult:
     def from_json(cls, text: str) -> "RunResult":
         obj = json.loads(text)
         _check_schema(obj, "run result")
-        return cls(
-            planner=obj["planner"],
-            params=obj["params"],
-            per_event=obj["per_event"],
-            per_seed=obj["per_seed"],
-            mean_ll=float(obj["mean_ll"]),
-            sem_ll=float(obj["sem_ll"]),
-            mean_cost=float(obj["mean_cost"]),
-            dataset_hash=obj.get("dataset_hash"),
-        )
+        try:
+            return cls(
+                planner=obj["planner"],
+                params=obj["params"],
+                per_event=obj["per_event"],
+                per_seed=obj["per_seed"],
+                mean_ll=float(obj["mean_ll"]),
+                sem_ll=float(obj["sem_ll"]),
+                mean_cost=float(obj["mean_cost"]),
+                dataset_hash=obj.get("dataset_hash"),
+            )
+        except (KeyError, TypeError) as exc:  # a missing field or a value of the wrong kind
+            raise ValueError(f"malformed run result: {exc!r}") from exc
 
 
 def build_planner(spec: dict, config: ShowerConfig):
@@ -288,18 +291,20 @@ def build_planner(spec: dict, config: ShowerConfig):
         policy = _policy_from_spec(spec, config)
         return lambda leaves, rng: cluster_policy(leaves, policy, config)
     if algo == "mcts":
-        cfg = MctsConfig(
-            c=float(spec.get("c", 1.0)),
-            n_mcts=int(spec.get("n_mcts", 10)),
-            beam_init_b=int(spec.get("b", 3)),
-            use_beam_init=bool(spec.get("use_beam_init", True)),
-            final_rule=spec.get("final_rule", "max-rollout"),
-            rollout_rule=spec.get("rollout_rule", "puct"),
-        )
-        cfg.validate()
+        cfg = mcts_config(spec)
         policy = _policy_from_spec(spec, config)
         return lambda leaves, rng: cluster_mcts(leaves, policy, cfg, config, rng)[:2]
     raise ValueError(f"unknown planner algo: {algo!r}")
+
+
+def mcts_config(spec: dict) -> MctsConfig:
+    """The validated MCTS settings of a planner spec; a key the spec
+    leaves out keeps the MctsConfig default."""
+    fields = {"c": ("c", float), "n_mcts": ("n_mcts", int), "b": ("beam_init_b", int),
+              "final_rule": ("final_rule", str), "rollout_rule": ("rollout_rule", str)}
+    cfg = MctsConfig(**{name: cast(spec[key]) for key, (name, cast) in fields.items() if key in spec})
+    cfg.validate()
+    return cfg
 
 
 def _policy_from_spec(spec: dict, config: ShowerConfig):
@@ -330,6 +335,8 @@ def evaluate(
     compared."""
     if not seeds:
         raise ValueError("need at least one seed")
+    if n_eval < 1:
+        raise ValueError(f"need at least one event to evaluate, got n_eval={n_eval}")
     if len(events) < n_eval:
         raise ValueError(f"dataset has {len(events)} events, need {n_eval}")
     subset = list(events[:n_eval])

@@ -12,7 +12,7 @@ is looked up, not recomputed, and still counted.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -190,7 +190,9 @@ def cluster_beam(
 
 @dataclass
 class MctsConfig:
-    """Search hyperparameters.  final_rule is 'max-rollout' (pick the action
+    """Search hyperparameters, and the one place their defaults live.
+    beam_init_b is the width of the beam that seeds each decision's tree;
+    0 turns seeding off.  final_rule is 'max-rollout' (pick the action
     whose subtree produced the single best roll-out) or 'puct-visits' (the
     ablation that picks the most visited action).  rollout_rule 'policy-sample'
     replaces the PUCT descent by sampling the prior (ablation)."""
@@ -198,7 +200,6 @@ class MctsConfig:
     c: float = 1.0
     n_mcts: int = 10
     beam_init_b: int = 3
-    use_beam_init: bool = True
     final_rule: str = "max-rollout"
     rollout_rule: str = "puct"
 
@@ -211,7 +212,7 @@ class MctsConfig:
             raise ValueError(f"unknown final_rule: {self.final_rule!r}")
         if self.rollout_rule not in ("puct", "policy-sample"):
             raise ValueError(f"unknown rollout_rule: {self.rollout_rule!r}")
-        if self.n_mcts == 0 and not (self.use_beam_init and self.beam_init_b > 0):
+        if self.n_mcts == 0 and self.beam_init_b == 0:
             raise ValueError("n_mcts=0 without beam initialization leaves nothing to decide from")
 
 
@@ -232,18 +233,12 @@ class SearchNode:
         self.best_return = np.full(m, -np.inf)
         self.children: list["SearchNode | None"] = [None] * m
 
-    def q_values(self) -> np.ndarray:
-        # Unvisited actions read as 0.5: neutral on the normalized scale.
-        return np.where(self.n_sa > 0, self.w_sa / np.maximum(self.n_sa, 1), 0.5)
-
     def puct_scores(self, c: float) -> np.ndarray:
-        u = c * self.priors * math.sqrt(max(self.n_visits, 1)) / (1.0 + self.n_sa)
-        return self.q_values() + u
-
-
-def puct_score(node: SearchNode, action: Action, c: float) -> float:
-    """Upper confidence bound Q + c * prior * sqrt(N_s) / (1 + N_sa)."""
-    return float(node.puct_scores(c)[node.action_index[action]])
+        """Upper confidence bound Q + c * prior * sqrt(N_s) / (1 + N_sa) of
+        every action.  An unvisited action's Q reads 0.5, neutral on the
+        normalized scale."""
+        q = np.where(self.n_sa > 0, self.w_sa / np.maximum(self.n_sa, 1), 0.5)
+        return q + c * self.priors * math.sqrt(max(self.n_visits, 1)) / (1.0 + self.n_sa)
 
 
 @dataclass
@@ -331,7 +326,7 @@ def _decide(
     rng: np.random.Generator,
     normalizer: ReturnNormalizer,
 ) -> int:
-    if cfg.use_beam_init and cfg.beam_init_b > 0:
+    if cfg.beam_init_b > 0:
         _insert_beam_trajectories(root, policy, cfg, config, normalizer)
     for _ in range(cfg.n_mcts):
         _run_rollout(root, policy, cfg, config, rng, normalizer)
@@ -341,48 +336,29 @@ def _decide(
 
 
 @ps_memo()
-def mcts_decide(
-    root_state: ClusterState,
-    policy: PriorPolicy,
-    cfg: MctsConfig,
-    config: ShowerConfig,
-    rng: np.random.Generator,
-) -> Action:
-    """One MCTS decision from scratch: seed the tree with beam-search
-    trajectories, run the PUCT roll-outs to termination, and return the
-    action behind the best roll-out (or the most visited one under the
-    puct-visits ablation)."""
-    if is_terminal(root_state):
-        raise ValueError("cannot decide at a terminal state")
-    cfg.validate()
-    root = SearchNode(root_state, policy)
-    k = _decide(root, policy, cfg, config, rng, ReturnNormalizer())
-    return root.actions[k]
-
-
-@ps_memo()
 def cluster_mcts(
     event: list[FourMomentum] | tuple[FourMomentum, ...],
     policy: PriorPolicy,
     cfg: MctsConfig,
     config: ShowerConfig,
     rng: np.random.Generator,
-    featurizer: Callable[[ClusterState], np.ndarray] | None = None,
-) -> tuple[Tree, float, list[tuple[np.ndarray, int]]]:
+) -> tuple[Tree, float, list[tuple[ClusterState, int]]]:
     """Run MCTS decisions until the clustering is complete, reusing the
     chosen child's subtree (and the return normalizer) between decisions.
-    When a featurizer is given, (state-features, chosen-action) pairs are
-    collected for policy training."""
+    Each decision seeds the tree with beam-search trajectories, runs the
+    PUCT roll-outs to termination and takes the action behind the best
+    roll-out (or the most visited one under the puct-visits ablation).
+    Also returns each decision as (state, index of the chosen action),
+    which policy self-imitation trains on."""
     cfg.validate()
     root = SearchNode(reset(event), policy)
     normalizer = ReturnNormalizer()
-    examples: list[tuple[np.ndarray, int]] = []
+    decisions: list[tuple[ClusterState, int]] = []
     while not is_terminal(root.state):
         k = _decide(root, policy, cfg, config, rng, normalizer)
-        if featurizer is not None:
-            examples.append((featurizer(root.state), k))
+        decisions.append((root.state, k))
         root = _ensure_child(root, k, policy, config)
-    return tree_from_state(root.state), root.state.cumulative_reward, examples
+    return tree_from_state(root.state), root.state.cumulative_reward, decisions
 
 
 @ps_memo()

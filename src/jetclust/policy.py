@@ -176,9 +176,6 @@ class NeuralPolicy:
     def priors(self, state: ClusterState) -> np.ndarray:
         return policy_forward(self.weights, state, self.config, include_ps=self.include_ps)
 
-    def features(self, state: ClusterState) -> np.ndarray:
-        return extract_pair_features(state, self.config, include_ps=self.include_ps)
-
 
 # ---------------------------------------------------------------------------
 # Demonstrations
@@ -309,9 +306,9 @@ def train_mcts_policy(
     while len(losses) < steps:
         for ev_idx in rng.permutation(len(dataset)):
             event = dataset[int(ev_idx)]
-            _, _, examples = cluster_mcts(
-                event.leaves, policy, cfg, config, rng, featurizer=policy.features)
-            for feats, k in examples:
+            _, _, decisions = cluster_mcts(event.leaves, policy, cfg, config, rng)
+            for state, k in decisions:
+                feats = extract_pair_features(state, config, include_ps=include_ps)
                 loss, grad = policy_loss_and_grad(weights, Demonstration(feats, (k,)))
                 _sgd_update(weights, grad, lr)
                 losses.append(loss)
@@ -353,6 +350,8 @@ def load_weights(path: str | Path) -> tuple[PolicyWeights, dict]:
         if header.get("feature_schema") != FEATURE_SCHEMA_VERSION:
             raise ValueError(f"{path}: feature schema {header.get('feature_schema')!r}, "
                              f"this version reads {FEATURE_SCHEMA_VERSION}")
+        if "shapes" not in header:
+            raise ValueError(f"{path}: weights header has no 'shapes' field")
         flat = np.frombuffer(f.read(), dtype="<f8")
     arrays = []
     offset = 0

@@ -22,7 +22,7 @@ from conftest import SMALL_CONFIG, make_event
 
 EVAL_SEED = 100
 N_EVAL = 200
-MCTS_CFG = jc.MctsConfig(c=1.0, n_mcts=20, beam_init_b=5, use_beam_init=True)
+MCTS_CFG = jc.MctsConfig(c=1.0, n_mcts=20, beam_init_b=5)
 
 
 def _ok(num, text):
@@ -112,7 +112,7 @@ def test_02_conservation(desk_config):
 def test_03_oracle_equivalence(oracle_events):
     config = SMALL_CONFIG
     policy = jc.fixed_policy("random")
-    cfg = jc.MctsConfig(c=1.0, n_mcts=10, beam_init_b=3, use_beam_init=True)
+    cfg = jc.MctsConfig(c=1.0, n_mcts=10, beam_init_b=3)
     assert len(oracle_events) == 50
     for event in oracle_events:
         assert 3 <= event.n_leaves <= 7
@@ -155,7 +155,7 @@ def test_05_mcts_dominates_its_seed(eval_events, sweep, desk_config):
         assert mcts_ll >= beam_ll - 1e-9
     # b=3 on the first 100 events
     policy = jc.fixed_policy("random")
-    cfg = jc.MctsConfig(c=1.0, n_mcts=10, beam_init_b=3, use_beam_init=True)
+    cfg = jc.MctsConfig(c=1.0, n_mcts=10, beam_init_b=3)
     for event in eval_events[:100]:
         _, beam_ll = jc.cluster_beam(event.leaves, 3, desk_config)
         _, mcts_ll, _ = jc.cluster_mcts(event.leaves, policy, cfg, desk_config,

@@ -1,11 +1,13 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import jetclust as jc
-from jetclust.cli import cli
+from jetclust.cli import _build_parser, cli
 from jetclust.harness import (
     compare,
     config_hash,
@@ -181,6 +183,18 @@ def test_evaluate_rejects_empty_seed_list(small_events, small_config, monkeypatc
     monkeypatch.setattr(hmod, "build_planner", no_planner)
     with pytest.raises(ValueError, match="seed"):
         evaluate(small_events, {"algo": "greedy"}, small_config, n_eval=2, seeds=[])
+
+
+def test_evaluate_rejects_fewer_than_one_event(small_events, small_config, monkeypatch):
+    import jetclust.harness as hmod
+
+    def no_planner(spec, config):
+        raise AssertionError("a planner was built for n_eval < 1")
+
+    monkeypatch.setattr(hmod, "build_planner", no_planner)
+    for n_eval in (0, -1):
+        with pytest.raises(ValueError, match="n_eval"):
+            evaluate(small_events, {"algo": "greedy"}, small_config, n_eval=n_eval, seeds=[0])
 
 
 def test_run_result_round_trip(small_events, small_config):
@@ -386,3 +400,94 @@ def test_cli_quiet_suppresses_chatter(tmp_path, capsys):
     assert cli(["generate", "--n-events", "3", "--seed", "1", "--out", str(data),
                 "--quiet", *SMALL_FLAGS]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_cli_config_file_rejects_keys_that_name_no_flag(tmp_path, capsys):
+    data = tmp_path / "d.jsonl"
+    cli(["generate", "--n-events", "4", "--seed", "3", "--out", str(data), *SMALL_FLAGS])
+    out = tmp_path / "r.json"
+    for bad in ({"n_mct": 0}, {"no_beam_init": True}):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"algo": "mcts", "lam": 1.5, **bad}))
+        capsys.readouterr()
+        code = cli(["cluster", "--config", str(cfg), "--in", str(data), "--out", str(out),
+                    "--seed", "3", *SMALL_FLAGS])
+        assert code == 1
+        assert next(iter(bad)) in capsys.readouterr().err
+        assert not out.exists()
+    # a key of another subcommand's flag is fine: one file serves them all
+    cfg.write_text(json.dumps({"algo": "greedy", "n_events": 7, "steps": 5}))
+    assert cli(["cluster", "--config", str(cfg), "--in", str(data), "--out", str(out),
+                "--seed", "3", *SMALL_FLAGS]) == 0
+
+
+def test_cli_generate_rejects_fewer_than_one_event(tmp_path, capsys):
+    data = tmp_path / "d.jsonl"
+    for n in ("0", "-3"):
+        assert cli(["generate", "--n-events", n, "--out", str(data), *SMALL_FLAGS]) == 1
+        assert "--n-events" in capsys.readouterr().err
+        assert not data.exists()
+
+
+def test_cli_evaluate_rejects_fewer_than_one_event(tmp_path, capsys, monkeypatch):
+    import jetclust.cli as cmod
+
+    data = tmp_path / "d.jsonl"
+    cli(["generate", "--n-events", "4", "--seed", "5", "--out", str(data), *SMALL_FLAGS])
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("the dataset was read for n_eval < 1")
+
+    monkeypatch.setattr(cmod, "load_events", no_load)
+    capsys.readouterr()
+    out = tmp_path / "r.json"
+    for n in ("0", "-1"):
+        code = cli(["evaluate", "--algo", "greedy", "--n-eval", n, "--in", str(data),
+                    "--out", str(out), "--seed", "5", *SMALL_FLAGS])
+        assert code == 1
+        assert "--n-eval" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_compare_rejects_result_with_missing_field(tmp_path, capsys):
+    data = tmp_path / "d.jsonl"
+    cli(["generate", "--n-events", "4", "--seed", "11", "--out", str(data), *SMALL_FLAGS])
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    cli(["evaluate", "--algo", "greedy", "--in", str(data), "--out", str(good),
+         "--seed", "11", *SMALL_FLAGS])
+    bad.write_text(json.dumps({"schema_version": 1, "planner": "greedy"}))
+    capsys.readouterr()
+    assert cli(["compare", str(good), str(bad), "--out", str(tmp_path / "cmp")]) == 2
+    assert "params" in capsys.readouterr().err
+
+
+def test_cli_rejects_weights_header_without_shapes(tmp_path, capsys):
+    data = tmp_path / "d.jsonl"
+    cli(["generate", "--n-events", "4", "--seed", "9", "--out", str(data), *SMALL_FLAGS])
+    weights = tmp_path / "w.bin"
+    cli(["train", "--mode", "bc", "--in", str(data), "--steps", "5", "--seed", "9",
+         "--out", str(weights), "--quiet", *SMALL_FLAGS])
+    header, payload = weights.read_bytes().split(b"\n", 1)
+    obj = json.loads(header)
+    del obj["shapes"]
+    weights.write_bytes(json.dumps(obj).encode() + b"\n" + payload)
+    capsys.readouterr()
+    code = cli(["evaluate", "--algo", "policy", "--prior", "nn", "--weights", str(weights),
+                "--in", str(data), "--out", str(tmp_path / "r.json"), "--seed", "9", *SMALL_FLAGS])
+    assert code == 2
+    assert "shapes" in capsys.readouterr().err
+
+
+def _readme_commands() -> list[str]:
+    """Every `jetclust ...` command in README.md, continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = (line.strip() for line in text.replace("\\\n", " ").splitlines())
+    return [line for line in lines if line.startswith("jetclust ")]
+
+
+def test_readme_cli_examples_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 9
+    parser = _build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command)[1:])  # argparse exits on an unknown flag

@@ -282,13 +282,12 @@ def test_golden_log_likelihoods_and_costs(small_config, name, seed, n, expected)
 def test_puct_score_direct_example(small_config):
     state = reset(_event(small_config, 3, 3))
     node = SearchNode(state, jc.fixed_policy("random"))
-    a = node.actions[1]
     node.priors = np.array([0.4, 0.2, 0.4])
     node.n_visits = 9
     node.n_sa[:] = [4, 2, 3]
     node.w_sa[:] = [2.0, 1.0, 1.5]
     # Q = 1/2, U = 1 * 0.2 * 3 / 3
-    assert jc.puct_score(node, a, c=1.0) == pytest.approx(0.7, abs=1e-12)
+    assert node.puct_scores(1.0)[1] == pytest.approx(0.7, abs=1e-12)
 
 
 def test_puct_score_matches_formula_on_random_tuples(small_config):
@@ -306,7 +305,7 @@ def test_puct_score_matches_formula_on_random_tuples(small_config):
         k = int(rng.integers(3))
         expected_q = q[k] if n_sa[k] > 0 else 0.5
         expected = expected_q + c * node.priors[k] * math.sqrt(max(node.n_visits, 1)) / (1 + n_sa[k])
-        assert jc.puct_score(node, node.actions[k], c) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert node.puct_scores(c)[k] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_puct_exploration_vanishes_with_visits(small_config):
@@ -315,8 +314,7 @@ def test_puct_exploration_vanishes_with_visits(small_config):
     node.n_visits = 10**9
     node.n_sa[:] = [10**9 - 2, 1, 1]
     node.w_sa[:] = [0.25 * (10**9 - 2), 0.5, 0.5]
-    a = node.actions[0]
-    assert jc.puct_score(node, a, c=1.0) == pytest.approx(0.25, abs=1e-3)
+    assert node.puct_scores(1.0)[0] == pytest.approx(0.25, abs=1e-3)
 
 
 def test_puct_c_zero_is_argmax_q(small_config):
@@ -325,7 +323,7 @@ def test_puct_c_zero_is_argmax_q(small_config):
     node.n_visits = 6
     node.n_sa[:] = [2, 2, 2]
     node.w_sa[:] = [0.2, 1.8, 1.0]
-    scores = [jc.puct_score(node, a, c=1e-12) for a in node.actions]
+    scores = node.puct_scores(1e-12)
     assert int(np.argmax(scores)) == 1
 
 
@@ -345,26 +343,23 @@ def test_normalizer_degenerate_range():
 # ---------------------------------------------------------------------------
 
 def _mcts_cfg(**kw):
-    base = dict(c=1.0, n_mcts=10, beam_init_b=3, use_beam_init=True)
+    base = dict(c=1.0, n_mcts=10, beam_init_b=3)
     base.update(kw)
     return jc.MctsConfig(**base)
 
 
 def test_mcts_two_leaf_root_returns_the_single_action(small_config):
-    state = reset(_event(small_config, 3, 2))
-    for cfg in (_mcts_cfg(), _mcts_cfg(use_beam_init=False, n_mcts=1), _mcts_cfg(final_rule="puct-visits")):
-        a = jc.mcts_decide(state, jc.fixed_policy("random"), cfg, small_config, make_rng(0))
-        assert a == jc.Action(0, 1)
+    ev = _event(small_config, 3, 2)
+    for cfg in (_mcts_cfg(), _mcts_cfg(beam_init_b=0, n_mcts=1), _mcts_cfg(final_rule="puct-visits")):
+        _, _, decisions = jc.cluster_mcts(ev, jc.fixed_policy("random"), cfg, small_config, make_rng(0))
+        assert [legal_actions(s)[k] for s, k in decisions] == [jc.Action(0, 1)]
 
 
 def test_mcts_rejects_empty_budget(small_config):
-    state = reset(_event(small_config, 3, 3))
+    ev = _event(small_config, 3, 3)
     with pytest.raises(ValueError):
-        jc.mcts_decide(state, jc.fixed_policy("random"),
-                       _mcts_cfg(n_mcts=0, use_beam_init=False), small_config, make_rng(0))
-    with pytest.raises(ValueError):
-        jc.mcts_decide(state, jc.fixed_policy("random"),
-                       _mcts_cfg(n_mcts=0, beam_init_b=0), small_config, make_rng(0))
+        jc.cluster_mcts(ev, jc.fixed_policy("random"),
+                        _mcts_cfg(n_mcts=0, beam_init_b=0), small_config, make_rng(0))
 
 
 def test_mcts_dominates_its_beam_seed(small_config, small_events):
@@ -412,7 +407,7 @@ def test_mcts_ablation_flags_produce_valid_clusterings(small_config):
     policy = jc.fixed_policy("random")
     for cfg in (
         _mcts_cfg(final_rule="puct-visits"),
-        _mcts_cfg(use_beam_init=False, n_mcts=10),
+        _mcts_cfg(beam_init_b=0, n_mcts=10),
         _mcts_cfg(rollout_rule="policy-sample"),
     ):
         tree, ll, _ = jc.cluster_mcts(ev, policy, cfg, small_config, make_rng(61))
@@ -424,14 +419,10 @@ def test_mcts_emits_training_examples(small_config):
     ev = _event(small_config, 23, 5)
     policy = jc.fixed_policy("random")
 
-    def featurizer(state):
-        return np.zeros((len(legal_actions(state)), 2))
-
-    _, _, examples = jc.cluster_mcts(
-        ev, policy, _mcts_cfg(), small_config, make_rng(67), featurizer=featurizer)
-    assert len(examples) == 4  # one decision per merge
-    for feats, k in examples:
-        assert 0 <= k < feats.shape[0]
+    _, _, decisions = jc.cluster_mcts(ev, policy, _mcts_cfg(), small_config, make_rng(67))
+    assert len(decisions) == 4  # one decision per merge
+    for state, k in decisions:
+        assert 0 <= k < len(legal_actions(state))
 
 
 def test_mcts_better_prior_at_least_greedy_on_average(small_config, oracle_events):
@@ -466,7 +457,6 @@ def test_planners_run_inside_one_memo_scope(small_config, monkeypatch):
         lambda: jc.cluster_greedy(ev, small_config),
         lambda: jc.cluster_beam(ev, 3, small_config),
         lambda: jc.cluster_mcts(ev, policy, _mcts_cfg(), small_config, make_rng(73)),
-        lambda: jc.mcts_decide(reset(ev), policy, _mcts_cfg(), small_config, make_rng(73)),
         lambda: jc.cluster_policy(ev, policy, small_config),
     ]
     for run in runs:

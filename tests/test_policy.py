@@ -273,7 +273,7 @@ def test_train_bc_mle_demonstrator(small_config, small_events):
 
 
 def test_train_mcts_policy_smoke(small_config, small_events):
-    cfg = jc.MctsConfig(c=1.0, n_mcts=3, beam_init_b=2, use_beam_init=True)
+    cfg = jc.MctsConfig(c=1.0, n_mcts=3, beam_init_b=2)
     w, losses = jc.train_mcts_policy(small_events[:8], cfg, small_config,
                                      steps=200, lr=0.03, rng=make_rng(6, 0))
     assert len(losses) == 200
@@ -282,7 +282,7 @@ def test_train_mcts_policy_smoke(small_config, small_events):
 
 def test_train_mcts_policy_accepts_pretrained_init(small_config, small_events):
     bc, _ = jc.train_bc(small_events[:8], small_config, steps=100, lr=0.05, rng=make_rng(7, 0))
-    cfg = jc.MctsConfig(c=1.0, n_mcts=2, beam_init_b=2, use_beam_init=True)
+    cfg = jc.MctsConfig(c=1.0, n_mcts=2, beam_init_b=2)
     w, losses = jc.train_mcts_policy(small_events[:8], cfg, small_config, steps=50,
                                      lr=0.03, rng=make_rng(7, 1), init=bc)
     assert len(losses) == 50
