@@ -108,18 +108,49 @@ def _planner_flags(p) -> None:
                    choices=["puct", "policy-sample"], default=None)
 
 
-def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
-    """The keys a config file may set: the dest of every flag of every
-    subcommand, so one file can serve several subcommands."""
+def _config_flags(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """The flags a config file may set, by the key it uses (the flag's
+    dest): every flag of every subcommand, so one file can serve several
+    subcommands."""
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {a.dest for p in sub.choices.values() for a in p._actions if a.option_strings}
-    return flags - {"help", "config"}
+    flags = {}
+    for p in sub.choices.values():
+        for a in p._actions:
+            if a.option_strings and a.dest not in ("help", "config"):
+                flags.setdefault(a.dest, a)
+    return flags
+
+
+def _accepts(flag: argparse.Action, value) -> bool:
+    """Whether the flag would accept `value` on the command line: a switch
+    takes a JSON bool, a flag of nargs k a list of k values, and each
+    value must pass the flag's type and choices as its string would."""
+    if flag.nargs == 0:
+        return isinstance(value, bool)
+    if isinstance(flag.nargs, int):
+        return (isinstance(value, list) and len(value) == flag.nargs
+                and all(_accepts_one(flag, v) for v in value))
+    return _accepts_one(flag, value)
+
+
+def _accepts_one(flag: argparse.Action, value) -> bool:
+    if flag.type is None:
+        if not isinstance(value, str):
+            return False
+    elif isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        return False
+    else:
+        try:
+            value = flag.type(str(value))
+        except ValueError:
+            return False
+    return flag.choices is None or value in flag.choices
 
 
 class _Options:
     """Flag > config-file > default resolution."""
 
-    def __init__(self, args, config_keys: set[str]):
+    def __init__(self, args, config_flags: dict[str, argparse.Action]):
         self.args = args
         self.cfg = {}
         if getattr(args, "config", None):
@@ -130,10 +161,15 @@ class _Options:
                 self.cfg = json.load(f)
             if not isinstance(self.cfg, dict):
                 raise UsageError(f"config file {path} is not a JSON object")
-            unknown = sorted(set(self.cfg) - config_keys)
+            unknown = sorted(set(self.cfg) - set(config_flags))
             if unknown:
                 raise UsageError(f"config file {path} has keys that name no flag: "
                                  f"{', '.join(unknown)}")
+            for key, value in self.cfg.items():
+                flag = config_flags[key]
+                if not _accepts(flag, value):
+                    raise UsageError(f"config file {path}: {key}={json.dumps(value)} is not a "
+                                     f"valid value for {flag.option_strings[0]}")
 
     def get(self, key, default=None):
         value = getattr(self.args, key, None)
@@ -309,7 +345,7 @@ def cli(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        opt = _Options(args, _config_keys(parser))
+        opt = _Options(args, _config_flags(parser))
         return args.func(opt)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -9,11 +9,19 @@ mass-squareds by its square to keep entries O(1) across event energies.
 """
 
 import math
+from bisect import bisect_left
+from functools import cache
 
 import numpy as np
 
-from .env import ClusterState, legal_actions
-from .shower import ShowerConfig, Splitting, invariant_mass_sq, splitting_log_likelihood
+from .env import ClusterState
+from .shower import (
+    ShowerConfig,
+    Splitting,
+    invariant_mass_sq,
+    invariant_mass_sq_rows,
+    splitting_log_likelihood,
+)
 
 FEATURE_SCHEMA_VERSION = 1
 
@@ -27,33 +35,48 @@ def feature_dim(include_ps: bool = True) -> int:
     return N_BASE_FEATURES + (1 if include_ps else 0)
 
 
+@cache
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions i < j of every pair of n particles in legal_actions order."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def extract_pair_features(
     state: ClusterState,
     config: ShowerConfig,
     include_ps: bool = True,
 ) -> np.ndarray:
     """Feature matrix of shape (C(n,2), feature_dim)."""
-    e_tot = math.fsum(p.E for p in state.particles)
+    particles = state.particles
+    e_tot = math.fsum(p.E for p in particles)
     e_scale = 1.0 / e_tot
     t_scale = e_scale * e_scale
-    n = float(state.n)
-    masses = [invariant_mass_sq(p) for p in state.particles]
+    keys = [p.as_tuple() for p in particles]
+    mom = np.array(keys, dtype=float)
+    masses = np.array([invariant_mass_sq(p) for p in particles], dtype=float)
 
-    actions = legal_actions(state)
-    out = np.empty((len(actions), feature_dim(include_ps)))
-    for row, act in enumerate(actions):
-        pi, pj = state.particles[act.i], state.particles[act.j]
-        ti, tj = masses[act.i], masses[act.j]
-        if pj.as_tuple() > pi.as_tuple():
-            pi, pj = pj, pi
-            ti, tj = tj, ti
-        t_pair = invariant_mass_sq(pi + pj)
-        feats = [
-            pi.E * e_scale, pi.px * e_scale, pi.py * e_scale, pi.pz * e_scale,
-            pj.E * e_scale, pj.px * e_scale, pj.py * e_scale, pj.pz * e_scale,
-            ti * t_scale, tj * t_scale, t_pair * t_scale, n,
+    # The first constituent of a pair is the one whose (E, px, py, pz) is
+    # lexicographically larger: rank each particle among the sorted keys,
+    # equal keys sharing a rank, and swap the pair where j outranks i.
+    ordered = sorted(keys)
+    rank = np.array([bisect_left(ordered, key) for key in keys])
+    i, j = _pair_index(state.n)
+    swap = rank[j] > rank[i]
+    first = np.where(swap, j, i)
+    second = np.where(swap, i, j)
+
+    out = np.empty((len(i), feature_dim(include_ps)))
+    out[:, 0:4] = mom[first] * e_scale
+    out[:, 4:8] = mom[second] * e_scale
+    out[:, 8] = masses[first] * t_scale
+    out[:, 9] = masses[second] * t_scale
+    out[:, 10] = invariant_mass_sq_rows(mom[first] + mom[second]) * t_scale
+    out[:, N_PARTICLES_COLUMN] = float(state.n)
+    if include_ps:
+        out[:, N_BASE_FEATURES] = [
+            splitting_log_likelihood(Splitting(particles[a], particles[b]), config)
+            for a, b in zip(first.tolist(), second.tolist())
         ]
-        if include_ps:
-            feats.append(splitting_log_likelihood(Splitting(pi, pj), config))
-        out[row] = feats
     return out

@@ -263,7 +263,7 @@ class RunResult:
         obj = json.loads(text)
         _check_schema(obj, "run result")
         try:
-            return cls(
+            result = cls(
                 planner=obj["planner"],
                 params=obj["params"],
                 per_event=obj["per_event"],
@@ -273,12 +273,25 @@ class RunResult:
                 mean_cost=float(obj["mean_cost"]),
                 dataset_hash=obj.get("dataset_hash"),
             )
+            for k, entry in enumerate(result.per_event):
+                missing = [name for name in ("id", "n_leaves", "ll") if name not in entry]
+                if missing:
+                    raise ValueError(
+                        f"malformed run result: per_event[{k}] lacks {', '.join(missing)}")
         except (KeyError, TypeError) as exc:  # a missing field or a value of the wrong kind
             raise ValueError(f"malformed run result: {exc!r}") from exc
+        return result
+
+
+# Every key a planner spec may hold; build_planner rejects any other.
+PLANNER_SPEC_KEYS = ("algo", "b", "n_mcts", "c", "prior", "weights", "final_rule", "rollout_rule")
 
 
 def build_planner(spec: dict, config: ShowerConfig):
     """Planner callable (leaves, rng) -> (tree, ll) from a spec dict."""
+    unknown = sorted(str(key) for key in spec if key not in PLANNER_SPEC_KEYS)
+    if unknown:
+        raise ValueError(f"unknown planner spec keys: {', '.join(unknown)}")
     algo = spec.get("algo")
     if algo == "random":
         return lambda leaves, rng: cluster_random(leaves, config, rng)

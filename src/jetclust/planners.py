@@ -220,7 +220,7 @@ class SearchNode:
     """One state of the search tree with per-action visit statistics."""
 
     __slots__ = ("state", "actions", "action_index", "priors", "n_visits",
-                 "n_sa", "w_sa", "best_return", "children")
+                 "n_sa", "w_sa", "q", "best_return", "children")
 
     def __init__(self, state: ClusterState, policy: PriorPolicy):
         self.state = state
@@ -230,6 +230,7 @@ class SearchNode:
         self.n_visits = 0
         self.n_sa = np.zeros(m, dtype=np.int64)
         self.w_sa = np.zeros(m)
+        self.q = np.full(m, 0.5)  # w_sa / n_sa, kept by _backup; 0.5 while unvisited
         self.best_return = np.full(m, -np.inf)
         self.children: list["SearchNode | None"] = [None] * m
 
@@ -237,8 +238,7 @@ class SearchNode:
         """Upper confidence bound Q + c * prior * sqrt(N_s) / (1 + N_sa) of
         every action.  An unvisited action's Q reads 0.5, neutral on the
         normalized scale."""
-        q = np.where(self.n_sa > 0, self.w_sa / np.maximum(self.n_sa, 1), 0.5)
-        return q + c * self.priors * math.sqrt(max(self.n_visits, 1)) / (1.0 + self.n_sa)
+        return self.q + c * self.priors * math.sqrt(max(self.n_visits, 1)) / (1.0 + self.n_sa)
 
 
 @dataclass
@@ -266,6 +266,7 @@ def _backup(path: list[tuple[SearchNode, int]], ret: float, normalizer: ReturnNo
         node.n_visits += 1
         node.n_sa[k] += 1
         node.w_sa[k] += w
+        node.q[k] = node.w_sa[k] / node.n_sa[k]
         if ret > node.best_return[k]:
             node.best_return[k] = ret
 

@@ -33,6 +33,9 @@ _SUPPORT_RTOL = 1e-12
 
 _LOG_INV_4PI = -math.log(4.0 * math.pi)
 
+# log(1 - exp(-lam)), the truncated exponential's normaliser, per lam.
+_LOG_NORM: dict[float, float] = {}
+
 
 @dataclass(frozen=True, slots=True)
 class FourMomentum:
@@ -55,13 +58,33 @@ class FourMomentum:
         return (self.E, self.px, self.py, self.pz)
 
 
-def invariant_mass_sq(p: FourMomentum) -> float:
-    """Squared invariant mass t = E^2 - |p|^2, clamped to 0 within EPS_MASS_SQ."""
-    t = p.E * p.E - p.px * p.px - p.py * p.py - p.pz * p.pz
+def _mass_sq(E: float, px: float, py: float, pz: float) -> float:
+    """t = E^2 - |p|^2 of the components, clamped to 0 within EPS_MASS_SQ."""
+    t = E * E - px * px - py * py - pz * pz
     if t < 0.0:
         if t < -EPS_MASS_SQ:
             raise ValueError(f"momentum is spacelike beyond tolerance: t={t!r}")
         return 0.0
+    return t
+
+
+def invariant_mass_sq(p: FourMomentum) -> float:
+    """Squared invariant mass t = E^2 - |p|^2, clamped to 0 within EPS_MASS_SQ."""
+    return _mass_sq(p.E, p.px, p.py, p.pz)
+
+
+def invariant_mass_sq_rows(p: np.ndarray) -> np.ndarray:
+    """invariant_mass_sq of each row (E, px, py, pz) of p, by the same
+    operations in the same order, so every entry has the scalar's bits."""
+    E, px, py, pz = p.T
+    t = E * E - px * px - py * py - pz * pz
+    low = t < 0.0
+    if low.any():
+        beyond = t < -EPS_MASS_SQ
+        if beyond.any():
+            t_bad = float(t[beyond.argmax()])
+            raise ValueError(f"momentum is spacelike beyond tolerance: t={t_bad!r}")
+        t[low] = 0.0
     return t
 
 
@@ -137,8 +160,16 @@ def truncated_exp_log_density(t: float, t_max: float, lam: float) -> float:
     tol = _SUPPORT_RTOL * t_max
     if t < -tol or t > t_max + tol:
         return LOG_DENSITY_FLOOR
-    t = min(max(t, 0.0), t_max)
-    return math.log(lam / t_max) - lam * t / t_max - math.log1p(-math.exp(-lam))
+    if t < 0.0:
+        t = 0.0
+    elif t > t_max:
+        t = t_max
+    log_norm = _LOG_NORM.get(lam)
+    if log_norm is None:
+        if len(_LOG_NORM) >= 64:
+            _LOG_NORM.clear()
+        log_norm = _LOG_NORM[lam] = math.log1p(-math.exp(-lam))
+    return math.log(lam / t_max) - lam * t / t_max - log_norm
 
 
 def sample_truncated_exp(t_max: float, lam: float, rng: np.random.Generator) -> float:
@@ -203,10 +234,11 @@ def _isotropic_direction(rng: np.random.Generator) -> tuple[float, float, float]
 def _unordered_pair_log_density(t_a: float, t_b: float, t_p: float, lam: float) -> float:
     """Splitting density on the unordered child pair: the heavier mass is
     scored against bound t_p, the lighter against the kinematic remainder."""
-    t_l, t_r = (t_a, t_b) if t_a >= t_b else (t_b, t_a)
-    first = truncated_exp_log_density(t_l, t_p, lam)
-    bound = (math.sqrt(t_p) - math.sqrt(t_l)) ** 2
-    second = truncated_exp_log_density(t_r, bound, lam) if bound > 0.0 else LOG_DENSITY_FLOOR
+    if t_a < t_b:
+        t_a, t_b = t_b, t_a
+    first = truncated_exp_log_density(t_a, t_p, lam)
+    bound = (math.sqrt(t_p) - math.sqrt(t_a)) ** 2
+    second = truncated_exp_log_density(t_b, bound, lam) if bound > 0.0 else LOG_DENSITY_FLOOR
     return first + second + _LOG_INV_4PI
 
 
@@ -276,29 +308,32 @@ def splitting_log_likelihood(s: Splitting, config: ShowerConfig) -> float:
     child pair.  Every call increments the shared evaluation counter,
     also when the open ps_memo() scope already holds the value."""
     PS_EVALUATIONS.increment()
-    a, b = s.child_a, s.child_b
+    a, b = s
+    ae, ax, ay, az = a.E, a.px, a.py, a.pz
+    be, bx, by, bz = b.E, b.px, b.py, b.pz
+    lam = config.lam
     memo = _PS_MEMO.get()
     if memo is not None:
-        key = (a.E, a.px, a.py, a.pz, b.E, b.px, b.py, b.pz, config.lam)
+        key = (ae, ax, ay, az, be, bx, by, bz, lam)
         value = memo.get(key)
         if value is not None:
             return value
-    if a.E < 0.0 or b.E < 0.0:
+    if ae < 0.0 or be < 0.0:
         raise ValueError("child energies must be non-negative")
-    t_a = invariant_mass_sq(a)
-    t_b = invariant_mass_sq(b)
-    t_p = invariant_mass_sq(a + b)
+    t_a = _mass_sq(ae, ax, ay, az)
+    t_b = _mass_sq(be, bx, by, bz)
+    t_p = _mass_sq(ae + be, ax + bx, ay + by, az + bz)
     if t_p <= 0.0:
         # Degenerate (exactly collinear massless) merge: no valid decay.
         value = 2.0 * LOG_DENSITY_FLOOR + _LOG_INV_4PI
     else:
-        value = _unordered_pair_log_density(t_a, t_b, t_p, config.lam)
+        value = _unordered_pair_log_density(t_a, t_b, t_p, lam)
     if memo is not None:
         # The value is symmetric in the children bit for bit (the sum and
         # the heavier/lighter ordering do not depend on their order), so
         # it serves the swapped query too.
         memo[key] = value
-        memo[(b.E, b.px, b.py, b.pz, a.E, a.px, a.py, a.pz, config.lam)] = value
+        memo[(be, bx, by, bz, ae, ax, ay, az, lam)] = value
     return value
 
 

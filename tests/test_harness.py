@@ -9,6 +9,7 @@ import pytest
 import jetclust as jc
 from jetclust.cli import _build_parser, cli
 from jetclust.harness import (
+    build_planner,
     compare,
     config_hash,
     dumps,
@@ -491,3 +492,55 @@ def test_readme_cli_examples_parse():
     parser = _build_parser()
     for command in commands:
         parser.parse_args(shlex.split(command)[1:])  # argparse exits on an unknown flag
+
+
+def test_build_planner_rejects_unknown_spec_keys(small_events, small_config):
+    spec = {"algo": "mcts", "n_mcts": 2, "use_beam_init": False, "n_mct": 0}
+    for run in (lambda: build_planner(spec, small_config),
+                lambda: evaluate(small_events, spec, small_config, n_eval=2, seeds=[0])):
+        with pytest.raises(ValueError) as exc:
+            run()
+        assert "use_beam_init" in str(exc.value) and "n_mct" in str(exc.value)
+    # every key the CLI can put into a spec is known
+    build_planner({"algo": "mcts", "b": 2, "n_mcts": 2, "c": 1.0, "prior": "random",
+                      "final_rule": "max-rollout", "rollout_rule": "puct"}, small_config)
+
+
+@pytest.mark.parametrize("field", ["id", "n_leaves", "ll"])
+def test_cli_compare_rejects_per_event_entry_without_field(tmp_path, capsys, field):
+    data = tmp_path / "d.jsonl"
+    cli(["generate", "--n-events", "4", "--seed", "11", "--out", str(data), *SMALL_FLAGS])
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    for path in (good, bad):
+        cli(["evaluate", "--algo", "greedy", "--in", str(data), "--out", str(path),
+             "--seed", "11", *SMALL_FLAGS])
+    obj = json.loads(bad.read_text())
+    del obj["per_event"][1][field]
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli(["compare", str(good), str(bad), "--out", str(tmp_path / "cmp")]) == 2
+    err = capsys.readouterr().err
+    assert f"per_event[1] lacks {field}" in err
+    assert "Traceback" not in err
+
+
+def test_cli_config_file_rejects_values_of_the_wrong_type(tmp_path, capsys):
+    data = tmp_path / "d.jsonl"
+    cfg = tmp_path / "cfg.json"
+    for bad in ({"n_events": "many"}, {"n_events": 2.5}, {"seed": True}, {"quiet": 1},
+                {"root": [25.0, 0.0, 15.0]}, {"lam": [1.5]}, {"out": 3}):
+        cfg.write_text(json.dumps({"n_events": 3, **bad}))
+        capsys.readouterr()
+        assert cli(["generate", "--config", str(cfg), "--out", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert next(iter(bad)) in err and str(cfg) in err
+        assert not data.exists()
+    for bad in ({"algo": "quantum"}, {"final_rule": "most-visits"}, {"b": "five"}):
+        cfg.write_text(json.dumps(bad))
+        assert cli(["cluster", "--config", str(cfg), "--in", str(data)]) == 1
+        assert next(iter(bad)) in capsys.readouterr().err
+    # values a flag would parse from its string are fine, as on the command line
+    cfg.write_text(json.dumps({"n_events": "3", "lam": 1, "quiet": True, "out": str(data),
+                               "root": [25, 0, 0, 15]}))
+    assert cli(["generate", "--config", str(cfg)]) == 0
+    assert len(data.read_text().splitlines()) == 3

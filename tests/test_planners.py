@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 import jetclust as jc
 from jetclust.env import apply_action, leaf_sets, legal_actions, reset
-from jetclust.planners import SearchNode, _beam_from_state, _BeamItem, _pair_rewards
+from jetclust.planners import (
+    SearchNode,
+    _beam_from_state,
+    _BeamItem,
+    _insert_beam_trajectories,
+    _pair_rewards,
+    _run_rollout,
+)
 from jetclust.rng import make_rng
 
 from conftest import make_event
@@ -279,13 +286,24 @@ def test_golden_log_likelihoods_and_costs(small_config, name, seed, n, expected)
 # PUCT arithmetic
 # ---------------------------------------------------------------------------
 
+def _set_visits(node, n_sa, w_sa):
+    """Visit statistics as a run of _backup would leave them, Q included."""
+    node.n_sa[:] = n_sa
+    node.w_sa[:] = w_sa
+    node.q[:] = np.where(node.n_sa > 0, node.w_sa / np.maximum(node.n_sa, 1), 0.5)
+
+
+def _old_puct_scores(node, c):
+    q = np.where(node.n_sa > 0, node.w_sa / np.maximum(node.n_sa, 1), 0.5)
+    return q + c * node.priors * math.sqrt(max(node.n_visits, 1)) / (1.0 + node.n_sa)
+
+
 def test_puct_score_direct_example(small_config):
     state = reset(_event(small_config, 3, 3))
     node = SearchNode(state, jc.fixed_policy("random"))
     node.priors = np.array([0.4, 0.2, 0.4])
     node.n_visits = 9
-    node.n_sa[:] = [4, 2, 3]
-    node.w_sa[:] = [2.0, 1.0, 1.5]
+    _set_visits(node, [4, 2, 3], [2.0, 1.0, 1.5])
     # Q = 1/2, U = 1 * 0.2 * 3 / 3
     assert node.puct_scores(1.0)[1] == pytest.approx(0.7, abs=1e-12)
 
@@ -299,8 +317,7 @@ def test_puct_score_matches_formula_on_random_tuples(small_config):
         n_sa = rng.integers(0, 50, 3)
         node.priors = rng.dirichlet(np.ones(3))
         node.n_visits = int(n_sa.sum())
-        node.n_sa[:] = n_sa
-        node.w_sa[:] = q * n_sa
+        _set_visits(node, n_sa, q * n_sa)
         c = float(rng.uniform(0.01, 10.0))
         k = int(rng.integers(3))
         expected_q = q[k] if n_sa[k] > 0 else 0.5
@@ -312,8 +329,7 @@ def test_puct_exploration_vanishes_with_visits(small_config):
     state = reset(_event(small_config, 3, 3))
     node = SearchNode(state, jc.fixed_policy("random"))
     node.n_visits = 10**9
-    node.n_sa[:] = [10**9 - 2, 1, 1]
-    node.w_sa[:] = [0.25 * (10**9 - 2), 0.5, 0.5]
+    _set_visits(node, [10**9 - 2, 1, 1], [0.25 * (10**9 - 2), 0.5, 0.5])
     assert node.puct_scores(1.0)[0] == pytest.approx(0.25, abs=1e-3)
 
 
@@ -321,10 +337,32 @@ def test_puct_c_zero_is_argmax_q(small_config):
     state = reset(_event(small_config, 3, 3))
     node = SearchNode(state, jc.fixed_policy("random"))
     node.n_visits = 6
-    node.n_sa[:] = [2, 2, 2]
-    node.w_sa[:] = [0.2, 1.8, 1.0]
+    _set_visits(node, [2, 2, 2], [0.2, 1.8, 1.0])
     scores = node.puct_scores(1e-12)
     assert int(np.argmax(scores)) == 1
+
+
+@pytest.mark.parametrize("prior", ["random", "proportional-to-ps"])
+def test_puct_scores_match_the_recomputed_q_at_every_node(small_config, prior):
+    # _backup keeps Q up to date; after each of 20 simulations every node's
+    # scores must equal the formula that recomputes Q from n_sa and w_sa.
+    config = jc.ShowerConfig(lam=1.5, t_cut=1.0, root=jc.FourMomentum(12.0, 0.0, 0.0, 4.0))
+    policy = jc.fixed_policy(prior, config)
+    cfg = _mcts_cfg(n_mcts=20, beam_init_b=2)
+    root = SearchNode(reset(make_event(config, seed=5, n_leaves=9).leaf_momenta()), policy)
+    normalizer = jc.ReturnNormalizer()
+    rng = make_rng(3)
+    _insert_beam_trajectories(root, policy, cfg, config, normalizer)
+    for _ in range(cfg.n_mcts):
+        _run_rollout(root, policy, cfg, config, rng, normalizer)
+        stack, visited = [root], 0
+        while stack:
+            node = stack.pop()
+            visited += 1
+            for c in (cfg.c, 0.1):
+                assert node.puct_scores(c).tobytes() == _old_puct_scores(node, c).tobytes()
+            stack.extend(child for child in node.children if child is not None)
+    assert visited > 20
 
 
 def test_normalizer_degenerate_range():

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jetclust as jc
 from jetclust.env import legal_actions, reset, step
 from jetclust.features import extract_pair_features, feature_dim
+from jetclust.shower import invariant_mass_sq
 from jetclust.policy import (
     Demonstration,
     flatten_weights,
@@ -91,6 +94,83 @@ def test_feature_determinism_and_ps_column(small_config):
     for row, a in enumerate(legal_actions(state)):
         s = jc.Splitting(state.particles[a.i], state.particles[a.j])
         assert x1[row, -1] == jc.splitting_log_likelihood(s, small_config)
+
+
+def _row_loop_features(state, config, include_ps=True):
+    """The feature matrix built one row at a time, as before the columns
+    were vectorised: the oracle of extract_pair_features."""
+    e_tot = math.fsum(p.E for p in state.particles)
+    e_scale = 1.0 / e_tot
+    t_scale = e_scale * e_scale
+    n = float(state.n)
+    masses = [invariant_mass_sq(p) for p in state.particles]
+    actions = legal_actions(state)
+    out = np.empty((len(actions), feature_dim(include_ps)))
+    for row, act in enumerate(actions):
+        pi, pj = state.particles[act.i], state.particles[act.j]
+        ti, tj = masses[act.i], masses[act.j]
+        if pj.as_tuple() > pi.as_tuple():
+            pi, pj = pj, pi
+            ti, tj = tj, ti
+        t_pair = invariant_mass_sq(pi + pj)
+        feats = [
+            pi.E * e_scale, pi.px * e_scale, pi.py * e_scale, pi.pz * e_scale,
+            pj.E * e_scale, pj.px * e_scale, pj.py * e_scale, pj.pz * e_scale,
+            ti * t_scale, tj * t_scale, t_pair * t_scale, n,
+        ]
+        if include_ps:
+            feats.append(jc.splitting_log_likelihood(jc.Splitting(pi, pj), config))
+        out[row] = feats
+    return out
+
+
+def _assert_features_match_row_loop(state, config):
+    for include_ps in (True, False):
+        jc.PS_EVALUATIONS.reset()
+        expected = _row_loop_features(state, config, include_ps)
+        oracle_cost = jc.PS_EVALUATIONS.count
+        jc.PS_EVALUATIONS.reset()
+        got = extract_pair_features(state, config, include_ps)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert jc.PS_EVALUATIONS.count == oracle_cost
+
+
+@given(st.integers(0, 10_000), st.integers(2, 14), st.data())
+@settings(max_examples=60, deadline=None)
+def test_features_match_row_loop_on_random_states(seed, n_leaves, data):
+    config = jc.DESK_CONFIG
+    leaves = jc.sample_shower(config, make_rng(seed)).leaf_momenta()[:n_leaves]
+    if len(leaves) < 2:
+        return
+    state = reset(leaves)
+    n_merges = data.draw(st.integers(0, state.n - 2))
+    for _ in range(n_merges):
+        actions = legal_actions(state)
+        state = step(state, actions[data.draw(st.integers(0, len(actions) - 1))], config).next_state
+    _assert_features_match_row_loop(state, config)
+
+
+def test_features_match_row_loop_on_tied_energies(small_config):
+    # Equal energies send the canonical order to px, py and pz; equal
+    # momenta and a signed zero compare equal and keep their positions.
+    F = jc.FourMomentum
+    leaves = [F(2.0, 0.0, 0.0, 1.0), F(2.0, 0.0, 0.0, -1.0), F(2.0, 0.5, 0.0, 0.0),
+              F(2.0, 0.0, 0.0, 1.0), F(1.0, 0.0, 0.0, 0.5), F(2.0, -0.0, 0.0, 1.0),
+              F(2.0, 0.0, -0.5, 0.0), F(2.0, 0.0, 0.5, 0.0), F(1, 0, 0, 0)]
+    state = reset(leaves)
+    _assert_features_match_row_loop(state, small_config)
+    for k in range(3):
+        state = step(state, legal_actions(state)[k], small_config).next_state
+        _assert_features_match_row_loop(state, small_config)
+
+
+def test_features_reject_a_spacelike_pair(small_config):
+    # Each particle is within the spacelike tolerance, their sum is not.
+    nearly = jc.FourMomentum(0.0, 0.0, 0.0, 3e-5)
+    state = reset([nearly, nearly, jc.FourMomentum(2.0, 0.0, 0.0, 1.0)])
+    with pytest.raises(ValueError, match="spacelike"):
+        extract_pair_features(state, small_config, include_ps=False)
 
 
 def test_features_share_cost_counter(small_config):

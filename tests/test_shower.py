@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import jetclust as jc
 from jetclust.rng import make_rng
-from jetclust.shower import _PS_MEMO, EPS_MASS_SQ, LOG_DENSITY_FLOOR, ps_memo
+from jetclust.shower import (
+    _PS_MEMO,
+    EPS_MASS_SQ,
+    LOG_DENSITY_FLOOR,
+    _unordered_pair_log_density,
+    ps_memo,
+)
 
 from conftest import make_event
 
@@ -335,3 +343,203 @@ def test_tree_log_likelihood_matches_recorded_sum(small_config):
         tree = jc.sample_shower(small_config, make_rng(67, k))
         recorded = sum(n.split_ll for n in tree.nodes if n.split_ll is not None)
         assert abs(jc.tree_log_likelihood(tree, small_config) - recorded) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# golden kernel values
+# ---------------------------------------------------------------------------
+
+# (child a, child b, log p_s at lam 1.5, log p_s at lam 0.7), momenta and
+# values as float.hex, captured before the kernel was rewritten for speed.
+# Rows 1-32: leaf, sibling and cluster pairs of desk-config and light
+# events.  Then massless back-to-back, equal masses, int components, a
+# pair with the desk root, a heavier child above t_p (outside the support,
+# then within its tolerance), a lighter child clamped from spacelike,
+# bound = 0 twice, and t_p = 0 three times.
+GOLDEN_KERNEL = [
+    (('0x1.4988d6080eb79p+1', '0x1.75b89168e849cp-3', '-0x1.0126754e53c12p+0', '0x1.1f81702b7fa07p+1'),
+     ('0x1.1b2c936d0f017p+0', '-0x1.30523d766db0cp-4', '-0x1.69684b2f0bfe0p-1', '0x1.afc6541618d84p-1'),
+     '0x1.f06ae53b1bb50p-3', '0x1.1e625d8fa4340p-4'),
+    (('0x1.424879936c6f3p+0', '0x1.430d70a2fc770p-3', '0x1.cc20fd3e06529p-4', '0x1.3783ea94b7246p+0'),
+     ('0x1.197ffab8f4bd8p+1', '-0x1.f82c826948a26p-3', '-0x1.07fa4471b85d1p-1', '0x1.e39b9c025b72dp+0'),
+     '-0x1.a206aecbaf6b8p+0', '-0x1.b7eda0e66b287p+0'),
+    (('0x1.d71f1fbe96384p+1', '0x1.bb1ee55b62e2cp-4', '-0x1.b5da9ae5d9c02p+0', '0x1.8b73053105d68p+1'),
+     ('0x1.3380e06a6989ep+1', '-0x1.2790eefeac517p-2', '-0x1.1c748386c9dc0p-1', '0x1.0a9a77b6db63fp+1'),
+     '-0x1.268bbd98ecadep+2', '-0x1.222a1cb449a02p+2'),
+    (('0x1.d244b6cdd2cebp+3', '-0x1.46a0a99b98977p+0', '-0x1.a1dd75a129226p+1', '0x1.eea6c0aab6fc0p+2'),
+     ('0x1.4dbb49322d316p+3', '0x1.46a0a99b98977p+0', '0x1.a1dd75a129226p+1', '0x1.d1593f5549041p+2'),
+     '-0x1.9d3c6bb45d72ep+3', '-0x1.987b600421a52p+3'),
+    (('0x1.8080ac2f08ed2p+0', '-0x1.17eae9555010dp+0', '0x1.0da83a0ef8824p-4', '0x1.11884282be594p-2'),
+     ('0x1.176732344d12dp+0', '-0x1.0656f187ecc6ap+0', '0x1.5f9bb91f3242fp-2', '0x1.2795ff1031262p-5'),
+     '-0x1.12fb4eab6de4ep+0', '-0x1.3b2b73f7397a5p+0'),
+    (('0x1.d0a11f5f096fbp+1', '0x1.5d9bfa1a1c625p+0', '0x1.60271056a963fp+1', '0x1.de99a8c211d33p+0'),
+     ('0x1.16eca4e5f0179p+0', '0x1.cfd3ee806c4cap-3', '-0x1.101e261179298p-2', '0x1.32b3e879f1412p-1'),
+     '-0x1.2fc664f12c328p+2', '-0x1.516b26ee32d00p+2'),
+    (('0x1.cf8d325b3874ep+1', '-0x1.c08551367bc98p-3', '0x1.c1b369f0ba8dbp-2', '0x1.bde3b55184554p+1'),
+     ('0x1.7459548fb3824p+0', '-0x1.7cdfae5a3a106p-1', '-0x1.02c2ef5695624p-2', '0x1.2d3542c502d16p+0'),
+     '-0x1.592f8d0429917p+1', '-0x1.863240c04f5f0p+1'),
+    (('0x1.d57fdae900017p+0', '0x1.9f28362e3b920p+0', '0x1.da6d2ac63e14ep-2', '-0x1.760a1cfdfb5a0p-7'),
+     ('0x1.9603eaa8e3fe2p+1', '-0x1.89a5cd991d490p-1', '-0x1.26eefd4c909b2p-1', '0x1.7806437d3a733p+1'),
+     '-0x1.9cdacd2962f37p+2', '-0x1.c2b8fa0dc4efep+2'),
+    (('0x1.44dcee51891b0p+2', '-0x1.ed0102a7d902cp-1', '0x1.7de0f5344a56ep-3', '0x1.2a3f2b5a02df0p+2'),
+     ('0x1.96bdcbdf3a909p+1', '-0x1.8aacfeae2d6b9p-1', '-0x1.27be85bc4e759p-1', '0x1.788946ed9f19bp+1'),
+     '-0x1.2517699368997p+2', '-0x1.19fdf895b0e27p+2'),
+    (('0x1.0674204c0e732p+4', '-0x1.63c8551f45f9ep+2', '-0x1.1a6c46e12f805p-2', '0x1.b3374966ff522p+3'),
+     ('0x1.1317bf67e319dp+3', '0x1.63c8551f45f9ep+2', '0x1.1a6c46e12f805p-2', '0x1.6645b4c8056f4p+0'),
+     '-0x1.9be022af2e20ap+3', '-0x1.a6ff13bfd82ecp+3'),
+    (('0x1.28753b138a28dp+2', '-0x1.83c6568433be0p+0', '-0x1.a91ffd679926ap-1', '0x1.0791f42810413p+2'),
+     ('0x1.367204c9bad24p-1', '0x1.06dacfc818c1cp-5', '0x1.93bf2b2106f0ep-4', '0x1.0ef9bc4d0acb2p-1'),
+     '-0x1.1d0288c4dc250p+1', '-0x1.238e390cf973ap+1'),
+    (('0x1.79cfc422f14a8p-1', '0x1.4a92cb9e9ad90p-2', '-0x1.a0a095990b890p-4', '0x1.5133c82a79129p-2'),
+     ('0x1.0e9c791ae8fc3p+1', '0x1.c5bca26af27ccp+0', '0x1.11b74e66bb0a8p+0', '0x1.e85e75c539e74p-4'),
+     '-0x1.57a6d52b38e3ep+1', '-0x1.8f20dfcc3f782p+1'),
+    (('0x1.0e3ad179d2954p+2', '-0x1.570a08a06096cp+1', '-0x1.a39effe96212cp-2', '0x1.94eef81fa1194p+1'),
+     ('0x1.0bb0a64efeee9p+0', '-0x1.7f963fdc48d61p-1', '0x1.4058e2709901ep-3', '0x1.610bd5fdf4018p-1'),
+     '-0x1.067f233cf8020p-2', '-0x1.719b9434a5260p-2'),
+    (('0x1.621aa2acd4753p+0', '-0x1.5896db0f33482p-2', '0x1.003c8c1f29f97p-1', '0x1.f757469a418f9p-1'),
+     ('0x1.133efb4af9883p+0', '-0x1.a8adb6e77d222p-2', '-0x1.f722abab16b2ap-2', '0x1.5c942a32b58bfp-1'),
+     '-0x1.695336ce5a594p+1', '-0x1.82aa82e4bf64ap+1'),
+    (('0x1.5126fb0d9250ep+2', '-0x1.b6ef989772cc4p+1', '-0x1.03728eb11591dp-2', '0x1.ed31ed9f1e19ap+1'),
+     ('0x1.0b686d147a1afp+1', '-0x1.4fd5513d5c106p-2', '-0x1.3c75f80c350e3p-1', '0x1.c89d2adc60811p-1'),
+     '-0x1.9368d505cb79bp+2', '-0x1.a9dbfcc06a2dfp+2'),
+    (('0x1.c280a49593cd5p+3', '0x1.4b66f20fc52f7p-4', '-0x1.42a538caee845p+0', '0x1.efa8ac65dee48p+2'),
+     ('0x1.5d7f5b6a6c32cp+3', '-0x1.4b66f20fc52f7p-4', '0x1.42a538caee845p+0', '0x1.d057539a211b8p+2'),
+     '-0x1.abbbf01d64100p+3', '-0x1.9fe4d9ae62a48p+3'),
+    (('0x1.1238c1ffb1d52p-1', '0x1.0ba3af4dd4300p-11', '0x1.bd891f403c641p-2', '-0x1.b596ab52d7529p-4'),
+     ('0x1.4fdceb8e21699p+0', '0x1.9742421edffd4p-1', '0x1.2359c95e86d91p-2', '-0x1.d6cfa35a03998p-6'),
+     '-0x1.d0fadb6dc30e2p+0', '-0x1.d507fa3cde876p+0'),
+    (('0x1.03264451a58b5p+0', '0x1.d11d1cea037a3p-3', '-0x1.2730a6d137e00p-9', '0x1.add5bb1e18574p-3'),
+     ('0x1.ba0fa73fae9a9p-2', '0x1.2a407bb5803a9p-4', '-0x1.7fdb36cd48db6p-2', '0x1.d41e91adc1440p-11'),
+     '-0x1.1128d7478781cp+0', '-0x1.16ccf1a1604bap+0'),
+    (('0x1.8293b380c230dp+1', '-0x1.3d5b460f5e532p+1', '-0x1.a73a9629e7e00p-1', '0x1.78c3196e7591cp+0'),
+     ('0x1.06f00fdf38401p+1', '-0x1.113cb1c78be1cp+0', '-0x1.5ca1b5dacbc43p-2', '0x1.697e53f93aa84p+0'),
+     '-0x1.6fe564aa5f4fbp+1', '-0x1.9718a1a064ad9p+1'),
+    (('0x1.eb6ddbcf26f33p-2', '0x1.da846d4924770p-3', '0x1.4045ec1d76b14p-3', '0x1.4edfcd971d516p-2'),
+     ('0x1.0509bc6874f2bp-5', '-0x1.44712a4bb7a46p-6', '-0x1.75712a17a6c2bp-6', '0x1.76daa6e1fc490p-9'),
+     '0x1.5215c4f37fe06p+2', '0x1.42549bc005cb6p+2'),
+    (('0x1.44c1e1affd387p+2', '-0x1.c5f99ef324440p+1', '-0x1.2ac5b88ba6e11p+0', '0x1.7120b6b3d81d0p+1'),
+     ('0x1.ace8d5ba6413cp-2', '-0x1.f406f3e622c9dp-3', '-0x1.84ce3503bf95dp-3', '0x1.ac51b7175a65ap-3'),
+     '-0x1.f86a79cc3c00cp+0', '-0x1.7054cf01ee6fcp+0'),
+    (('0x1.bdd807895e9b5p+3', '-0x1.b89972dd1989bp+2', '0x1.03ad006494a7cp-1', '0x1.0d1eb87b7d107p+3'),
+     ('0x1.6227f876a164ap+3', '0x1.b89972dd1989bp+2', '-0x1.03ad006494a7cp-1', '0x1.a5c28f0905df1p+2'),
+     '-0x1.96aeed2c54344p+3', '-0x1.a08bdd0a5957ep+3'),
+    (('0x1.5f906f0ba379cp+2', '-0x1.e53a0e318670ap+1', '-0x1.5b5f7f2c1ed3cp+0', '0x1.8be5d2254dc36p+1'),
+     ('0x1.c9b3ebc41e962p+1', '-0x1.3941b37bd0035p+1', '-0x1.dbb6c79c01971p-1', '0x1.35e98293b391dp+1'),
+     '-0x1.c8dec1b36eaf6p+1', '-0x1.d27e7dd9c991ep+1'),
+    (('0x1.45eeed5acbfe7p+0', '-0x1.3586c562e30b0p-2', '0x1.3f1d9f1015a6ep-1', '0x1.3f414d9a8f664p-1'),
+     ('0x1.eb6ddbcf26f33p-2', '0x1.da846d4924770p-3', '0x1.4045ec1d76b14p-3', '0x1.4edfcd971d516p-2'),
+     '-0x1.d637cfca3cdc8p-1', '-0x1.e068bb3717524p-1'),
+    (('0x1.8a06c94aaa8bdp-3', '0x1.166ae57db04d2p-5', '-0x1.ee7dfeadffa56p-6', '-0x1.40f408baa2280p-12'),
+     ('0x1.5fe7c9b5c5fdcp-1', '0x1.3c199ab17bb85p-2', '0x1.65b65cfd17592p-3', '0x1.01b235061c8b7p-1'),
+     '0x1.2aeaa5d3f7c84p+0', '0x1.fb916b3380fc0p-1'),
+    (('0x1.13cef52738431p+0', '0x1.802b43d77f772p-3', '-0x1.acb9d9f509651p-4', '-0x1.787b5f9b4364fp-2'),
+     ('0x1.c2697c0870a0bp-1', '0x1.5ee6f76131c1fp-2', '0x1.27e69d2757647p-3', '0x1.018a168505373p-1'),
+     '-0x1.b10d479c2cd79p+1', '-0x1.b718c71f3a1bep+1'),
+    (('0x1.e78f248d3a232p-1', '-0x1.aa0ea3cde33f7p-5', '0x1.f41a335270000p-2', '-0x1.4a12bc6376869p-3'),
+     ('0x1.383a1ccc7a816p-1', '-0x1.cca986cabeae3p-2', '-0x1.e066bf668eb12p-4', '-0x1.11ca7e1c72ddfp-2'),
+     '-0x1.9c583a6c416b5p+0', '-0x1.c88104c9d6326p+0'),
+    (('0x1.6d04c09ec765cp-1', '-0x1.d2612550d893ep-4', '-0x1.396353db39350p-3', '0x1.cfd33277bd0c8p-2'),
+     ('0x1.8fe4a0acda524p+0', '-0x1.00f5ada23d8b1p-1', '0x1.7c008378cc53cp-2', '-0x1.b6d3dc4e2e214p-2'),
+     '-0x1.c6de66077b165p+1', '-0x1.c94d855069598p+1'),
+    (('0x1.0000000000000p+0', '0x0.0p+0', '0x0.0p+0', '0x1.0000000000000p+0'),
+     ('0x1.0000000000000p+0', '0x0.0p+0', '0x0.0p+0', '-0x1.0000000000000p+0'),
+     '-0x1.fe6d89bbce17dp+1', '-0x1.293be5c0a01b8p+2'),
+    (('0x1.0000000000000p+1', '0x0.0p+0', '0x0.0p+0', '0x1.0000000000000p+0'),
+     ('0x1.0000000000000p+1', '0x0.0p+0', '0x0.0p+0', '-0x1.0000000000000p+0'),
+     '-0x1.b205a511159b7p+2', '-0x1.b49466b6c1813p+2'),
+    ((1, 0, 0, 1),
+     (1, 0, 0, -1),
+     '-0x1.fe6d89bbce17dp+1', '-0x1.293be5c0a01b8p+2'),
+    (('0x1.9000000000000p+4', '0x0.0p+0', '0x0.0p+0', '0x1.e000000000000p+3'),
+     ('0x1.8000000000000p+1', '0x1.0000000000000p+0', '-0x1.0000000000000p+0', '0x1.0000000000000p-1'),
+     '-0x1.7de43b472e6acp+3', '-0x1.6fe4dfcd158c0p+3'),
+    (('0x1.0000000000000p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'),
+     ('0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x1.4f8b588e368f1p-17'),
+     '-0x1.86726f61719d0p+16', '-0x1.8672c36bb3627p+16'),
+    (('0x1.0000000000000p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'),
+     ('0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x1.ad7f29abcaf48p-24'),
+     '0x1.f92942dadcc49p+5', '0x1.fa4f0524ec091p+5'),
+    (('0x1.8000000000000p+1', '0x0.0p+0', '0x0.0p+0', '0x1.0000000000000p+0'),
+     ('0x1.0c6f7a0b5ed8dp-20', '0x0.0p+0', '0x0.0p+0', '0x1.0c6f7a0bd223ap-20'),
+     '0x1.78793be6c0ac2p+4', '0x1.7ac4c00f7f6e2p+4'),
+    (('0x1.0000000000000p+1', '0x0.0p+0', '0x0.0p+0', '0x1.0000000000000p+0'),
+     ('0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'),
+     '-0x1.86a478c09bb61p+16', '-0x1.86a3fffe10aebp+16'),
+    (('0x1.0000000000000p+1', '0x1.0000000000000p-1', '0x0.0p+0', '0x1.0000000000000p+0'),
+     ('0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'),
+     '-0x1.86a4627a3b0b8p+16', '-0x1.86a3e9b7b0042p+16'),
+    (('0x1.0000000000000p+0', '0x0.0p+0', '0x0.0p+0', '0x1.0000000000000p+0'),
+     ('0x1.0000000000000p+1', '0x0.0p+0', '0x0.0p+0', '0x1.0000000000000p+1'),
+     '-0x1.86a143f89a3f1p+17', '-0x1.86a143f89a3f1p+17'),
+    (('0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'),
+     ('0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'),
+     '-0x1.86a143f89a3f1p+17', '-0x1.86a143f89a3f1p+17'),
+    (('0x1.0000000000000p+0', '0x1.3333333333333p-1', '0x1.999999999999ap-1', '0x0.0p+0'),
+     ('0x1.8000000000000p+1', '0x1.ccccccccccccdp+0', '0x1.3333333333333p+1', '0x0.0p+0'),
+     '-0x1.86a143f89a3f1p+17', '-0x1.86a143f89a3f1p+17'),
+]
+
+
+def _golden_momentum(parts):
+    return jc.FourMomentum(*(float.fromhex(x) if isinstance(x, str) else x for x in parts))
+
+
+@pytest.mark.parametrize("lam_index,lam", [(0, 1.5), (1, 0.7)])
+def test_kernel_golden_values(lam_index, lam):
+    config = jc.ShowerConfig(lam=lam, t_cut=1.0, root=jc.FourMomentum(25.0, 0.0, 0.0, 15.0))
+    for row in GOLDEN_KERNEL:
+        a, b = _golden_momentum(row[0]), _golden_momentum(row[1])
+        expected = row[2 + lam_index]
+        for s in (jc.Splitting(a, b), jc.Splitting(b, a)):
+            assert jc.splitting_log_likelihood(s, config).hex() == expected
+        with ps_memo():
+            assert jc.splitting_log_likelihood(jc.Splitting(a, b), config).hex() == expected
+            assert jc.splitting_log_likelihood(jc.Splitting(b, a), config).hex() == expected
+
+
+_component = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _timelike(draw):
+    px, py, pz = draw(_component), draw(_component), draw(_component)
+    t = draw(st.one_of(st.just(0.0), st.floats(0.0, 50.0, allow_nan=False)))
+    return jc.FourMomentum(math.sqrt(t + px * px + py * py + pz * pz), px, py, pz)
+
+
+@given(_timelike(), _timelike(), st.floats(0.05, 10.0, allow_nan=False))
+@settings(max_examples=300, deadline=None)
+def test_kernel_is_the_pair_density_of_its_masses(a, b, lam):
+    config = jc.ShowerConfig(lam=lam, t_cut=1.0, root=jc.FourMomentum(25.0, 0.0, 0.0, 15.0))
+    value = jc.splitting_log_likelihood(jc.Splitting(a, b), config)
+    assert jc.splitting_log_likelihood(jc.Splitting(b, a), config).hex() == value.hex()
+    t_p = jc.invariant_mass_sq(a + b)
+    if t_p > 0.0:
+        expected = _unordered_pair_log_density(
+            jc.invariant_mass_sq(a), jc.invariant_mass_sq(b), t_p, lam)
+    else:
+        expected = 2.0 * LOG_DENSITY_FLOOR - math.log(4.0 * math.pi)
+    assert value.hex() == expected.hex()
+
+
+def test_kernel_raises_on_invalid_input():
+    config = jc.ShowerConfig(lam=1.5, t_cut=1.0, root=jc.FourMomentum(25.0, 0.0, 0.0, 15.0))
+    ok = jc.FourMomentum(2.0, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        jc.splitting_log_likelihood(jc.Splitting(ok, jc.FourMomentum(-1.0, 0.0, 0.0, 0.0)), config)
+    spacelike = jc.FourMomentum(1.0, 0.0, 0.0, 2.0)
+    for s in (jc.Splitting(spacelike, ok), jc.Splitting(ok, spacelike)):
+        with pytest.raises(ValueError, match="spacelike"):
+            jc.splitting_log_likelihood(s, config)
+    # children within the spacelike tolerance whose sum is beyond it
+    nearly = jc.FourMomentum(0.0, 0.0, 0.0, 3e-5)
+    assert jc.invariant_mass_sq(nearly) == 0.0
+    with pytest.raises(ValueError, match="spacelike"):
+        jc.splitting_log_likelihood(jc.Splitting(nearly, nearly), config)
+    for lam in (0.0, -1.0):
+        bad = jc.ShowerConfig(lam=lam, t_cut=1.0, root=config.root)
+        with pytest.raises(ValueError, match="lam"):
+            jc.splitting_log_likelihood(jc.Splitting(ok, jc.FourMomentum(1.0, 0.0, 0.0, -0.5)), bad)
+    for t_max in (0.0, -1.0):
+        with pytest.raises(ValueError, match="t_max"):
+            jc.truncated_exp_log_density(0.5, t_max, 1.5)
