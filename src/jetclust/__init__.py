@@ -17,7 +17,6 @@ from .env import (
     is_terminal,
     legal_actions,
     reset,
-    rollout,
     step,
     tree_from_history,
     tree_from_state,

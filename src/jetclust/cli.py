@@ -3,6 +3,8 @@
 Subcommands: generate, cluster, mle, train, evaluate, compare.  Every
 parameter can come from a JSON config file via --config; explicit flags
 win over the file, and a file key that names no flag is a usage error.
+The density flags belong to generate alone: a dataset stores the shower
+config that generated it, and every other subcommand scores with that.
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
 
@@ -25,7 +27,7 @@ from .harness import (
 )
 from .policy import load_weights, save_weights, train_bc, train_mcts_policy
 from .rng import make_rng
-from .shower import FourMomentum, ShowerConfig, tree_log_likelihood
+from .shower import FourMomentum, ShowerConfig
 from .trellis import exact_mle
 
 
@@ -42,14 +44,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="base random seed")
         p.add_argument("--out", default=None, help="output path")
         p.add_argument("--quiet", action="store_true", default=None)
-        p.add_argument("--lam", "--lambda", dest="lam", type=float, default=None)
-        p.add_argument("--t-cut", dest="t_cut", type=float, default=None)
-        p.add_argument("--root", dest="root", type=float, nargs=4, default=None,
-                       metavar=("E", "PX", "PY", "PZ"))
 
     p = sub.add_parser("generate", help="simulate a dataset of events")
     common(p)
     p.add_argument("--n-events", dest="n_events", type=int, default=None)
+    p.add_argument("--lam", "--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--t-cut", dest="t_cut", type=float, default=None)
+    p.add_argument("--root", dest="root", type=float, nargs=4, default=None,
+                   metavar=("E", "PX", "PY", "PZ"))
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("cluster", help="run one planner over a dataset")
@@ -121,30 +123,27 @@ def _config_flags(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]
     return flags
 
 
-def _accepts(flag: argparse.Action, value) -> bool:
-    """Whether the flag would accept `value` on the command line: a switch
-    takes a JSON bool, a flag of nargs k a list of k values, and each
-    value must pass the flag's type and choices as its string would."""
-    if flag.nargs == 0:
-        return isinstance(value, bool)
-    if isinstance(flag.nargs, int):
-        return (isinstance(value, list) and len(value) == flag.nargs
-                and all(_accepts_one(flag, v) for v in value))
-    return _accepts_one(flag, value)
+def _parse(flag: argparse.Action, value):
+    """What the flag stores for a config-file value, parsed as the flag
+    would parse it on the command line: a switch takes a JSON bool, a flag
+    of nargs k a list of k values, and each value must pass the flag's
+    type and choices as its string would.  ValueError if it would not."""
+    if flag.nargs == 0 and isinstance(value, bool):
+        return value
+    if flag.nargs and isinstance(value, list) and len(value) == flag.nargs:
+        return [_parse_one(flag, v) for v in value]
+    if flag.nargs is None:
+        return _parse_one(flag, value)
+    raise ValueError(value)
 
 
-def _accepts_one(flag: argparse.Action, value) -> bool:
-    if flag.type is None:
-        if not isinstance(value, str):
-            return False
-    elif isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        return False
-    else:
-        try:
-            value = flag.type(str(value))
-        except ValueError:
-            return False
-    return flag.choices is None or value in flag.choices
+def _parse_one(flag: argparse.Action, value):
+    if isinstance(value, bool) or not isinstance(value, str if flag.type is None else (str, int, float)):
+        raise ValueError(value)
+    value = value if flag.type is None else flag.type(str(value))
+    if flag.choices is not None and value not in flag.choices:
+        raise ValueError(value)
+    return value
 
 
 class _Options:
@@ -167,9 +166,11 @@ class _Options:
                                  f"{', '.join(unknown)}")
             for key, value in self.cfg.items():
                 flag = config_flags[key]
-                if not _accepts(flag, value):
+                try:
+                    self.cfg[key] = _parse(flag, value)
+                except ValueError:
                     raise UsageError(f"config file {path}: {key}={json.dumps(value)} is not a "
-                                     f"valid value for {flag.option_strings[0]}")
+                                     f"valid value for {flag.option_strings[0]}") from None
 
     def get(self, key, default=None):
         value = getattr(self.args, key, None)
@@ -179,13 +180,9 @@ class _Options:
 
 
 def _shower_config(opt: _Options) -> ShowerConfig:
-    root = opt.get("root", list(DESK_CONFIG.root.as_tuple()))
-    return ShowerConfig(
-        lam=float(opt.get("lam", DESK_CONFIG.lam)),
-        t_cut=float(opt.get("t_cut", DESK_CONFIG.t_cut)),
-        root=FourMomentum(*[float(v) for v in root]),
-        rng_seed=int(opt.get("seed", DESK_CONFIG.rng_seed)),
-    )
+    return ShowerConfig(lam=opt.get("lam", DESK_CONFIG.lam), t_cut=opt.get("t_cut", DESK_CONFIG.t_cut),
+                        root=FourMomentum(*opt.get("root", DESK_CONFIG.root.as_tuple())),
+                        rng_seed=opt.get("seed", DESK_CONFIG.rng_seed))
 
 
 def _planner_spec(opt: _Options) -> dict:
@@ -201,28 +198,20 @@ def _planner_spec(opt: _Options) -> dict:
 
 
 def _load_dataset(opt: _Options) -> tuple[list, ShowerConfig]:
-    """The --in events and the shower config.  Clustering scores depend on
-    the density parameters, so probe them by recomputing one stored truth
-    likelihood under the config."""
+    """The --in events and the shower config they store, which is the
+    density every score uses."""
     infile = opt.get("infile")
     if not infile:
         raise UsageError("--in dataset file is required")
     events = load_events(infile)
     if not events:
         raise ValueError(f"dataset {infile} is empty")
-    config = _shower_config(opt)
-    event = events[0]
-    recomputed = tree_log_likelihood(event.truth, config)
-    if abs(recomputed - event.truth_ll) > 1e-6 * max(1.0, abs(event.truth_ll)):
-        raise UsageError(
-            "the supplied density parameters do not reproduce the dataset's stored "
-            "truth likelihoods; pass the generation flags or --config")
-    return events, config
+    return events, events[0].config
 
 
 def _cmd_generate(opt: _Options) -> int:
     config = _shower_config(opt)
-    n_events = int(opt.get("n_events", 100))
+    n_events = opt.get("n_events", 100)
     if n_events < 1:
         raise UsageError(f"--n-events must be >= 1, got {n_events}")
     out = opt.get("out", "events.jsonl")
@@ -236,9 +225,7 @@ def _cmd_generate(opt: _Options) -> int:
 
 def _cmd_cluster(opt: _Options) -> int:
     events, config = _load_dataset(opt)
-    spec = _planner_spec(opt)
-    result = evaluate(events, spec, config, n_eval=len(events),
-                      seeds=[int(opt.get("seed", 0))])
+    result = evaluate(events, _planner_spec(opt), config, n_eval=len(events), seeds=[opt.get("seed", 0)])
     print(f"{result.planner}: mean LL {result.mean_ll:.4f} over {len(events)} events "
           f"(mean cost {result.mean_cost:.1f})")
     out = opt.get("out")
@@ -251,7 +238,7 @@ def _cmd_cluster(opt: _Options) -> int:
 
 def _cmd_mle(opt: _Options) -> int:
     events, config = _load_dataset(opt)
-    max_n = int(opt.get("max_n", 10))
+    max_n = opt.get("max_n", 10)
     rows = []
     for event in events:
         if event.n_leaves > max_n:
@@ -273,11 +260,10 @@ def _cmd_mle(opt: _Options) -> int:
 def _cmd_train(opt: _Options) -> int:
     events, config = _load_dataset(opt)
     mode = opt.get("mode", "bc")
-    steps = int(opt.get("steps", 20000))
-    lr = float(opt.get("lr", 0.03))
-    seed = int(opt.get("seed", 0))
-    include_ps = not bool(opt.get("no_ps_feature"))
-    rng = make_rng(seed, 1_000_003)
+    steps = opt.get("steps", 20000)
+    lr = opt.get("lr", 0.03)
+    include_ps = not opt.get("no_ps_feature")
+    rng = make_rng(opt.get("seed", 0), 1_000_003)
     if mode in ("bc", "mle-bc"):
         demonstrator = "truth" if mode == "bc" else "mle-for-small-n"
         weights, losses = train_bc(events, config, steps, lr, rng,
@@ -300,17 +286,15 @@ def _cmd_train(opt: _Options) -> int:
 
 
 def _cmd_evaluate(opt: _Options) -> int:
-    n_seeds = int(opt.get("seeds", 1))
+    n_seeds = opt.get("seeds", 1)
     if n_seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {n_seeds}")
     n_eval = opt.get("n_eval")
-    if n_eval is not None and int(n_eval) < 1:
+    if n_eval is not None and n_eval < 1:
         raise UsageError(f"--n-eval must be >= 1, got {n_eval}")
     events, config = _load_dataset(opt)
-    spec = _planner_spec(opt)
-    n_eval = len(events) if n_eval is None else int(n_eval)
-    base = int(opt.get("seed", 0))
-    result = evaluate(events, spec, config, n_eval=n_eval,
+    base = opt.get("seed", 0)
+    result = evaluate(events, _planner_spec(opt), config, n_eval=len(events) if n_eval is None else n_eval,
                       seeds=list(range(base, base + n_seeds)))
     print(f"{result.planner}: mean LL {result.mean_ll:.4f} +- {result.sem_ll:.4f} "
           f"({n_seeds} seeds, mean cost {result.mean_cost:.1f})")

@@ -8,7 +8,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
-from typing import Callable
 
 from .shower import (
     FourMomentum,
@@ -117,22 +116,6 @@ def step(state: ClusterState, action: Action, config: ShowerConfig) -> Transitio
         raise ValueError(f"illegal action ({i}, {j}) for n={state.n}")
     reward = splitting_log_likelihood(Splitting(state.particles[i], state.particles[j]), config)
     return apply_action(state, action, reward)
-
-
-def rollout(
-    state: ClusterState,
-    selector: Callable[[ClusterState], Action],
-    config: ShowerConfig,
-) -> tuple[ClusterState, float, Tree]:
-    """Apply `selector` and `step` until termination.  Returns the final
-    state, the reward accumulated during the rollout, and the clustering
-    tree it induces."""
-    if is_terminal(state):
-        raise ValueError("rollout requires a non-terminal state")
-    start = state.cumulative_reward
-    while not is_terminal(state):
-        state = step(state, selector(state), config).next_state
-    return state, state.cumulative_reward - start, tree_from_state(state)
 
 
 def leaf_sets(state: ClusterState) -> tuple[frozenset[int], ...]:

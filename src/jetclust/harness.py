@@ -11,6 +11,8 @@ import csv
 import hashlib
 import io
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +25,8 @@ from .planners import MctsConfig, cluster_beam, cluster_greedy, cluster_mcts, cl
 from .rng import make_rng
 from .shower import FourMomentum, ShowerConfig, Tree, TreeNode, invariant_mass_sq, sample_shower, tree_log_likelihood
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1  # run-result files
+EVENT_SCHEMA_VERSION = 2  # dataset lines; version 1 stored a config hash, not the config
 
 # Default configuration: a boosted root with mass-squared 400 showered
 # down to t_cut = 1, giving events around 15 particles; the whole
@@ -81,15 +84,13 @@ def _write_json(obj, out) -> None:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _config_to_obj(config: ShowerConfig) -> dict:
+    return {"lam": config.lam, "t_cut": config.t_cut, "root": list(config.root.as_tuple()), "rng_seed": config.rng_seed}
+
+
 def config_hash(config: ShowerConfig) -> str:
     """Short provenance hash over every generation-relevant field."""
-    canonical = dumps({
-        "lam": config.lam,
-        "t_cut": config.t_cut,
-        "root": list(config.root.as_tuple()),
-        "rng_seed": config.rng_seed,
-    })
-    return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+    return hashlib.sha256(dumps(_config_to_obj(config)).encode()).hexdigest()[:12]
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +100,7 @@ def config_hash(config: ShowerConfig) -> str:
 @dataclass
 class EventRecord:
     event_id: int
-    config_hash: str
+    config: ShowerConfig  # the model that generated the event, and so the density that scores it
     leaves: tuple[FourMomentum, ...]
     truth: Tree
     truth_ll: float
@@ -123,17 +124,36 @@ def _tree_to_obj(tree: Tree) -> dict:
     }
 
 
-def _check_schema(obj, what: str) -> None:
+def _check_schema(obj, what: str, expected: int = SCHEMA_VERSION) -> None:
     version = obj.get("schema_version") if isinstance(obj, dict) else None
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"{what} has schema_version {version!r}, this version reads {SCHEMA_VERSION}")
+    if version != expected:
+        raise ValueError(f"{what} has schema_version {version!r}, this version reads {expected}")
+
+
+def _number(value, what: str) -> float:
+    # json.loads gives int or float for a number (nan or inf for NaN or Infinity); bool and str are not numbers
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{what} {value!r} is not a finite number")
+    return float(value)
 
 
 def _momentum(values) -> FourMomentum:
-    # json.loads gives int or float for a number; bool and str are not numbers
-    if len(values) != 4 or not {int, float}.issuperset(map(type, values)):
-        raise ValueError(f"momentum {values!r} is not four numbers")
-    return FourMomentum(*map(float, values))
+    if len(values) == 4:
+        E, px, py, pz = values
+        if ({type(E), type(px), type(py), type(pz)} <= {int, float}
+                and math.isfinite(E) and math.isfinite(px) and math.isfinite(py) and math.isfinite(pz)):
+            return FourMomentum(float(E), float(px), float(py), float(pz))
+    raise ValueError(f"momentum {values!r} is not four finite numbers")
+
+
+def _config_from_obj(obj) -> ShowerConfig:
+    if not (isinstance(obj, dict) and obj.keys() == {"lam", "t_cut", "root", "rng_seed"}
+            and type(obj["rng_seed"]) is int):
+        raise ValueError(f"config {obj!r} is not lam, t_cut, root and an int rng_seed")
+    config = ShowerConfig(_number(obj["lam"], "config lam"), _number(obj["t_cut"], "config t_cut"),
+                          _momentum(obj["root"]), obj["rng_seed"])
+    config.validate()
+    return config
 
 
 def _tree_from_obj(obj: dict) -> Tree:
@@ -152,29 +172,33 @@ def _tree_from_obj(obj: dict) -> Tree:
 
 def event_to_json(event: EventRecord) -> str:
     return dumps({
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": EVENT_SCHEMA_VERSION,
         "id": event.event_id,
-        "config_hash": event.config_hash,
+        "config": _config_to_obj(event.config),
         "leaves": [list(p.as_tuple()) for p in event.leaves],
         "truth": _tree_to_obj(event.truth),
         "truth_ll": event.truth_ll,
     })
 
 
-def event_from_json(line: str) -> EventRecord:
+def event_from_json(line: str, config: ShowerConfig | None = None) -> EventRecord:
     """Decode one dataset line; ValueError if it is not an event of this
-    schema version."""
+    schema version, or if it stores a config other than `config`, which
+    the record then shares."""
     obj = json.loads(line)
-    _check_schema(obj, "event")
+    _check_schema(obj, "event", EVENT_SCHEMA_VERSION)
     try:
+        stored = _config_from_obj(obj["config"])
+        if config is not None and stored != config:
+            raise ValueError("config differs from the first event's; a dataset holds one shower config")
         return EventRecord(
             event_id=obj["id"],
-            config_hash=obj["config_hash"],
+            config=stored if config is None else config,
             leaves=tuple(_momentum(p) for p in obj["leaves"]),
             truth=_tree_from_obj(obj["truth"]),
-            truth_ll=float(obj["truth_ll"]),
+            truth_ll=_number(obj["truth_ll"], "truth_ll"),
         )
-    except (KeyError, TypeError) as exc:  # a missing field or a value of the wrong kind
+    except (KeyError, TypeError, OverflowError) as exc:  # missing field, wrong kind, int beyond float range
         raise ValueError(f"malformed event: {exc!r}") from exc
 
 
@@ -183,13 +207,12 @@ def generate_events(config: ShowerConfig, n_events: int) -> list[EventRecord]:
     one clustering problem.  Event k uses the stream (rng_seed, k), so the
     dataset is reproducible event by event."""
     config.validate()
-    chash = config_hash(config)
     events = []
     for k in range(n_events):
         tree = sample_shower(config, make_rng(config.rng_seed, k))
         events.append(EventRecord(
             event_id=k,
-            config_hash=chash,
+            config=config,
             leaves=tuple(tree.leaf_momenta()),
             truth=tree,
             truth_ll=tree_log_likelihood(tree, config),
@@ -207,8 +230,8 @@ def write_events(path: str | Path, events: Sequence[EventRecord]) -> None:
 
 
 def load_events(path: str | Path) -> list[EventRecord]:
-    """Read a dataset; a line that is not a valid event raises ValueError
-    naming path:line."""
+    """Read a dataset, whose events share one ShowerConfig; a line that is not
+    a valid event or stores another config raises ValueError naming path:line."""
     events = []
     try:
         with open(path) as f:
@@ -216,7 +239,7 @@ def load_events(path: str | Path) -> list[EventRecord]:
                 if not line.strip():
                     continue
                 try:
-                    events.append(event_from_json(line))
+                    events.append(event_from_json(line, events[0].config if events else None))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from exc
     except OSError as exc:
@@ -298,7 +321,7 @@ def build_planner(spec: dict, config: ShowerConfig):
     if algo == "greedy":
         return lambda leaves, rng: cluster_greedy(leaves, config)
     if algo == "beam":
-        b = int(spec.get("b", 5))
+        b = _spec_value(spec, "b", int, 5)
         return lambda leaves, rng: cluster_beam(leaves, b, config)
     if algo == "policy":
         policy = _policy_from_spec(spec, config)
@@ -315,9 +338,19 @@ def mcts_config(spec: dict) -> MctsConfig:
     leaves out keeps the MctsConfig default."""
     fields = {"c": ("c", float), "n_mcts": ("n_mcts", int), "b": ("beam_init_b", int),
               "final_rule": ("final_rule", str), "rollout_rule": ("rollout_rule", str)}
-    cfg = MctsConfig(**{name: cast(spec[key]) for key, (name, cast) in fields.items() if key in spec})
+    cfg = MctsConfig(**{name: _spec_value(spec, key, kind) for key, (name, kind) in fields.items() if key in spec})
     cfg.validate()
     return cfg
+
+
+def _spec_value(spec: dict, key: str, kind: type, default=None):
+    """spec[key], or the default, as `kind`; ValueError naming the key if it is not one."""
+    value = spec.get(key, default)
+    accepted, name = {int: (numbers.Integral, "an int"), float: (numbers.Real, "a finite real number"),
+                      str: (str, "a string")}[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted) or (kind is float and not math.isfinite(value)):
+        raise ValueError(f"planner spec {key}={value!r} is not {name}")
+    return kind(value)
 
 
 def _policy_from_spec(spec: dict, config: ShowerConfig):
@@ -391,7 +424,7 @@ def evaluate(
         mean_ll=float(np.mean(seed_means)),
         sem_ll=sem,
         mean_cost=float(np.mean([s["mean_cost"] for s in per_seed])),
-        dataset_hash=subset[0].config_hash,
+        dataset_hash=config_hash(subset[0].config),
     )
 
 

@@ -67,16 +67,16 @@ class Demonstration:
             raise ValueError("target indices out of range")
 
 
-def init_weights(input_dim: int, rng: np.random.Generator, hidden: int = HIDDEN_WIDTH) -> PolicyWeights:
+def init_weights(input_dim: int, rng: np.random.Generator) -> PolicyWeights:
     def dense(n_in, n_out):
         return rng.normal(0.0, 1.0 / math.sqrt(n_in), size=(n_in, n_out))
 
     return PolicyWeights(
-        w1=dense(input_dim, hidden),
-        b1=np.zeros(hidden),
-        w2=dense(hidden, hidden),
-        b2=np.zeros(hidden),
-        w3=dense(hidden, 1)[:, 0],
+        w1=dense(input_dim, HIDDEN_WIDTH),
+        b1=np.zeros(HIDDEN_WIDTH),
+        w2=dense(HIDDEN_WIDTH, HIDDEN_WIDTH),
+        b2=np.zeros(HIDDEN_WIDTH),
+        w3=dense(HIDDEN_WIDTH, 1)[:, 0],
         b3=np.zeros(()),
     )
 
@@ -244,7 +244,6 @@ def train_bc(
     rng: np.random.Generator,
     demonstrator: str = "truth",
     include_ps: bool = True,
-    hidden: int = HIDDEN_WIDTH,
 ) -> tuple[PolicyWeights, list[float]]:
     """Behavioral cloning on demonstrator merges.  Each step consumes one
     demonstrated decision: replay an episode along the demonstrator tree,
@@ -253,7 +252,7 @@ def train_bc(
     .event_id, .leaves and .truth attributes."""
     if not dataset:
         raise ValueError("dataset is empty")
-    weights = init_weights(feature_dim(include_ps), rng, hidden=hidden)
+    weights = init_weights(feature_dim(include_ps), rng)
     losses: list[float] = []
     mle_cache: dict = {}
     while len(losses) < steps:
@@ -290,7 +289,6 @@ def train_mcts_policy(
     rng: np.random.Generator,
     init: PolicyWeights | None = None,
     include_ps: bool = True,
-    hidden: int = HIDDEN_WIDTH,
 ) -> tuple[PolicyWeights, list[float]]:
     """Self-imitation of MCTS decisions: run guided episodes, then fit the
     policy to the chosen actions.  One step is one environment decision.
@@ -298,7 +296,7 @@ def train_mcts_policy(
     if not dataset:
         raise ValueError("dataset is empty")
     if init is None:
-        weights = init_weights(feature_dim(include_ps), rng, hidden=hidden)
+        weights = init_weights(feature_dim(include_ps), rng)
     else:
         weights = PolicyWeights(*[a.copy() for a in init.arrays()])
     policy = NeuralPolicy(weights, config, include_ps=include_ps)

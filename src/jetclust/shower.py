@@ -104,6 +104,8 @@ class ShowerConfig:
     rng_seed: int = 0
 
     def validate(self) -> None:
+        if not all(map(math.isfinite, (self.lam, self.t_cut, *self.root.as_tuple()))):
+            raise ValueError(f"lam, t_cut and root must be finite, got {self}")
         if self.lam <= 0.0:
             raise ValueError(f"lam must be > 0, got {self.lam}")
         if self.t_cut <= 0.0:

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jetclust as jc
 from jetclust.env import action_table, apply_action, leaf_sets
@@ -128,43 +130,6 @@ def test_apply_action_matches_step(small_config):
     assert via_step == via_apply
 
 
-def test_rollout_forced_on_two_leaves(small_config):
-    state = jc.reset(_leaves(small_config, 7, 2))
-    final, total, tree = jc.rollout(state, lambda s: jc.legal_actions(s)[0], small_config)
-    assert jc.is_terminal(final)
-    assert total == final.cumulative_reward
-    assert tree.n_leaves == 2
-
-
-def test_rollout_random_below_exact_mle(small_config, oracle_events):
-    event = oracle_events[0]
-    mle_ll, _ = jc.exact_mle(event.leaves, small_config)
-    rng = make_rng(23)
-
-    def random_selector(s):
-        actions = jc.legal_actions(s)
-        return actions[int(rng.integers(len(actions)))]
-
-    for _ in range(100):
-        _, total, _ = jc.rollout(jc.reset(event.leaves), random_selector, small_config)
-        assert total <= mle_ll + 1e-9
-
-
-def test_rollout_first_action_selector_is_reproducible(small_config):
-    leaves = _leaves(small_config, 29, 6)
-    first = lambda s: jc.legal_actions(s)[0]
-    out1 = jc.rollout(jc.reset(leaves), first, small_config)
-    out2 = jc.rollout(jc.reset(leaves), first, small_config)
-    assert out1[0] == out2[0]
-    assert out1[1] == out2[1]
-    # merged parents are appended, so the fixed (0,1) selector pairs
-    # fresh particles first: merge k consumes ids (2k, 2k+1) while both
-    # exist
-    merges = out1[0].history
-    assert merges[0][:2] == (0, 1)
-    assert merges[1][:2] == (2, 3)
-
-
 def test_leaf_sets_tracks_merges(small_config):
     state = jc.reset(_leaves(small_config, 3, 4))
     assert leaf_sets(state) == tuple(frozenset((k,)) for k in range(4))
@@ -199,3 +164,34 @@ def test_tree_from_history_of_id_pairs():
         assert tree.nodes[idx].t == jc.invariant_mass_sq(jc.FourMomentum(*want))
     with pytest.raises(ValueError):
         jc.tree_from_history(leaves, ((1, 3), (0, 2)))
+
+
+def _random_episode(seed, data, config):
+    """A desk event and the states of one episode over it whose actions
+    hypothesis draws, root state first."""
+    states = [jc.reset(jc.sample_shower(config, make_rng(seed, 0)).leaf_momenta())]
+    while not jc.is_terminal(states[-1]):
+        actions = jc.legal_actions(states[-1])
+        states.append(jc.step(states[-1], actions[data.draw(st.integers(0, len(actions) - 1))],
+                              config).next_state)
+    return states
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), data=st.data())
+def test_episode_reward_is_the_tree_log_likelihood_bit_for_bit(desk_config, seed, data):
+    final = _random_episode(seed, data, desk_config)[-1]
+    assert final.cumulative_reward == jc.tree_log_likelihood(jc.tree_from_state(final), desk_config)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), data=st.data())
+def test_episode_conserves_momentum(desk_config, seed, data):
+    states = _random_episode(seed, data, desk_config)
+
+    def total(state):
+        return [math.fsum(getattr(p, c) for p in state.particles) for c in ("E", "px", "py", "pz")]
+
+    reference = total(states[0])
+    for state in states[1:]:
+        assert all(abs(a - b) <= 1e-12 for a, b in zip(total(state), reference))  # test_02's MDP bound

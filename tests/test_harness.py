@@ -102,9 +102,20 @@ def test_load_missing_file_reports_path(tmp_path):
     (lambda obj: "{not json", "Expecting property name"),
     (lambda obj: json.dumps({k: v for k, v in obj.items() if k != "truth_ll"}), "truth_ll"),
     (lambda obj: json.dumps({**obj, "leaves": [obj["leaves"][0][:3], *obj["leaves"][1:]]}),
-     "not four numbers"),
+     "not four finite numbers"),
     (lambda obj: json.dumps({**obj, "schema_version": 99}), "schema_version 99"),
-], ids=["invalid-json", "missing-truth_ll", "three-number-leaf", "other-schema-version"])
+    (lambda obj: json.dumps({**obj, "schema_version": 1}), "schema_version 1"),
+    (lambda obj: json.dumps({**obj, "leaves": [[math.nan, 0, 0, 1], *obj["leaves"][1:]]}),
+     "not four finite numbers"),
+    (lambda obj: json.dumps({**obj, "leaves": [[10**400, 0, 0, 1], *obj["leaves"][1:]]}), "too large"),
+    (lambda obj: json.dumps({**obj, "truth_ll": math.inf}), "truth_ll inf is not a finite number"),
+    (lambda obj: json.dumps({**obj, "config": {**obj["config"], "lam": math.nan}}),
+     "config lam nan is not a finite number"),
+    (lambda obj: json.dumps({**obj, "config": {**obj["config"], "rng_seed": 8}}),
+     "differs from the first event"),
+    (lambda obj: json.dumps({**obj, "config": {**obj["config"], "rng_seed": 8.0}}), "int rng_seed"),
+], ids=["invalid-json", "missing-truth_ll", "three-number-leaf", "other-schema-version",
+        "schema-1-line", "nan-leaf", "huge-int-leaf", "infinite-truth_ll", "nan-lam", "mixed-config", "float-seed"])
 def test_cli_rejects_bad_event_line(tmp_path, capsys, small_config, corrupt, reason):
     lines = [event_to_json(e) for e in jc.generate_events(small_config, 3)]
     lines[1] = corrupt(json.loads(lines[1]))
@@ -112,7 +123,7 @@ def test_cli_rejects_bad_event_line(tmp_path, capsys, small_config, corrupt, rea
     data.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=reason):
         jc.load_events(data)
-    assert cli(["cluster", "--algo", "greedy", "--in", str(data), *SMALL_FLAGS]) == 2
+    assert cli(["cluster", "--algo", "greedy", "--in", str(data)]) == 2
     err = capsys.readouterr().err
     assert f"{data}:2: " in err
     assert reason in err
@@ -281,7 +292,7 @@ def test_cli_generate_then_cluster(tmp_path, capsys):
     assert cli(["generate", "--n-events", "10", "--seed", "7", "--out", str(data), *SMALL_FLAGS]) == 0
     assert data.exists()
     code = cli(["cluster", "--algo", "greedy", "--in", str(data),
-                "--seed", "7", *SMALL_FLAGS])
+                "--seed", "7"])
     out = capsys.readouterr().out
     assert code == 0
     assert "mean LL" in out
@@ -290,7 +301,7 @@ def test_cli_generate_then_cluster(tmp_path, capsys):
 def test_cli_mle_skips_large_events(tmp_path, capsys):
     data = tmp_path / "d.jsonl"
     cli(["generate", "--n-events", "15", "--seed", "3", "--out", str(data), *SMALL_FLAGS])
-    code = cli(["mle", "--in", str(data), "--max-n", "4", "--seed", "3", *SMALL_FLAGS])
+    code = cli(["mle", "--in", str(data), "--max-n", "4", "--seed", "3"])
     out = capsys.readouterr().out
     assert code == 0
     assert "skipping event" in out
@@ -302,7 +313,7 @@ def test_cli_evaluate_emits_multi_seed_result(tmp_path):
     out = tmp_path / "r.json"
     code = cli(["evaluate", "--algo", "mcts", "--b", "3", "--n-mcts", "10",
                 "--seeds", "5", "--in", str(data), "--out", str(out),
-                "--seed", "5", *SMALL_FLAGS])
+                "--seed", "5"])
     assert code == 0
     result = jc.RunResult.from_json(out.read_text())
     assert len(result.per_seed) == 5
@@ -323,7 +334,7 @@ def test_cli_evaluate_rejects_fewer_than_one_seed(tmp_path, capsys, monkeypatch)
     out = tmp_path / "r.json"
     for n in ("0", "-2"):
         code = cli(["evaluate", "--algo", "greedy", "--seeds", n, "--in", str(data),
-                    "--out", str(out), "--seed", "5", *SMALL_FLAGS])
+                    "--out", str(out), "--seed", "5"])
         assert code == 1
         assert "--seeds" in capsys.readouterr().err
     assert not out.exists()
@@ -334,12 +345,12 @@ def test_cli_train_and_policy_cluster(tmp_path, capsys):
     cli(["generate", "--n-events", "8", "--seed", "9", "--out", str(data), *SMALL_FLAGS])
     weights = tmp_path / "w.bin"
     code = cli(["train", "--mode", "bc", "--in", str(data), "--steps", "60",
-                "--lr", "0.05", "--seed", "9", "--out", str(weights), *SMALL_FLAGS])
+                "--lr", "0.05", "--seed", "9", "--out", str(weights)])
     assert code == 0
     assert weights.exists()
     capsys.readouterr()
     code = cli(["cluster", "--algo", "policy", "--prior", "nn", "--weights", str(weights),
-                "--in", str(data), "--seed", "9", *SMALL_FLAGS])
+                "--in", str(data), "--seed", "9"])
     assert code == 0
     assert "mean LL" in capsys.readouterr().out
 
@@ -349,9 +360,9 @@ def test_cli_compare(tmp_path, capsys):
     cli(["generate", "--n-events", "6", "--seed", "11", "--out", str(data), *SMALL_FLAGS])
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     cli(["evaluate", "--algo", "greedy", "--in", str(data), "--out", str(r1),
-         "--seed", "11", *SMALL_FLAGS])
+         "--seed", "11"])
     cli(["evaluate", "--algo", "random", "--in", str(data), "--out", str(r2),
-         "--seed", "11", *SMALL_FLAGS])
+         "--seed", "11"])
     capsys.readouterr()
     code = cli(["compare", str(r1), str(r2), "--out", str(tmp_path / "cmp")])
     assert code == 0
@@ -359,17 +370,59 @@ def test_cli_compare(tmp_path, capsys):
 
 
 def test_cli_rejects_density_flags_that_miss_the_dataset(tmp_path, capsys):
+    # the density comes from the dataset, so no subcommand but generate has a density flag
+    data = tmp_path / "d.jsonl"
+    assert cli(["generate", "--n-events", "4", "--seed", "3", "--out", str(data), "--quiet"]) == 0
+    out = tmp_path / "r.json"
+    for flags in (["--lam", "1.5"], ["--t-cut", "1.0"], ["--root", "25", "0", "0", "15"]):
+        for command in (["cluster", "--algo", "greedy", "--in", str(data)], ["mle", "--in", str(data)],
+                        ["train", "--in", str(data), "--steps", "1"],
+                        ["evaluate", "--algo", "greedy", "--in", str(data)], ["compare", "a.json", "b.json"]):
+            capsys.readouterr()
+            assert cli([*command, "--out", str(out), *flags]) == 1, (command, flags)
+            assert flags[0] in capsys.readouterr().err
+            assert not out.exists()
+
+
+def test_cli_clusters_a_dataset_with_the_density_it_stores(tmp_path, capsys):
+    config = jc.ShowerConfig(lam=3.0, t_cut=1.0, root=jc.DESK_CONFIG.root, rng_seed=3)
     data = tmp_path / "d.jsonl"
     assert cli(["generate", "--n-events", "4", "--seed", "3", "--lam", "3",
                 "--out", str(data), "--quiet"]) == 0
     out = tmp_path / "r.json"
-    code = cli(["cluster", "--algo", "greedy", "--in", str(data), "--quiet", "--out", str(out)])
-    assert code == 1
-    assert "density parameters" in capsys.readouterr().err
-    assert not out.exists()
-    assert cli(["cluster", "--algo", "greedy", "--in", str(data), "--quiet", "--lam", "3",
-                "--out", str(out)]) == 0
-    assert out.exists()
+    assert cli(["cluster", "--algo", "greedy", "--in", str(data), "--quiet", "--out", str(out)]) == 0
+    want = evaluate(jc.generate_events(config, 4), {"algo": "greedy"}, config, n_eval=4, seeds=[0])
+    got = json.loads(out.read_text())["per_event"]
+    assert [(e["ll"], e["cost"]) for e in got] == [(e["ll"], e["cost"]) for e in want.per_event]
+    assert jc.RunResult.from_json(out.read_text()).dataset_hash == config_hash(config)
+    # a config file holding lam still serves a consumer subcommand, which ignores it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lam": 1.5, "algo": "greedy"}))
+    capsys.readouterr()
+    assert cli(["cluster", "--config", str(cfg), "--in", str(data)]) == 0
+    assert f"mean LL {want.mean_ll:.4f}" in capsys.readouterr().out
+
+
+def test_load_events_shares_one_config(tmp_path, small_config):
+    path = tmp_path / "d.jsonl"
+    jc.generate(small_config, 5, path)
+    events = jc.load_events(path)
+    assert events[0].config == small_config
+    assert all(e.config is events[0].config for e in events)
+    assert json.loads(path.read_text().splitlines()[0])["config"] == {
+        "lam": 1.5, "t_cut": 1.0, "root": [5.0, 0, 0, 1.5], "rng_seed": 0}
+
+
+def test_cli_weights_record_the_dataset_hash(tmp_path, capsys):
+    data = tmp_path / "d.jsonl"
+    assert cli(["generate", "--n-events", "4", "--seed", "0", "--out", str(data), *SMALL_FLAGS]) == 0
+    dataset_hash = config_hash(jc.load_events(data)[0].config)
+    assert f"config {dataset_hash}" in capsys.readouterr().out
+    weights = tmp_path / "w.bin"
+    assert cli(["train", "--mode", "bc", "--in", str(data), "--steps", "5", "--seed", "9",
+                "--out", str(weights), "--quiet"]) == 0
+    _, header = jc.load_weights(weights)
+    assert header["config_hash"] == dataset_hash
 
 
 def test_cli_exit_codes(tmp_path):
@@ -412,14 +465,14 @@ def test_cli_config_file_rejects_keys_that_name_no_flag(tmp_path, capsys):
         cfg.write_text(json.dumps({"algo": "mcts", "lam": 1.5, **bad}))
         capsys.readouterr()
         code = cli(["cluster", "--config", str(cfg), "--in", str(data), "--out", str(out),
-                    "--seed", "3", *SMALL_FLAGS])
+                    "--seed", "3"])
         assert code == 1
         assert next(iter(bad)) in capsys.readouterr().err
         assert not out.exists()
     # a key of another subcommand's flag is fine: one file serves them all
     cfg.write_text(json.dumps({"algo": "greedy", "n_events": 7, "steps": 5}))
     assert cli(["cluster", "--config", str(cfg), "--in", str(data), "--out", str(out),
-                "--seed", "3", *SMALL_FLAGS]) == 0
+                "--seed", "3"]) == 0
 
 
 def test_cli_generate_rejects_fewer_than_one_event(tmp_path, capsys):
@@ -444,7 +497,7 @@ def test_cli_evaluate_rejects_fewer_than_one_event(tmp_path, capsys, monkeypatch
     out = tmp_path / "r.json"
     for n in ("0", "-1"):
         code = cli(["evaluate", "--algo", "greedy", "--n-eval", n, "--in", str(data),
-                    "--out", str(out), "--seed", "5", *SMALL_FLAGS])
+                    "--out", str(out), "--seed", "5"])
         assert code == 1
         assert "--n-eval" in capsys.readouterr().err
     assert not out.exists()
@@ -455,7 +508,7 @@ def test_cli_compare_rejects_result_with_missing_field(tmp_path, capsys):
     cli(["generate", "--n-events", "4", "--seed", "11", "--out", str(data), *SMALL_FLAGS])
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     cli(["evaluate", "--algo", "greedy", "--in", str(data), "--out", str(good),
-         "--seed", "11", *SMALL_FLAGS])
+         "--seed", "11"])
     bad.write_text(json.dumps({"schema_version": 1, "planner": "greedy"}))
     capsys.readouterr()
     assert cli(["compare", str(good), str(bad), "--out", str(tmp_path / "cmp")]) == 2
@@ -467,14 +520,14 @@ def test_cli_rejects_weights_header_without_shapes(tmp_path, capsys):
     cli(["generate", "--n-events", "4", "--seed", "9", "--out", str(data), *SMALL_FLAGS])
     weights = tmp_path / "w.bin"
     cli(["train", "--mode", "bc", "--in", str(data), "--steps", "5", "--seed", "9",
-         "--out", str(weights), "--quiet", *SMALL_FLAGS])
+         "--out", str(weights), "--quiet"])
     header, payload = weights.read_bytes().split(b"\n", 1)
     obj = json.loads(header)
     del obj["shapes"]
     weights.write_bytes(json.dumps(obj).encode() + b"\n" + payload)
     capsys.readouterr()
     code = cli(["evaluate", "--algo", "policy", "--prior", "nn", "--weights", str(weights),
-                "--in", str(data), "--out", str(tmp_path / "r.json"), "--seed", "9", *SMALL_FLAGS])
+                "--in", str(data), "--out", str(tmp_path / "r.json"), "--seed", "9"])
     assert code == 2
     assert "shapes" in capsys.readouterr().err
 
@@ -513,7 +566,7 @@ def test_cli_compare_rejects_per_event_entry_without_field(tmp_path, capsys, fie
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     for path in (good, bad):
         cli(["evaluate", "--algo", "greedy", "--in", str(data), "--out", str(path),
-             "--seed", "11", *SMALL_FLAGS])
+             "--seed", "11"])
     obj = json.loads(bad.read_text())
     del obj["per_event"][1][field]
     bad.write_text(json.dumps(obj))
@@ -544,3 +597,36 @@ def test_cli_config_file_rejects_values_of_the_wrong_type(tmp_path, capsys):
                                "root": [25, 0, 0, 15]}))
     assert cli(["generate", "--config", str(cfg)]) == 0
     assert len(data.read_text().splitlines()) == 3
+    # and reach the planner spec as the flag's type
+    out = tmp_path / "r.json"
+    cfg.write_text(json.dumps({"algo": "beam", "b": "2"}))
+    assert cli(["cluster", "--config", str(cfg), "--in", str(data), "--out", str(out)]) == 0
+    assert jc.RunResult.from_json(out.read_text()).params == {"b": 2}
+
+
+@pytest.mark.parametrize("spec,key", [
+    ({"algo": "beam", "b": 2.7}, "b"),
+    ({"algo": "beam", "b": "five"}, "b"),
+    ({"algo": "beam", "b": True}, "b"),
+    ({"algo": "mcts", "b": 1.5}, "b"),
+    ({"algo": "mcts", "n_mcts": 2.0}, "n_mcts"),
+    ({"algo": "mcts", "n_mcts": False}, "n_mcts"),
+    ({"algo": "mcts", "c": "1"}, "c"),
+    ({"algo": "mcts", "c": math.nan}, "c"),
+], ids=["beam-float-b", "beam-str-b", "beam-bool-b", "mcts-float-b", "float-n_mcts",
+        "bool-n_mcts", "str-c", "nan-c"])
+def test_build_planner_checks_spec_values(small_events, small_config, spec, key):
+    for run in (lambda: build_planner(spec, small_config),
+                lambda: evaluate(small_events, spec, small_config, n_eval=2, seeds=[0])):
+        with pytest.raises(ValueError, match=f"planner spec {key}="):
+            run()
+    # an int is a real number, and a numpy int is an int
+    build_planner({"algo": "mcts", "c": 2, "b": np.int64(2), "n_mcts": 2}, small_config)
+
+
+def test_cli_generate_rejects_non_finite_density_flags(tmp_path, capsys):
+    data = tmp_path / "d.jsonl"
+    for flags in (["--lam", "nan"], ["--t-cut", "inf"], ["--root", "25", "nan", "0", "15"]):
+        assert cli(["generate", "--n-events", "2", "--out", str(data), *flags]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not data.exists()

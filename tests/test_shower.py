@@ -147,6 +147,11 @@ def test_shower_config_validation():
     with pytest.raises(ValueError):
         # root below the cutoff: shower would be a single leaf
         jc.ShowerConfig(lam=1.0, t_cut=30.0, root=jc.FourMomentum(5, 0, 0, 0)).validate()
+    root = jc.FourMomentum(5, 0, 0, 0)
+    for bad in (dict(lam=math.nan), dict(lam=math.inf), dict(t_cut=math.nan),
+                dict(root=jc.FourMomentum(5, math.nan, 0, 0)), dict(root=jc.FourMomentum(math.inf, 0, 0, 0))):
+        with pytest.raises(ValueError, match="finite"):  # NaN passes every comparison check
+            jc.ShowerConfig(**{"lam": 1.0, "t_cut": 1.0, "root": root, **bad}).validate()
 
 
 def test_shower_forced_single_splitting():
