@@ -28,7 +28,7 @@ from .harness import (
 from .policy import load_weights, save_weights, train_bc, train_mcts_policy
 from .rng import make_rng
 from .shower import FourMomentum, ShowerConfig
-from .trellis import exact_mle
+from .trellis import DEFAULT_N_MAX, exact_mle
 
 
 class UsageError(Exception):
@@ -237,14 +237,17 @@ def _cmd_cluster(opt: _Options) -> int:
 
 
 def _cmd_mle(opt: _Options) -> int:
-    events, config = _load_dataset(opt)
     max_n = opt.get("max_n", 10)
+    if not 2 <= max_n <= DEFAULT_N_MAX:
+        # exact_mle costs O(3^n); its own guard stops at DEFAULT_N_MAX.
+        raise UsageError(f"--max-n must be in 2..{DEFAULT_N_MAX}, got {max_n}")
+    events, config = _load_dataset(opt)
     rows = []
     for event in events:
         if event.n_leaves > max_n:
             print(f"skipping event {event.event_id}: {event.n_leaves} leaves > max-n {max_n}")
             continue
-        ll, _ = exact_mle(event.leaves, config, n_max=max_n)
+        ll, _ = exact_mle(event.leaves, config)
         rows.append({"id": event.event_id, "n_leaves": event.n_leaves, "mle_ll": ll})
         if not opt.get("quiet"):
             print(f"event {event.event_id}: n={event.n_leaves} MLE LL {ll:.4f}")

@@ -2,29 +2,27 @@
 
 The number of splitting-density evaluations is the cost axis all
 algorithms are compared on, so every call site shares one counter.
+The counter takes no lock: it counts the run of the one thread that
+increments it, and jetclust starts no threads.
 """
-
-import threading
 
 
 class CostCounter:
-    """Thread-safe monotone tally, resettable only between runs."""
+    """Monotone tally of one thread's run, resettable only between runs.
+    Increments made from several threads at once can be lost."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._count = 0
 
     def increment(self, n: int = 1) -> None:
-        with self._lock:
-            self._count += n
+        self._count += n
 
     @property
     def count(self) -> int:
         return self._count
 
     def reset(self) -> None:
-        with self._lock:
-            self._count = 0
+        self._count = 0
 
 
 # Single shared tally of splitting_log_likelihood calls, wherever they

@@ -209,7 +209,12 @@ def truth_actions(state: ClusterState, tree: Tree) -> list[Action]:
     """All pairs whose merged leaf sets form a sibling pair of the
     demonstrator tree; empty when the state has drifted off the tree
     (callers skip such samples)."""
-    pairs = _sibling_pairs(tree)
+    return _actions_in(state, _sibling_pairs(tree))
+
+
+def _actions_in(state: ClusterState, pairs: set[frozenset[frozenset[int]]]) -> list[Action]:
+    """truth_actions given the tree's _sibling_pairs, which an episode
+    along one tree computes once."""
     sets = leaf_sets(state)
     return [
         a for a in legal_actions(state)
@@ -259,9 +264,10 @@ def train_bc(
         for ev_idx in rng.permutation(len(dataset)):
             event = dataset[int(ev_idx)]
             tree = _demonstrator_tree(event, demonstrator, config, mle_cache)
+            pairs = _sibling_pairs(tree)
             state = reset(event.leaves)
             while not is_terminal(state) and len(losses) < steps:
-                targets = truth_actions(state, tree)
+                targets = _actions_in(state, pairs)
                 if not targets:
                     break  # off-demonstration state, skip the rest
                 actions = legal_actions(state)

@@ -168,10 +168,16 @@ def truncated_exp_log_density(t: float, t_max: float, lam: float) -> float:
         t = t_max
     log_norm = _LOG_NORM.get(lam)
     if log_norm is None:
-        if len(_LOG_NORM) >= 64:
-            _LOG_NORM.clear()
-        log_norm = _LOG_NORM[lam] = math.log1p(-math.exp(-lam))
+        log_norm = _log_norm(lam)
     return math.log(lam / t_max) - lam * t / t_max - log_norm
+
+
+def _log_norm(lam: float) -> float:
+    """Compute and remember log(1 - exp(-lam)); the cache holds at most 64 lams."""
+    if len(_LOG_NORM) >= 64:
+        _LOG_NORM.clear()
+    log_norm = _LOG_NORM[lam] = math.log1p(-math.exp(-lam))
+    return log_norm
 
 
 def sample_truncated_exp(t_max: float, lam: float, rng: np.random.Generator) -> float:
@@ -308,7 +314,11 @@ def ps_memo():
 def splitting_log_likelihood(s: Splitting, config: ShowerConfig) -> float:
     """log p_s of one merge, a deterministic function of the unordered
     child pair.  Every call increments the shared evaluation counter,
-    also when the open ps_memo() scope already holds the value."""
+    also when the open ps_memo() scope already holds the value.
+
+    The body is _mass_sq three times and _unordered_pair_log_density
+    written out in one function, with the same operations in the same
+    order, so it returns their bits; the tests hold it to them."""
     PS_EVALUATIONS.increment()
     a, b = s
     ae, ax, ay, az = a.E, a.px, a.py, a.pz
@@ -322,14 +332,53 @@ def splitting_log_likelihood(s: Splitting, config: ShowerConfig) -> float:
             return value
     if ae < 0.0 or be < 0.0:
         raise ValueError("child energies must be non-negative")
-    t_a = _mass_sq(ae, ax, ay, az)
-    t_b = _mass_sq(be, bx, by, bz)
-    t_p = _mass_sq(ae + be, ax + bx, ay + by, az + bz)
+    t_a = ae * ae - ax * ax - ay * ay - az * az
+    if t_a < 0.0:
+        if t_a < -EPS_MASS_SQ:
+            raise ValueError(f"momentum is spacelike beyond tolerance: t={t_a!r}")
+        t_a = 0.0
+    t_b = be * be - bx * bx - by * by - bz * bz
+    if t_b < 0.0:
+        if t_b < -EPS_MASS_SQ:
+            raise ValueError(f"momentum is spacelike beyond tolerance: t={t_b!r}")
+        t_b = 0.0
+    pe, px, py, pz = ae + be, ax + bx, ay + by, az + bz
+    t_p = pe * pe - px * px - py * py - pz * pz
+    if t_p < 0.0:
+        if t_p < -EPS_MASS_SQ:
+            raise ValueError(f"momentum is spacelike beyond tolerance: t={t_p!r}")
+        t_p = 0.0
     if t_p <= 0.0:
         # Degenerate (exactly collinear massless) merge: no valid decay.
         value = 2.0 * LOG_DENSITY_FLOOR + _LOG_INV_4PI
     else:
-        value = _unordered_pair_log_density(t_a, t_b, t_p, lam)
+        if lam <= 0.0:
+            raise ValueError(f"lam must be > 0, got {lam}")
+        # The normaliser is computed only when a term inside its support
+        # needs it: for a lam below about 1e-16 it does not exist, yet a
+        # query outside both supports still scores the floor.
+        log_norm = _LOG_NORM.get(lam)
+        if t_a < t_b:
+            t_a, t_b = t_b, t_a
+        # Both masses are >= 0 here, so only the upper edge of each
+        # support can be crossed.  The heavier mass against bound t_p:
+        if t_a > t_p + _SUPPORT_RTOL * t_p:
+            first = LOG_DENSITY_FLOOR
+        else:
+            if log_norm is None:
+                log_norm = _log_norm(lam)
+            t = t_p if t_a > t_p else t_a
+            first = math.log(lam / t_p) - lam * t / t_p - log_norm
+        # the lighter against the remainder, bounded by the unclamped t_a:
+        bound = (math.sqrt(t_p) - math.sqrt(t_a)) ** 2
+        if not bound > 0.0 or t_b > bound + _SUPPORT_RTOL * bound:
+            second = LOG_DENSITY_FLOOR
+        else:
+            if log_norm is None:
+                log_norm = _log_norm(lam)
+            t = bound if t_b > bound else t_b
+            second = math.log(lam / bound) - lam * t / bound - log_norm
+        value = first + second + _LOG_INV_4PI
     if memo is not None:
         # The value is symmetric in the children bit for bit (the sum and
         # the heavier/lighter ordering do not depend on their order), so

@@ -31,6 +31,9 @@ def _fill_table(
     best = [0] * size
     for k in range(n):
         psum[1 << k] = leaves[k]
+    # Splitting(a, b) runs the NamedTuple's Python-level __new__ on each
+    # of the O(3^n) queries; tuple.__new__ builds the same Splitting in C.
+    new_tuple = tuple.__new__
     for mask in range(1, size):
         if mask & (mask - 1) == 0:
             continue  # single leaf: MLL = 0
@@ -44,7 +47,8 @@ def _fill_table(
             b = (b - 1) & rest
             a_mask = low | b  # proper nonempty subset of mask containing its lowest bit
             c_mask = mask ^ a_mask
-            val = splitting_log_likelihood(Splitting(psum[a_mask], psum[c_mask]), config) + mll[a_mask] + mll[c_mask]
+            s = new_tuple(Splitting, (psum[a_mask], psum[c_mask]))
+            val = splitting_log_likelihood(s, config) + mll[a_mask] + mll[c_mask]
             if best_val is None or val > best_val:
                 best_val = val
                 best_split = a_mask

@@ -18,6 +18,7 @@ from jetclust.harness import (
     write_comparison,
 )
 from jetclust.rng import make_rng
+from jetclust.trellis import DEFAULT_N_MAX
 
 from conftest import SMALL_CONFIG
 
@@ -305,6 +306,29 @@ def test_cli_mle_skips_large_events(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "skipping event" in out
+
+
+def test_cli_mle_rejects_max_n_outside_the_cost_guard(tmp_path, capsys, monkeypatch):
+    import jetclust.cli as cmod
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("the dataset was read for an invalid --max-n")
+
+    monkeypatch.setattr(cmod, "load_events", no_load)
+    out = tmp_path / "mle.json"
+    for n in ("1", "0", "-3", str(DEFAULT_N_MAX + 1), "30"):
+        code = cli(["mle", "--in", str(tmp_path / "d.jsonl"), "--max-n", n, "--out", str(out)])
+        assert code == 1
+        assert "--max-n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_mle_accepts_max_n_at_both_ends(tmp_path, capsys):
+    data = tmp_path / "d.jsonl"
+    cli(["generate", "--n-events", "6", "--seed", "3", "--out", str(data), *SMALL_FLAGS])
+    for n in ("2", str(DEFAULT_N_MAX)):
+        assert cli(["mle", "--in", str(data), "--max-n", n, "--quiet"]) == 0
+    assert "usage error" not in capsys.readouterr().err
 
 
 def test_cli_evaluate_emits_multi_seed_result(tmp_path):

@@ -510,3 +510,70 @@ def test_cluster_policy_rollout(small_config):
     tree, ll = jc.cluster_policy(ev, jc.fixed_policy("random"), small_config)
     assert tree.n_leaves == 5
     assert abs(jc.tree_log_likelihood(tree, small_config) - ll) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# invariants as properties over random desk events
+# ---------------------------------------------------------------------------
+
+DESK = jc.DESK_CONFIG
+
+
+def _desk_leaves(seed):
+    """Leaves of the first desk event with 6-10 leaves in the stream of
+    `seed`; about one desk event in eleven is that small."""
+    for k in range(400):
+        tree = jc.sample_shower(DESK, make_rng(seed, k))
+        if 6 <= tree.n_leaves <= 10:
+            return tree.leaf_momenta()
+    raise RuntimeError(f"no desk event of 6-10 leaves for seed {seed}")
+
+
+_desk_events = st.integers(0, 2**31 - 1).map(_desk_leaves)
+
+
+def _counted(run):
+    start = jc.PS_EVALUATIONS.count
+    out = run()
+    return out, jc.PS_EVALUATIONS.count - start
+
+
+@settings(max_examples=25, deadline=None)
+@given(leaves=_desk_events)
+def test_beam_width_one_is_greedy_on_random_desk_events(leaves):
+    (tg, llg), cost_g = _counted(lambda: jc.cluster_greedy(leaves, DESK))
+    (tb, llb), cost_b = _counted(lambda: jc.cluster_beam(leaves, 1, DESK))
+    assert _tree_shape(tb) == _tree_shape(tg)
+    assert llb.hex() == llg.hex()
+    assert cost_b == cost_g
+
+
+@settings(max_examples=15, deadline=None)
+@given(leaves=_desk_events, data=st.data())
+def test_greedy_and_beam_ll_ignore_the_leaf_order(leaves, data):
+    order = data.draw(st.permutations(range(len(leaves))), label="order")
+    permuted = [leaves[i] for i in order]
+    for run in (lambda ev: jc.cluster_greedy(ev, DESK), lambda ev: jc.cluster_beam(ev, 5, DESK)):
+        assert abs(run(permuted)[1] - run(leaves)[1]) <= 1e-9
+
+
+@settings(max_examples=15, deadline=None)
+@given(leaves=_desk_events, b=st.sampled_from([1, 2, 3, 5]), seed=st.integers(0, 2**31 - 1))
+def test_mcts_is_at_least_its_beam_seed_on_random_desk_events(leaves, b, seed):
+    _, beam_ll = jc.cluster_beam(leaves, b, DESK)
+    _, mcts_ll, _ = jc.cluster_mcts(leaves, jc.fixed_policy("proportional-to-ps", DESK),
+                                    _mcts_cfg(n_mcts=3, beam_init_b=b), DESK, make_rng(seed))
+    assert mcts_ll >= beam_ll - 1e-9
+
+
+@settings(max_examples=10, deadline=None)
+@given(leaves=_desk_events, seed=st.integers(0, 2**31 - 1))
+def test_exact_mle_dominates_every_planner_on_random_desk_events(leaves, seed):
+    mle_ll, _ = jc.exact_mle(leaves, DESK)
+    planner_lls = [
+        jc.cluster_greedy(leaves, DESK)[1],
+        jc.cluster_beam(leaves, 5, DESK)[1],
+        jc.cluster_mcts(leaves, jc.fixed_policy("proportional-to-ps", DESK),
+                        _mcts_cfg(n_mcts=5, beam_init_b=3), DESK, make_rng(seed))[1],
+    ]
+    assert all(ll <= mle_ll + 1e-9 for ll in planner_lls)

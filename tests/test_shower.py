@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import jetclust as jc
+from jetclust.costs import CostCounter
 from jetclust.rng import make_rng
 from jetclust.shower import (
     _PS_MEMO,
@@ -265,6 +266,18 @@ def test_splitting_increments_cost_counter(small_config):
     jc.splitting_log_likelihood(s, small_config)
     jc.splitting_log_likelihood(s, small_config)
     assert jc.PS_EVALUATIONS.count == before + 2
+
+
+def test_cost_counter_increment_and_reset():
+    counter = CostCounter()
+    assert counter.count == 0
+    counter.increment()
+    counter.increment(5)
+    assert counter.count == 6
+    counter.reset()
+    assert counter.count == 0
+    counter.increment(2)
+    assert counter.count == 2
 
 
 def _memo_pairs(config):

@@ -1,6 +1,7 @@
 import pytest
 
 import jetclust as jc
+from jetclust import trellis
 from jetclust.rng import make_rng
 from jetclust.trellis import _fill_table
 
@@ -35,11 +36,22 @@ def test_exact_mle_matches_enumeration(small_config, n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_evaluation_count_closed_form(small_config, n):
+def test_evaluation_count_closed_form(small_config, n, monkeypatch):
+    # Every counted evaluation is one call of the name trellis imported,
+    # with a real Splitting: the traced benchmark wraps that name.
     leaves = make_event(small_config, seed=11, n_leaves=n).leaf_momenta()
+    kernel = trellis.splitting_log_likelihood
+    queries = []
+
+    def spy(s, config):
+        queries.append(type(s))
+        return kernel(s, config)
+
+    monkeypatch.setattr(trellis, "splitting_log_likelihood", spy)
     jc.PS_EVALUATIONS.reset()
     jc.exact_mle(leaves, small_config)
-    assert jc.PS_EVALUATIONS.count == (3**n + 1) // 2 - 2**n
+    assert len(queries) == jc.PS_EVALUATIONS.count == (3**n + 1) // 2 - 2**n
+    assert set(queries) == {jc.Splitting}
 
 
 def test_guards(small_config):
