@@ -94,15 +94,13 @@ def apply_action(state: ClusterState, action: Action, reward: float) -> Transiti
     i, j = action.i, action.j
     if not (0 <= i < j < state.n):
         raise ValueError(f"illegal action ({i}, {j}) for n={state.n}")
-    merged = state.particles[i] + state.particles[j]
-    particles = tuple(p for k, p in enumerate(state.particles) if k != i and k != j) + (merged,)
+    ps, ids = state.particles, state.ids
     new_id = len(state.leaves) + len(state.history)
-    ids = tuple(v for k, v in enumerate(state.ids) if k != i and k != j) + (new_id,)
     next_state = ClusterState(
-        particles=particles,
-        ids=ids,
+        particles=ps[:i] + ps[i + 1:j] + ps[j + 1:] + (ps[i] + ps[j],),
+        ids=ids[:i] + ids[i + 1:j] + ids[j + 1:] + (new_id,),
         cumulative_reward=state.cumulative_reward + reward,
-        history=state.history + ((state.ids[i], state.ids[j]),),
+        history=state.history + ((ids[i], ids[j]),),
         leaves=state.leaves,
     )
     return Transition(next_state=next_state, reward=reward, done=next_state.n == 1)

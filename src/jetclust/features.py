@@ -75,8 +75,9 @@ def extract_pair_features(
     out[:, 10] = invariant_mass_sq_rows(mom[first] + mom[second]) * t_scale
     out[:, N_PARTICLES_COLUMN] = float(state.n)
     if include_ps:
+        new_tuple = tuple.__new__  # builds each Splitting in C, as the trellis does
         out[:, N_BASE_FEATURES] = [
-            splitting_log_likelihood(Splitting(particles[a], particles[b]), config)
+            splitting_log_likelihood(new_tuple(Splitting, (particles[a], particles[b])), config)
             for a, b in zip(first.tolist(), second.tolist())
         ]
     return out

@@ -12,6 +12,7 @@ is looked up, not recomputed, and still counted.
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, repeat
 from typing import Protocol
 
 import numpy as np
@@ -51,7 +52,7 @@ class ProportionalPsPolicy:
         self.config = config
 
     def priors(self, state: ClusterState) -> np.ndarray:
-        return _softmax(np.array([r for _, r in _pair_rewards(state, self.config)]))
+        return _softmax(np.array(_rewards(state, self.config)))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -89,13 +90,20 @@ def cluster_random(
     return tree_from_state(state), state.cumulative_reward
 
 
+def _rewards(state: ClusterState, config: ShowerConfig) -> list[float]:
+    """The reward of every legal action, in legal-action order: one kernel
+    call per pair (i, j), i < j, of state.particles."""
+    # combinations() yields the pairs in legal-action order, and
+    # tuple.__new__ builds each Splitting in C, skipping the NamedTuple's
+    # Python-level __new__.  The kernel is looked up here, per call, so a
+    # rebinding of this module's name is seen.
+    splittings = map(tuple.__new__, repeat(Splitting), combinations(state.particles, 2))
+    return list(map(splitting_log_likelihood, splittings, repeat(config)))
+
+
 def _pair_rewards(state: ClusterState, config: ShowerConfig) -> list[tuple[Action, float]]:
     """Every legal action with its reward, in legal-action order."""
-    return [
-        (a, splitting_log_likelihood(
-            Splitting(state.particles[a.i], state.particles[a.j]), config))
-        for a in action_table(state.n)[0]
-    ]
+    return list(zip(action_table(state.n)[0], _rewards(state, config)))
 
 
 @ps_memo()
@@ -107,11 +115,9 @@ def cluster_greedy(
     ties go to the lexicographically smallest (i, j)."""
     state = reset(event)
     while not is_terminal(state):
-        scored = _pair_rewards(state, config)
-        best_action, best_reward = scored[0]
-        for action, reward in scored[1:]:
-            if reward > best_reward:
-                best_action, best_reward = action, reward
+        rewards = _rewards(state, config)
+        best_reward = max(rewards)  # the first maximum, as index() finds it
+        best_action = action_table(state.n)[0][rewards.index(best_reward)]
         state = apply_action(state, best_action, best_reward).next_state
     return tree_from_state(state), state.cumulative_reward
 
@@ -140,30 +146,36 @@ def _beam_from_state(state: ClusterState, b: int, config: ShowerConfig) -> list[
         raise ValueError(f"beam width must be >= 1, got {b}")
     items = [_BeamItem(state=state, leafsets=leaf_sets(state), path=())]
     while items[0].state.n > 1:
-        # Every item of a level has a history of the same length, so
-        # (parent history, new history entry) orders candidates as their
-        # own histories would.  No two candidates share both, so the sort
-        # never compares the items themselves.
-        ranked = []
-        for item in items:
-            st = item.state
-            for action, reward in _pair_rewards(st, config):
-                entry = (st.ids[action.i], st.ids[action.j])
-                ranked.append((-(st.cumulative_reward + reward), st.history, entry,
-                               item, action, reward))
-        ranked.sort()
+        # A candidate's own history is its parent's history plus the new
+        # entry (ids[i], ids[j]).  Every item of a level has a history of
+        # the same length, and no two share one, so ranking the parents by
+        # history orders them as the candidates' histories would.  A
+        # state's ids increase strictly, so within one parent the entries
+        # order as the action indices do.  Candidates are laid out in
+        # (parent rank, action index) order, and the sort is stable, so
+        # candidates of equal total keep that order.
+        by_history = sorted(items, key=lambda item: item.state.history)
+        rewards = [_rewards(item.state, config) for item in by_history]
+        totals: list[float] = []
+        for item, rs in zip(by_history, rewards):
+            cum = item.state.cumulative_reward
+            totals += [cum + r for r in rs]
+        actions = action_table(items[0].state.n)[0]
+        m = len(actions)
         survivors: list[_BeamItem] = []
         seen: set[frozenset[frozenset[int]]] = set()
-        for _, _, _, item, action, reward in ranked:
+        for c in sorted(range(len(totals)), key=totals.__getitem__, reverse=True):
+            h, k = divmod(c, m)
+            item = by_history[h]
+            action = actions[k]
             i, j = action.i, action.j
-            nls = tuple(
-                s for k, s in enumerate(item.leafsets) if k != i and k != j
-            ) + (item.leafsets[i] | item.leafsets[j],)
+            ls = item.leafsets
+            nls = ls[:i] + ls[i + 1:j] + ls[j + 1:] + (ls[i] | ls[j],)
             key = frozenset(nls)
             if key in seen:
                 continue
             seen.add(key)
-            nxt = apply_action(item.state, action, reward).next_state
+            nxt = apply_action(item.state, action, rewards[h][k]).next_state
             survivors.append(_BeamItem(state=nxt, leafsets=nls, path=item.path + ((action, nxt),)))
             if len(survivors) == b:
                 break
@@ -228,7 +240,7 @@ class SearchNode:
         m = len(self.actions)
         self.priors = policy.priors(state) if m else np.zeros(0)
         self.n_visits = 0
-        self.n_sa = np.zeros(m, dtype=np.int64)
+        self.n_sa = np.zeros(m)  # whole counts, held as floats so 1 + N_sa needs no cast
         self.w_sa = np.zeros(m)
         self.q = np.full(m, 0.5)  # w_sa / n_sa, kept by _backup; 0.5 while unvisited
         self.best_return = np.full(m, -np.inf)
@@ -238,7 +250,13 @@ class SearchNode:
         """Upper confidence bound Q + c * prior * sqrt(N_s) / (1 + N_sa) of
         every action.  An unvisited action's Q reads 0.5, neutral on the
         normalized scale."""
-        return self.q + c * self.priors * math.sqrt(max(self.n_visits, 1)) / (1.0 + self.n_sa)
+        # The operations of q + c * prior * sqrt(N_s) / (1 + N_sa), in
+        # that order, on one buffer (addition commutes bit for bit).
+        scores = c * self.priors
+        scores *= math.sqrt(max(self.n_visits, 1))
+        scores /= 1.0 + self.n_sa
+        scores += self.q
+        return scores
 
 
 @dataclass
@@ -313,7 +331,7 @@ def _run_rollout(
         if cfg.rollout_rule == "policy-sample":
             k = int(rng.choice(len(node.actions), p=node.priors / node.priors.sum()))
         else:
-            k = int(np.argmax(node.puct_scores(cfg.c)))
+            k = int(node.puct_scores(cfg.c).argmax())
         path.append((node, k))
         node = _ensure_child(node, k, policy, config)
     _backup(path, node.state.cumulative_reward, normalizer)
@@ -332,8 +350,8 @@ def _decide(
     for _ in range(cfg.n_mcts):
         _run_rollout(root, policy, cfg, config, rng, normalizer)
     if cfg.final_rule == "puct-visits":
-        return int(np.argmax(root.n_sa))
-    return int(np.argmax(root.best_return))
+        return int(root.n_sa.argmax())
+    return int(root.best_return.argmax())
 
 
 @ps_memo()

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .env import Action, ClusterState, is_terminal, leaf_sets, legal_actions, reset, step
+from .env import Action, ClusterState, action_table, is_terminal, leaf_sets, reset, step
 from .features import (
     FEATURE_SCHEMA_VERSION,
     N_BASE_FEATURES,
@@ -217,7 +217,7 @@ def _actions_in(state: ClusterState, pairs: set[frozenset[frozenset[int]]]) -> l
     along one tree computes once."""
     sets = leaf_sets(state)
     return [
-        a for a in legal_actions(state)
+        a for a in action_table(state.n)[0]
         if frozenset((sets[a.i], sets[a.j])) in pairs
     ]
 
@@ -270,11 +270,10 @@ def train_bc(
                 targets = _actions_in(state, pairs)
                 if not targets:
                     break  # off-demonstration state, skip the rest
-                actions = legal_actions(state)
-                idx = {a: k for k, a in enumerate(actions)}
+                index = action_table(state.n)[1]
                 demo = Demonstration(
                     features=extract_pair_features(state, config, include_ps=include_ps),
-                    targets=tuple(idx[a] for a in targets),
+                    targets=tuple(index[a] for a in targets),
                 )
                 loss, grad = policy_loss_and_grad(weights, demo)
                 _sgd_update(weights, grad, lr)

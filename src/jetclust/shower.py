@@ -108,6 +108,9 @@ class ShowerConfig:
             raise ValueError(f"lam, t_cut and root must be finite, got {self}")
         if self.lam <= 0.0:
             raise ValueError(f"lam must be > 0, got {self.lam}")
+        if math.exp(-self.lam) == 1.0:  # lam up to 2**-54, about 5.6e-17
+            raise ValueError(f"lam {self.lam} is too small: exp(-lam) rounds to 1, so the "
+                             f"density normaliser log(1 - exp(-lam)) does not exist")
         if self.t_cut <= 0.0:
             raise ValueError(f"t_cut must be > 0, got {self.t_cut}")
         if invariant_mass_sq(self.root) <= self.t_cut:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jetclust as jc
-from jetclust.env import action_table, apply_action, leaf_sets
+from jetclust.env import ClusterState, action_table, apply_action, leaf_sets
 from jetclust.rng import make_rng
 
 from conftest import make_event
@@ -195,3 +195,40 @@ def test_episode_conserves_momentum(desk_config, seed, data):
     reference = total(states[0])
     for state in states[1:]:
         assert all(abs(a - b) <= 1e-12 for a, b in zip(total(state), reference))  # test_02's MDP bound
+
+
+def _apply_action_by_position(state, action, reward):
+    """apply_action's next state built position by position: every particle
+    and id but the merged two, in order, then the merged particle."""
+    i, j = action.i, action.j
+    keep = [k for k in range(state.n) if k != i and k != j]
+    return ClusterState(
+        particles=tuple(state.particles[k] for k in keep) + (state.particles[i] + state.particles[j],),
+        ids=tuple(state.ids[k] for k in keep) + (len(state.leaves) + len(state.history),),
+        cumulative_reward=state.cumulative_reward + reward,
+        history=state.history + ((state.ids[i], state.ids[j]),),
+        leaves=state.leaves,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), data=st.data())
+def test_reached_states_have_increasing_ids_and_apply_action_matches_by_position(
+        desk_config, seed, data):
+    # The beam ranks a parent's candidates by action index, which orders them
+    # as their (ids[i], ids[j]) history entries only while ids increase.
+    state = jc.reset(jc.sample_shower(desk_config, make_rng(seed, 0)).leaf_momenta())
+    while True:
+        assert all(a < b for a, b in zip(state.ids, state.ids[1:]))
+        if jc.is_terminal(state):
+            break
+        actions = jc.legal_actions(state)
+        action = actions[data.draw(st.integers(0, len(actions) - 1))]
+        reward = jc.splitting_log_likelihood(
+            jc.Splitting(state.particles[action.i], state.particles[action.j]), desk_config)
+        got = apply_action(state, action, reward)
+        want = _apply_action_by_position(state, action, reward)
+        assert got.next_state == want
+        assert got.next_state.cumulative_reward.hex() == want.cumulative_reward.hex()
+        assert got.reward == reward and got.done == (want.n == 1)
+        state = got.next_state

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -112,11 +115,14 @@ def test_load_missing_file_reports_path(tmp_path):
     (lambda obj: json.dumps({**obj, "truth_ll": math.inf}), "truth_ll inf is not a finite number"),
     (lambda obj: json.dumps({**obj, "config": {**obj["config"], "lam": math.nan}}),
      "config lam nan is not a finite number"),
+    (lambda obj: json.dumps({**obj, "config": {**obj["config"], "lam": 1e-300}}),
+     "lam 1e-300 is too small"),
     (lambda obj: json.dumps({**obj, "config": {**obj["config"], "rng_seed": 8}}),
      "differs from the first event"),
     (lambda obj: json.dumps({**obj, "config": {**obj["config"], "rng_seed": 8.0}}), "int rng_seed"),
 ], ids=["invalid-json", "missing-truth_ll", "three-number-leaf", "other-schema-version",
-        "schema-1-line", "nan-leaf", "huge-int-leaf", "infinite-truth_ll", "nan-lam", "mixed-config", "float-seed"])
+        "schema-1-line", "nan-leaf", "huge-int-leaf", "infinite-truth_ll", "nan-lam", "tiny-lam",
+        "mixed-config", "float-seed"])
 def test_cli_rejects_bad_event_line(tmp_path, capsys, small_config, corrupt, reason):
     lines = [event_to_json(e) for e in jc.generate_events(small_config, 3)]
     lines[1] = corrupt(json.loads(lines[1]))
@@ -650,7 +656,30 @@ def test_build_planner_checks_spec_values(small_events, small_config, spec, key)
 
 def test_cli_generate_rejects_non_finite_density_flags(tmp_path, capsys):
     data = tmp_path / "d.jsonl"
-    for flags in (["--lam", "nan"], ["--t-cut", "inf"], ["--root", "25", "nan", "0", "15"]):
+    for flags, reason in ((["--lam", "nan"], "finite"), (["--t-cut", "inf"], "finite"),
+                          (["--root", "25", "nan", "0", "15"], "finite"),
+                          # finite, but its normaliser log(1 - exp(-lam)) is not
+                          (["--lam", "1e-300"], "lam 1e-300 is too small")):
         assert cli(["generate", "--n-events", "2", "--out", str(data), *flags]) == 2
-        assert "finite" in capsys.readouterr().err
+        assert reason in capsys.readouterr().err
         assert not data.exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = run("jetclust", "generate", "--n-events", "2", "--out", "x.jsonl")
+    assert done.returncode == 0, done.stderr
+    assert len(jc.load_events(tmp_path / "x.jsonl")) == 2
+    done = run("jetclust.cli", "generate", "--n-events", "1", "--out", "y.jsonl", "--quiet")
+    assert done.returncode == 0, done.stderr
+    assert len(jc.load_events(tmp_path / "y.jsonl")) == 1
+    done = run("jetclust", "generate", "--bogus", "--out", "z.jsonl")
+    assert done.returncode == 1
+    assert "--bogus" in done.stderr
+    assert not (tmp_path / "z.jsonl").exists()

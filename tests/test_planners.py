@@ -224,6 +224,23 @@ def test_lazy_beam_matches_eager_oracle_on_tied_rewards(small_config):
                           _eager_beam_from_state(reset(leaves), b, small_config))
 
 
+def test_lazy_beam_matches_eager_oracle_on_repeated_identical_leaves(medium_events):
+    # Every leaf appears twice, so every merge reward comes with bit-equal
+    # twins whose histories differ: the ranking falls through to the parent's
+    # history rank and the action index, while the dedup keeps both twins
+    # because their leaf-set partitions differ.
+    config, events = medium_events
+    base = next(e.leaves for e in events if e.n_leaves == 5)
+    leaves = [p for p in base for _ in range(2)]
+    rewards = [r for _, r in _pair_rewards(reset(leaves), config)]
+    assert len(set(rewards)) < len(rewards)
+    state = jc.step(reset(leaves), jc.Action(0, 3), config).next_state
+    for start in (reset(leaves), state):
+        for b in (1, 5):
+            _assert_same_beam(_beam_from_state(start, b, config),
+                              _eager_beam_from_state(start, b, config))
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), b=st.sampled_from([1, 2, 3, 5, 1000]),
        data=st.data())

@@ -153,6 +153,13 @@ def test_shower_config_validation():
                 dict(root=jc.FourMomentum(5, math.nan, 0, 0)), dict(root=jc.FourMomentum(math.inf, 0, 0, 0))):
         with pytest.raises(ValueError, match="finite"):  # NaN passes every comparison check
             jc.ShowerConfig(**{"lam": 1.0, "t_cut": 1.0, "root": root, **bad}).validate()
+    # Up to 2**-54 exp(-lam) rounds to 1 and the normaliser log1p(-exp(-lam))
+    # does not exist; at 2**-53 the density still normalises.
+    for tiny in (1e-300, 5e-324, 2.0 ** -54):
+        with pytest.raises(ValueError, match=f"lam {tiny!r} is too small"):
+            jc.ShowerConfig(lam=tiny, t_cut=1.0, root=root).validate()
+    jc.ShowerConfig(lam=2.0 ** -53, t_cut=1.0, root=root).validate()
+    assert math.isfinite(jc.truncated_exp_log_density(0.5, 1.0, 2.0 ** -53))
 
 
 def test_shower_forced_single_splitting():
