@@ -9,20 +9,19 @@ increments it, and jetclust starts no threads.
 
 class CostCounter:
     """Monotone tally of one thread's run, resettable only between runs.
-    Increments made from several threads at once can be lost."""
+
+    `count` is a plain int attribute: the density kernel adds 1 to it
+    directly, and other callers add through `increment(n)`.  Increments
+    made from several threads at once can be lost."""
 
     def __init__(self) -> None:
-        self._count = 0
+        self.count = 0
 
     def increment(self, n: int = 1) -> None:
-        self._count += n
-
-    @property
-    def count(self) -> int:
-        return self._count
+        self.count += n
 
     def reset(self) -> None:
-        self._count = 0
+        self.count = 0
 
 
 # Single shared tally of splitting_log_likelihood calls, wherever they

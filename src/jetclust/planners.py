@@ -24,7 +24,6 @@ from .env import (
     apply_action,
     is_terminal,
     leaf_sets,
-    legal_actions,
     reset,
     step,
     tree_from_state,
@@ -85,7 +84,7 @@ def cluster_random(
     """Uniformly random legal action at every step."""
     state = reset(event)
     while not is_terminal(state):
-        actions = legal_actions(state)
+        actions = action_table(state.n)[0]
         state = step(state, actions[int(rng.integers(len(actions)))], config).next_state
     return tree_from_state(state), state.cumulative_reward
 
@@ -389,7 +388,6 @@ def cluster_policy(
     """Roll out the policy directly, taking its argmax action each step."""
     state = reset(event)
     while not is_terminal(state):
-        actions = legal_actions(state)
         k = int(np.argmax(policy.priors(state)))
-        state = step(state, actions[k], config).next_state
+        state = step(state, action_table(state.n)[0][k], config).next_state
     return tree_from_state(state), state.cumulative_reward

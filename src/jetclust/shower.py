@@ -13,7 +13,7 @@ algorithms in this package optimise.
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +33,11 @@ _SUPPORT_RTOL = 1e-12
 
 _LOG_INV_4PI = -math.log(4.0 * math.pi)
 
+# Bound here so the kernel finds each in one global lookup, not a
+# global and an attribute lookup per query.
+_log = math.log
+_sqrt = math.sqrt
+
 # log(1 - exp(-lam)), the truncated exponential's normaliser, per lam.
 _LOG_NORM: dict[float, float] = {}
 
@@ -45,6 +50,10 @@ class FourMomentum:
     px: float
     py: float
     pz: float
+    # E^2 - |p|^2, unclamped, filled by the first invariant_mass_sq or
+    # splitting_log_likelihood that needs it; no comparison, hash, repr
+    # or pickle sees it.
+    _t: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __add__(self, other: "FourMomentum") -> "FourMomentum":
         return FourMomentum(
@@ -54,23 +63,30 @@ class FourMomentum:
             self.pz + other.pz,
         )
 
+    def __reduce__(self):
+        return FourMomentum, self.as_tuple()
+
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.E, self.px, self.py, self.pz)
 
 
-def _mass_sq(E: float, px: float, py: float, pz: float) -> float:
-    """t = E^2 - |p|^2 of the components, clamped to 0 within EPS_MASS_SQ."""
-    t = E * E - px * px - py * py - pz * pz
-    if t < 0.0:
-        if t < -EPS_MASS_SQ:
-            raise ValueError(f"momentum is spacelike beyond tolerance: t={t!r}")
-        return 0.0
+def _fill_mass_sq(p: FourMomentum) -> float:
+    """Compute p's raw E^2 - |p|^2, keep it in p's slot and return it."""
+    t = p.E * p.E - p.px * p.px - p.py * p.py - p.pz * p.pz
+    object.__setattr__(p, "_t", t)
     return t
 
 
 def invariant_mass_sq(p: FourMomentum) -> float:
     """Squared invariant mass t = E^2 - |p|^2, clamped to 0 within EPS_MASS_SQ."""
-    return _mass_sq(p.E, p.px, p.py, p.pz)
+    t = p._t
+    if t is None:
+        t = _fill_mass_sq(p)
+    if t < 0.0:
+        if t < -EPS_MASS_SQ:
+            raise ValueError(f"momentum is spacelike beyond tolerance: t={t!r}")
+        return 0.0
+    return t
 
 
 def invariant_mass_sq_rows(p: np.ndarray) -> np.ndarray:
@@ -108,9 +124,7 @@ class ShowerConfig:
             raise ValueError(f"lam, t_cut and root must be finite, got {self}")
         if self.lam <= 0.0:
             raise ValueError(f"lam must be > 0, got {self.lam}")
-        if math.exp(-self.lam) == 1.0:  # lam up to 2**-54, about 5.6e-17
-            raise ValueError(f"lam {self.lam} is too small: exp(-lam) rounds to 1, so the "
-                             f"density normaliser log(1 - exp(-lam)) does not exist")
+        _log_norm(self.lam)  # raises for lam up to 2**-54, about 5.6e-17
         if self.t_cut <= 0.0:
             raise ValueError(f"t_cut must be > 0, got {self.t_cut}")
         if invariant_mass_sq(self.root) <= self.t_cut:
@@ -176,10 +190,16 @@ def truncated_exp_log_density(t: float, t_max: float, lam: float) -> float:
 
 
 def _log_norm(lam: float) -> float:
-    """Compute and remember log(1 - exp(-lam)); the cache holds at most 64 lams."""
+    """Compute and remember log(1 - exp(-lam)); the cache holds at most 64
+    lams.  Raises ValueError where exp(-lam) rounds to 1, so that the
+    normaliser does not exist."""
+    exp_neg = math.exp(-lam)
+    if exp_neg == 1.0:
+        raise ValueError(f"lam {lam} is too small: exp(-lam) rounds to 1, so the "
+                         f"density normaliser log(1 - exp(-lam)) does not exist")
     if len(_LOG_NORM) >= 64:
         _LOG_NORM.clear()
-    log_norm = _LOG_NORM[lam] = math.log1p(-math.exp(-lam))
+    log_norm = _LOG_NORM[lam] = math.log1p(-exp_neg)
     return log_norm
 
 
@@ -316,13 +336,15 @@ def ps_memo():
 
 def splitting_log_likelihood(s: Splitting, config: ShowerConfig) -> float:
     """log p_s of one merge, a deterministic function of the unordered
-    child pair.  Every call increments the shared evaluation counter,
+    child pair.  Every call adds 1 to the shared evaluation counter,
     also when the open ps_memo() scope already holds the value.
 
-    The body is _mass_sq three times and _unordered_pair_log_density
-    written out in one function, with the same operations in the same
-    order, so it returns their bits; the tests hold it to them."""
-    PS_EVALUATIONS.increment()
+    The body is invariant_mass_sq of both children (read from their
+    slots after the first query), the same clamp on the mass of their
+    component sums, and _unordered_pair_log_density, written out in one
+    function with the same operations in the same order, so it returns
+    their bits; the tests hold it to them."""
+    PS_EVALUATIONS.count += 1
     a, b = s
     ae, ax, ay, az = a.E, a.px, a.py, a.pz
     be, bx, by, bz = b.E, b.px, b.py, b.pz
@@ -335,12 +357,16 @@ def splitting_log_likelihood(s: Splitting, config: ShowerConfig) -> float:
             return value
     if ae < 0.0 or be < 0.0:
         raise ValueError("child energies must be non-negative")
-    t_a = ae * ae - ax * ax - ay * ay - az * az
+    t_a = a._t
+    if t_a is None:
+        t_a = _fill_mass_sq(a)
     if t_a < 0.0:
         if t_a < -EPS_MASS_SQ:
             raise ValueError(f"momentum is spacelike beyond tolerance: t={t_a!r}")
         t_a = 0.0
-    t_b = be * be - bx * bx - by * by - bz * bz
+    t_b = b._t
+    if t_b is None:
+        t_b = _fill_mass_sq(b)
     if t_b < 0.0:
         if t_b < -EPS_MASS_SQ:
             raise ValueError(f"momentum is spacelike beyond tolerance: t={t_b!r}")
@@ -371,16 +397,16 @@ def splitting_log_likelihood(s: Splitting, config: ShowerConfig) -> float:
             if log_norm is None:
                 log_norm = _log_norm(lam)
             t = t_p if t_a > t_p else t_a
-            first = math.log(lam / t_p) - lam * t / t_p - log_norm
+            first = _log(lam / t_p) - lam * t / t_p - log_norm
         # the lighter against the remainder, bounded by the unclamped t_a:
-        bound = (math.sqrt(t_p) - math.sqrt(t_a)) ** 2
+        bound = (_sqrt(t_p) - _sqrt(t_a)) ** 2
         if not bound > 0.0 or t_b > bound + _SUPPORT_RTOL * bound:
             second = LOG_DENSITY_FLOOR
         else:
             if log_norm is None:
                 log_norm = _log_norm(lam)
             t = bound if t_b > bound else t_b
-            second = math.log(lam / bound) - lam * t / bound - log_norm
+            second = _log(lam / bound) - lam * t / bound - log_norm
         value = first + second + _LOG_INV_4PI
     if memo is not None:
         # The value is symmetric in the children bit for bit (the sum and

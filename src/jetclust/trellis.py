@@ -40,20 +40,24 @@ def _fill_table(
         low = mask & -mask
         rest = mask ^ low
         psum[mask] = psum[low] + psum[rest]
-        best_val = None
-        best_split = 0
-        b = rest
-        while True:
+        # The first split seeds the best value; the rest follow in the
+        # same order, and only a strictly larger value replaces it, so
+        # ties go to the first maximum.
+        b = (rest - 1) & rest
+        a_mask = low | b  # proper nonempty subset of mask containing its lowest bit
+        c_mask = mask ^ a_mask
+        s = new_tuple(Splitting, (psum[a_mask], psum[c_mask]))
+        best_val = splitting_log_likelihood(s, config) + mll[a_mask] + mll[c_mask]
+        best_split = a_mask
+        while b:
             b = (b - 1) & rest
-            a_mask = low | b  # proper nonempty subset of mask containing its lowest bit
+            a_mask = low | b
             c_mask = mask ^ a_mask
             s = new_tuple(Splitting, (psum[a_mask], psum[c_mask]))
             val = splitting_log_likelihood(s, config) + mll[a_mask] + mll[c_mask]
-            if best_val is None or val > best_val:
+            if val > best_val:
                 best_val = val
                 best_split = a_mask
-            if b == 0:
-                break
         mll[mask] = best_val
         best[mask] = best_split
     return mll, best, psum

@@ -594,3 +594,24 @@ def test_exact_mle_dominates_every_planner_on_random_desk_events(leaves, seed):
                         _mcts_cfg(n_mcts=5, beam_init_b=3), DESK, make_rng(seed))[1],
     ]
     assert all(ll <= mle_ll + 1e-9 for ll in planner_lls)
+
+
+def test_every_planner_names_a_lam_without_normaliser(small_config):
+    # A ShowerConfig is validated where it enters the CLI; a library
+    # caller that skips validate() still gets the same message, from the
+    # first query inside a support, not a bare math domain error.
+    tiny = jc.ShowerConfig(lam=1e-300, t_cut=1.0, root=small_config.root)
+    truth = make_event(small_config, seed=5, n_leaves=5)
+    leaves = truth.leaf_momenta()
+    runs = {
+        "greedy": lambda: jc.cluster_greedy(leaves, tiny),
+        "beam": lambda: jc.cluster_beam(leaves, 3, tiny),
+        "mcts": lambda: jc.cluster_mcts(leaves, jc.fixed_policy("proportional-to-ps", tiny),
+                                        _mcts_cfg(n_mcts=3, beam_init_b=2), tiny, make_rng(3)),
+        "exact_mle": lambda: jc.exact_mle(leaves, tiny),
+        "tree_log_likelihood": lambda: jc.tree_log_likelihood(truth, tiny),
+    }
+    for name, run in runs.items():
+        with pytest.raises(ValueError, match="lam 1e-300 is too small") as err:
+            run()
+        assert "does not exist" in str(err.value), name

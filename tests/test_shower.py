@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from jetclust.shower import (
     EPS_MASS_SQ,
     LOG_DENSITY_FLOOR,
     _unordered_pair_log_density,
+    invariant_mass_sq_rows,
     ps_memo,
 )
 
@@ -568,3 +571,118 @@ def test_kernel_raises_on_invalid_input():
     for t_max in (0.0, -1.0):
         with pytest.raises(ValueError, match="t_max"):
             jc.truncated_exp_log_density(0.5, t_max, 1.5)
+
+
+def test_kernel_names_a_lam_without_normaliser():
+    tiny = jc.ShowerConfig(lam=1e-300, t_cut=1.0, root=jc.FourMomentum(5.0, 0.0, 0.0, 1.5))
+    s = jc.Splitting(jc.FourMomentum(2.0, 0.0, 0.0, 1.0), jc.FourMomentum(3.0, 1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="lam 1e-300 is too small"):
+        jc.splitting_log_likelihood(s, tiny)
+    with pytest.raises(ValueError, match="lam 1e-300 is too small"):
+        jc.truncated_exp_log_density(0.5, 1.0, 1e-300)
+    # Boosted collinear children whose rounded mass-squareds put the
+    # heavier above the parent's (1.03125 > 1.0) and the lighter above the
+    # remainder: outside both supports no normaliser is needed, so the
+    # query scores the floor at any lam.
+    a = jc.FourMomentum(16225886.01263308, 0.0, 0.0, 16225886.012633048)
+    b = jc.FourMomentum(591277.6001997845, 0.0, 0.0, 591277.6001997833)
+    assert (jc.invariant_mass_sq(a), jc.invariant_mass_sq(a + b)) == (1.03125, 1.0)
+    floor = 2.0 * LOG_DENSITY_FLOOR - math.log(4.0 * math.pi)
+    assert jc.splitting_log_likelihood(jc.Splitting(a, b), tiny) == floor
+    degenerate = jc.Splitting(jc.FourMomentum(1, 0, 0, 1), jc.FourMomentum(2, 0, 0, 2))
+    assert jc.splitting_log_likelihood(degenerate, tiny) == floor
+
+
+# ---------------------------------------------------------------------------
+# the lazily filled mass-squared slot of FourMomentum
+# ---------------------------------------------------------------------------
+
+def test_mass_slot_is_invisible_to_value_semantics():
+    filled, fresh = jc.FourMomentum(2.0, 0.5, -0.25, 1.0), jc.FourMomentum(2.0, 0.5, -0.25, 1.0)
+    jc.invariant_mass_sq(filled)
+    assert filled._t is not None and fresh._t is None
+    assert filled == fresh and hash(filled) == hash(fresh)
+    assert repr(filled) == repr(fresh) == "FourMomentum(E=2.0, px=0.5, py=-0.25, pz=1.0)"
+    assert filled.as_tuple() == fresh.as_tuple() == (2.0, 0.5, -0.25, 1.0)
+    assert {filled: 1}[fresh] == 1
+    for p in (filled, fresh):
+        replaced = dataclasses.replace(p, E=3.0)
+        assert replaced == jc.FourMomentum(3.0, 0.5, -0.25, 1.0) and replaced._t is None
+        assert dataclasses.replace(p)._t is None
+    assert pickle.dumps(filled) == pickle.dumps(fresh)
+    restored = pickle.loads(pickle.dumps(filled))
+    assert restored == filled and restored._t is None
+
+
+def _outcome(a, b, config):
+    """The kernel's value as float.hex, or its exception's type and message."""
+    try:
+        return jc.splitting_log_likelihood(jc.Splitting(a, b), config).hex()
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("a,b,raises", [
+    ((5, 3, 0, 0), (2, 0, 0, 1), None),  # int components: t = 16 and 3, ints
+    ((5, 3, 0, 0), (2.0, 0.0, 0.0, 1.0), None),
+    ((1.0, 0.0, 0.0, 2.0), (2.0, 0.0, 0.0, 1.0), "spacelike"),  # first child beyond tolerance
+    ((2.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 2.0), "spacelike"),  # second child beyond tolerance
+    ((0.0, 0.0, 0.0, 3e-5), (2.0, 0.0, 0.0, 1.0), None),  # within tolerance: clamped to 0
+    ((0.0, 0.0, 0.0, 3e-5), (0.0, 0.0, 0.0, 3e-5), "spacelike"),  # sum beyond tolerance
+    ((2.0, 0.0, 0.0, 1.0), (-1.0, 0.0, 0.0, 0.0), "non-negative"),
+])
+def test_repeated_query_of_the_same_children_matches_the_first(a, b, raises):
+    config = jc.ShowerConfig(lam=1.5, t_cut=1.0, root=jc.FourMomentum(25.0, 0.0, 0.0, 15.0))
+    first_a, first_b = jc.FourMomentum(*a), jc.FourMomentum(*b)
+    first = _outcome(first_a, first_b, config)
+    assert _outcome(first_a, first_b, config) == first
+    assert _outcome(first_b, first_a, config) == first
+    # a slot holds the raw, unclamped value, or nothing where the kernel
+    # raised before reading it
+    for p in (first_a, first_b):
+        assert p._t is None or p._t == p.E * p.E - p.px * p.px - p.py * p.py - p.pz * p.pz
+    # children whose slots invariant_mass_sq filled first, also where it raised
+    seen_a, seen_b = jc.FourMomentum(*a), jc.FourMomentum(*b)
+    for p in (seen_a, seen_b):
+        try:
+            jc.invariant_mass_sq(p)
+        except ValueError:
+            pass
+        assert p._t is not None
+    assert _outcome(seen_a, seen_b, config) == first
+    if raises is None:
+        assert isinstance(first, str)
+        t = [jc.invariant_mass_sq(jc.FourMomentum(*p)) for p in (a, b)]
+        expected = _unordered_pair_log_density(
+            *t, jc.invariant_mass_sq(jc.FourMomentum(*a) + jc.FourMomentum(*b)), config.lam)
+        assert first == expected.hex()
+    else:
+        assert first[0] is ValueError and raises in first[1]
+
+
+@st.composite
+def _near_lightlike(draw):
+    px, py, pz = draw(_component), draw(_component), draw(_component)
+    t = draw(st.floats(-2.0 * EPS_MASS_SQ, 2.0 * EPS_MASS_SQ, allow_nan=False))
+    e2 = t + px * px + py * py + pz * pz
+    return jc.FourMomentum(math.sqrt(e2) if e2 > 0.0 else 0.0, px, py, pz)
+
+
+@given(st.lists(st.one_of(_timelike(), _near_lightlike()), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_invariant_mass_sq_matches_the_rows_bit_for_bit(momenta):
+    rows = np.array([p.as_tuple() for p in momenta], dtype=float)
+
+    def scalar(ps):
+        try:
+            return [jc.invariant_mass_sq(p).hex() for p in ps]
+        except ValueError as err:
+            return str(err)
+
+    try:
+        expected = [float(t).hex() for t in invariant_mass_sq_rows(rows)]
+    except ValueError as err:
+        expected = str(err)
+    fresh = [jc.FourMomentum(*p.as_tuple()) for p in momenta]
+    assert scalar(fresh) == expected
+    assert scalar(fresh) == expected  # from the filled slots

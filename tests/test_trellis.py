@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jetclust as jc
 from jetclust import trellis
 from jetclust.rng import make_rng
+from jetclust.shower import Splitting
 from jetclust.trellis import _fill_table
 
 from conftest import make_event
@@ -139,3 +142,75 @@ def test_exact_mle_tree_golden(small_config, name, seed, n, ll_hex, root, struct
     for node in tree.nodes[n:]:
         ca, cb = node.children
         assert node.momentum == tree.nodes[ca].momentum + tree.nodes[cb].momentum
+
+
+def _fill_table_oracle(leaves, config):
+    """The scalar table fill as it was before each mask's best value was
+    seeded from its first split: kept as the oracle for the split order
+    and the first-maximum rule."""
+    n = len(leaves)
+    size = 1 << n
+    psum = [jc.FourMomentum(0.0, 0.0, 0.0, 0.0)] * size
+    mll = [0.0] * size
+    best = [0] * size
+    for k in range(n):
+        psum[1 << k] = leaves[k]
+    for mask in range(1, size):
+        if mask & (mask - 1) == 0:
+            continue
+        low = mask & -mask
+        rest = mask ^ low
+        psum[mask] = psum[low] + psum[rest]
+        best_val = None
+        best_split = 0
+        b = rest
+        while True:
+            b = (b - 1) & rest
+            a_mask = low | b
+            c_mask = mask ^ a_mask
+            s = Splitting(psum[a_mask], psum[c_mask])
+            val = jc.splitting_log_likelihood(s, config) + mll[a_mask] + mll[c_mask]
+            if best_val is None or val > best_val:
+                best_val = val
+                best_split = a_mask
+            if b == 0:
+                break
+        mll[mask] = best_val
+        best[mask] = best_split
+    return mll, best, psum
+
+
+def _desk_leaves(seed, lo, hi):
+    """Leaves of the first desk event with lo-hi leaves in the stream of
+    `seed`; about one desk event in eleven has 6-10."""
+    for k in range(400):
+        tree = jc.sample_shower(jc.DESK_CONFIG, make_rng(seed, k))
+        if lo <= tree.n_leaves <= hi:
+            return tree.leaf_momenta()
+    raise RuntimeError(f"no desk event of {lo}-{hi} leaves for seed {seed}")
+
+
+def _assert_table_matches_the_oracle(leaves):
+    mll, best, psum = _fill_table(leaves, jc.DESK_CONFIG)
+    want_mll, want_best, want_psum = _fill_table_oracle(leaves, jc.DESK_CONFIG)
+    assert [v.hex() for v in mll] == [v.hex() for v in want_mll]
+    assert best == want_best
+    assert psum == want_psum
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_fill_table_matches_the_scalar_oracle_on_random_desk_events(seed):
+    _assert_table_matches_the_oracle(_desk_leaves(seed, 6, 10))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), k=st.integers(3, 5))
+def test_fill_table_keeps_the_first_maximum_among_ties(seed, k):
+    # Every leaf twice: swapping the two copies of a leaf gives a split
+    # of the same value bit for bit, so many masks have tied splits and
+    # the first one in split order must win.
+    doubled = [p for p in _desk_leaves(seed, 6, 10)[:k] for _ in range(2)]
+    _assert_table_matches_the_oracle(doubled)
+    # fresh copies: the oracle's kernel queries start from empty slots
+    _assert_table_matches_the_oracle([jc.FourMomentum(*p.as_tuple()) for p in doubled])
