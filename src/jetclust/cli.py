@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime error.
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -261,10 +262,14 @@ def _cmd_mle(opt: _Options) -> int:
 
 
 def _cmd_train(opt: _Options) -> int:
+    steps = opt.get("steps", 20000)
+    if steps < 1:
+        raise UsageError(f"--steps must be >= 1, got {steps}")
+    lr = opt.get("lr", 0.03)
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise UsageError(f"--lr must be finite and > 0, got {lr}")
     events, config = _load_dataset(opt)
     mode = opt.get("mode", "bc")
-    steps = opt.get("steps", 20000)
-    lr = opt.get("lr", 0.03)
     include_ps = not opt.get("no_ps_feature")
     rng = make_rng(opt.get("seed", 0), 1_000_003)
     if mode in ("bc", "mle-bc"):

@@ -99,7 +99,7 @@ def _forward(w: PolicyWeights, x: np.ndarray):
     h2 = np.tanh(h1 @ w.w2 + w.b2)
     logits = h2 @ w.w3 + w.b3
     shifted = np.exp(logits - logits.max())
-    probs = shifted / math.fsum(shifted)  # order-independent normalizer
+    probs = shifted / math.fsum(shifted.tolist())  # order-independent normalizer
     return probs, logits, h1, h2, x
 
 
@@ -122,8 +122,8 @@ def policy_loss_and_grad(w: PolicyWeights, demo: Demonstration) -> tuple[float, 
 
     # Numerically stable -log q via log-sum-exp of the target logits.
     zmax = logits.max()
-    log_q = math.log(math.fsum(np.exp(logits[list(demo.targets)] - zmax))) \
-        - math.log(math.fsum(np.exp(logits - zmax)))
+    log_q = math.log(math.fsum(np.exp(logits[list(demo.targets)] - zmax).tolist())) \
+        - math.log(math.fsum(np.exp(logits - zmax).tolist()))
     loss = -log_q
 
     q = max(probs[list(demo.targets)].sum(), 1e-300)
@@ -252,9 +252,9 @@ def train_bc(
 ) -> tuple[PolicyWeights, list[float]]:
     """Behavioral cloning on demonstrator merges.  Each step consumes one
     demonstrated decision: replay an episode along the demonstrator tree,
-    take a gradient step on every visited state, and resolve ties between
-    available sibling pairs uniformly at random.  Dataset items need
-    .event_id, .leaves and .truth attributes."""
+    resolving ties between available sibling pairs uniformly at random,
+    then take a gradient step on every visited state in order.  Dataset
+    items need .event_id, .leaves and .truth attributes."""
     if not dataset:
         raise ValueError("dataset is empty")
     weights = init_weights(feature_dim(include_ps), rng)
@@ -266,23 +266,36 @@ def train_bc(
             tree = _demonstrator_tree(event, demonstrator, config, mle_cache)
             pairs = _sibling_pairs(tree)
             state = reset(event.leaves)
-            while not is_terminal(state) and len(losses) < steps:
-                targets = _actions_in(state, pairs)
-                if not targets:
+            states: list[ClusterState] = []
+            targets: list[tuple[int, ...]] = []
+            while not is_terminal(state) and len(losses) + len(states) < steps:
+                actions = _actions_in(state, pairs)
+                if not actions:
                     break  # off-demonstration state, skip the rest
                 index = action_table(state.n)[1]
-                demo = Demonstration(
-                    features=extract_pair_features(state, config, include_ps=include_ps),
-                    targets=tuple(index[a] for a in targets),
-                )
-                loss, grad = policy_loss_and_grad(weights, demo)
-                _sgd_update(weights, grad, lr)
-                losses.append(loss)
-                chosen = targets[int(rng.integers(len(targets)))]
+                states.append(state)
+                targets.append(tuple(index[a] for a in actions))
+                chosen = actions[int(rng.integers(len(actions)))]
                 state = step(state, chosen, config).next_state
+            _fit_episode(weights, states, targets, config, include_ps, lr, losses)
             if len(losses) >= steps:
                 break
     return weights, losses
+
+
+def _fit_episode(weights: PolicyWeights, states: list[ClusterState], targets: list[tuple[int, ...]],
+                 config: ShowerConfig, include_ps: bool, lr: float, losses: list[float]) -> None:
+    """One SGD step per demonstrated state, in episode order, on features
+    extracted for all of the episode's states in one call."""
+    if not states:
+        return
+    x = extract_pair_features(states, config, include_ps=include_ps)
+    end = 0
+    for state, t in zip(states, targets):
+        start, end = end, end + state.n * (state.n - 1) // 2
+        loss, grad = policy_loss_and_grad(weights, Demonstration(x[start:end], t))
+        _sgd_update(weights, grad, lr)
+        losses.append(loss)
 
 
 def train_mcts_policy(
@@ -310,13 +323,9 @@ def train_mcts_policy(
         for ev_idx in rng.permutation(len(dataset)):
             event = dataset[int(ev_idx)]
             _, _, decisions = cluster_mcts(event.leaves, policy, cfg, config, rng)
-            for state, k in decisions:
-                feats = extract_pair_features(state, config, include_ps=include_ps)
-                loss, grad = policy_loss_and_grad(weights, Demonstration(feats, (k,)))
-                _sgd_update(weights, grad, lr)
-                losses.append(loss)
-                if len(losses) >= steps:
-                    break
+            decisions = decisions[:steps - len(losses)]
+            _fit_episode(weights, [state for state, _ in decisions], [(k,) for _, k in decisions],
+                         config, include_ps, lr, losses)
             if len(losses) >= steps:
                 break
     return weights, losses
@@ -343,10 +352,19 @@ def save_weights(path: str | Path, w: PolicyWeights, include_ps: bool = True,
         f.write(payload.tobytes())
 
 
+def _weight_shapes(input_dim: int) -> list[list[int]]:
+    """The shapes of w1, b1, w2, b2, w3 and b3, as a weights header lists them."""
+    h = HIDDEN_WIDTH
+    return [[input_dim, h], [h], [h, h], [h], [h], []]
+
+
 def load_weights(path: str | Path) -> tuple[PolicyWeights, dict]:
     with open(path, "rb") as f:
-        header = json.loads(f.readline().decode())
-        if header.get("magic") != WEIGHTS_MAGIC:
+        try:
+            header = json.loads(f.readline().decode())
+        except ValueError:
+            raise ValueError(f"{path}: not a weights file") from None
+        if not isinstance(header, dict) or header.get("magic") != WEIGHTS_MAGIC:
             raise ValueError(f"{path}: not a weights file")
         if header.get("version") != WEIGHTS_FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported weights format version {header.get('version')}")
@@ -355,13 +373,22 @@ def load_weights(path: str | Path) -> tuple[PolicyWeights, dict]:
                              f"this version reads {FEATURE_SCHEMA_VERSION}")
         if "shapes" not in header:
             raise ValueError(f"{path}: weights header has no 'shapes' field")
-        flat = np.frombuffer(f.read(), dtype="<f8")
+        if header["shapes"] not in (_weight_shapes(feature_dim(True)), _weight_shapes(feature_dim(False))):
+            raise ValueError(f"{path}: weights header shapes {header['shapes']!r} are not "
+                             f"this network's")
+        payload = f.read()
+    sizes = [math.prod(shape) for shape in header["shapes"]]
+    if len(payload) != 8 * sum(sizes):
+        raise ValueError(f"{path}: payload of {len(payload)} bytes, the header's shapes "
+                         f"need {8 * sum(sizes)} (8 per float64 weight); the file is truncated "
+                         f"or was not written by save_weights")
+    flat = np.frombuffer(payload, dtype="<f8")
+    if not np.isfinite(flat).all():
+        raise ValueError(f"{path}: {int(np.count_nonzero(~np.isfinite(flat)))} of {flat.size} "
+                         f"weights are not finite")
     arrays = []
     offset = 0
-    for shape in header["shapes"]:
-        size = int(np.prod(shape)) if shape else 1
+    for shape, size in zip(header["shapes"], sizes):
         arrays.append(flat[offset:offset + size].reshape(shape).copy())
         offset += size
-    if offset != flat.size:
-        raise ValueError(f"{path}: payload size mismatch")
     return PolicyWeights(*arrays), header

@@ -385,6 +385,60 @@ def test_cli_train_and_policy_cluster(tmp_path, capsys):
     assert "mean LL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--steps", "0"], "--steps"),
+    (["--steps", "-5"], "--steps"),
+    (["--lr", "nan"], "--lr"),
+    (["--lr", "inf"], "--lr"),
+    (["--lr", "-1"], "--lr"),
+    (["--lr", "0"], "--lr"),
+])
+def test_cli_train_rejects_bad_steps_and_lr(tmp_path, capsys, flags, named):
+    data = tmp_path / "d.jsonl"
+    cli(["generate", "--n-events", "4", "--seed", "9", "--out", str(data), "--quiet", *SMALL_FLAGS])
+    weights = tmp_path / "w.bin"
+    capsys.readouterr()
+    code = cli(["train", "--mode", "bc", "--in", str(data), "--steps", "5", *flags,
+                "--seed", "9", "--out", str(weights)])
+    assert code == 1
+    assert named in capsys.readouterr().err
+    assert not weights.exists()
+
+
+def test_cli_train_rejects_bad_steps_from_a_config_file(tmp_path, capsys):
+    data = tmp_path / "d.jsonl"
+    cli(["generate", "--n-events", "4", "--seed", "9", "--out", str(data), "--quiet", *SMALL_FLAGS])
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps({"steps": 0}))
+    weights = tmp_path / "w.bin"
+    capsys.readouterr()
+    assert cli(["train", "--config", str(conf), "--in", str(data), "--out", str(weights)]) == 1
+    assert "--steps" in capsys.readouterr().err
+    assert not weights.exists()
+
+
+@pytest.mark.parametrize("damage", ["truncate", "nan"])
+def test_cli_policy_cluster_rejects_damaged_weights(tmp_path, capsys, damage):
+    data = tmp_path / "d.jsonl"
+    cli(["generate", "--n-events", "4", "--seed", "9", "--out", str(data), "--quiet", *SMALL_FLAGS])
+    weights = tmp_path / "w.bin"
+    assert cli(["train", "--mode", "bc", "--in", str(data), "--steps", "20", "--seed", "9",
+                "--out", str(weights), "--quiet"]) == 0
+    if damage == "truncate":
+        weights.write_bytes(weights.read_bytes()[:-3])
+    else:
+        w, header = jc.load_weights(weights)
+        w.w1[...] = math.nan
+        jc.save_weights(weights, w, include_ps=header["include_ps"], config_hash=header["config_hash"])
+    capsys.readouterr()
+    code = cli(["cluster", "--algo", "policy", "--prior", "nn", "--weights", str(weights),
+                "--in", str(data), "--seed", "9"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert str(weights) in out.err
+    assert "mean LL" not in out.out
+
+
 def test_cli_compare(tmp_path, capsys):
     data = tmp_path / "d.jsonl"
     cli(["generate", "--n-events", "6", "--seed", "11", "--out", str(data), *SMALL_FLAGS])

@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,18 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jetclust as jc
-from jetclust.env import legal_actions, reset, step
+from jetclust.env import action_table, is_terminal, legal_actions, reset, step
 from jetclust.features import extract_pair_features, feature_dim
 from jetclust.shower import invariant_mass_sq
 from jetclust.policy import (
     Demonstration,
+    NeuralPolicy,
+    _actions_in,
+    _demonstrator_tree,
+    _sgd_update,
+    _sibling_pairs,
     flatten_weights,
     init_weights,
     unflatten_weights,
 )
 from jetclust.rng import make_rng
 
-from conftest import make_event
+from conftest import SMALL_CONFIG, make_event
 
 
 def _zero_weights(d=None):
@@ -163,6 +169,81 @@ def test_features_match_row_loop_on_tied_energies(small_config):
     for k in range(3):
         state = step(state, legal_actions(state)[k], small_config).next_state
         _assert_features_match_row_loop(state, small_config)
+
+
+def _stacked_per_state(states, config, include_ps):
+    """Each state's matrix on its own, stacked, and the counted cost."""
+    start = jc.PS_EVALUATIONS.count
+    x = np.concatenate([extract_pair_features(s, config, include_ps) for s in states])
+    return x, jc.PS_EVALUATIONS.count - start
+
+
+def _assert_batch_matches_per_state(states, config):
+    for include_ps in (True, False):
+        expected, oracle_cost = _stacked_per_state(states, config, include_ps)
+        start = jc.PS_EVALUATIONS.count
+        got = extract_pair_features(states, config, include_ps)
+        assert jc.PS_EVALUATIONS.count - start == oracle_cost
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+def _episode(config, leaves, rng):
+    """The non-terminal states of a random episode from leaves."""
+    state, states = reset(leaves), []
+    while not is_terminal(state):
+        states.append(state)
+        acts = legal_actions(state)
+        state = step(state, acts[int(rng.integers(len(acts)))], config).next_state
+    return states
+
+
+@given(st.integers(0, 10_000), st.integers(2, 14), st.integers(0, 2))
+@settings(max_examples=40, deadline=None)
+def test_batched_features_match_per_state_on_episodes(seed, n_leaves, n_others):
+    # One episode shares its particle objects across states; states of
+    # other events are mixed in, so a value reused by row position rather
+    # than by particle identity lands on the wrong row.
+    config = jc.DESK_CONFIG
+    rng = make_rng(seed, 1)
+    states = []
+    for k in range(1 + n_others):
+        leaves = jc.sample_shower(config, make_rng(seed, k)).leaf_momenta()[:n_leaves]
+        if len(leaves) >= 2:
+            states += _episode(config, leaves, rng)
+    if states:
+        _assert_batch_matches_per_state(states, config)
+
+
+def test_batched_features_on_small_and_repeated_states(small_config):
+    F = jc.FourMomentum
+    a, b, c = F(2.0, 0.0, 0.0, 1.0), F(3.0, 0.5, 0.0, 0.5), F(1.0, 0.0, 0.5, 0.0)
+    two = reset([a, b])
+    twice = reset([a, b, c, a, b, c])  # every leaf object given twice
+    cases = [
+        [two],
+        [two, two],
+        [twice],
+        _episode(small_config, [a, b, c, a, b, c], make_rng(3)),
+        [two, twice, reset([c, a]), two, twice],
+    ]
+    for states in cases:
+        _assert_batch_matches_per_state(states, small_config)
+    # Rows reuse values, yet each row is still counted.
+    jc.PS_EVALUATIONS.reset()
+    extract_pair_features([twice, twice], small_config)
+    assert jc.PS_EVALUATIONS.count == 30
+
+
+def test_batched_features_match_row_loop_on_tied_energies(small_config):
+    F = jc.FourMomentum
+    leaves = [F(2.0, 0.0, 0.0, 1.0), F(2.0, 0.0, 0.0, -1.0), F(2.0, 0.5, 0.0, 0.0),
+              F(2.0, 0.0, 0.0, 1.0), F(1.0, 0.0, 0.0, 0.5), F(2.0, -0.0, 0.0, 1.0),
+              F(2.0, 0.0, -0.5, 0.0), F(2.0, 0.0, 0.5, 0.0), F(1, 0, 0, 0)]
+    states = _episode(small_config, leaves, make_rng(4))
+    x = extract_pair_features(states, small_config)
+    expected = np.concatenate([_row_loop_features(s, small_config) for s in states])
+    assert x.tobytes() == expected.tobytes()
 
 
 def test_features_reject_a_spacelike_pair(small_config):
@@ -379,6 +460,124 @@ def test_no_ps_feature_variant_trains(small_config, small_events):
     assert abs(probs.sum() - 1.0) <= 1e-6
 
 
+def _per_state_train_bc(dataset, config, steps, lr, rng, demonstrator="truth", include_ps=True):
+    """train_bc as one SGD step per state, features extracted state by
+    state between the steps: the oracle of the episode-at-once loop."""
+    weights = init_weights(feature_dim(include_ps), rng)
+    losses = []
+    mle_cache = {}
+    while len(losses) < steps:
+        for ev_idx in rng.permutation(len(dataset)):
+            event = dataset[int(ev_idx)]
+            tree = _demonstrator_tree(event, demonstrator, config, mle_cache)
+            pairs = _sibling_pairs(tree)
+            state = reset(event.leaves)
+            while not is_terminal(state) and len(losses) < steps:
+                targets = _actions_in(state, pairs)
+                if not targets:
+                    break
+                index = action_table(state.n)[1]
+                demo = Demonstration(
+                    features=extract_pair_features(state, config, include_ps=include_ps),
+                    targets=tuple(index[a] for a in targets),
+                )
+                loss, grad = jc.policy_loss_and_grad(weights, demo)
+                _sgd_update(weights, grad, lr)
+                losses.append(loss)
+                chosen = targets[int(rng.integers(len(targets)))]
+                state = step(state, chosen, config).next_state
+            if len(losses) >= steps:
+                break
+    return weights, losses
+
+
+def _per_state_train_mcts_policy(dataset, cfg, config, steps, lr, rng, include_ps=True):
+    """train_mcts_policy with per-decision extraction: its oracle."""
+    weights = init_weights(feature_dim(include_ps), rng)
+    policy = NeuralPolicy(weights, config, include_ps=include_ps)
+    losses = []
+    while len(losses) < steps:
+        for ev_idx in rng.permutation(len(dataset)):
+            event = dataset[int(ev_idx)]
+            _, _, decisions = jc.cluster_mcts(event.leaves, policy, cfg, config, rng)
+            for state, k in decisions:
+                feats = extract_pair_features(state, config, include_ps=include_ps)
+                loss, grad = jc.policy_loss_and_grad(weights, Demonstration(feats, (k,)))
+                _sgd_update(weights, grad, lr)
+                losses.append(loss)
+                if len(losses) >= steps:
+                    break
+            if len(losses) >= steps:
+                break
+    return weights, losses
+
+
+def _run_counted(train, *args, **kwargs):
+    start = jc.PS_EVALUATIONS.count
+    weights, losses = train(*args, **kwargs)
+    return flatten_weights(weights).tobytes(), losses, jc.PS_EVALUATIONS.count - start
+
+
+def _off_demonstration(events):
+    """The events without their last leaf, each with its full truth tree:
+    an episode leaves the tree at the first state whose every sibling
+    pair needs the missing leaf, at the start or part way through."""
+    return [SimpleNamespace(event_id=e.event_id, leaves=e.leaves[:-1], truth=e.truth)
+            for e in events if e.n_leaves >= 3]
+
+
+def test_off_demonstration_events_break_mid_episode(small_events):
+    depths = []
+    for event in _off_demonstration(small_events[:20]):
+        state, depth = reset(event.leaves), 0
+        while not is_terminal(state) and (targets := jc.truth_actions(state, event.truth)):
+            state, depth = step(state, targets[0], SMALL_CONFIG).next_state, depth + 1
+        depths.append((depth, is_terminal(state)))
+    assert any(d == 0 for d, _ in depths)
+    assert any(d > 0 and not done for d, done in depths)
+
+
+@pytest.mark.parametrize("demonstrator", ["truth", "mle-for-small-n"])
+@pytest.mark.parametrize("include_ps", [True, False])
+@pytest.mark.parametrize("steps", [1, 23, 400])
+def test_train_bc_matches_per_state_loop(small_events, demonstrator, include_ps, steps):
+    # 23 steps end mid-episode; 400 run over the dataset more than once.
+    events = small_events[:12]
+    args = (events, SMALL_CONFIG, steps, 0.05)
+    kwargs = dict(demonstrator=demonstrator, include_ps=include_ps)
+    got = _run_counted(jc.train_bc, *args, make_rng(12, steps), **kwargs)
+    expected = _run_counted(_per_state_train_bc, *args, make_rng(12, steps), **kwargs)
+    assert got == expected
+    assert len(got[1]) == steps
+
+
+@pytest.mark.parametrize("steps", [7, 120])
+def test_train_bc_matches_per_state_loop_off_demonstration(small_events, steps):
+    events = _off_demonstration(small_events[:15])
+    got = _run_counted(jc.train_bc, events, SMALL_CONFIG, steps, 0.05, make_rng(13))
+    expected = _run_counted(_per_state_train_bc, events, SMALL_CONFIG, steps, 0.05, make_rng(13))
+    assert got == expected
+
+
+def test_train_bc_matches_per_state_loop_on_desk_events(desk_config):
+    events = jc.generate_events(desk_config, 6)
+    got = _run_counted(jc.train_bc, events, desk_config, 150, 0.03, make_rng(14))
+    expected = _run_counted(_per_state_train_bc, events, desk_config, 150, 0.03, make_rng(14))
+    assert got == expected
+
+
+@pytest.mark.parametrize("include_ps", [True, False])
+@pytest.mark.parametrize("steps", [5, 60])
+def test_train_mcts_policy_matches_per_state_loop(small_events, include_ps, steps):
+    cfg = jc.MctsConfig(c=1.0, n_mcts=3, beam_init_b=2)
+    args = (small_events[:6], cfg, SMALL_CONFIG, steps, 0.03)
+    got = _run_counted(jc.train_mcts_policy, *args, make_rng(15, steps), include_ps=include_ps)
+    expected = _run_counted(_per_state_train_mcts_policy, *args, make_rng(15, steps),
+                            include_ps=include_ps)
+    assert got == expected
+    assert len(got[1]) == steps
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -408,6 +607,49 @@ def test_load_weights_rejects_other_feature_schema(tmp_path):
     obj["feature_schema"] = 99
     path.write_bytes(json.dumps(obj, sort_keys=True).encode() + b"\n" + payload)
     with pytest.raises(ValueError, match="feature schema 99"):
+        jc.load_weights(path)
+
+
+def test_load_weights_rejects_a_truncated_payload(tmp_path):
+    path = tmp_path / "weights.bin"
+    jc.save_weights(path, init_weights(feature_dim(), make_rng(9)))
+    data = path.read_bytes()
+    for cut in (3, 8, 800):  # part of a float64, one whole value, many values
+        path.write_bytes(data[:-cut])
+        with pytest.raises(ValueError, match="weights.bin: payload of .* bytes"):
+            jc.load_weights(path)
+    path.write_bytes(data + b"\0" * 8)
+    with pytest.raises(ValueError, match="weights.bin: payload"):
+        jc.load_weights(path)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_load_weights_rejects_non_finite_weights(tmp_path, bad):
+    w = init_weights(feature_dim(), make_rng(9))
+    w.w2[3, 5] = bad
+    path = tmp_path / "weights.bin"
+    jc.save_weights(path, w)
+    with pytest.raises(ValueError, match="weights.bin: 1 of .* weights are not finite"):
+        jc.load_weights(path)
+
+
+@pytest.mark.parametrize("shapes", [[[13, 64], [64], [64, 64], [64], [64]], [[13, 64], [64], [64, 65], [64], [64], []],
+                                    [[13, 64], [64], [64, 64], [64], [64], "x"], "x"])
+def test_load_weights_rejects_shapes_of_another_network(tmp_path, shapes):
+    path = tmp_path / "weights.bin"
+    jc.save_weights(path, init_weights(feature_dim(), make_rng(9)))
+    header, payload = path.read_bytes().split(b"\n", 1)
+    obj = json.loads(header)
+    obj["shapes"] = shapes
+    path.write_bytes(json.dumps(obj).encode() + b"\n" + payload)
+    with pytest.raises(ValueError, match="weights.bin: weights header shapes .* are not this network's"):
+        jc.load_weights(path)
+
+
+def test_load_weights_rejects_a_header_that_is_not_json(tmp_path):
+    path = tmp_path / "weights.bin"
+    path.write_bytes(b"\xff\xfe not json\n" + b"\0" * 16)
+    with pytest.raises(ValueError, match="weights.bin: not a weights file"):
         jc.load_weights(path)
 
 
