@@ -4,6 +4,7 @@ ends when a single particle is left.  Transitions are deterministic and
 states are immutable values, so any number of episodes can run
 concurrently."""
 
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache
@@ -49,14 +50,25 @@ class Transition:
     done: bool
 
 
-def reset(leaves: list[FourMomentum] | tuple[FourMomentum, ...]) -> ClusterState:
-    """Initial state over the observed particles."""
+def check_leaves(leaves: Sequence[FourMomentum]) -> None:
+    """Raise ValueError unless there are at least two leaves, each with
+    finite components, a non-negative energy and a momentum that is not
+    spacelike beyond tolerance.  A NaN or infinite component would
+    otherwise pass the energy and mass checks and score as a NaN LL."""
     if len(leaves) < 2:
         raise ValueError(f"need at least 2 particles, got {len(leaves)}")
-    for p in leaves:
+    for k, p in enumerate(leaves):
+        for name in ("E", "px", "py", "pz"):
+            if not math.isfinite(getattr(p, name)):
+                raise ValueError(f"leaf {k} has a non-finite {name}: {getattr(p, name)!r}")
         if p.E < 0.0:
             raise ValueError("particle energies must be non-negative")
         invariant_mass_sq(p)  # raises if spacelike beyond tolerance
+
+
+def reset(leaves: list[FourMomentum] | tuple[FourMomentum, ...]) -> ClusterState:
+    """Initial state over the observed particles."""
+    check_leaves(leaves)
     leaves = tuple(leaves)
     return ClusterState(
         particles=leaves,

@@ -8,6 +8,7 @@ count with one parameter set and keeps the output permutation
 equivariant.  Training is plain SGD with gradient-norm clipping.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -94,13 +95,21 @@ def _condition_inputs(x: np.ndarray) -> np.ndarray:
 
 
 def _forward(w: PolicyWeights, x: np.ndarray):
+    """Softmax over the rows of raw features x, plus what the backward
+    pass reuses: exp(logits - max logit), its sum, both hidden layers and
+    the conditioned inputs."""
     x = _condition_inputs(x)
-    h1 = np.tanh(x @ w.w1 + w.b1)
-    h2 = np.tanh(h1 @ w.w2 + w.b2)
-    logits = h2 @ w.w3 + w.b3
+    h1 = x @ w.w1
+    h1 += w.b1
+    np.tanh(h1, out=h1)
+    h2 = h1 @ w.w2
+    h2 += w.b2
+    np.tanh(h2, out=h2)
+    logits = h2 @ w.w3
+    logits += w.b3
     shifted = np.exp(logits - logits.max())
-    probs = shifted / math.fsum(shifted.tolist())  # order-independent normalizer
-    return probs, logits, h1, h2, x
+    total = math.fsum(shifted.tolist())  # order-independent normalizer
+    return shifted / total, shifted, total, h1, h2, x
 
 
 def policy_forward(w: PolicyWeights, state: ClusterState, config: ShowerConfig,
@@ -112,33 +121,52 @@ def policy_forward(w: PolicyWeights, state: ClusterState, config: ShowerConfig,
     return _forward(w, x)[0]
 
 
-def policy_loss_and_grad(w: PolicyWeights, demo: Demonstration) -> tuple[float, PolicyWeights]:
+def policy_loss_and_grad(w: PolicyWeights, demo: Demonstration,
+                         out: PolicyWeights | None = None) -> tuple[float, PolicyWeights]:
     """Cross-entropy against the target set, loss = -log sum_{a in T} pi(a),
-    with the exact reverse-mode gradient."""
+    with the exact reverse-mode gradient.  The gradient is written into
+    `out` (arrays of w's shapes) when given, else into new arrays."""
     demo.validate()
-    probs, logits, h1, h2, x = _forward(w, demo.features)
-    t_mask = np.zeros(len(probs))
-    t_mask[list(demo.targets)] = 1.0
+    probs, shifted, total, h1, h2, x = _forward(w, demo.features)
+    targets = list(demo.targets)
 
-    # Numerically stable -log q via log-sum-exp of the target logits.
-    zmax = logits.max()
-    log_q = math.log(math.fsum(np.exp(logits[list(demo.targets)] - zmax).tolist())) \
-        - math.log(math.fsum(np.exp(logits - zmax).tolist()))
-    loss = -log_q
+    # Numerically stable -log q: the target and total sums of exp(logits - max).
+    loss = -(math.log(math.fsum(shifted[targets].tolist())) - math.log(total))
 
-    q = max(probs[list(demo.targets)].sum(), 1e-300)
-    dlogits = probs - probs * t_mask / q
-    dw3 = h2.T @ dlogits
-    db3 = np.asarray(dlogits.sum())
-    dh2 = np.outer(dlogits, w.w3)
-    dz2 = dh2 * (1.0 - h2 * h2)
-    dw2 = h1.T @ dz2
-    db2 = dz2.sum(axis=0)
-    dh1 = dz2 @ w.w2.T
-    dz1 = dh1 * (1.0 - h1 * h1)
-    dw1 = x.T @ dz1
-    db1 = dz1.sum(axis=0)
-    return loss, PolicyWeights(w1=dw1, b1=db1, w2=dw2, b2=db2, w3=dw3, b3=db3)
+    g = _weights_on(np.empty(sum(a.size for a in w.arrays())), _shapes(w)) if out is None else out
+    # dlogits = probs - probs * [a in T] / q, which changes only the target rows.
+    p_t = probs[targets]
+    q = max(p_t.sum(), 1e-300)
+    dlogits = probs
+    dlogits[targets] = p_t - p_t / q
+    np.matmul(h2.T, dlogits, out=g.w3)
+    np.add.reduce(dlogits, axis=0, out=g.b3)
+    dz2 = dlogits[:, None] * w.w3
+    h2 *= h2
+    dz2 *= np.subtract(1.0, h2, out=h2)
+    np.matmul(h1.T, dz2, out=g.w2)
+    np.add.reduce(dz2, axis=0, out=g.b2)
+    dz1 = dz2 @ w.w2.T
+    h1 *= h1
+    dz1 *= np.subtract(1.0, h1, out=h1)
+    np.matmul(x.T, dz1, out=g.w1)
+    np.add.reduce(dz1, axis=0, out=g.b1)
+    return loss, g
+
+
+def _shapes(w: PolicyWeights) -> list[tuple[int, ...]]:
+    return [a.shape for a in w.arrays()]
+
+
+def _weights_on(flat: np.ndarray, shapes) -> PolicyWeights:
+    """PolicyWeights whose arrays are views of consecutive slices of flat."""
+    arrays = []
+    offset = 0
+    for shape in shapes:
+        size = math.prod(shape)
+        arrays.append(flat[offset:offset + size].reshape(shape))
+        offset += size
+    return PolicyWeights(*arrays)
 
 
 def flatten_weights(w: PolicyWeights) -> np.ndarray:
@@ -146,19 +174,38 @@ def flatten_weights(w: PolicyWeights) -> np.ndarray:
 
 
 def unflatten_weights(vec: np.ndarray, template: PolicyWeights) -> PolicyWeights:
-    arrays = []
-    offset = 0
-    for a in template.arrays():
-        arrays.append(vec[offset:offset + a.size].reshape(a.shape).copy())
-        offset += a.size
-    return PolicyWeights(*arrays)
+    return _weights_on(vec.copy(), _shapes(template))
 
 
-def _sgd_update(w: PolicyWeights, grad: PolicyWeights, lr: float) -> None:
-    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grad.arrays()))
-    scale = lr if norm <= GRAD_CLIP_NORM else lr * GRAD_CLIP_NORM / norm
-    for target, g in zip(w.arrays(), grad.arrays()):
-        target -= scale * g
+@dataclass
+class _FlatParams:
+    """Trainable weights and their gradient, each one flat vector that
+    PolicyWeights views slice up: the backward pass writes the gradient
+    views, and an SGD update works on the two vectors whole."""
+
+    theta: np.ndarray
+    grad: np.ndarray
+    weights: PolicyWeights  # views of theta
+    grad_views: PolicyWeights  # views of grad
+    bounds: list[tuple[int, int]]  # each array's slice of the vectors
+
+    @classmethod
+    def copy_of(cls, w: PolicyWeights) -> "_FlatParams":
+        theta = flatten_weights(w)
+        grad = np.empty_like(theta)
+        ends = list(itertools.accumulate(a.size for a in w.arrays()))
+        return cls(theta, grad, _weights_on(theta, _shapes(w)), _weights_on(grad, _shapes(w)),
+                   list(zip([0] + ends[:-1], ends)))
+
+    def sgd_update(self, lr: float) -> None:
+        """theta -= lr * grad, the gradient clipped to norm GRAD_CLIP_NORM
+        (grad is scaled in place).  The squared norm adds each array's
+        sum of squares in array order, which fixes its bits."""
+        sq = self.grad * self.grad
+        norm = math.sqrt(sum(float(np.add.reduce(sq[a:b])) for a, b in self.bounds))
+        scale = lr if norm <= GRAD_CLIP_NORM else lr * GRAD_CLIP_NORM / norm
+        self.grad *= scale
+        self.theta -= self.grad
 
 
 class NeuralPolicy:
@@ -181,10 +228,10 @@ class NeuralPolicy:
 # Demonstrations
 # ---------------------------------------------------------------------------
 
-def _sibling_pairs(tree: Tree) -> set[frozenset[frozenset[int]]]:
-    """For every internal node, the pair of leaf-position sets spanned by
-    its two children.  Leaf positions index tree.leaf_indices, matching
-    the particle ids of a state reset from the tree's leaves."""
+def _sibling_map(tree: Tree) -> dict[frozenset[int], frozenset[int]]:
+    """For every node below the root, its leaf-position set mapped to its
+    sibling's.  Leaf positions index tree.leaf_indices, matching the
+    particle ids of a state reset from the tree's leaves."""
     position = {node_idx: pos for pos, node_idx in enumerate(tree.leaf_indices)}
     desc: dict[int, frozenset[int]] = {}
 
@@ -198,28 +245,35 @@ def _sibling_pairs(tree: Tree) -> set[frozenset[frozenset[int]]]:
         return out
 
     fill(tree.root_index)
-    pairs = set()
+    sibling = {}
     for idx in tree.internal_indices():
         ca, cb = tree.nodes[idx].children
-        pairs.add(frozenset((desc[ca], desc[cb])))
-    return pairs
+        sibling[desc[ca]] = desc[cb]
+        sibling[desc[cb]] = desc[ca]
+    return sibling
+
+
+def _demonstrated(sets: Sequence[frozenset[int]], sibling: dict) -> tuple[int, ...]:
+    """Legal-action indices, in legal-action order, of the pairs of
+    clusters that are siblings in the demonstrator tree, given each
+    cluster's leaf set and the tree's _sibling_map.  A leaf set has at
+    most one sibling, so this is one lookup per cluster."""
+    n = len(sets)
+    where = {s: k for k, s in enumerate(sets)}
+    out = []
+    for i, s in enumerate(sets):
+        j = where.get(sibling.get(s))
+        if j is not None and j > i:
+            out.append(i * (2 * n - i - 3) // 2 + j - 1)  # position of Action(i, j)
+    return tuple(out)
 
 
 def truth_actions(state: ClusterState, tree: Tree) -> list[Action]:
     """All pairs whose merged leaf sets form a sibling pair of the
     demonstrator tree; empty when the state has drifted off the tree
     (callers skip such samples)."""
-    return _actions_in(state, _sibling_pairs(tree))
-
-
-def _actions_in(state: ClusterState, pairs: set[frozenset[frozenset[int]]]) -> list[Action]:
-    """truth_actions given the tree's _sibling_pairs, which an episode
-    along one tree computes once."""
-    sets = leaf_sets(state)
-    return [
-        a for a in action_table(state.n)[0]
-        if frozenset((sets[a.i], sets[a.j])) in pairs
-    ]
+    actions = action_table(state.n)[0]
+    return [actions[k] for k in _demonstrated(leaf_sets(state), _sibling_map(tree))]
 
 
 # ---------------------------------------------------------------------------
@@ -254,36 +308,38 @@ def train_bc(
     demonstrated decision: replay an episode along the demonstrator tree,
     resolving ties between available sibling pairs uniformly at random,
     then take a gradient step on every visited state in order.  Dataset
-    items need .event_id, .leaves and .truth attributes."""
+    items need .event_id, .leaves and .truth attributes.  The returned
+    weights are views of the one flat vector that the steps update."""
     if not dataset:
         raise ValueError("dataset is empty")
-    weights = init_weights(feature_dim(include_ps), rng)
+    params = _FlatParams.copy_of(init_weights(feature_dim(include_ps), rng))
     losses: list[float] = []
     mle_cache: dict = {}
     while len(losses) < steps:
         for ev_idx in rng.permutation(len(dataset)):
             event = dataset[int(ev_idx)]
-            tree = _demonstrator_tree(event, demonstrator, config, mle_cache)
-            pairs = _sibling_pairs(tree)
+            sibling = _sibling_map(_demonstrator_tree(event, demonstrator, config, mle_cache))
             state = reset(event.leaves)
+            sets = tuple(frozenset((k,)) for k in range(state.n))  # leaf set per cluster
             states: list[ClusterState] = []
             targets: list[tuple[int, ...]] = []
             while not is_terminal(state) and len(losses) + len(states) < steps:
-                actions = _actions_in(state, pairs)
-                if not actions:
+                t = _demonstrated(sets, sibling)
+                if not t:
                     break  # off-demonstration state, skip the rest
-                index = action_table(state.n)[1]
                 states.append(state)
-                targets.append(tuple(index[a] for a in actions))
-                chosen = actions[int(rng.integers(len(actions)))]
+                targets.append(t)
+                chosen = action_table(state.n)[0][t[int(rng.integers(len(t)))]]
                 state = step(state, chosen, config).next_state
-            _fit_episode(weights, states, targets, config, include_ps, lr, losses)
+                i, j = chosen.i, chosen.j
+                sets = sets[:i] + sets[i + 1:j] + sets[j + 1:] + (sets[i] | sets[j],)
+            _fit_episode(params, states, targets, config, include_ps, lr, losses)
             if len(losses) >= steps:
                 break
-    return weights, losses
+    return params.weights, losses
 
 
-def _fit_episode(weights: PolicyWeights, states: list[ClusterState], targets: list[tuple[int, ...]],
+def _fit_episode(params: _FlatParams, states: list[ClusterState], targets: list[tuple[int, ...]],
                  config: ShowerConfig, include_ps: bool, lr: float, losses: list[float]) -> None:
     """One SGD step per demonstrated state, in episode order, on features
     extracted for all of the episode's states in one call."""
@@ -293,8 +349,8 @@ def _fit_episode(weights: PolicyWeights, states: list[ClusterState], targets: li
     end = 0
     for state, t in zip(states, targets):
         start, end = end, end + state.n * (state.n - 1) // 2
-        loss, grad = policy_loss_and_grad(weights, Demonstration(x[start:end], t))
-        _sgd_update(weights, grad, lr)
+        loss, _ = policy_loss_and_grad(params.weights, Demonstration(x[start:end], t), params.grad_views)
+        params.sgd_update(lr)
         losses.append(loss)
 
 
@@ -310,25 +366,23 @@ def train_mcts_policy(
 ) -> tuple[PolicyWeights, list[float]]:
     """Self-imitation of MCTS decisions: run guided episodes, then fit the
     policy to the chosen actions.  One step is one environment decision.
-    `init` continues from pretrained (e.g. BC) weights."""
+    `init` continues from pretrained (e.g. BC) weights; it is copied, not
+    changed.  The MCTS prior reads the weights that the steps update."""
     if not dataset:
         raise ValueError("dataset is empty")
-    if init is None:
-        weights = init_weights(feature_dim(include_ps), rng)
-    else:
-        weights = PolicyWeights(*[a.copy() for a in init.arrays()])
-    policy = NeuralPolicy(weights, config, include_ps=include_ps)
+    params = _FlatParams.copy_of(init_weights(feature_dim(include_ps), rng) if init is None else init)
+    policy = NeuralPolicy(params.weights, config, include_ps=include_ps)
     losses: list[float] = []
     while len(losses) < steps:
         for ev_idx in rng.permutation(len(dataset)):
             event = dataset[int(ev_idx)]
             _, _, decisions = cluster_mcts(event.leaves, policy, cfg, config, rng)
             decisions = decisions[:steps - len(losses)]
-            _fit_episode(weights, [state for state, _ in decisions], [(k,) for _, k in decisions],
+            _fit_episode(params, [state for state, _ in decisions], [(k,) for _, k in decisions],
                          config, include_ps, lr, losses)
             if len(losses) >= steps:
                 break
-    return weights, losses
+    return params.weights, losses
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +440,4 @@ def load_weights(path: str | Path) -> tuple[PolicyWeights, dict]:
     if not np.isfinite(flat).all():
         raise ValueError(f"{path}: {int(np.count_nonzero(~np.isfinite(flat)))} of {flat.size} "
                          f"weights are not finite")
-    arrays = []
-    offset = 0
-    for shape, size in zip(header["shapes"], sizes):
-        arrays.append(flat[offset:offset + size].reshape(shape).copy())
-        offset += size
-    return PolicyWeights(*arrays), header
+    return _weights_on(flat.copy(), header["shapes"]), header

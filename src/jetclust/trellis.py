@@ -12,7 +12,7 @@ set bit (children are unordered, so this halves the symmetric
 duplicates).  Cost is O(3^n) density evaluations, so n is guarded.
 """
 
-from .env import tree_from_history
+from .env import check_leaves, tree_from_history
 from .shower import FourMomentum, ShowerConfig, Splitting, Tree, splitting_log_likelihood
 
 DEFAULT_N_MAX = 16
@@ -81,9 +81,8 @@ def exact_mle(
     n_max: int = DEFAULT_N_MAX,
 ) -> tuple[float, Tree]:
     """Maximum-likelihood binary tree over the given particles."""
+    check_leaves(leaves)
     n = len(leaves)
-    if n < 2:
-        raise ValueError(f"need at least 2 particles, got {n}")
     if n > n_max:
         raise ValueError(f"{n} leaves exceeds the n_max={n_max} cost guard")
     mll, best, _ = _fill_table(leaves, config)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import jetclust as jc
 from jetclust.env import apply_action, leaf_sets, legal_actions, reset
+from jetclust.features import feature_dim
 from jetclust.planners import (
     SearchNode,
     _beam_from_state,
@@ -15,6 +16,7 @@ from jetclust.planners import (
     _pair_rewards,
     _run_rollout,
 )
+from jetclust.policy import init_weights
 from jetclust.rng import make_rng
 
 from conftest import make_event
@@ -615,3 +617,26 @@ def test_every_planner_names_a_lam_without_normaliser(small_config):
         with pytest.raises(ValueError, match="lam 1e-300 is too small") as err:
             run()
         assert "does not exist" in str(err.value), name
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("component", ["E", "px", "py", "pz"])
+def test_every_planner_rejects_a_non_finite_leaf(small_config, bad, component):
+    # NaN passes the energy and mass checks, and inf made the kernel
+    # raise a bare math domain error; both are named at the leaf now.
+    F = jc.FourMomentum
+    values = dict(E=2.0, px=0.0, py=0.0, pz=1.0)
+    values[component] = bad
+    leaves = [F(3.0, 0.5, 0.0, 1.0), F(**values), F(2.0, 0.0, 0.0, 1.0)]
+    nn = jc.NeuralPolicy(init_weights(feature_dim(), make_rng(1)), small_config)
+    runs = {
+        "greedy": lambda: jc.cluster_greedy(leaves, small_config),
+        "beam": lambda: jc.cluster_beam(leaves, 3, small_config),
+        "mcts": lambda: jc.cluster_mcts(leaves, jc.fixed_policy("proportional-to-ps", small_config),
+                                        _mcts_cfg(n_mcts=3, beam_init_b=2), small_config, make_rng(3)),
+        "cluster_policy": lambda: jc.cluster_policy(leaves, nn, small_config),
+        "exact_mle": lambda: jc.exact_mle(leaves, small_config),
+    }
+    for name, run in runs.items():
+        with pytest.raises(ValueError, match=f"leaf 1 has a non-finite {component}: {bad!r}"):
+            run()

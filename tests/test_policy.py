@@ -8,16 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jetclust as jc
-from jetclust.env import action_table, is_terminal, legal_actions, reset, step
+from jetclust.env import action_table, is_terminal, leaf_sets, legal_actions, reset, step
 from jetclust.features import extract_pair_features, feature_dim
 from jetclust.shower import invariant_mass_sq
 from jetclust.policy import (
+    GRAD_CLIP_NORM,
     Demonstration,
     NeuralPolicy,
-    _actions_in,
+    PolicyWeights,
+    _condition_inputs,
+    _demonstrated,
     _demonstrator_tree,
-    _sgd_update,
-    _sibling_pairs,
+    _sibling_map,
     flatten_weights,
     init_weights,
     unflatten_weights,
@@ -460,6 +462,105 @@ def test_no_ps_feature_variant_trains(small_config, small_events):
     assert abs(probs.sum() - 1.0) <= 1e-6
 
 
+# The per-array network, update and C(n, 2) target scan that training
+# used before it moved to one flat parameter vector and an O(n) sibling
+# lookup: the oracles of train_bc, train_mcts_policy and truth_actions.
+
+def _oracle_forward(w, x):
+    x = _condition_inputs(x)
+    h1 = np.tanh(x @ w.w1 + w.b1)
+    h2 = np.tanh(h1 @ w.w2 + w.b2)
+    logits = h2 @ w.w3 + w.b3
+    shifted = np.exp(logits - logits.max())
+    probs = shifted / math.fsum(shifted.tolist())
+    return probs, logits, h1, h2, x
+
+
+def _oracle_loss_and_grad(w, demo):
+    demo.validate()
+    probs, logits, h1, h2, x = _oracle_forward(w, demo.features)
+    t_mask = np.zeros(len(probs))
+    t_mask[list(demo.targets)] = 1.0
+    zmax = logits.max()
+    log_q = math.log(math.fsum(np.exp(logits[list(demo.targets)] - zmax).tolist())) \
+        - math.log(math.fsum(np.exp(logits - zmax).tolist()))
+    loss = -log_q
+    q = max(probs[list(demo.targets)].sum(), 1e-300)
+    dlogits = probs - probs * t_mask / q
+    dw3 = h2.T @ dlogits
+    db3 = np.asarray(dlogits.sum())
+    dh2 = np.outer(dlogits, w.w3)
+    dz2 = dh2 * (1.0 - h2 * h2)
+    dw2 = h1.T @ dz2
+    db2 = dz2.sum(axis=0)
+    dh1 = dz2 @ w.w2.T
+    dz1 = dh1 * (1.0 - h1 * h1)
+    dw1 = x.T @ dz1
+    db1 = dz1.sum(axis=0)
+    return loss, PolicyWeights(w1=dw1, b1=db1, w2=dw2, b2=db2, w3=dw3, b3=db3)
+
+
+def _sgd_update(w, grad, lr):
+    """The oracle update; returns whether the gradient was clipped."""
+    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grad.arrays()))
+    scale = lr if norm <= GRAD_CLIP_NORM else lr * GRAD_CLIP_NORM / norm
+    for target, g in zip(w.arrays(), grad.arrays()):
+        target -= scale * g
+    return norm > GRAD_CLIP_NORM
+
+
+def _sibling_pairs(tree):
+    position = {node_idx: pos for pos, node_idx in enumerate(tree.leaf_indices)}
+    desc = {}
+
+    def fill(idx):
+        node = tree.nodes[idx]
+        if node.children is None:
+            out = frozenset((position[idx],))
+        else:
+            out = fill(node.children[0]) | fill(node.children[1])
+        desc[idx] = out
+        return out
+
+    fill(tree.root_index)
+    pairs = set()
+    for idx in tree.internal_indices():
+        ca, cb = tree.nodes[idx].children
+        pairs.add(frozenset((desc[ca], desc[cb])))
+    return pairs
+
+
+def _actions_in(state, pairs):
+    sets = leaf_sets(state)
+    return [
+        a for a in action_table(state.n)[0]
+        if frozenset((sets[a.i], sets[a.j])) in pairs
+    ]
+
+
+def test_loss_and_grad_match_the_per_array_oracle(small_config):
+    # Bits of the loss (its sign too) and of every gradient array, into
+    # new arrays and into views of one flat vector; an all-target state
+    # has loss -0.0.
+    from jetclust.policy import _FlatParams
+    rng = make_rng(25)
+    for trial in range(40):
+        w = init_weights(feature_dim(), make_rng(26, trial))
+        state = _random_state(small_config, 27 + trial, 2 + trial % 6, n_merges=trial % 2)
+        m = len(legal_actions(state))
+        k = 1 + int(rng.integers(m))
+        demo = Demonstration(extract_pair_features(state, small_config),
+                             tuple(int(v) for v in rng.choice(m, size=k, replace=False)))
+        expected_loss, expected = _oracle_loss_and_grad(w, demo)
+        params = _FlatParams.copy_of(w)
+        for out in (None, params.grad_views):
+            loss, grad = jc.policy_loss_and_grad(w, demo, out)
+            assert loss.hex() == expected_loss.hex()
+            for a, b in zip(grad.arrays(), expected.arrays()):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert params.grad.tobytes() == flatten_weights(expected).tobytes()
+
+
 def _per_state_train_bc(dataset, config, steps, lr, rng, demonstrator="truth", include_ps=True):
     """train_bc as one SGD step per state, features extracted state by
     state between the steps: the oracle of the episode-at-once loop."""
@@ -481,7 +582,7 @@ def _per_state_train_bc(dataset, config, steps, lr, rng, demonstrator="truth", i
                     features=extract_pair_features(state, config, include_ps=include_ps),
                     targets=tuple(index[a] for a in targets),
                 )
-                loss, grad = jc.policy_loss_and_grad(weights, demo)
+                loss, grad = _oracle_loss_and_grad(weights, demo)
                 _sgd_update(weights, grad, lr)
                 losses.append(loss)
                 chosen = targets[int(rng.integers(len(targets)))]
@@ -491,9 +592,14 @@ def _per_state_train_bc(dataset, config, steps, lr, rng, demonstrator="truth", i
     return weights, losses
 
 
-def _per_state_train_mcts_policy(dataset, cfg, config, steps, lr, rng, include_ps=True):
-    """train_mcts_policy with per-decision extraction: its oracle."""
-    weights = init_weights(feature_dim(include_ps), rng)
+def _per_state_train_mcts_policy(dataset, cfg, config, steps, lr, rng, include_ps=True, init=None,
+                                 clipped=None):
+    """train_mcts_policy with per-decision extraction: its oracle.
+    clipped, when given, collects whether each step clipped."""
+    if init is None:
+        weights = init_weights(feature_dim(include_ps), rng)
+    else:
+        weights = PolicyWeights(*[a.copy() for a in init.arrays()])
     policy = NeuralPolicy(weights, config, include_ps=include_ps)
     losses = []
     while len(losses) < steps:
@@ -502,8 +608,10 @@ def _per_state_train_mcts_policy(dataset, cfg, config, steps, lr, rng, include_p
             _, _, decisions = jc.cluster_mcts(event.leaves, policy, cfg, config, rng)
             for state, k in decisions:
                 feats = extract_pair_features(state, config, include_ps=include_ps)
-                loss, grad = jc.policy_loss_and_grad(weights, Demonstration(feats, (k,)))
-                _sgd_update(weights, grad, lr)
+                loss, grad = _oracle_loss_and_grad(weights, Demonstration(feats, (k,)))
+                was_clipped = _sgd_update(weights, grad, lr)
+                if clipped is not None:
+                    clipped.append(was_clipped)
                 losses.append(loss)
                 if len(losses) >= steps:
                     break
@@ -576,6 +684,128 @@ def test_train_mcts_policy_matches_per_state_loop(small_events, include_ps, step
                             include_ps=include_ps)
     assert got == expected
     assert len(got[1]) == steps
+
+
+def test_train_mcts_policy_matches_per_state_loop_when_clipping(small_events):
+    # Weights five times their initial scale drive the gradient norm past
+    # GRAD_CLIP_NORM on part of the steps; the bench's settings rarely do.
+    init = init_weights(feature_dim(), make_rng(16))
+    for a in init.arrays():
+        a *= 5.0
+    cfg = jc.MctsConfig(c=1.0, n_mcts=3, beam_init_b=2)
+    args = (small_events[:6], cfg, SMALL_CONFIG, 40, 0.03)
+    clipped = []
+    got = _run_counted(jc.train_mcts_policy, *args, make_rng(17), init=init)
+    expected = _run_counted(_per_state_train_mcts_policy, *args, make_rng(17), init=init,
+                            clipped=clipped)
+    assert got == expected
+    assert 0 < sum(clipped) < len(clipped)
+
+
+def test_flat_update_matches_per_array_update_around_the_clip_norm():
+    from jetclust.policy import _FlatParams
+    rng = make_rng(18)
+    clipped = []
+    for trial in range(60):
+        w = init_weights(feature_dim(), make_rng(19, trial))
+        grad = init_weights(feature_dim(), make_rng(20, trial))
+        for g in grad.arrays():
+            g *= 0.25 * (trial % 4 + 1)  # norms of about 5 to 20
+        params = _FlatParams.copy_of(w)
+        params.grad[...] = flatten_weights(grad)
+        lr = float(rng.uniform(0.01, 1.0))
+        params.sgd_update(lr)
+        clipped.append(_sgd_update(w, grad, lr))
+        assert params.theta.tobytes() == flatten_weights(w).tobytes()
+    assert 0 < sum(clipped) < len(clipped)
+
+
+def test_train_mcts_policy_leaves_init_unchanged(small_events):
+    init = init_weights(feature_dim(), make_rng(21))
+    before = flatten_weights(init).tobytes()
+    cfg = jc.MctsConfig(c=1.0, n_mcts=2, beam_init_b=2)
+    w, _ = jc.train_mcts_policy(small_events[:4], cfg, SMALL_CONFIG, 30, 0.3, make_rng(22), init=init)
+    assert flatten_weights(init).tobytes() == before
+    assert flatten_weights(w).tobytes() != before
+
+
+def test_self_imitation_searches_with_the_updated_weights(small_events, monkeypatch):
+    # Each episode's MCTS reads the prior's weights as the steps of the
+    # episodes before it left them, as the oracle's in-place arrays do.
+    import jetclust.policy as policy_module
+    real = jc.cluster_mcts
+
+    def spying(seen):
+        def spy(event, prior, *args):
+            seen.append(flatten_weights(prior.weights).tobytes())
+            return real(event, prior, *args)
+        return spy
+
+    cfg = jc.MctsConfig(c=1.0, n_mcts=3, beam_init_b=2)
+    args = (small_events[:6], cfg, SMALL_CONFIG, 60, 0.3)
+    got, expected = [], []
+    monkeypatch.setattr(policy_module, "cluster_mcts", spying(got))
+    jc.train_mcts_policy(*args, make_rng(23))
+    monkeypatch.setattr(jc, "cluster_mcts", spying(expected))
+    _per_state_train_mcts_policy(*args, make_rng(23))
+    assert got == expected
+    assert len(got) >= 3
+    assert all(a != b for a, b in zip(got, got[1:]))
+
+
+@pytest.mark.parametrize("demonstrator", ["truth", "mle-for-small-n"])
+def test_train_bc_matches_per_state_loop_on_repeated_leaves(small_events, demonstrator):
+    # Every leaf object twice: equal momenta in distinct clusters, and
+    # truth trees whose leaf positions no longer match the event's.
+    events = [SimpleNamespace(event_id=e.event_id, leaves=tuple(e.leaves[:4]) * 2, truth=e.truth)
+              for e in small_events[:8]]
+    got = _run_counted(jc.train_bc, events, SMALL_CONFIG, 90, 0.05, make_rng(24),
+                       demonstrator=demonstrator)
+    expected = _run_counted(_per_state_train_bc, events, SMALL_CONFIG, 90, 0.05, make_rng(24),
+                            demonstrator=demonstrator)
+    assert got == expected
+
+
+def _random_tree(leaves, config, rng):
+    state = reset(leaves)
+    while not is_terminal(state):
+        acts = legal_actions(state)
+        state = step(state, acts[int(rng.integers(len(acts)))], config).next_state
+    return jc.tree_from_state(state)
+
+
+@given(st.integers(0, 10_000), st.integers(2, 10), st.sampled_from(["truth", "mle", "random"]),
+       st.booleans(), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_sibling_lookup_matches_pair_scan(seed, n_leaves, kind, repeated, drop_last, data):
+    # Every walk ends in a 2-leaf state; random-history and balanced MLE
+    # trees offer several sibling pairs at once; a leaf dropped from the
+    # state, a truth tree over other leaves or a random step leave the
+    # demonstration.
+    config = jc.DESK_CONFIG
+    shower = jc.sample_shower(config, make_rng(seed))
+    leaves = tuple(shower.leaf_momenta()[:n_leaves])
+    if repeated:
+        leaves = leaves[:(n_leaves + 1) // 2] * 2
+    if len(leaves) < 2:
+        return
+    if kind == "truth":
+        tree = shower
+    elif kind == "mle":
+        tree = jc.exact_mle(leaves[:8], config)[1]
+    else:
+        tree = _random_tree(leaves, config, make_rng(seed, 1))
+    if drop_last and len(leaves) >= 3:
+        leaves = leaves[:-1]
+    pairs, sibling = _sibling_pairs(tree), _sibling_map(tree)
+    state = reset(leaves)
+    while not is_terminal(state):
+        expected = _actions_in(state, pairs)
+        assert jc.truth_actions(state, tree) == expected
+        index = action_table(state.n)[1]
+        assert _demonstrated(leaf_sets(state), sibling) == tuple(index[a] for a in expected)
+        acts = expected if expected and data.draw(st.booleans()) else legal_actions(state)
+        state = step(state, acts[data.draw(st.integers(0, len(acts) - 1))], config).next_state
 
 
 # ---------------------------------------------------------------------------
