@@ -13,9 +13,8 @@ from .costs import PS_EVALUATIONS, CostCounter
 from .env import (
     Action,
     ClusterState,
-    Transition,
+    action_table,
     is_terminal,
-    legal_actions,
     reset,
     step,
     tree_from_history,

@@ -1,8 +1,8 @@
 """The clustering MDP: states are particle sets, actions merge a pair,
 the reward is the log splitting density of the merge, and an episode
-ends when a single particle is left.  Transitions are deterministic and
-states are immutable values, so any number of episodes can run
-concurrently."""
+ends when a single particle is left.  `step` returns the next state, an
+immutable value, so any number of episodes can run concurrently.  A
+cluster is named by its leaf bitmask (bit k = leaf k), as in the trellis."""
 
 import math
 from collections.abc import Mapping, Sequence
@@ -42,28 +42,32 @@ class ClusterState:
     def n(self) -> int:
         return len(self.particles)
 
-
-@dataclass(frozen=True, slots=True)
-class Transition:
-    next_state: ClusterState
-    reward: float
-    done: bool
+    @property
+    def next_state(self) -> "ClusterState":  # the state; perfbench's tests still read it
+        return self
 
 
 def check_leaves(leaves: Sequence[FourMomentum]) -> None:
     """Raise ValueError unless there are at least two leaves, each with
-    finite components, a non-negative energy and a momentum that is not
-    spacelike beyond tolerance.  A NaN or infinite component would
-    otherwise pass the energy and mass checks and score as a NaN LL."""
+    finite float components, a non-negative energy and a momentum that is
+    not spacelike beyond tolerance, and their total energy squared is
+    finite; that total bounds every cluster mass-squared computed later."""
     if len(leaves) < 2:
         raise ValueError(f"need at least 2 particles, got {len(leaves)}")
     for k, p in enumerate(leaves):
-        for name in ("E", "px", "py", "pz"):
-            if not math.isfinite(getattr(p, name)):
-                raise ValueError(f"leaf {k} has a non-finite {name}: {getattr(p, name)!r}")
+        for name, value in zip(("E", "px", "py", "pz"), p.as_tuple()):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int that no float holds
+                raise ValueError(f"leaf {k}'s {name} is beyond the float range") from None
+            if not finite:
+                raise ValueError(f"leaf {k} has a non-finite {name}: {value!r}")
         if p.E < 0.0:
             raise ValueError("particle energies must be non-negative")
         invariant_mass_sq(p)  # raises if spacelike beyond tolerance
+    total = sum(float(p.E) for p in leaves)
+    if not math.isfinite(total * total):
+        raise ValueError(f"the leaves' total energy {total!r} squared overflows a float")
 
 
 def reset(leaves: list[FourMomentum] | tuple[FourMomentum, ...]) -> ClusterState:
@@ -83,23 +87,23 @@ def is_terminal(state: ClusterState) -> bool:
     return state.n == 1
 
 
-def legal_actions(state: ClusterState) -> list[Action]:
-    """All C(n, 2) index pairs in lexicographic order; empty at terminal."""
-    n = state.n
-    return [Action(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 @cache
 def action_table(n: int) -> tuple[tuple[Action, ...], Mapping[Action, int]]:
-    """The legal actions of every n-particle state, in legal_actions
-    order, and a read-only map from each action to its position.  Built
-    once per n and shared, for search that visits many states of one
-    size; the tables of all n up to 31 hold about 0.5 MB."""
+    """The legal actions of every n-particle state, all pairs i < j in the
+    lexicographic order that action indices, priors and feature rows
+    follow, and a read-only map from each action to its position.  Built
+    once per n and shared; the tables of all n up to 31 hold about 0.5 MB."""
     actions = tuple(Action(i, j) for i in range(n) for j in range(i + 1, n))
     return actions, MappingProxyType({a: k for k, a in enumerate(actions)})
 
 
-def apply_action(state: ClusterState, action: Action, reward: float) -> Transition:
+def merged(values: tuple, i: int, j: int, value) -> tuple:
+    """values without positions i < j, and value appended last: how a
+    merge lays out a state's particles and anything kept per cluster."""
+    return values[:i] + values[i + 1:j] + values[j + 1:] + (value,)
+
+
+def apply_action(state: ClusterState, action: Action, reward: float) -> ClusterState:
     """Apply a merge whose reward has already been evaluated.  Planners
     that score all pairs anyway use this so the evaluation counter sees
     each splitting-density call exactly once."""
@@ -107,18 +111,16 @@ def apply_action(state: ClusterState, action: Action, reward: float) -> Transiti
     if not (0 <= i < j < state.n):
         raise ValueError(f"illegal action ({i}, {j}) for n={state.n}")
     ps, ids = state.particles, state.ids
-    new_id = len(state.leaves) + len(state.history)
-    next_state = ClusterState(
-        particles=ps[:i] + ps[i + 1:j] + ps[j + 1:] + (ps[i] + ps[j],),
-        ids=ids[:i] + ids[i + 1:j] + ids[j + 1:] + (new_id,),
+    return ClusterState(
+        particles=merged(ps, i, j, ps[i] + ps[j]),
+        ids=merged(ids, i, j, len(state.leaves) + len(state.history)),
         cumulative_reward=state.cumulative_reward + reward,
         history=state.history + ((ids[i], ids[j]),),
         leaves=state.leaves,
     )
-    return Transition(next_state=next_state, reward=reward, done=next_state.n == 1)
 
 
-def step(state: ClusterState, action: Action, config: ShowerConfig) -> Transition:
+def step(state: ClusterState, action: Action, config: ShowerConfig) -> ClusterState:
     """Deterministic transition: replace particles i and j by their sum;
     the reward is the log splitting density of that merge."""
     i, j = action.i, action.j
@@ -128,12 +130,13 @@ def step(state: ClusterState, action: Action, config: ShowerConfig) -> Transitio
     return apply_action(state, action, reward)
 
 
-def leaf_sets(state: ClusterState) -> tuple[frozenset[int], ...]:
-    """For each current particle, the set of original leaf ids it contains."""
-    sets = [frozenset((k,)) for k in range(len(state.leaves))]
+def leaf_sets(state: ClusterState) -> tuple[int, ...]:
+    """For each current particle, the bitmask of the original leaf ids it
+    contains (bit k = leaf k)."""
+    masks = [1 << k for k in range(len(state.leaves))]
     for id_a, id_b in state.history:
-        sets.append(sets[id_a] | sets[id_b])
-    return tuple(sets[pid] for pid in state.ids)
+        masks.append(masks[id_a] | masks[id_b])
+    return tuple(masks[pid] for pid in state.ids)
 
 
 def tree_from_history(

@@ -1,7 +1,7 @@
 """Per-pair feature vectors for the learnable merge prior.
 
 One row per legal action (i, j), in the same lexicographic order as
-`legal_actions`.  The two constituents are ordered canonically by their
+`env.action_table`.  The two constituents are ordered canonically by their
 momentum components rather than by list position, which makes the rows,
 and hence the policy output, equivariant under particle permutations.
 Momentum components are scaled by the event's total energy and
@@ -39,7 +39,7 @@ def feature_dim(include_ps: bool = True) -> int:
 
 @cache
 def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions i < j of every pair of n particles in legal_actions order."""
+    """Positions i < j of every pair of n particles in action_table order."""
     i, j = np.triu_indices(n, 1)
     i.flags.writeable = j.flags.writeable = False
     return i, j

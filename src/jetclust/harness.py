@@ -296,6 +296,8 @@ class RunResult:
                 mean_cost=float(obj["mean_cost"]),
                 dataset_hash=obj.get("dataset_hash"),
             )
+            if not result.per_event:
+                raise ValueError("malformed run result: per_event is empty")
             for k, entry in enumerate(result.per_event):
                 missing = [name for name in ("id", "n_leaves", "ll") if name not in entry]
                 if missing:

@@ -24,6 +24,7 @@ from .env import (
     apply_action,
     is_terminal,
     leaf_sets,
+    merged,
     reset,
     step,
     tree_from_state,
@@ -85,7 +86,7 @@ def cluster_random(
     state = reset(event)
     while not is_terminal(state):
         actions = action_table(state.n)[0]
-        state = step(state, actions[int(rng.integers(len(actions)))], config).next_state
+        state = step(state, actions[int(rng.integers(len(actions)))], config)
     return tree_from_state(state), state.cumulative_reward
 
 
@@ -100,11 +101,6 @@ def _rewards(state: ClusterState, config: ShowerConfig) -> list[float]:
     return list(map(splitting_log_likelihood, splittings, repeat(config)))
 
 
-def _pair_rewards(state: ClusterState, config: ShowerConfig) -> list[tuple[Action, float]]:
-    """Every legal action with its reward, in legal-action order."""
-    return list(zip(action_table(state.n)[0], _rewards(state, config)))
-
-
 @ps_memo()
 def cluster_greedy(
     event: list[FourMomentum] | tuple[FourMomentum, ...],
@@ -117,7 +113,7 @@ def cluster_greedy(
         rewards = _rewards(state, config)
         best_reward = max(rewards)  # the first maximum, as index() finds it
         best_action = action_table(state.n)[0][rewards.index(best_reward)]
-        state = apply_action(state, best_action, best_reward).next_state
+        state = apply_action(state, best_action, best_reward)
     return tree_from_state(state), state.cumulative_reward
 
 
@@ -128,7 +124,7 @@ def cluster_greedy(
 @dataclass
 class _BeamItem:
     state: ClusterState
-    leafsets: tuple[frozenset[int], ...]
+    leafsets: tuple[int, ...]  # each cluster's leaf bitmask
     # (action, resulting state) per level, from the beam's start state.
     path: tuple[tuple[Action, ClusterState], ...]
 
@@ -136,7 +132,7 @@ class _BeamItem:
 def _beam_from_state(state: ClusterState, b: int, config: ShowerConfig) -> list[_BeamItem]:
     """Level-synchronous beam over partial clusterings ranked by cumulative
     log-likelihood, ties going to the smaller merge history.  States with
-    identical leaf-set partitions are collapsed to the best-ranked
+    identical partitions into leaf bitmasks are collapsed to the best-ranked
     representative, which is lossless because future rewards depend only
     on the current particle multiset.  Candidates are ranked before any
     state is built, and only the survivors are built.  Returns the final
@@ -162,19 +158,18 @@ def _beam_from_state(state: ClusterState, b: int, config: ShowerConfig) -> list[
         actions = action_table(items[0].state.n)[0]
         m = len(actions)
         survivors: list[_BeamItem] = []
-        seen: set[frozenset[frozenset[int]]] = set()
+        seen: set[frozenset[int]] = set()
         for c in sorted(range(len(totals)), key=totals.__getitem__, reverse=True):
             h, k = divmod(c, m)
             item = by_history[h]
             action = actions[k]
-            i, j = action.i, action.j
             ls = item.leafsets
-            nls = ls[:i] + ls[i + 1:j] + ls[j + 1:] + (ls[i] | ls[j],)
+            nls = merged(ls, action.i, action.j, ls[action.i] | ls[action.j])
             key = frozenset(nls)
             if key in seen:
                 continue
             seen.add(key)
-            nxt = apply_action(item.state, action, rewards[h][k]).next_state
+            nxt = apply_action(item.state, action, rewards[h][k])
             survivors.append(_BeamItem(state=nxt, leafsets=nls, path=item.path + ((action, nxt),)))
             if len(survivors) == b:
                 break
@@ -293,7 +288,7 @@ def _ensure_child(node: SearchNode, k: int, policy: PriorPolicy, config: ShowerC
     child = node.children[k]
     if child is None:
         if state is None:
-            state = step(node.state, node.actions[k], config).next_state
+            state = step(node.state, node.actions[k], config)
         child = SearchNode(state, policy)
         node.children[k] = child
     return child
@@ -389,5 +384,5 @@ def cluster_policy(
     state = reset(event)
     while not is_terminal(state):
         k = int(np.argmax(policy.priors(state)))
-        state = step(state, action_table(state.n)[0][k], config).next_state
+        state = step(state, action_table(state.n)[0][k], config)
     return tree_from_state(state), state.cumulative_reward

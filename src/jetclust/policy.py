@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .env import Action, ClusterState, action_table, is_terminal, leaf_sets, reset, step
+from .env import Action, ClusterState, action_table, is_terminal, leaf_sets, merged, reset, step
 from .features import (
     FEATURE_SCHEMA_VERSION,
     N_BASE_FEATURES,
@@ -228,17 +228,17 @@ class NeuralPolicy:
 # Demonstrations
 # ---------------------------------------------------------------------------
 
-def _sibling_map(tree: Tree) -> dict[frozenset[int], frozenset[int]]:
-    """For every node below the root, its leaf-position set mapped to its
-    sibling's.  Leaf positions index tree.leaf_indices, matching the
-    particle ids of a state reset from the tree's leaves."""
+def _sibling_map(tree: Tree) -> dict[int, int]:
+    """For every node below the root, its leaf bitmask mapped to its
+    sibling's.  Bit k stands for the leaf at tree.leaf_indices[k], which
+    is particle id k of a state reset from the tree's leaves."""
     position = {node_idx: pos for pos, node_idx in enumerate(tree.leaf_indices)}
-    desc: dict[int, frozenset[int]] = {}
+    desc: dict[int, int] = {}
 
-    def fill(idx: int) -> frozenset[int]:
+    def fill(idx: int) -> int:
         node = tree.nodes[idx]
         if node.children is None:
-            out = frozenset((position[idx],))
+            out = 1 << position[idx]
         else:
             out = fill(node.children[0]) | fill(node.children[1])
         desc[idx] = out
@@ -253,10 +253,10 @@ def _sibling_map(tree: Tree) -> dict[frozenset[int], frozenset[int]]:
     return sibling
 
 
-def _demonstrated(sets: Sequence[frozenset[int]], sibling: dict) -> tuple[int, ...]:
+def _demonstrated(sets: Sequence[int], sibling: dict[int, int]) -> tuple[int, ...]:
     """Legal-action indices, in legal-action order, of the pairs of
     clusters that are siblings in the demonstrator tree, given each
-    cluster's leaf set and the tree's _sibling_map.  A leaf set has at
+    cluster's leaf bitmask and the tree's _sibling_map.  A cluster has at
     most one sibling, so this is one lookup per cluster."""
     n = len(sets)
     where = {s: k for k, s in enumerate(sets)}
@@ -320,7 +320,7 @@ def train_bc(
             event = dataset[int(ev_idx)]
             sibling = _sibling_map(_demonstrator_tree(event, demonstrator, config, mle_cache))
             state = reset(event.leaves)
-            sets = tuple(frozenset((k,)) for k in range(state.n))  # leaf set per cluster
+            sets = tuple(1 << k for k in range(state.n))  # leaf bitmask per cluster
             states: list[ClusterState] = []
             targets: list[tuple[int, ...]] = []
             while not is_terminal(state) and len(losses) + len(states) < steps:
@@ -330,9 +330,8 @@ def train_bc(
                 states.append(state)
                 targets.append(t)
                 chosen = action_table(state.n)[0][t[int(rng.integers(len(t)))]]
-                state = step(state, chosen, config).next_state
-                i, j = chosen.i, chosen.j
-                sets = sets[:i] + sets[i + 1:j] + sets[j + 1:] + (sets[i] | sets[j],)
+                state = step(state, chosen, config)
+                sets = merged(sets, chosen.i, chosen.j, sets[chosen.i] | sets[chosen.j])
             _fit_episode(params, states, targets, config, include_ps, lr, losses)
             if len(losses) >= steps:
                 break

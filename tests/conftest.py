@@ -58,3 +58,9 @@ def make_event(config, seed, n_leaves=None, max_tries=400):
         if n_leaves is None or tree.n_leaves == n_leaves:
             return tree
     raise RuntimeError(f"no event with {n_leaves} leaves in {max_tries} tries")
+
+
+def as_frozensets(masks):
+    """Leaf bitmasks (bit k = leaf k) as frozensets of leaf ids, the form
+    the tests' oracles were written for."""
+    return tuple(frozenset(k for k in range(m.bit_length()) if m >> k & 1) for m in masks)

@@ -13,7 +13,7 @@ import pytest
 from scipy import integrate, stats
 
 import jetclust as jc
-from jetclust.env import legal_actions, reset, step
+from jetclust.env import action_table, reset, step
 from jetclust.features import extract_pair_features, feature_dim
 from jetclust.policy import Demonstration, flatten_weights, init_weights, unflatten_weights
 from jetclust.rng import make_rng
@@ -101,8 +101,8 @@ def test_02_conservation(desk_config):
         reference = [math.fsum(getattr(p, c) for p in state.particles)
                      for c in ("E", "px", "py", "pz")]
         while not jc.is_terminal(state):
-            acts = legal_actions(state)
-            state = step(state, acts[int(rng.integers(len(acts)))], SMALL_CONFIG).next_state
+            acts = action_table(state.n)[0]
+            state = step(state, acts[int(rng.integers(len(acts)))], SMALL_CONFIG)
             current = [math.fsum(getattr(p, c) for p in state.particles)
                        for c in ("E", "px", "py", "pz")]
             assert all(abs(a - b) <= 1e-12 for a, b in zip(current, reference))
@@ -187,7 +187,7 @@ def test_07_gradient_check():
         if state.n < 3:
             state = reset(list(state.particles) + [jc.FourMomentum(1.5, 0.2, 0.1, 0.4)])
         w = init_weights(feature_dim(), make_rng(41, trial))
-        m = len(legal_actions(state))
+        m = len(action_table(state.n)[0])
         targets = tuple(int(v) for v in rng.choice(m, size=min(2, m), replace=False))
         demo = Demonstration(extract_pair_features(state, config), targets)
         _, grad = jc.policy_loss_and_grad(w, demo)

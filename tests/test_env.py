@@ -1,4 +1,7 @@
 import math
+from functools import reduce
+from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -15,17 +18,24 @@ def _leaves(config, seed, n):
     return make_event(config, seed=seed, n_leaves=n).leaf_momenta()
 
 
+def _legal_actions(state):
+    """All C(n, 2) index pairs in lexicographic order; empty at terminal
+    (the body of the removed env.legal_actions)."""
+    n = state.n
+    return [jc.Action(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
 def test_reset_two_leaves(small_config):
     state = jc.reset(_leaves(small_config, 3, 2))
     assert state.n == 2
-    assert jc.legal_actions(state) == [jc.Action(0, 1)]
+    assert list(action_table(state.n)[0]) == [jc.Action(0, 1)]
     assert state.cumulative_reward == 0.0
     assert state.history == ()
 
 
 def test_reset_counts_actions(small_config):
     state = jc.reset(_leaves(small_config, 3, 5))
-    assert len(jc.legal_actions(state)) == 10
+    assert len(action_table(state.n)[0]) == 10
 
 
 def test_reset_is_idempotent(small_config):
@@ -39,18 +49,18 @@ def test_reset_rejects_single_particle():
 
 
 def test_legal_actions_shapes(small_config):
-    assert jc.legal_actions(jc.reset(_leaves(small_config, 3, 3))) == [
+    assert list(action_table(jc.reset(_leaves(small_config, 3, 3)).n)[0]) == [
         jc.Action(0, 1), jc.Action(0, 2), jc.Action(1, 2)]
     for n in (4, 6, 8):
         state = jc.reset(_leaves(small_config, 5, n))
-        assert len(jc.legal_actions(state)) == n * (n - 1) // 2
+        assert len(action_table(state.n)[0]) == n * (n - 1) // 2
 
 
 def test_action_table_matches_legal_actions(small_config):
     for n in range(2, 9):
         state = jc.reset(_leaves(small_config, 3, n))
         actions, index = action_table(n)
-        assert list(actions) == jc.legal_actions(state)
+        assert list(actions) == _legal_actions(state)
         assert [index[a] for a in actions] == list(range(len(actions)))
         assert action_table(n)[0] is actions
         with pytest.raises(TypeError):
@@ -59,18 +69,18 @@ def test_action_table_matches_legal_actions(small_config):
 
 def test_legal_actions_empty_at_terminal(small_config):
     state = jc.reset(_leaves(small_config, 3, 2))
-    state = jc.step(state, jc.Action(0, 1), small_config).next_state
+    state = jc.step(state, jc.Action(0, 1), small_config)
     assert jc.is_terminal(state)
-    assert jc.legal_actions(state) == []
+    assert action_table(state.n)[0] == ()
 
 
 def test_step_two_leaves_reward_is_tree_likelihood(small_config):
     tree = make_event(small_config, seed=7, n_leaves=2)
     state = jc.reset(tree.leaf_momenta())
-    tr = jc.step(state, jc.Action(0, 1), small_config)
-    assert tr.done
-    built = jc.tree_from_state(tr.next_state)
-    assert tr.next_state.cumulative_reward == pytest.approx(
+    nxt = jc.step(state, jc.Action(0, 1), small_config)
+    assert jc.is_terminal(nxt)
+    built = jc.tree_from_state(nxt)
+    assert nxt.cumulative_reward == pytest.approx(
         jc.tree_log_likelihood(built, small_config), abs=1e-12)
 
 
@@ -90,8 +100,8 @@ def test_step_conserves_total_momentum(small_config):
 
     before = total(state)
     while not jc.is_terminal(state):
-        actions = jc.legal_actions(state)
-        state = jc.step(state, actions[int(rng.integers(len(actions)))], small_config).next_state
+        actions = action_table(state.n)[0]
+        state = jc.step(state, actions[int(rng.integers(len(actions)))], small_config)
         after = total(state)
         assert all(abs(a - b) <= 1e-12 for a, b in zip(after, before))
 
@@ -103,8 +113,8 @@ def test_episode_reward_equals_tree_likelihood(small_config):
         state = jc.reset(leaves)
         n_steps = 0
         while not jc.is_terminal(state):
-            actions = jc.legal_actions(state)
-            state = jc.step(state, actions[int(rng.integers(len(actions)))], small_config).next_state
+            actions = action_table(state.n)[0]
+            state = jc.step(state, actions[int(rng.integers(len(actions)))], small_config)
             n_steps += 1
         assert n_steps == len(leaves) - 1
         built = jc.tree_from_state(state)
@@ -116,8 +126,8 @@ def test_step_is_pure(small_config):
     a = jc.Action(1, 3)
     t1 = jc.step(state, a, small_config)
     t2 = jc.step(state, a, small_config)
-    assert t1.reward == t2.reward
-    assert t1.next_state == t2.next_state
+    assert t1.cumulative_reward == t2.cumulative_reward
+    assert t1 == t2
 
 
 def test_apply_action_matches_step(small_config):
@@ -132,9 +142,36 @@ def test_apply_action_matches_step(small_config):
 
 def test_leaf_sets_tracks_merges(small_config):
     state = jc.reset(_leaves(small_config, 3, 4))
-    assert leaf_sets(state) == tuple(frozenset((k,)) for k in range(4))
-    state = jc.step(state, jc.Action(1, 2), small_config).next_state
-    assert leaf_sets(state) == (frozenset((0,)), frozenset((3,)), frozenset((1, 2)))
+    assert leaf_sets(state) == (0b0001, 0b0010, 0b0100, 0b1000)
+    state = jc.step(state, jc.Action(1, 2), small_config)
+    assert leaf_sets(state) == (0b0001, 0b1000, 0b0110)
+
+
+def _frozenset_leaf_sets(state):
+    """For each current particle, the set of original leaf ids it contains:
+    leaf_sets as it was before clusters became leaf bitmasks."""
+    sets = [frozenset((k,)) for k in range(len(state.leaves))]
+    for id_a, id_b in state.history:
+        sets.append(sets[id_a] | sets[id_b])
+    return tuple(sets[pid] for pid in state.ids)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), data=st.data())
+def test_leaf_masks_partition_the_leaves_as_the_frozenset_oracle_does(desk_config, seed, data):
+    # Random steps and steps along the truth tree, drawn at each state.
+    truth = jc.sample_shower(desk_config, make_rng(seed, 0))
+    state = jc.reset(truth.leaf_momenta())
+    while True:
+        masks = leaf_sets(state)
+        assert all(a & b == 0 for a, b in combinations(masks, 2))
+        assert reduce(or_, masks) == (1 << len(state.leaves)) - 1
+        assert masks == tuple(sum(1 << k for k in s) for s in _frozenset_leaf_sets(state))
+        if jc.is_terminal(state):
+            break
+        demonstrated = jc.truth_actions(state, truth)
+        actions = demonstrated if demonstrated and data.draw(st.booleans()) else action_table(state.n)[0]
+        state = jc.step(state, actions[data.draw(st.integers(0, len(actions) - 1))], desk_config)
 
 
 def test_tree_from_history_requires_completion(small_config):
@@ -171,9 +208,9 @@ def _random_episode(seed, data, config):
     hypothesis draws, root state first."""
     states = [jc.reset(jc.sample_shower(config, make_rng(seed, 0)).leaf_momenta())]
     while not jc.is_terminal(states[-1]):
-        actions = jc.legal_actions(states[-1])
+        actions = action_table(states[-1].n)[0]
         states.append(jc.step(states[-1], actions[data.draw(st.integers(0, len(actions) - 1))],
-                              config).next_state)
+                              config))
     return states
 
 
@@ -222,13 +259,14 @@ def test_reached_states_have_increasing_ids_and_apply_action_matches_by_position
         assert all(a < b for a, b in zip(state.ids, state.ids[1:]))
         if jc.is_terminal(state):
             break
-        actions = jc.legal_actions(state)
+        actions = action_table(state.n)[0]
         action = actions[data.draw(st.integers(0, len(actions) - 1))]
         reward = jc.splitting_log_likelihood(
             jc.Splitting(state.particles[action.i], state.particles[action.j]), desk_config)
         got = apply_action(state, action, reward)
         want = _apply_action_by_position(state, action, reward)
-        assert got.next_state == want
-        assert got.next_state.cumulative_reward.hex() == want.cumulative_reward.hex()
-        assert got.reward == reward and got.done == (want.n == 1)
-        state = got.next_state
+        assert got == want
+        assert got.cumulative_reward.hex() == want.cumulative_reward.hex()
+        assert got.cumulative_reward == state.cumulative_reward + reward
+        assert jc.is_terminal(got) == (want.n == 1)
+        state = got

@@ -661,6 +661,25 @@ def test_cli_compare_rejects_per_event_entry_without_field(tmp_path, capsys, fie
     assert "Traceback" not in err
 
 
+def test_cli_compare_rejects_results_without_per_event_entries(tmp_path, capsys):
+    # compare used to write three CSVs and then fail on an IndexError.
+    data = tmp_path / "d.jsonl"
+    cli(["generate", "--n-events", "4", "--seed", "11", "--out", str(data), *SMALL_FLAGS])
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for path in (a, b):
+        cli(["evaluate", "--algo", "greedy", "--in", str(data), "--out", str(path),
+             "--seed", "11"])
+        obj = json.loads(path.read_text())
+        obj["per_event"] = []
+        path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli(["compare", str(a), str(b), "--out", str(tmp_path / "cmp")]) == 2
+    err = capsys.readouterr().err
+    assert "per_event is empty" in err
+    assert "Traceback" not in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["a.json", "b.json", "d.jsonl"]
+
+
 def test_cli_config_file_rejects_values_of_the_wrong_type(tmp_path, capsys):
     data = tmp_path / "d.jsonl"
     cfg = tmp_path / "cfg.json"

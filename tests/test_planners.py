@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,20 +7,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import jetclust as jc
-from jetclust.env import apply_action, leaf_sets, legal_actions, reset
+from jetclust.env import action_table, apply_action, leaf_sets, reset
 from jetclust.features import feature_dim
 from jetclust.planners import (
     SearchNode,
     _beam_from_state,
     _BeamItem,
     _insert_beam_trajectories,
-    _pair_rewards,
+    _rewards,
     _run_rollout,
 )
 from jetclust.policy import init_weights
 from jetclust.rng import make_rng
 
-from conftest import make_event
+from conftest import as_frozensets, make_event
 
 
 def _event(small_config, seed, n):
@@ -49,7 +50,7 @@ def test_fixed_policy_proportional_to_ps(small_config):
         jc.splitting_log_likelihood(
             jc.Splitting(state.particles[a.i], state.particles[a.j]),
             small_config)
-        for a in legal_actions(state)
+        for a in action_table(state.n)[0]
     ]
     order = np.argsort(logps)
     assert all(priors[order[k]] <= priors[order[k + 1]] for k in range(len(order) - 1))
@@ -85,15 +86,15 @@ def test_greedy_first_step_is_argmax_over_three_trees(small_config):
     state = reset(ev)
     # brute force over the three possible first actions, then forced merge
     outcomes = []
-    for a in legal_actions(state):
-        nxt = jc.step(state, a, small_config).next_state
-        done = jc.step(nxt, jc.Action(0, 1), small_config).next_state
+    for a in action_table(state.n)[0]:
+        nxt = jc.step(state, a, small_config)
+        done = jc.step(nxt, jc.Action(0, 1), small_config)
         outcomes.append((a, done.cumulative_reward))
     first_rewards = {
         a: jc.splitting_log_likelihood(
             jc.Splitting(state.particles[a.i], state.particles[a.j]),
             small_config)
-        for a in legal_actions(state)
+        for a in action_table(state.n)[0]
     }
     best_first = max(first_rewards, key=lambda a: first_rewards[a])
     expected = dict((a, ll) for a, ll in outcomes)[best_first]
@@ -144,12 +145,18 @@ def test_beam_dedup_keeps_best_representative(small_config):
     # must hold distinct partitions only
     ev = _event(small_config, 13, 4)
     items = _beam_from_state(reset(ev), 1000, small_config)
-    keys = [tuple(sorted(tuple(sorted(s)) for s in it.leafsets)) for it in items]
+    keys = [tuple(sorted(tuple(sorted(s)) for s in as_frozensets(it.leafsets))) for it in items]
     assert len(set(keys)) == len(keys)
 
 
 # The eager beam the lazy one replaced, kept verbatim as the oracle: it
-# builds every candidate state and collapses partitions as it goes.
+# builds every candidate state and collapses partitions as it goes.  Its
+# items hold frozensets of leaf ids, the library's hold leaf bitmasks.
+
+def _pair_rewards(state, config):
+    """Every legal action with its reward, in legal-action order."""
+    return list(zip(action_table(state.n)[0], _rewards(state, config)))
+
 
 def _eager_partition_key(leafsets):
     return tuple(sorted(tuple(sorted(s)) for s in leafsets))
@@ -158,12 +165,12 @@ def _eager_partition_key(leafsets):
 def _eager_beam_from_state(state, b, config):
     if b < 1:
         raise ValueError(f"beam width must be >= 1, got {b}")
-    items = [_BeamItem(state=state, leafsets=leaf_sets(state), path=())]
+    items = [_BeamItem(state=state, leafsets=as_frozensets(leaf_sets(state)), path=())]
     while items[0].state.n > 1:
         survivors = {}
         for item in items:
             for action, reward in _pair_rewards(item.state, config):
-                nxt = apply_action(item.state, action, reward).next_state
+                nxt = apply_action(item.state, action, reward)
                 i, j = action.i, action.j
                 nls = tuple(
                     s for k, s in enumerate(item.leafsets) if k != i and k != j
@@ -190,7 +197,7 @@ def _assert_same_beam(lazy, eager):
         assert got.state.history == want.state.history
         assert got.state.cumulative_reward.hex() == want.state.cumulative_reward.hex()
         assert got.state.particles == want.state.particles
-        assert got.leafsets == want.leafsets
+        assert as_frozensets(got.leafsets) == want.leafsets
         assert [a for a, _ in got.path] == [a for a, _ in want.path]
         assert [s.history for _, s in got.path] == [s.history for _, s in want.path]
         assert [s.cumulative_reward.hex() for _, s in got.path] == \
@@ -210,7 +217,7 @@ def test_lazy_beam_matches_eager_oracle(small_config, medium_events, n):
 def test_lazy_beam_matches_eager_oracle_mid_episode(small_config):
     state = reset(_event(small_config, 13, 8))
     for a in (jc.Action(1, 4), jc.Action(0, 2), jc.Action(2, 5)):
-        state = jc.step(state, a, small_config).next_state
+        state = jc.step(state, a, small_config)
     for b in (1, 2, 3, 5, 1000):
         _assert_same_beam(_beam_from_state(state, b, small_config),
                           _eager_beam_from_state(state, b, small_config))
@@ -234,9 +241,9 @@ def test_lazy_beam_matches_eager_oracle_on_repeated_identical_leaves(medium_even
     config, events = medium_events
     base = next(e.leaves for e in events if e.n_leaves == 5)
     leaves = [p for p in base for _ in range(2)]
-    rewards = [r for _, r in _pair_rewards(reset(leaves), config)]
+    rewards = _rewards(reset(leaves), config)
     assert len(set(rewards)) < len(rewards)
-    state = jc.step(reset(leaves), jc.Action(0, 3), config).next_state
+    state = jc.step(reset(leaves), jc.Action(0, 3), config)
     for start in (reset(leaves), state):
         for b in (1, 5):
             _assert_same_beam(_beam_from_state(start, b, config),
@@ -251,9 +258,9 @@ def test_lazy_beam_matches_eager_oracle_on_random_events(small_config, seed, b, 
     assume(len(leaves) <= 9)
     state = reset(leaves)
     for _ in range(data.draw(st.integers(0, len(leaves) - 2), label="prefix")):
-        actions = legal_actions(state)
+        actions = action_table(state.n)[0]
         a = actions[data.draw(st.integers(0, len(actions) - 1), label="action")]
-        state = jc.step(state, a, small_config).next_state
+        state = jc.step(state, a, small_config)
     _assert_same_beam(_beam_from_state(state, b, small_config),
                       _eager_beam_from_state(state, b, small_config))
 
@@ -409,7 +416,7 @@ def test_mcts_two_leaf_root_returns_the_single_action(small_config):
     ev = _event(small_config, 3, 2)
     for cfg in (_mcts_cfg(), _mcts_cfg(beam_init_b=0, n_mcts=1), _mcts_cfg(final_rule="puct-visits")):
         _, _, decisions = jc.cluster_mcts(ev, jc.fixed_policy("random"), cfg, small_config, make_rng(0))
-        assert [legal_actions(s)[k] for s, k in decisions] == [jc.Action(0, 1)]
+        assert [action_table(s.n)[0][k] for s, k in decisions] == [jc.Action(0, 1)]
 
 
 def test_mcts_rejects_empty_budget(small_config):
@@ -479,7 +486,7 @@ def test_mcts_emits_training_examples(small_config):
     _, _, decisions = jc.cluster_mcts(ev, policy, _mcts_cfg(), small_config, make_rng(67))
     assert len(decisions) == 4  # one decision per merge
     for state, k in decisions:
-        assert 0 <= k < len(legal_actions(state))
+        assert 0 <= k < len(action_table(state.n)[0])
 
 
 def test_mcts_better_prior_at_least_greedy_on_average(small_config, oracle_events):
@@ -639,4 +646,33 @@ def test_every_planner_rejects_a_non_finite_leaf(small_config, bad, component):
     }
     for name, run in runs.items():
         with pytest.raises(ValueError, match=f"leaf 1 has a non-finite {component}: {bad!r}"):
+            run()
+
+
+@pytest.mark.parametrize("leaves, message", [
+    # E * E of one leaf overflows
+    ([jc.FourMomentum(1e308, 0, 0, 0), jc.FourMomentum(2, 0, 0, 1), jc.FourMomentum(3, 0.5, 0, 1)],
+     "total energy 1e+308 squared overflows"),
+    # an int component beyond the float range
+    ([jc.FourMomentum(10**400, 0, 0, 0), jc.FourMomentum(2, 0, 0, 1), jc.FourMomentum(3, 0.5, 0, 1)],
+     "leaf 0's E is beyond the float range"),
+    # each leaf's square is finite, their sum's is not
+    ([jc.FourMomentum(1e154, 0, 0, 0), jc.FourMomentum(1e154, 0, 0, 1e153),
+      jc.FourMomentum(3, 0.5, 0, 1)],
+     "total energy 2e+154 squared overflows"),
+])
+def test_every_planner_rejects_leaves_whose_squares_overflow(small_config, leaves, message):
+    # These raised a bare "math domain error" or OverflowError that named
+    # no leaf.
+    nn = jc.NeuralPolicy(init_weights(feature_dim(), make_rng(1)), small_config)
+    runs = {
+        "greedy": lambda: jc.cluster_greedy(leaves, small_config),
+        "beam": lambda: jc.cluster_beam(leaves, 3, small_config),
+        "mcts": lambda: jc.cluster_mcts(leaves, jc.fixed_policy("proportional-to-ps", small_config),
+                                        _mcts_cfg(n_mcts=3, beam_init_b=2), small_config, make_rng(3)),
+        "cluster_policy": lambda: jc.cluster_policy(leaves, nn, small_config),
+        "exact_mle": lambda: jc.exact_mle(leaves, small_config),
+    }
+    for name, run in runs.items():
+        with pytest.raises(ValueError, match=re.escape(message)):
             run()

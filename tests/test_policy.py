@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jetclust as jc
-from jetclust.env import action_table, is_terminal, leaf_sets, legal_actions, reset, step
+from jetclust.env import action_table, is_terminal, leaf_sets, reset, step
 from jetclust.features import extract_pair_features, feature_dim
 from jetclust.shower import invariant_mass_sq
 from jetclust.policy import (
@@ -26,7 +26,7 @@ from jetclust.policy import (
 )
 from jetclust.rng import make_rng
 
-from conftest import SMALL_CONFIG, make_event
+from conftest import SMALL_CONFIG, as_frozensets, make_event
 
 
 def _zero_weights(d=None):
@@ -41,8 +41,8 @@ def _random_state(config, seed, n_leaves, n_merges=0):
     state = reset(leaves)
     rng = make_rng(seed, 999)
     for _ in range(n_merges):
-        acts = legal_actions(state)
-        state = step(state, acts[int(rng.integers(len(acts)))], config).next_state
+        acts = action_table(state.n)[0]
+        state = step(state, acts[int(rng.integers(len(acts)))], config)
     return state
 
 
@@ -66,8 +66,8 @@ def test_forward_normalization_over_random_states(small_config):
             if len(probs) > 1:
                 assert np.all(probs < 1.0)
             checked += 1
-            acts = legal_actions(state)
-            state = step(state, acts[int(rng.integers(len(acts)))], small_config).next_state
+            acts = action_table(state.n)[0]
+            state = step(state, acts[int(rng.integers(len(acts)))], small_config)
     assert checked >= 1000
 
 
@@ -81,13 +81,13 @@ def test_forward_is_permutation_equivariant(small_config):
     w = init_weights(feature_dim(), make_rng(13))
     leaves = make_event(small_config, seed=17, n_leaves=7).leaf_momenta()
     probs = jc.policy_forward(w, reset(leaves), small_config)
-    acts = legal_actions(reset(leaves))
+    acts = action_table(len(leaves))[0]
     for trial in range(10):
         perm = make_rng(19, trial).permutation(len(leaves))
         permuted = reset([leaves[k] for k in perm])
         probs_p = jc.policy_forward(w, permuted, small_config)
         where = {int(p): k for k, p in enumerate(perm)}
-        index_p = {(a.i, a.j): k for k, a in enumerate(legal_actions(permuted))}
+        index_p = {(a.i, a.j): k for k, a in enumerate(action_table(permuted.n)[0])}
         for k, a in enumerate(acts):
             i, j = sorted((where[a.i], where[a.j]))
             assert probs[k] == probs_p[index_p[(i, j)]]  # bit-identical
@@ -99,7 +99,7 @@ def test_feature_determinism_and_ps_column(small_config):
     x2 = extract_pair_features(state, small_config)
     assert np.array_equal(x1, x2)
     assert np.all(np.isfinite(x1))
-    for row, a in enumerate(legal_actions(state)):
+    for row, a in enumerate(action_table(state.n)[0]):
         s = jc.Splitting(state.particles[a.i], state.particles[a.j])
         assert x1[row, -1] == jc.splitting_log_likelihood(s, small_config)
 
@@ -112,7 +112,7 @@ def _row_loop_features(state, config, include_ps=True):
     t_scale = e_scale * e_scale
     n = float(state.n)
     masses = [invariant_mass_sq(p) for p in state.particles]
-    actions = legal_actions(state)
+    actions = action_table(state.n)[0]
     out = np.empty((len(actions), feature_dim(include_ps)))
     for row, act in enumerate(actions):
         pi, pj = state.particles[act.i], state.particles[act.j]
@@ -154,8 +154,8 @@ def test_features_match_row_loop_on_random_states(seed, n_leaves, data):
     state = reset(leaves)
     n_merges = data.draw(st.integers(0, state.n - 2))
     for _ in range(n_merges):
-        actions = legal_actions(state)
-        state = step(state, actions[data.draw(st.integers(0, len(actions) - 1))], config).next_state
+        actions = action_table(state.n)[0]
+        state = step(state, actions[data.draw(st.integers(0, len(actions) - 1))], config)
     _assert_features_match_row_loop(state, config)
 
 
@@ -169,7 +169,7 @@ def test_features_match_row_loop_on_tied_energies(small_config):
     state = reset(leaves)
     _assert_features_match_row_loop(state, small_config)
     for k in range(3):
-        state = step(state, legal_actions(state)[k], small_config).next_state
+        state = step(state, action_table(state.n)[0][k], small_config)
         _assert_features_match_row_loop(state, small_config)
 
 
@@ -195,8 +195,8 @@ def _episode(config, leaves, rng):
     state, states = reset(leaves), []
     while not is_terminal(state):
         states.append(state)
-        acts = legal_actions(state)
-        state = step(state, acts[int(rng.integers(len(acts)))], config).next_state
+        acts = action_table(state.n)[0]
+        state = step(state, acts[int(rng.integers(len(acts)))], config)
     return states
 
 
@@ -279,7 +279,7 @@ def test_gradient_matches_finite_differences(small_config):
     for trial in range(10):
         w = init_weights(feature_dim(), make_rng(31, trial))
         state = _random_state(small_config, 37 + trial, 5, n_merges=trial % 3)
-        m = len(legal_actions(state))
+        m = len(action_table(state.n)[0])
         n_targets = 1 + trial % 2
         targets = tuple(int(v) for v in rng.choice(m, size=n_targets, replace=False))
         demo = Demonstration(extract_pair_features(state, small_config), targets)
@@ -362,7 +362,7 @@ def test_truth_actions_off_demonstration_is_empty(small_config):
     leaves = [jc.FourMomentum(2.0, 0.0, 0.0, float(k) / 10) for k in range(4)]
     tree = _manual_tree(leaves, [(0, 1), (2, 3), (4, 5)])
     state = reset(leaves)
-    state = step(state, jc.Action(0, 2), small_config).next_state  # not a sibling pair
+    state = step(state, jc.Action(0, 2), small_config)  # not a sibling pair
     assert jc.truth_actions(state, tree) == []
 
 
@@ -373,7 +373,7 @@ def test_truth_actions_follow_merges(small_config):
     while not jc.is_terminal(state):
         targets = jc.truth_actions(state, tree)
         assert targets  # demonstrator-consistent states always have one
-        state = step(state, targets[int(rng.integers(len(targets)))], small_config).next_state
+        state = step(state, targets[int(rng.integers(len(targets)))], small_config)
     built = jc.tree_from_state(state)
     assert abs(jc.tree_log_likelihood(built, small_config) - tree_ll(tree, small_config)) <= 1e-9
 
@@ -409,13 +409,13 @@ def test_train_bc_learns_above_uniform(medium_events):
             targets = jc.truth_actions(state, event.truth)
             if not targets:
                 break
-            acts = legal_actions(state)
+            acts = action_table(state.n)[0]
             if len(acts) >= 10:
                 probs = jc.policy_forward(w, state, config)
                 hits += acts[int(np.argmax(probs))] in targets
                 tries += 1
                 uniform.append(1.0 / len(acts))
-            state = step(state, targets[int(rng.integers(len(targets)))], config).next_state
+            state = step(state, targets[int(rng.integers(len(targets)))], config)
     accuracy = hits / tries
     assert tries >= 50
     assert accuracy > 3 * float(np.mean(uniform))
@@ -531,7 +531,7 @@ def _sibling_pairs(tree):
 
 
 def _actions_in(state, pairs):
-    sets = leaf_sets(state)
+    sets = as_frozensets(leaf_sets(state))
     return [
         a for a in action_table(state.n)[0]
         if frozenset((sets[a.i], sets[a.j])) in pairs
@@ -547,7 +547,7 @@ def test_loss_and_grad_match_the_per_array_oracle(small_config):
     for trial in range(40):
         w = init_weights(feature_dim(), make_rng(26, trial))
         state = _random_state(small_config, 27 + trial, 2 + trial % 6, n_merges=trial % 2)
-        m = len(legal_actions(state))
+        m = len(action_table(state.n)[0])
         k = 1 + int(rng.integers(m))
         demo = Demonstration(extract_pair_features(state, small_config),
                              tuple(int(v) for v in rng.choice(m, size=k, replace=False)))
@@ -586,7 +586,7 @@ def _per_state_train_bc(dataset, config, steps, lr, rng, demonstrator="truth", i
                 _sgd_update(weights, grad, lr)
                 losses.append(loss)
                 chosen = targets[int(rng.integers(len(targets)))]
-                state = step(state, chosen, config).next_state
+                state = step(state, chosen, config)
             if len(losses) >= steps:
                 break
     return weights, losses
@@ -639,7 +639,7 @@ def test_off_demonstration_events_break_mid_episode(small_events):
     for event in _off_demonstration(small_events[:20]):
         state, depth = reset(event.leaves), 0
         while not is_terminal(state) and (targets := jc.truth_actions(state, event.truth)):
-            state, depth = step(state, targets[0], SMALL_CONFIG).next_state, depth + 1
+            state, depth = step(state, targets[0], SMALL_CONFIG), depth + 1
         depths.append((depth, is_terminal(state)))
     assert any(d == 0 for d, _ in depths)
     assert any(d > 0 and not done for d, done in depths)
@@ -769,8 +769,8 @@ def test_train_bc_matches_per_state_loop_on_repeated_leaves(small_events, demons
 def _random_tree(leaves, config, rng):
     state = reset(leaves)
     while not is_terminal(state):
-        acts = legal_actions(state)
-        state = step(state, acts[int(rng.integers(len(acts)))], config).next_state
+        acts = action_table(state.n)[0]
+        state = step(state, acts[int(rng.integers(len(acts)))], config)
     return jc.tree_from_state(state)
 
 
@@ -804,8 +804,8 @@ def test_sibling_lookup_matches_pair_scan(seed, n_leaves, kind, repeated, drop_l
         assert jc.truth_actions(state, tree) == expected
         index = action_table(state.n)[1]
         assert _demonstrated(leaf_sets(state), sibling) == tuple(index[a] for a in expected)
-        acts = expected if expected and data.draw(st.booleans()) else legal_actions(state)
-        state = step(state, acts[data.draw(st.integers(0, len(acts) - 1))], config).next_state
+        acts = expected if expected and data.draw(st.booleans()) else action_table(state.n)[0]
+        state = step(state, acts[data.draw(st.integers(0, len(acts) - 1))], config)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 import jetclust as jc
 from jetclust import trellis
+from jetclust.env import leaf_sets
 from jetclust.rng import make_rng
 from jetclust.shower import Splitting
 from jetclust.trellis import _fill_table
@@ -127,6 +128,27 @@ MLE_TREE_GOLDEN = [
       (None, 10), (None, 11), ((5, 8), 11), ((10, 9), 12), ((0, 11), 14), ((2, 4), 14),
       ((12, 13), 18), ((1, 3), 17), ((6, 7), 17), ((15, 16), 18), ((14, 17), None)]),
 ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 10])
+def test_exact_mle_history_replays_the_table_splits_through_step(small_config, medium_events, n):
+    # Env and trellis name a cluster by the same leaf bitmask: each merge of
+    # the MLE tree, replayed through step, joins best[m] and m ^ best[m].
+    config, events = (small_config, None) if n <= 8 else medium_events
+    leaves = (make_event(small_config, seed=7, n_leaves=n).leaf_momenta() if events is None
+              else next(e.leaves for e in events if e.n_leaves == n))
+    _, best, _ = _fill_table(leaves, config)
+    _, tree = jc.exact_mle(leaves, config)
+    state = jc.reset(leaves)
+    for node in tree.nodes[n:]:
+        i, j = sorted(state.ids.index(child) for child in node.children)
+        masks = leaf_sets(state)
+        m = masks[i] | masks[j]
+        assert masks[i] & masks[j] == 0
+        assert {masks[i], masks[j]} == {best[m], m ^ best[m]}
+        state = jc.step(state, jc.Action(i, j), config)
+    assert leaf_sets(state) == ((1 << n) - 1,)
+    assert [set(h) for h in state.history] == [set(node.children) for node in tree.nodes[n:]]
 
 
 @pytest.mark.parametrize("name,seed,n,ll_hex,root,structure", MLE_TREE_GOLDEN,
