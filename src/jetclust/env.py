@@ -31,12 +31,15 @@ class Action:
 
 @dataclass(frozen=True, slots=True)
 class ClusterState:
+    """A partition of the leaves into clusters.  Particle k of `particles`
+    is the cluster whose leaf bitmask is masks[k]; `history` holds the two
+    clusters' masks (mask_a, mask_b) of every merge so far."""
+
     particles: tuple[FourMomentum, ...]
-    ids: tuple[int, ...]
+    masks: tuple[int, ...]
     cumulative_reward: float
-    # (id_a, id_b) per merge; the k-th merge creates id len(leaves) + k
     history: tuple[tuple[int, int], ...]
-    leaves: tuple[FourMomentum, ...]  # original observed particles, id k = leaves[k]
+    leaves: tuple[FourMomentum, ...]  # original observed particles, bit k = leaves[k]
 
     @property
     def n(self) -> int:
@@ -76,7 +79,7 @@ def reset(leaves: list[FourMomentum] | tuple[FourMomentum, ...]) -> ClusterState
     leaves = tuple(leaves)
     return ClusterState(
         particles=leaves,
-        ids=tuple(range(len(leaves))),
+        masks=tuple(1 << k for k in range(len(leaves))),
         cumulative_reward=0.0,
         history=(),
         leaves=leaves,
@@ -110,12 +113,12 @@ def apply_action(state: ClusterState, action: Action, reward: float) -> ClusterS
     i, j = action.i, action.j
     if not (0 <= i < j < state.n):
         raise ValueError(f"illegal action ({i}, {j}) for n={state.n}")
-    ps, ids = state.particles, state.ids
+    ps, masks = state.particles, state.masks
     return ClusterState(
         particles=merged(ps, i, j, ps[i] + ps[j]),
-        ids=merged(ids, i, j, len(state.leaves) + len(state.history)),
+        masks=merged(masks, i, j, masks[i] | masks[j]),
         cumulative_reward=state.cumulative_reward + reward,
-        history=state.history + ((ids[i], ids[j]),),
+        history=state.history + ((masks[i], masks[j]),),
         leaves=state.leaves,
     )
 
@@ -131,28 +134,31 @@ def step(state: ClusterState, action: Action, config: ShowerConfig) -> ClusterSt
 
 
 def leaf_sets(state: ClusterState) -> tuple[int, ...]:
-    """For each current particle, the bitmask of the original leaf ids it
-    contains (bit k = leaf k)."""
-    masks = [1 << k for k in range(len(state.leaves))]
-    for id_a, id_b in state.history:
-        masks.append(masks[id_a] | masks[id_b])
-    return tuple(masks[pid] for pid in state.ids)
+    """For each current particle, the bitmask of the leaves it contains
+    (bit k = leaf k): the state's masks."""
+    return state.masks
 
 
 def tree_from_history(
     leaves: tuple[FourMomentum, ...],
     history: Sequence[tuple[int, int]],
 ) -> Tree:
-    """Rebuild the clustering tree from a completed history of (id_a, id_b)
-    merges.  Node index equals particle id: leaves, then merge k at len(leaves) + k."""
+    """Rebuild the clustering tree from a completed history of (mask_a, mask_b)
+    merges.  Node k is leaf k, and merge k is node len(leaves) + k.  A merge
+    must join two current clusters; ValueError if one is not (a mask
+    never formed, already merged, or the same mask twice)."""
     n = len(leaves)
     if len(history) != n - 1:
         raise ValueError(f"history has {len(history)} merges, need {n - 1} for {n} leaves")
     nodes = [TreeNode(momentum=p, t=invariant_mass_sq(p)) for p in leaves]
-    for id_a, id_b in history:
-        nodes[id_a].parent = nodes[id_b].parent = len(nodes)
-        momentum = nodes[id_a].momentum + nodes[id_b].momentum
-        nodes.append(TreeNode(momentum=momentum, t=invariant_mass_sq(momentum), children=(id_a, id_b)))
+    node_of = {1 << k: k for k in range(n)}  # current cluster's mask -> node index
+    for mask_a, mask_b in history:
+        a, b = node_of.pop(mask_a, None), node_of.pop(mask_b, None)
+        if a is None or b is None:
+            raise ValueError(f"merge ({mask_a:#b}, {mask_b:#b}) does not join two current clusters")
+        node_of[mask_a | mask_b] = nodes[a].parent = nodes[b].parent = len(nodes)
+        momentum = nodes[a].momentum + nodes[b].momentum
+        nodes.append(TreeNode(momentum=momentum, t=invariant_mass_sq(momentum), children=(a, b)))
     return Tree(nodes=nodes, root_index=len(nodes) - 1, leaf_indices=list(range(n)))
 
 

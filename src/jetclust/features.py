@@ -125,7 +125,7 @@ def _ps_column(particles, first, second, shared, config):
     """log p_s of each row's pair (particles[first], particles[second]).
     Without shared particle objects every row is a distinct pair;
     otherwise each distinct pair is scored once, which is safe while the
-    caller holds the objects whose ids the indices stand for."""
+    caller holds the objects whose identities the indices stand for."""
     if shared:
         # The kernel is symmetric in its children bit for bit, so a pair
         # is keyed unordered.

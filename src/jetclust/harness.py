@@ -156,18 +156,51 @@ def _config_from_obj(obj) -> ShowerConfig:
     return config
 
 
-def _tree_from_obj(obj: dict) -> Tree:
+def _tree_from_obj(obj: dict, leaves: list) -> Tree:
+    """Decode a truth tree; ValueError unless it is one binary tree whose
+    parent and child links agree and whose leaves, in the order the
+    sampler lists them (pre-order, first child first), are the line's
+    `leaves`, so that leaf k of the tree is particle k of the event."""
     nodes = []
-    for rec in obj["nodes"]:
+    for k, rec in enumerate(obj["nodes"]):
         momentum = _momentum(rec["p"])
-        nodes.append(TreeNode(
-            momentum=momentum,
-            t=invariant_mass_sq(momentum),
-            parent=rec["parent"],
-            children=tuple(rec["children"]) if rec["children"] is not None else None,
-        ))
-    leaf_indices = [i for i, node in enumerate(nodes) if node.children is None]
-    return Tree(nodes=nodes, root_index=obj["root"], leaf_indices=leaf_indices)
+        children = rec["children"]
+        if children is not None:
+            if type(children) is not list or len(children) != 2:
+                raise ValueError(f"truth tree node {k} has children {children!r}, not two")
+            children = tuple(children)
+        nodes.append(TreeNode(momentum=momentum, t=invariant_mass_sq(momentum),
+                              parent=rec["parent"], children=children))
+    size = len(nodes)
+    root = obj["root"]
+    if type(root) is not int or not 0 <= root < size:
+        raise ValueError(f"truth tree root {root!r} is not a node index below {size}")
+    if nodes[root].parent is not None:
+        raise ValueError(f"truth tree root {root} has parent {nodes[root].parent!r}")
+    # Every other node must be reached once, from the parent it names.
+    reached = set()
+    leaf_indices = []
+    stack = [root]
+    while stack:
+        k = stack.pop()
+        if k in reached:
+            raise ValueError(f"truth tree node {k} is reached twice from the root")
+        reached.add(k)
+        if nodes[k].children is None:
+            leaf_indices.append(k)
+            continue
+        for c in reversed(nodes[k].children):
+            if type(c) is not int or not 0 <= c < size:
+                raise ValueError(f"truth tree node {k}'s child {c!r} is not a node index below {size}")
+            parent = nodes[c].parent
+            if type(parent) is not int or parent != k:
+                raise ValueError(f"truth tree node {c} is a child of node {k} but names parent {parent!r}")
+            stack.append(c)
+    if len(reached) != size:
+        raise ValueError(f"truth tree nodes {sorted(set(range(size)) - reached)} are not reached from the root")
+    if [obj["nodes"][k]["p"] for k in leaf_indices] != leaves:
+        raise ValueError("truth tree leaves, in pre-order, differ from the event's leaves")
+    return Tree(nodes=nodes, root_index=root, leaf_indices=leaf_indices)
 
 
 def event_to_json(event: EventRecord) -> str:
@@ -191,11 +224,13 @@ def event_from_json(line: str, config: ShowerConfig | None = None) -> EventRecor
         stored = _config_from_obj(obj["config"])
         if config is not None and stored != config:
             raise ValueError("config differs from the first event's; a dataset holds one shower config")
+        if type(obj["id"]) is not int:
+            raise ValueError(f"event id {obj['id']!r} is not an int")
         return EventRecord(
             event_id=obj["id"],
             config=stored if config is None else config,
             leaves=tuple(_momentum(p) for p in obj["leaves"]),
-            truth=_tree_from_obj(obj["truth"]),
+            truth=_tree_from_obj(obj["truth"], obj["leaves"]),
             truth_ll=_number(obj["truth_ll"], "truth_ll"),
         )
     except (KeyError, TypeError, OverflowError) as exc:  # missing field, wrong kind, int beyond float range
@@ -230,18 +265,24 @@ def write_events(path: str | Path, events: Sequence[EventRecord]) -> None:
 
 
 def load_events(path: str | Path) -> list[EventRecord]:
-    """Read a dataset, whose events share one ShowerConfig; a line that is not
-    a valid event or stores another config raises ValueError naming path:line."""
+    """Read a dataset, whose events share one ShowerConfig and have unique
+    ids; a line that is not a valid event, stores another config or
+    repeats an id raises ValueError naming path:line."""
     events = []
+    line_of_id: dict[int, int] = {}
     try:
         with open(path) as f:
             for lineno, line in enumerate(f, 1):
                 if not line.strip():
                     continue
                 try:
-                    events.append(event_from_json(line, events[0].config if events else None))
+                    event = event_from_json(line, events[0].config if events else None)
+                    first = line_of_id.setdefault(event.event_id, lineno)
+                    if first != lineno:
+                        raise ValueError(f"event id {event.event_id} repeats the id of line {first}")
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                events.append(event)
     except OSError as exc:
         raise OSError(f"cannot read dataset from {path}: {exc}") from exc
     return events
@@ -447,7 +488,7 @@ def compare(results: Sequence[RunResult]) -> dict:
     if len(results) < 2:
         raise ValueError("need at least 2 runs to compare")
     id_sets = [sorted({e["id"] for e in r.per_event}) for r in results]
-    if any(ids != id_sets[0] for ids in id_sets[1:]):
+    if any(s != id_sets[0] for s in id_sets[1:]):
         raise ValueError("runs cover different event sets")
     hashes = {r.dataset_hash for r in results if r.dataset_hash is not None}
     if len(hashes) > 1:

@@ -124,53 +124,48 @@ def cluster_greedy(
 @dataclass
 class _BeamItem:
     state: ClusterState
-    leafsets: tuple[int, ...]  # each cluster's leaf bitmask
     # (action, resulting state) per level, from the beam's start state.
     path: tuple[tuple[Action, ClusterState], ...]
 
 
 def _beam_from_state(state: ClusterState, b: int, config: ShowerConfig) -> list[_BeamItem]:
     """Level-synchronous beam over partial clusterings ranked by cumulative
-    log-likelihood, ties going to the smaller merge history.  States with
-    identical partitions into leaf bitmasks are collapsed to the best-ranked
-    representative, which is lossless because future rewards depend only
-    on the current particle multiset.  Candidates are ranked before any
-    state is built, and only the survivors are built.  Returns the final
-    beam (complete clusterings), best first."""
+    log-likelihood, ties going to the smaller action path from `state`.
+    States with identical partitions into leaf bitmasks are collapsed to
+    the best-ranked representative, which is lossless because future
+    rewards depend only on the current particle multiset.  Candidates are
+    ranked before any state is built, and only the survivors are built.
+    Returns the final beam (complete clusterings), best first."""
     if b < 1:
         raise ValueError(f"beam width must be >= 1, got {b}")
-    items = [_BeamItem(state=state, leafsets=leaf_sets(state), path=())]
+    items = [_BeamItem(state=state, path=())]
     while items[0].state.n > 1:
-        # A candidate's own history is its parent's history plus the new
-        # entry (ids[i], ids[j]).  Every item of a level has a history of
-        # the same length, and no two share one, so ranking the parents by
-        # history orders them as the candidates' histories would.  A
-        # state's ids increase strictly, so within one parent the entries
-        # order as the action indices do.  Candidates are laid out in
-        # (parent rank, action index) order, and the sort is stable, so
-        # candidates of equal total keep that order.
-        by_history = sorted(items, key=lambda item: item.state.history)
-        rewards = [_rewards(item.state, config) for item in by_history]
+        # A candidate's path is its parent's path plus its action, and the
+        # parents' paths differ at one length, so candidates laid out in
+        # (parent rank, action index) order are in path order; the sort is
+        # stable, so candidates of equal total keep that order.
+        by_path = sorted(items, key=lambda item: [a for a, _ in item.path])
+        rewards = [_rewards(item.state, config) for item in by_path]
         totals: list[float] = []
-        for item, rs in zip(by_history, rewards):
+        for item, rs in zip(by_path, rewards):
             cum = item.state.cumulative_reward
             totals += [cum + r for r in rs]
         actions = action_table(items[0].state.n)[0]
         m = len(actions)
+        masks = [leaf_sets(item.state) for item in by_path]
         survivors: list[_BeamItem] = []
         seen: set[frozenset[int]] = set()
         for c in sorted(range(len(totals)), key=totals.__getitem__, reverse=True):
             h, k = divmod(c, m)
-            item = by_history[h]
             action = actions[k]
-            ls = item.leafsets
-            nls = merged(ls, action.i, action.j, ls[action.i] | ls[action.j])
-            key = frozenset(nls)
+            ls = masks[h]
+            key = frozenset(merged(ls, action.i, action.j, ls[action.i] | ls[action.j]))
             if key in seen:
                 continue
             seen.add(key)
+            item = by_path[h]
             nxt = apply_action(item.state, action, rewards[h][k])
-            survivors.append(_BeamItem(state=nxt, leafsets=nls, path=item.path + ((action, nxt),)))
+            survivors.append(_BeamItem(state=nxt, path=item.path + ((action, nxt),)))
             if len(survivors) == b:
                 break
         items = survivors

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .env import Action, ClusterState, action_table, is_terminal, leaf_sets, merged, reset, step
+from .env import Action, ClusterState, action_table, is_terminal, leaf_sets, reset, step
 from .features import (
     FEATURE_SCHEMA_VERSION,
     N_BASE_FEATURES,
@@ -231,7 +231,7 @@ class NeuralPolicy:
 def _sibling_map(tree: Tree) -> dict[int, int]:
     """For every node below the root, its leaf bitmask mapped to its
     sibling's.  Bit k stands for the leaf at tree.leaf_indices[k], which
-    is particle id k of a state reset from the tree's leaves."""
+    is particle k of a state reset from the tree's leaves."""
     position = {node_idx: pos for pos, node_idx in enumerate(tree.leaf_indices)}
     desc: dict[int, int] = {}
 
@@ -320,18 +320,16 @@ def train_bc(
             event = dataset[int(ev_idx)]
             sibling = _sibling_map(_demonstrator_tree(event, demonstrator, config, mle_cache))
             state = reset(event.leaves)
-            sets = tuple(1 << k for k in range(state.n))  # leaf bitmask per cluster
             states: list[ClusterState] = []
             targets: list[tuple[int, ...]] = []
             while not is_terminal(state) and len(losses) + len(states) < steps:
-                t = _demonstrated(sets, sibling)
+                t = _demonstrated(state.masks, sibling)
                 if not t:
                     break  # off-demonstration state, skip the rest
                 states.append(state)
                 targets.append(t)
                 chosen = action_table(state.n)[0][t[int(rng.integers(len(t)))]]
                 state = step(state, chosen, config)
-                sets = merged(sets, chosen.i, chosen.j, sets[chosen.i] | sets[chosen.j])
             _fit_episode(params, states, targets, config, include_ps, lr, losses)
             if len(losses) >= steps:
                 break

@@ -63,16 +63,14 @@ def _fill_table(
     return mll, best, psum
 
 
-def _backtrack(mask: int, best: list[int], n: int, history: list[tuple[int, int]]) -> int:
+def _backtrack(mask: int, best: list[int], history: list[tuple[int, int]]) -> None:
     """Append the merges of the best tree over `mask` to `history` in
-    post-order and return the particle id of the mask."""
-    if mask & (mask - 1) == 0:
-        return mask.bit_length() - 1  # leaf id
-    a_mask = best[mask]
-    id_a = _backtrack(a_mask, best, n, history)
-    id_b = _backtrack(mask ^ a_mask, best, n, history)
-    history.append((id_a, id_b))
-    return n + len(history) - 1
+    post-order, as (mask_a, mask_b) pairs."""
+    if mask & (mask - 1):
+        a_mask = best[mask]
+        _backtrack(a_mask, best, history)
+        _backtrack(mask ^ a_mask, best, history)
+        history.append((a_mask, mask ^ a_mask))
 
 
 def exact_mle(
@@ -88,13 +86,13 @@ def exact_mle(
     mll, best, _ = _fill_table(leaves, config)
     full = (1 << n) - 1
     history: list[tuple[int, int]] = []
-    _backtrack(full, best, n, history)
+    _backtrack(full, best, history)
     return mll[full], tree_from_history(tuple(leaves), history)
 
 
 def _shapes(leaf_ids: tuple[int, ...]):
-    """Yield every distinct unordered binary tree shape over the ids,
-    as nested (left, right) pairs with bare ids at the leaves."""
+    """Yield every distinct unordered binary tree shape over the leaf
+    indices, as nested (left, right) pairs with bare indices at the leaves."""
     if len(leaf_ids) == 1:
         yield leaf_ids[0]
         return

@@ -11,7 +11,7 @@ import jetclust as jc
 from jetclust.env import ClusterState, action_table, apply_action, leaf_sets
 from jetclust.rng import make_rng
 
-from conftest import make_event
+from conftest import as_frozensets, make_event
 
 
 def _leaves(config, seed, n):
@@ -148,12 +148,15 @@ def test_leaf_sets_tracks_merges(small_config):
 
 
 def _frozenset_leaf_sets(state):
-    """For each current particle, the set of original leaf ids it contains:
-    leaf_sets as it was before clusters became leaf bitmasks."""
-    sets = [frozenset((k,)) for k in range(len(state.leaves))]
-    for id_a, id_b in state.history:
-        sets.append(sets[id_a] | sets[id_b])
-    return tuple(sets[pid] for pid in state.ids)
+    """The clusters of the state as sets of leaf indices, rebuilt from its
+    history of mask pairs: every merge joins two distinct current clusters."""
+    sets = {frozenset((k,)) for k in range(len(state.leaves))}
+    for pair in state.history:
+        a, b = as_frozensets(pair)
+        assert a != b and a in sets and b in sets
+        sets -= {a, b}
+        sets.add(a | b)
+    return sets
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,7 +169,11 @@ def test_leaf_masks_partition_the_leaves_as_the_frozenset_oracle_does(desk_confi
         masks = leaf_sets(state)
         assert all(a & b == 0 for a, b in combinations(masks, 2))
         assert reduce(or_, masks) == (1 << len(state.leaves)) - 1
-        assert masks == tuple(sum(1 << k for k in s) for s in _frozenset_leaf_sets(state))
+        assert set(as_frozensets(masks)) == _frozenset_leaf_sets(state)
+        for p, s in zip(state.particles, as_frozensets(masks)):  # masks[k] is particle k's
+            for c in ("E", "px", "py", "pz"):
+                want = math.fsum(getattr(state.leaves[k], c) for k in s)
+                assert math.isclose(getattr(p, c), want, rel_tol=1e-12, abs_tol=1e-12)
         if jc.is_terminal(state):
             break
         demonstrated = jc.truth_actions(state, truth)
@@ -180,15 +187,15 @@ def test_tree_from_history_requires_completion(small_config):
         jc.tree_from_state(state)
 
 
-def test_tree_from_history_of_id_pairs():
+def test_tree_from_history_of_mask_pairs():
     leaves = (
         jc.FourMomentum(1.1, 0.1, 0.2, 0.3),
         jc.FourMomentum(2.3, 0.7, -0.4, 1.1),
         jc.FourMomentum(0.9, -0.2, 0.3, 0.1),
         jc.FourMomentum(1.7, 0.3, 0.6, -0.9),
     )
-    # merge k creates id 4 + k: 4 = {1, 3}, 5 = {0, 2}, 6 = the root
-    tree = jc.tree_from_history(leaves, ((1, 3), (0, 2), (4, 5)))
+    # merge k is node 4 + k: 4 = {1, 3}, 5 = {0, 2}, 6 = the root
+    tree = jc.tree_from_history(leaves, ((0b0010, 0b1000), (0b0001, 0b0100), (0b1010, 0b0101)))
     assert tree.root_index == 6
     assert tree.leaf_indices == [0, 1, 2, 3]
     assert [node.children for node in tree.nodes] == [None] * 4 + [(1, 3), (0, 2), (4, 5)]
@@ -200,7 +207,21 @@ def test_tree_from_history_of_id_pairs():
         assert [x.hex() for x in tree.nodes[idx].momentum.as_tuple()] == [x.hex() for x in want]
         assert tree.nodes[idx].t == jc.invariant_mass_sq(jc.FourMomentum(*want))
     with pytest.raises(ValueError):
-        jc.tree_from_history(leaves, ((1, 3), (0, 2)))
+        jc.tree_from_history(leaves, ((0b0010, 0b1000), (0b0001, 0b0100)))
+
+
+@pytest.mark.parametrize("history", [
+    ((0b0001, 0b0010), (0b0011, 0b0100), (0b0111, 0b10000)),  # a mask beyond the leaves
+    ((0b0001, 0b0010), (0b0101, 0b1000), (0b0011, 0b1101)),  # a mask never formed
+    ((0b0001, 0b0010), (0b0001, 0b0100), (0b0111, 0b1000)),  # a cluster merged twice
+    ((0b0001, 0b0001), (0b0010, 0b0100), (0b0111, 0b1000)),  # a cluster merged with itself
+    ((0b0001, 0b0010), (0b0011, 0b0010), (0b0100, 0b1000)),  # overlapping clusters
+    ((0b0001, 0b0010), (0b0100, 0b1000), (0b0011, 0b0011)),  # the last merge, one cluster twice
+], ids=["unknown-leaf", "never-formed", "already-merged", "self-merge", "overlap", "last-self-merge"])
+def test_tree_from_history_rejects_merges_of_non_current_clusters(history):
+    leaves = tuple(jc.FourMomentum(1.0 + k, 0.1 * k, 0.0, 0.2) for k in range(4))
+    with pytest.raises(ValueError, match="two current clusters"):
+        jc.tree_from_history(leaves, history)
 
 
 def _random_episode(seed, data, config):
@@ -236,29 +257,23 @@ def test_episode_conserves_momentum(desk_config, seed, data):
 
 def _apply_action_by_position(state, action, reward):
     """apply_action's next state built position by position: every particle
-    and id but the merged two, in order, then the merged particle."""
+    and mask but the merged two, in order, then the merged particle."""
     i, j = action.i, action.j
     keep = [k for k in range(state.n) if k != i and k != j]
     return ClusterState(
         particles=tuple(state.particles[k] for k in keep) + (state.particles[i] + state.particles[j],),
-        ids=tuple(state.ids[k] for k in keep) + (len(state.leaves) + len(state.history),),
+        masks=tuple(state.masks[k] for k in keep) + (state.masks[i] | state.masks[j],),
         cumulative_reward=state.cumulative_reward + reward,
-        history=state.history + ((state.ids[i], state.ids[j]),),
+        history=state.history + ((state.masks[i], state.masks[j]),),
         leaves=state.leaves,
     )
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), data=st.data())
-def test_reached_states_have_increasing_ids_and_apply_action_matches_by_position(
-        desk_config, seed, data):
-    # The beam ranks a parent's candidates by action index, which orders them
-    # as their (ids[i], ids[j]) history entries only while ids increase.
+def test_apply_action_matches_by_position(desk_config, seed, data):
     state = jc.reset(jc.sample_shower(desk_config, make_rng(seed, 0)).leaf_momenta())
-    while True:
-        assert all(a < b for a, b in zip(state.ids, state.ids[1:]))
-        if jc.is_terminal(state):
-            break
+    while not jc.is_terminal(state):
         actions = action_table(state.n)[0]
         action = actions[data.draw(st.integers(0, len(actions) - 1))]
         reward = jc.splitting_log_likelihood(

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -134,6 +135,110 @@ def test_cli_rejects_bad_event_line(tmp_path, capsys, small_config, corrupt, rea
     err = capsys.readouterr().err
     assert f"{data}:2: " in err
     assert reason in err
+
+
+def _first_leaf(nodes):
+    return next(k for k, node in enumerate(nodes) if node["children"] is None)
+
+
+def _set(obj, key, value):
+    obj[key] = value
+    return obj
+
+
+def _cycle(truth):
+    # Two internal nodes that name each other as parent and children,
+    # reached from nowhere: the leaves are untouched.
+    s = len(truth["nodes"])
+    p = truth["nodes"][0]["p"]
+    truth["nodes"] += [{"p": p, "parent": s + 1, "children": [s + 1, s + 1]},
+                       {"p": p, "parent": s, "children": [s, s]}]
+    return truth
+
+
+@pytest.mark.parametrize("corrupt, reason", [
+    (lambda t: _set(t["nodes"][0], "children", [1, 99]), "child 99 is not a node index"),
+    (lambda t: _set(t["nodes"][0], "children", [1, -1]), "child -1 is not a node index"),
+    (lambda t: _set(t["nodes"][0], "children", [True, 2]), "child True is not a node index"),
+    (lambda t: _set(t["nodes"][1], "parent", 99), "node 1 is a child of node 0 but names parent 99"),
+    (lambda t: _set(t, "root", 99), "root 99 is not a node index"),
+    (lambda t: _set(t["nodes"][0], "parent", 1), "root 0 has parent 1"),
+    (lambda t: _set(t["nodes"][0], "children", [1]), "has children [1], not two"),
+    (lambda t: _set(t["nodes"][0], "children", [1, 2, 2]), "not two"),
+    (lambda t: _set(t["nodes"][1], "parent", 2), "node 1 is a child of node 0 but names parent 2"),
+    (lambda t: _set(t["nodes"][0], "children", [1, 1]), "node 1 is reached twice"),
+    (_cycle, "are not reached from the root"),
+    (lambda t: _set(t["nodes"][_first_leaf(t["nodes"])], "p", [9.0, 0.0, 0.0, 1.0]),
+     "leaves, in pre-order, differ"),
+], ids=["child-out-of-range", "negative-child", "bool-child", "parent-out-of-range",
+        "root-out-of-range", "root-with-parent", "one-child", "three-children",
+        "child-names-another-parent", "child-twice", "cycle", "other-leaf"])
+def test_cli_rejects_malformed_truth_tree(tmp_path, capsys, small_config, corrupt, reason):
+    lines = [event_to_json(e) for e in jc.generate_events(small_config, 3)]
+    obj = json.loads(lines[1])
+    corrupt(obj["truth"])
+    lines[1] = json.dumps(obj)
+    data = tmp_path / "d.jsonl"
+    data.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        jc.load_events(data)
+    weights = tmp_path / "w.bin"
+    assert cli(["train", "--mode", "bc", "--in", str(data), "--steps", "5", "--out", str(weights)]) == 2
+    err = capsys.readouterr().err
+    assert f"{data}:2: " in err and reason in err
+    assert not weights.exists()
+
+
+def test_load_rejects_leaves_in_another_order(tmp_path, small_config):
+    # Bit k of a BC target is particle k of the event, so the line's leaves
+    # must list the truth tree's leaves in the sampler's order.
+    event = next(e for e in jc.generate_events(small_config, 20) if len(set(e.leaves)) >= 3)
+    obj = json.loads(event_to_json(event))
+    obj["leaves"] = obj["leaves"][1:] + obj["leaves"][:1]
+    data = tmp_path / "d.jsonl"
+    data.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(data))}:1: .*differ from the event's leaves"):
+        jc.load_events(data)
+
+
+def test_loaded_truth_lists_its_leaves_as_the_sampler_did(tmp_path, desk_config):
+    # A loaded event demonstrates the same merges as the generated one.
+    path = tmp_path / "d.jsonl"
+    events = jc.generate(desk_config, 12, path)
+    for made, loaded in zip(events, jc.load_events(path)):
+        assert loaded.truth.leaf_indices == made.truth.leaf_indices
+        assert loaded.truth.leaf_momenta() == list(loaded.leaves)
+        state = jc.reset(loaded.leaves)
+        while not jc.is_terminal(state):
+            demonstrated = jc.truth_actions(state, loaded.truth)
+            assert demonstrated == jc.truth_actions(state, made.truth) != []
+            state = jc.step(state, demonstrated[0], desk_config)
+    weights = [jc.train_bc(data, desk_config, 40, 0.03, make_rng(5))[0]
+               for data in (events, jc.load_events(path))]
+    assert [a.tobytes() for a in weights[0].arrays()] == [a.tobytes() for a in weights[1].arrays()]
+
+
+@pytest.mark.parametrize("event_id", ["3", 3.0, True, None])
+def test_load_rejects_an_event_id_that_is_not_an_int(tmp_path, small_config, event_id):
+    lines = [event_to_json(e) for e in jc.generate_events(small_config, 2)]
+    lines[1] = json.dumps({**json.loads(lines[1]), "id": event_id})
+    data = tmp_path / "d.jsonl"
+    data.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(data))}:2: event id .* is not an int"):
+        jc.load_events(data)
+
+
+def test_cli_rejects_a_repeated_event_id(tmp_path, capsys, small_config):
+    lines = [event_to_json(e) for e in jc.generate_events(small_config, 4)]
+    lines[3] = json.dumps({**json.loads(lines[3]), "id": 1})
+    data = tmp_path / "d.jsonl"
+    data.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(data))}:4: event id 1 repeats the id of line 2"):
+        jc.load_events(data)
+    assert cli(["train", "--mode", "mle-bc", "--in", str(data), "--steps", "5",
+                "--out", str(tmp_path / "w.bin")]) == 2
+    assert "repeats the id of line 2" in capsys.readouterr().err
+    assert not (tmp_path / "w.bin").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from jetclust.features import feature_dim
 from jetclust.planners import (
     SearchNode,
     _beam_from_state,
-    _BeamItem,
     _insert_beam_trajectories,
     _rewards,
     _run_rollout,
@@ -145,13 +145,42 @@ def test_beam_dedup_keeps_best_representative(small_config):
     # must hold distinct partitions only
     ev = _event(small_config, 13, 4)
     items = _beam_from_state(reset(ev), 1000, small_config)
-    keys = [tuple(sorted(tuple(sorted(s)) for s in as_frozensets(it.leafsets))) for it in items]
+    keys = [tuple(sorted(tuple(sorted(s)) for s in as_frozensets(leaf_sets(it.state)))) for it in items]
     assert len(set(keys)) == len(keys)
 
 
-# The eager beam the lazy one replaced, kept verbatim as the oracle: it
-# builds every candidate state and collapses partitions as it goes.  Its
-# items hold frozensets of leaf ids, the library's hold leaf bitmasks.
+# The eager beam the lazy one replaced, kept as the oracle: it builds every
+# candidate state and collapses partitions as it goes.  Its items hold
+# frozensets of leaf indices beside the state, and it breaks ties by the
+# action path.  That is the order of the histories of particle ids that
+# states once held, which the oracle checks at every tie: the items of a
+# level share the start state's history, at the first entry where two id
+# histories differ the state is the same, and that state's ids increase
+# with position, so (ids[i], ids[j]) orders as (i, j).
+
+
+@dataclass
+class _EagerItem:
+    state: object
+    leafsets: tuple
+    path: tuple
+
+    @property
+    def actions(self):
+        return [a for a, _ in self.path]
+
+    @property
+    def id_history(self):
+        """The merges from the start state as particle-id pairs: the start
+        state's particles are ids 0..n-1 in position order, and merge k
+        creates id n + k."""
+        n = self.state.n + len(self.path)
+        ids, history = list(range(n)), []
+        for k, (a, _) in enumerate(self.path):
+            history.append((ids[a.i], ids[a.j]))
+            ids = [x for pos, x in enumerate(ids) if pos not in (a.i, a.j)] + [n + k]
+        return history
+
 
 def _pair_rewards(state, config):
     """Every legal action with its reward, in legal-action order."""
@@ -165,7 +194,7 @@ def _eager_partition_key(leafsets):
 def _eager_beam_from_state(state, b, config):
     if b < 1:
         raise ValueError(f"beam width must be >= 1, got {b}")
-    items = [_BeamItem(state=state, leafsets=as_frozensets(leaf_sets(state)), path=())]
+    items = [_EagerItem(state=state, leafsets=as_frozensets(leaf_sets(state)), path=())]
     while items[0].state.n > 1:
         survivors = {}
         for item in items:
@@ -176,19 +205,21 @@ def _eager_beam_from_state(state, b, config):
                     s for k, s in enumerate(item.leafsets) if k != i and k != j
                 ) + (item.leafsets[i] | item.leafsets[j],)
                 key = _eager_partition_key(nls)
-                cand = _BeamItem(state=nxt, leafsets=nls, path=item.path + ((action, nxt),))
+                cand = _EagerItem(state=nxt, leafsets=nls, path=item.path + ((action, nxt),))
                 held = survivors.get(key)
-                if held is None or _eager_beats(cand.state, held.state):
+                if held is None or _eager_beats(cand, held):
                     survivors[key] = cand
-        items = sorted(survivors.values(), key=lambda it: (-it.state.cumulative_reward, it.state.history))
+        items = sorted(survivors.values(), key=lambda it: (-it.state.cumulative_reward, it.actions))
+        assert items == sorted(items, key=lambda it: (-it.state.cumulative_reward, it.id_history))
         items = items[:b]
     return items
 
 
 def _eager_beats(a, b):
-    if a.cumulative_reward != b.cumulative_reward:
-        return a.cumulative_reward > b.cumulative_reward
-    return a.history < b.history
+    if a.state.cumulative_reward != b.state.cumulative_reward:
+        return a.state.cumulative_reward > b.state.cumulative_reward
+    assert (a.actions < b.actions) == (a.id_history < b.id_history)
+    return a.actions < b.actions
 
 
 def _assert_same_beam(lazy, eager):
@@ -197,7 +228,7 @@ def _assert_same_beam(lazy, eager):
         assert got.state.history == want.state.history
         assert got.state.cumulative_reward.hex() == want.state.cumulative_reward.hex()
         assert got.state.particles == want.state.particles
-        assert as_frozensets(got.leafsets) == want.leafsets
+        assert as_frozensets(leaf_sets(got.state)) == want.leafsets
         assert [a for a, _ in got.path] == [a for a, _ in want.path]
         assert [s.history for _, s in got.path] == [s.history for _, s in want.path]
         assert [s.cumulative_reward.hex() for _, s in got.path] == \

@@ -139,16 +139,20 @@ def test_exact_mle_history_replays_the_table_splits_through_step(small_config, m
               else next(e.leaves for e in events if e.n_leaves == n))
     _, best, _ = _fill_table(leaves, config)
     _, tree = jc.exact_mle(leaves, config)
+    node_mask = [1 << k for k in range(n)]  # leaf bitmask of each tree node
+    for node in tree.nodes[n:]:
+        node_mask.append(node_mask[node.children[0]] | node_mask[node.children[1]])
     state = jc.reset(leaves)
     for node in tree.nodes[n:]:
-        i, j = sorted(state.ids.index(child) for child in node.children)
         masks = leaf_sets(state)
+        i, j = sorted(masks.index(node_mask[child]) for child in node.children)
         m = masks[i] | masks[j]
         assert masks[i] & masks[j] == 0
         assert {masks[i], masks[j]} == {best[m], m ^ best[m]}
         state = jc.step(state, jc.Action(i, j), config)
     assert leaf_sets(state) == ((1 << n) - 1,)
-    assert [set(h) for h in state.history] == [set(node.children) for node in tree.nodes[n:]]
+    assert [set(h) for h in state.history] == \
+        [{node_mask[a], node_mask[b]} for a, b in (node.children for node in tree.nodes[n:])]
 
 
 @pytest.mark.parametrize("name,seed,n,ll_hex,root,structure", MLE_TREE_GOLDEN,
