@@ -9,10 +9,10 @@ byte-stable under regeneration with the same seed.
 
 import csv
 import hashlib
-import io
 import json
 import math
 import numbers
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +27,8 @@ from .shower import FourMomentum, ShowerConfig, Tree, TreeNode, invariant_mass_s
 
 SCHEMA_VERSION = 1  # run-result files
 EVENT_SCHEMA_VERSION = 2  # dataset lines; version 1 stored a config hash, not the config
+# Largest |truth_ll - tree_log_likelihood(truth)| a loaded event may show.
+TRUTH_LL_TOLERANCE = 1e-9
 
 # Default configuration: a boosted root with mass-squared 400 showered
 # down to t_cut = 1, giving events around 15 particles; the whole
@@ -39,49 +41,76 @@ DESK_CONFIG = ShowerConfig(lam=1.5, t_cut=1.0, root=FourMomentum(25.0, 0.0, 0.0,
 # ---------------------------------------------------------------------------
 
 def _format_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite float {x!r}")
     if x == 0.0:
         return "0"  # normalizes -0.0 so round-trips stay byte-identical
     return format(x, ".17g")
 
 
+# What json.dumps does to a str: quoted, with non-ASCII text \u-escaped.
+_encode_str = json.encoder.encode_basestring_ascii
+_FLOAT = frozenset((float,))
+
+
 def dumps(obj) -> str:
     """Compact JSON with floats at 17 significant digits."""
-    out = io.StringIO()
-    _write_json(obj, out)
-    return out.getvalue()
+    parts: list[str] = []
+    _write_json(obj, parts.append)
+    return "".join(parts)
 
 
-def _write_json(obj, out) -> None:
-    if isinstance(obj, dict):
-        out.write("{")
-        first = True
-        for k, v in obj.items():
-            if not first:
-                out.write(",")
-            first = False
-            out.write(json.dumps(str(k)))
-            out.write(":")
-            _write_json(v, out)
-        out.write("}")
+def _write_json(obj, write) -> None:
+    # The exact types the files hold take the first branches; bools, numpy
+    # scalars and subclasses (a NamedTuple is a tuple) reach the isinstance
+    # chain at the end, which decides them as it always has.
+    kind = type(obj)
+    if kind is float:
+        write(_format_float(obj))
+    elif kind is list or kind is tuple:
+        if _FLOAT.issuperset(map(type, obj)):  # plain floats only, as in every momentum
+            write("[" + ",".join(map(_format_float, obj)) + "]")
+        else:
+            _write_array(obj, write)
+    elif kind is dict:
+        _write_object(obj, write)
+    elif kind is int:
+        write(str(obj))
+    elif obj is None:
+        write("null")
+    elif isinstance(obj, dict):
+        _write_object(obj, write)
     elif isinstance(obj, (list, tuple)):
-        out.write("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.write(",")
-            _write_json(v, out)
-        out.write("]")
-    elif isinstance(obj, bool) or obj is None:
-        out.write(json.dumps(obj))
+        _write_array(obj, write)
+    elif isinstance(obj, bool):
+        write("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
-        out.write(str(int(obj)))
+        write(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.write(_format_float(float(obj)))
+        write(_format_float(float(obj)))
     elif isinstance(obj, str):
-        out.write(json.dumps(obj))
+        write(_encode_str(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _write_object(obj: dict, write) -> None:
+    write("{")
+    sep = ""
+    for k, v in obj.items():
+        write(sep + _encode_str(k if type(k) is str else str(k)) + ":")
+        sep = ","
+        _write_json(v, write)
+    write("}")
+
+
+def _write_array(obj, write) -> None:
+    write("[")
+    for i, v in enumerate(obj):
+        if i:
+            write(",")
+        _write_json(v, write)
+    write("]")
 
 
 def _config_to_obj(config: ShowerConfig) -> dict:
@@ -216,8 +245,13 @@ def event_to_json(event: EventRecord) -> str:
 
 def event_from_json(line: str, config: ShowerConfig | None = None) -> EventRecord:
     """Decode one dataset line; ValueError if it is not an event of this
-    schema version, or if it stores a config other than `config`, which
-    the record then shares."""
+    schema version, if its `truth_ll` is more than TRUTH_LL_TOLERANCE from
+    the log-likelihood of its truth tree, or if it stores a config other
+    than `config`, which the record then shares.
+
+    Scoring the truth tree makes n - 1 kernel queries for an event of n
+    leaves.  They add to the global PS_EVALUATIONS tally, but they happen
+    outside every planner call, so no per-event cost delta counts them."""
     obj = json.loads(line)
     _check_schema(obj, "event", EVENT_SCHEMA_VERSION)
     try:
@@ -226,13 +260,17 @@ def event_from_json(line: str, config: ShowerConfig | None = None) -> EventRecor
             raise ValueError("config differs from the first event's; a dataset holds one shower config")
         if type(obj["id"]) is not int:
             raise ValueError(f"event id {obj['id']!r} is not an int")
-        return EventRecord(
+        event = EventRecord(
             event_id=obj["id"],
             config=stored if config is None else config,
             leaves=tuple(_momentum(p) for p in obj["leaves"]),
             truth=_tree_from_obj(obj["truth"], obj["leaves"]),
             truth_ll=_number(obj["truth_ll"], "truth_ll"),
         )
+        ll = tree_log_likelihood(event.truth, event.config)
+        if not abs(ll - event.truth_ll) <= TRUTH_LL_TOLERANCE:
+            raise ValueError(f"truth_ll {event.truth_ll!r} differs from the truth tree's log-likelihood {ll!r}")
+        return event
     except (KeyError, TypeError, OverflowError) as exc:  # missing field, wrong kind, int beyond float range
         raise ValueError(f"malformed event: {exc!r}") from exc
 
@@ -256,12 +294,24 @@ def generate_events(config: ShowerConfig, n_events: int) -> list[EventRecord]:
 
 
 def write_events(path: str | Path, events: Sequence[EventRecord]) -> None:
+    """Write a dataset, one event per line.  The lines go to a temporary
+    file beside `path` (beside its target, if `path` is a symlink), which
+    replaces it only once every event is written; a failed write removes
+    it, so `path` keeps its old content (or stays absent) and never holds
+    part of a dataset.  OSError if `path` exists but is not a regular file."""
+    target = Path(os.path.realpath(path))
+    if target.exists() and not target.is_file():
+        raise OSError(f"cannot write dataset to {path}: not a regular file")
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        with open(path, "w") as f:
+        with open(tmp, "w") as f:
             for event in events:
                 f.write(event_to_json(event) + "\n")
+        os.replace(tmp, target)
     except OSError as exc:
         raise OSError(f"cannot write dataset to {path}: {exc}") from exc
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already once it has replaced path
 
 
 def load_events(path: str | Path) -> list[EventRecord]:

@@ -127,7 +127,12 @@ class ShowerConfig:
         _log_norm(self.lam)  # raises for lam up to 2**-54, about 5.6e-17
         if self.t_cut <= 0.0:
             raise ValueError(f"t_cut must be > 0, got {self.t_cut}")
-        if invariant_mass_sq(self.root) <= self.t_cut:
+        t_root = invariant_mass_sq(self.root)
+        # The sampler squares mass-squareds (the Kallen term of two_body_decay).
+        if not math.isfinite(t_root * t_root):
+            raise ValueError(f"root {self.root.as_tuple()} has mass-squared {t_root!r}; the sampler "
+                             "needs it and its square to be finite, so the root overflows")
+        if t_root <= self.t_cut:
             raise ValueError("root mass-squared must exceed t_cut; the shower would be a single leaf")
 
 

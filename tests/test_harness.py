@@ -1,16 +1,23 @@
+import dataclasses
+import io
 import json
 import math
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jetclust as jc
+from jetclust import harness
 from jetclust.cli import _build_parser, cli
 from jetclust.harness import (
     build_planner,
@@ -55,6 +62,109 @@ def test_dumps_rejects_non_finite():
         dumps(float("inf"))
 
 
+# The isinstance-chain writer that the fast writer replaced, kept as the
+# oracle: the fast one must give the same string, or raise the same
+# exception type, for every value.
+def _reference_format_float(x: float) -> str:
+    if not np.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite float {x!r}")
+    if x == 0.0:
+        return "0"  # normalizes -0.0 so round-trips stay byte-identical
+    return format(x, ".17g")
+
+
+def _reference_dumps(obj) -> str:
+    """Compact JSON with floats at 17 significant digits."""
+    out = io.StringIO()
+    _reference_write_json(obj, out)
+    return out.getvalue()
+
+
+def _reference_write_json(obj, out) -> None:
+    if isinstance(obj, dict):
+        out.write("{")
+        first = True
+        for k, v in obj.items():
+            if not first:
+                out.write(",")
+            first = False
+            out.write(json.dumps(str(k)))
+            out.write(":")
+            _reference_write_json(v, out)
+        out.write("}")
+    elif isinstance(obj, (list, tuple)):
+        out.write("[")
+        for i, v in enumerate(obj):
+            if i:
+                out.write(",")
+            _reference_write_json(v, out)
+        out.write("]")
+    elif isinstance(obj, bool) or obj is None:
+        out.write(json.dumps(obj))
+    elif isinstance(obj, (int, np.integer)):
+        out.write(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.write(_reference_format_float(float(obj)))
+    elif isinstance(obj, str):
+        out.write(json.dumps(obj))
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _outcome(write, value):
+    try:
+        return write(value)
+    except Exception as exc:
+        return type(exc)
+
+
+class _Pair(NamedTuple):
+    first: object
+    second: object
+
+
+_edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, sys.float_info.max,
+                                -sys.float_info.max, math.nan, math.inf, -math.inf, 0.1, 1e16, -1e-300])
+_floats = st.one_of(st.floats(), _edge_floats)
+# 10**5000 has more digits than str() converts, so both writers raise ValueError.
+_ints = st.one_of(st.integers(), st.sampled_from([2**63, -(2**200)]),
+                  st.sampled_from([1, -1]).map(lambda sign: sign * 10**5000))
+_strings = st.one_of(st.text(), st.sampled_from(['"', "\\", 'say "hi"\n', "\x00\x1f\x7f", "é✓😀\u2028", ""]))
+_scalars = st.one_of(
+    _floats, _ints, st.booleans(), st.none(), _strings,
+    _floats.map(np.float64), st.floats(width=32).map(np.float32), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.sampled_from([1j, b"bytes", {1, 2}, np.bool_(True), object()]),
+)
+# A key that is not a str is written as str(key), which for a numpy scalar is not its repr.
+_keys = st.one_of(_strings, st.integers(), st.booleans(), st.floats(allow_nan=False),
+                  st.floats(allow_nan=False).map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64))
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.lists(_floats, max_size=6),  # the fast path for lists of plain floats
+        st.lists(_floats, max_size=6).map(tuple),
+        st.dictionaries(_keys, inner, max_size=5),
+        st.builds(_Pair, inner, inner),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=_values)
+def test_dumps_matches_the_reference_writer(value):
+    assert _outcome(dumps, value) == _outcome(_reference_dumps, value)
+
+
+def test_event_to_json_matches_the_reference_writer(desk_config, monkeypatch):
+    events = jc.generate_events(desk_config, 200)
+    written = [event_to_json(e) for e in events]
+    monkeypatch.setattr(harness, "dumps", _reference_dumps)
+    assert written == [event_to_json(e) for e in events]
+
+
 def test_config_hash_sensitivity(small_config):
     base = config_hash(small_config)
     assert base == config_hash(SMALL_CONFIG)
@@ -96,6 +206,70 @@ def test_generated_truth_ll_matches_recomputation(tmp_path, small_config):
     for event in jc.load_events(path):
         recomputed = jc.tree_log_likelihood(event.truth, small_config)
         assert abs(recomputed - event.truth_ll) <= 1e-9
+
+
+def test_write_events_output_loads_and_charges_each_truth_check(tmp_path, desk_config):
+    # Loading scores each truth tree: n - 1 kernel queries per event of n
+    # leaves, in the global tally.
+    path = tmp_path / "d.jsonl"
+    events = jc.generate_events(desk_config, 20)
+    jc.write_events(path, events)
+    before = jc.PS_EVALUATIONS.count
+    loaded = jc.load_events(path)
+    assert jc.PS_EVALUATIONS.count - before == sum(e.n_leaves - 1 for e in events)
+    assert [e.truth_ll for e in loaded] == [e.truth_ll for e in events]
+
+
+@pytest.mark.parametrize("shift", [100.0, 1e-6])
+def test_cli_rejects_a_truth_ll_its_truth_tree_does_not_score(tmp_path, capsys, small_config, shift):
+    lines = [event_to_json(e) for e in jc.generate_events(small_config, 3)]
+    obj = json.loads(lines[1])
+    obj["truth_ll"] += shift
+    lines[1] = json.dumps(obj)
+    data = tmp_path / "d.jsonl"
+    data.write_text("\n".join(lines) + "\n")
+    reason = "differs from the truth tree's log-likelihood"
+    with pytest.raises(ValueError, match=f"{re.escape(str(data))}:2: truth_ll .* {reason}"):
+        jc.load_events(data)
+    weights = tmp_path / "w.bin"
+    assert cli(["train", "--mode", "bc", "--in", str(data), "--steps", "5", "--out", str(weights)]) == 2
+    err = capsys.readouterr().err
+    assert f"{data}:2: " in err and reason in err
+    assert not weights.exists()
+
+
+def test_failed_write_leaves_no_partial_dataset(tmp_path, small_config):
+    events = jc.generate_events(small_config, 3)
+    path = tmp_path / "d.jsonl"
+    jc.write_events(path, events)
+    old = path.read_bytes()
+    bad = [events[0], dataclasses.replace(events[1], truth_ll=math.nan), events[2]]
+    with pytest.raises(ValueError, match="non-finite"):
+        jc.write_events(path, bad)
+    assert path.read_bytes() == old
+    fresh = tmp_path / "new.jsonl"
+    with pytest.raises(ValueError, match="non-finite"):
+        jc.write_events(fresh, bad)
+    (tmp_path / "dir").mkdir()
+    os.mkfifo(tmp_path / "fifo")
+    for other in ("dir", "fifo"):
+        with pytest.raises(OSError, match="cannot write dataset .*: not a regular file"):
+            jc.write_events(tmp_path / other, events)
+    assert stat.S_ISFIFO(os.stat(tmp_path / "fifo").st_mode)
+    # No temporary file is left beside the datasets.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "dir", "fifo"]
+    assert not any((tmp_path / "dir").iterdir())
+
+
+def test_write_events_through_a_symlink_rewrites_its_target(tmp_path, small_config):
+    events = jc.generate_events(small_config, 3)
+    target, link = tmp_path / "d.jsonl", tmp_path / "link.jsonl"
+    jc.write_events(target, events[:1])
+    link.symlink_to(target)
+    jc.write_events(link, events)
+    assert link.is_symlink()
+    assert target.read_text() == "".join(event_to_json(e) + "\n" for e in events)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "link.jsonl"]
 
 
 def test_load_missing_file_reports_path(tmp_path):
@@ -841,6 +1015,31 @@ def test_cli_generate_rejects_non_finite_density_flags(tmp_path, capsys):
         assert cli(["generate", "--n-events", "2", "--out", str(data), *flags]) == 2
         assert reason in capsys.readouterr().err
         assert not data.exists()
+
+
+_UNSHOWERABLE_ROOTS = [("1e160", "0", "0", "1e150"), ("1e154", "0", "0", "0"), ("1e155", "0", "0", "0")]
+
+
+@pytest.mark.parametrize("root", _UNSHOWERABLE_ROOTS, ids=["infinite-t", "t-squared-overflows", "t-overflows"])
+def test_cli_generate_rejects_a_root_whose_mass_squared_overflows(tmp_path, capsys, root):
+    data = tmp_path / "d.jsonl"
+    assert cli(["generate", "--n-events", "2", "--out", str(data), "--root", *root]) == 2
+    err = capsys.readouterr().err
+    assert f"root {tuple(map(float, root))}" in err and "overflows" in err
+    assert not data.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_load_rejects_a_stored_root_whose_mass_squared_overflows(tmp_path, capsys, small_config):
+    lines = [event_to_json(e) for e in jc.generate_events(small_config, 3)]
+    obj = json.loads(lines[1])
+    obj["config"]["root"] = [1e154, 0.0, 0.0, 0.0]
+    lines[1] = json.dumps(obj)
+    data = tmp_path / "d.jsonl"
+    data.write_text("\n".join(lines) + "\n")
+    assert cli(["cluster", "--algo", "greedy", "--in", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert f"{data}:2: " in err and "root (1e+154, 0.0, 0.0, 0.0)" in err and "overflows" in err
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
