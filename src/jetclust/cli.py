@@ -285,7 +285,7 @@ def _cmd_train(opt: _Options) -> int:
         weights, losses = train_mcts_policy(events, cfg, config, steps, lr, rng,
                                             init=init, include_ps=include_ps)
     out = opt.get("out", "weights.bin")
-    save_weights(out, weights, include_ps=include_ps, config_hash=config_hash(config))
+    save_weights(out, weights, config_hash=config_hash(config))
     if not opt.get("quiet"):
         tail = sum(losses[-100:]) / max(len(losses[-100:]), 1)
         print(f"trained {mode} for {len(losses)} steps; mean loss of last 100: {tail:.4f}")

@@ -6,6 +6,9 @@ momentum components rather than by list position, which makes the rows,
 and hence the policy output, equivariant under particle permutations.
 Momentum components are scaled by the event's total energy and
 mass-squareds by its square to keep entries O(1) across event energies.
+The particle count is scaled by 0.05, and log p_s is clipped to
+[-100, 100] (it can sit at the out-of-support floor) and scaled by 0.1,
+so that no column can saturate the network's tanh layers.
 """
 
 import math
@@ -30,7 +33,6 @@ FEATURE_SCHEMA_VERSION = 1
 # E, px, py, pz of both constituents, t of each, t of the pair, n; log p_s
 # is appended when include_ps is on.
 N_BASE_FEATURES = 12
-N_PARTICLES_COLUMN = 11
 
 
 def feature_dim(include_ps: bool = True) -> int:
@@ -115,9 +117,10 @@ def extract_pair_features(
     out[:, 8] = masses[first] * t_scale
     out[:, 9] = masses[second] * t_scale
     out[:, 10] = invariant_mass_sq_rows(mom_first + mom_second) * t_scale
-    out[:, N_PARTICLES_COLUMN] = n_column
+    out[:, 11] = n_column * 0.05
     if include_ps:
-        out[:, N_BASE_FEATURES] = _ps_column(particles, first, second, shared, config)
+        log_ps = _ps_column(particles, first, second, shared, config)
+        out[:, N_BASE_FEATURES] = np.clip(log_ps, -100.0, 100.0) * 0.1
     return out
 
 

@@ -8,7 +8,6 @@ count with one parameter set and keeps the output permutation
 equivariant.  Training is plain SGD with gradient-norm clipping.
 """
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -18,13 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .env import Action, ClusterState, action_table, is_terminal, leaf_sets, reset, step
-from .features import (
-    FEATURE_SCHEMA_VERSION,
-    N_BASE_FEATURES,
-    N_PARTICLES_COLUMN,
-    extract_pair_features,
-    feature_dim,
-)
+from .features import FEATURE_SCHEMA_VERSION, extract_pair_features, feature_dim
 from .planners import MctsConfig, cluster_mcts
 from .shower import ShowerConfig, Tree
 from .trellis import exact_mle
@@ -36,21 +29,38 @@ WEIGHTS_MAGIC = "jetclust-weights"
 WEIGHTS_FORMAT_VERSION = 1
 
 
-@dataclass
+def weight_shapes(input_dim: int) -> list[list[int]]:
+    """The shapes of w1, b1, w2, b2, w3 and b3, in their order in the
+    flat weight vector, as a weights header lists them."""
+    h = HIDDEN_WIDTH
+    return [[input_dim, h], [h], [h, h], [h], [h], []]
+
+
+def _n_weights(input_dim: int) -> int:
+    return sum(math.prod(shape) for shape in weight_shapes(input_dim))
+
+
 class PolicyWeights:
-    w1: np.ndarray  # (d, H)
-    b1: np.ndarray  # (H,)
-    w2: np.ndarray  # (H, H)
-    b2: np.ndarray  # (H,)
-    w3: np.ndarray  # (H,)
-    b3: np.ndarray  # ()
+    """The network's weights as one flat float64 vector, theta; w1, b1,
+    w2, b2, w3 and b3 are views of consecutive slices of it, shaped by
+    weight_shapes(input_dim).  A gradient is a PolicyWeights too, so an
+    update works on the two vectors whole."""
+
+    def __init__(self, theta: np.ndarray, input_dim: int):
+        if theta.shape != (_n_weights(input_dim),):
+            raise ValueError(f"a weight vector of shape {theta.shape} does not fit input dim {input_dim}")
+        self.theta = theta
+        self.input_dim = input_dim
+        views = []
+        offset = 0
+        for shape in weight_shapes(input_dim):
+            size = math.prod(shape)
+            views.append(theta[offset:offset + size].reshape(shape))
+            offset += size
+        self.w1, self.b1, self.w2, self.b2, self.w3, self.b3 = views
 
     def arrays(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
-
-    @property
-    def input_dim(self) -> int:
-        return self.w1.shape[0]
 
 
 @dataclass(frozen=True)
@@ -69,36 +79,17 @@ class Demonstration:
 
 
 def init_weights(input_dim: int, rng: np.random.Generator) -> PolicyWeights:
-    def dense(n_in, n_out):
-        return rng.normal(0.0, 1.0 / math.sqrt(n_in), size=(n_in, n_out))
-
-    return PolicyWeights(
-        w1=dense(input_dim, HIDDEN_WIDTH),
-        b1=np.zeros(HIDDEN_WIDTH),
-        w2=dense(HIDDEN_WIDTH, HIDDEN_WIDTH),
-        b2=np.zeros(HIDDEN_WIDTH),
-        w3=dense(HIDDEN_WIDTH, 1)[:, 0],
-        b3=np.zeros(()),
-    )
-
-
-def _condition_inputs(x: np.ndarray) -> np.ndarray:
-    """Fixed input conditioning so raw features cannot saturate the tanh
-    layers: the particle count is rescaled and the log-density column is
-    clipped (it can sit at the out-of-support floor) and rescaled.  The
-    momentum and mass columns are already O(1)."""
-    x = x.copy()
-    x[:, N_PARTICLES_COLUMN] *= 0.05
-    if x.shape[1] > N_BASE_FEATURES:
-        x[:, N_BASE_FEATURES] = np.clip(x[:, N_BASE_FEATURES], -100.0, 100.0) * 0.1
-    return x
+    """Normal weights of standard deviation 1/sqrt(fan-in), drawn for w1,
+    w2 and w3 in that order; zero biases."""
+    w = PolicyWeights(np.zeros(_n_weights(input_dim)), input_dim)
+    for a in (w.w1, w.w2, w.w3):
+        a[...] = rng.normal(0.0, 1.0 / math.sqrt(a.shape[0]), size=a.shape)
+    return w
 
 
 def _forward(w: PolicyWeights, x: np.ndarray):
-    """Softmax over the rows of raw features x, plus what the backward
-    pass reuses: exp(logits - max logit), its sum, both hidden layers and
-    the conditioned inputs."""
-    x = _condition_inputs(x)
+    """Softmax over the rows of features x, plus what the backward pass
+    reuses: exp(logits - max logit), its sum and both hidden layers."""
     h1 = x @ w.w1
     h1 += w.b1
     np.tanh(h1, out=h1)
@@ -109,7 +100,7 @@ def _forward(w: PolicyWeights, x: np.ndarray):
     logits += w.b3
     shifted = np.exp(logits - logits.max())
     total = math.fsum(shifted.tolist())  # order-independent normalizer
-    return shifted / total, shifted, total, h1, h2, x
+    return shifted / total, shifted, total, h1, h2
 
 
 def policy_forward(w: PolicyWeights, state: ClusterState, config: ShowerConfig,
@@ -125,15 +116,17 @@ def policy_loss_and_grad(w: PolicyWeights, demo: Demonstration,
                          out: PolicyWeights | None = None) -> tuple[float, PolicyWeights]:
     """Cross-entropy against the target set, loss = -log sum_{a in T} pi(a),
     with the exact reverse-mode gradient.  The gradient is written into
-    `out` (arrays of w's shapes) when given, else into new arrays."""
+    `out` (a PolicyWeights of w's input dim) when given, else into a new
+    one."""
     demo.validate()
-    probs, shifted, total, h1, h2, x = _forward(w, demo.features)
+    x = demo.features
+    probs, shifted, total, h1, h2 = _forward(w, x)
     targets = list(demo.targets)
 
     # Numerically stable -log q: the target and total sums of exp(logits - max).
     loss = -(math.log(math.fsum(shifted[targets].tolist())) - math.log(total))
 
-    g = _weights_on(np.empty(sum(a.size for a in w.arrays())), _shapes(w)) if out is None else out
+    g = PolicyWeights(np.empty_like(w.theta), w.input_dim) if out is None else out
     # dlogits = probs - probs * [a in T] / q, which changes only the target rows.
     p_t = probs[targets]
     q = max(p_t.sum(), 1e-300)
@@ -154,58 +147,13 @@ def policy_loss_and_grad(w: PolicyWeights, demo: Demonstration,
     return loss, g
 
 
-def _shapes(w: PolicyWeights) -> list[tuple[int, ...]]:
-    return [a.shape for a in w.arrays()]
-
-
-def _weights_on(flat: np.ndarray, shapes) -> PolicyWeights:
-    """PolicyWeights whose arrays are views of consecutive slices of flat."""
-    arrays = []
-    offset = 0
-    for shape in shapes:
-        size = math.prod(shape)
-        arrays.append(flat[offset:offset + size].reshape(shape))
-        offset += size
-    return PolicyWeights(*arrays)
-
-
-def flatten_weights(w: PolicyWeights) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in w.arrays()])
-
-
-def unflatten_weights(vec: np.ndarray, template: PolicyWeights) -> PolicyWeights:
-    return _weights_on(vec.copy(), _shapes(template))
-
-
-@dataclass
-class _FlatParams:
-    """Trainable weights and their gradient, each one flat vector that
-    PolicyWeights views slice up: the backward pass writes the gradient
-    views, and an SGD update works on the two vectors whole."""
-
-    theta: np.ndarray
-    grad: np.ndarray
-    weights: PolicyWeights  # views of theta
-    grad_views: PolicyWeights  # views of grad
-    bounds: list[tuple[int, int]]  # each array's slice of the vectors
-
-    @classmethod
-    def copy_of(cls, w: PolicyWeights) -> "_FlatParams":
-        theta = flatten_weights(w)
-        grad = np.empty_like(theta)
-        ends = list(itertools.accumulate(a.size for a in w.arrays()))
-        return cls(theta, grad, _weights_on(theta, _shapes(w)), _weights_on(grad, _shapes(w)),
-                   list(zip([0] + ends[:-1], ends)))
-
-    def sgd_update(self, lr: float) -> None:
-        """theta -= lr * grad, the gradient clipped to norm GRAD_CLIP_NORM
-        (grad is scaled in place).  The squared norm adds each array's
-        sum of squares in array order, which fixes its bits."""
-        sq = self.grad * self.grad
-        norm = math.sqrt(sum(float(np.add.reduce(sq[a:b])) for a, b in self.bounds))
-        scale = lr if norm <= GRAD_CLIP_NORM else lr * GRAD_CLIP_NORM / norm
-        self.grad *= scale
-        self.theta -= self.grad
+def _sgd_update(w: PolicyWeights, g: PolicyWeights, lr: float) -> None:
+    """w.theta -= lr * g.theta, the gradient clipped to norm GRAD_CLIP_NORM
+    (g is scaled in place).  The squared norm adds each array's sum of
+    squares in array order, which fixes its bits."""
+    norm = math.sqrt(sum(float(np.add.reduce(a * a, axis=None)) for a in g.arrays()))
+    g.theta *= lr if norm <= GRAD_CLIP_NORM else lr * GRAD_CLIP_NORM / norm
+    w.theta -= g.theta
 
 
 class NeuralPolicy:
@@ -308,11 +256,10 @@ def train_bc(
     demonstrated decision: replay an episode along the demonstrator tree,
     resolving ties between available sibling pairs uniformly at random,
     then take a gradient step on every visited state in order.  Dataset
-    items need .event_id, .leaves and .truth attributes.  The returned
-    weights are views of the one flat vector that the steps update."""
+    items need .event_id, .leaves and .truth attributes."""
     if not dataset:
         raise ValueError("dataset is empty")
-    params = _FlatParams.copy_of(init_weights(feature_dim(include_ps), rng))
+    w = init_weights(feature_dim(include_ps), rng)
     losses: list[float] = []
     mle_cache: dict = {}
     while len(losses) < steps:
@@ -330,24 +277,26 @@ def train_bc(
                 targets.append(t)
                 chosen = action_table(state.n)[0][t[int(rng.integers(len(t)))]]
                 state = step(state, chosen, config)
-            _fit_episode(params, states, targets, config, include_ps, lr, losses)
+            _fit_episode(w, states, targets, config, include_ps, lr, losses)
             if len(losses) >= steps:
                 break
-    return params.weights, losses
+    return w, losses
 
 
-def _fit_episode(params: _FlatParams, states: list[ClusterState], targets: list[tuple[int, ...]],
+def _fit_episode(w: PolicyWeights, states: list[ClusterState], targets: list[tuple[int, ...]],
                  config: ShowerConfig, include_ps: bool, lr: float, losses: list[float]) -> None:
     """One SGD step per demonstrated state, in episode order, on features
-    extracted for all of the episode's states in one call."""
+    extracted for all of the episode's states in one call.  The first
+    step's gradient vector is reused by the rest."""
     if not states:
         return
     x = extract_pair_features(states, config, include_ps=include_ps)
+    g = None
     end = 0
     for state, t in zip(states, targets):
         start, end = end, end + state.n * (state.n - 1) // 2
-        loss, _ = policy_loss_and_grad(params.weights, Demonstration(x[start:end], t), params.grad_views)
-        params.sgd_update(lr)
+        loss, g = policy_loss_and_grad(w, Demonstration(x[start:end], t), g)
+        _sgd_update(w, g, lr)
         losses.append(loss)
 
 
@@ -367,46 +316,41 @@ def train_mcts_policy(
     changed.  The MCTS prior reads the weights that the steps update."""
     if not dataset:
         raise ValueError("dataset is empty")
-    params = _FlatParams.copy_of(init_weights(feature_dim(include_ps), rng) if init is None else init)
-    policy = NeuralPolicy(params.weights, config, include_ps=include_ps)
+    if init is None:
+        w = init_weights(feature_dim(include_ps), rng)
+    else:
+        w = PolicyWeights(init.theta.copy(), init.input_dim)
+    policy = NeuralPolicy(w, config, include_ps=include_ps)
     losses: list[float] = []
     while len(losses) < steps:
         for ev_idx in rng.permutation(len(dataset)):
             event = dataset[int(ev_idx)]
             _, _, decisions = cluster_mcts(event.leaves, policy, cfg, config, rng)
             decisions = decisions[:steps - len(losses)]
-            _fit_episode(params, [state for state, _ in decisions], [(k,) for _, k in decisions],
+            _fit_episode(w, [state for state, _ in decisions], [(k,) for _, k in decisions],
                          config, include_ps, lr, losses)
             if len(losses) >= steps:
                 break
-    return params.weights, losses
+    return w, losses
 
 
 # ---------------------------------------------------------------------------
 # Serialization: one JSON header line, then raw little-endian float64
 # ---------------------------------------------------------------------------
 
-def save_weights(path: str | Path, w: PolicyWeights, include_ps: bool = True,
-                 config_hash: str | None = None) -> None:
+def save_weights(path: str | Path, w: PolicyWeights, config_hash: str | None = None) -> None:
     header = {
         "magic": WEIGHTS_MAGIC,
         "version": WEIGHTS_FORMAT_VERSION,
         "feature_schema": FEATURE_SCHEMA_VERSION,
-        "include_ps": include_ps,
+        "include_ps": w.input_dim == feature_dim(True),
         "config_hash": config_hash,
-        "shapes": [list(a.shape) for a in w.arrays()],
+        "shapes": weight_shapes(w.input_dim),
         "dtype": "<f8",
     }
-    payload = np.concatenate([np.ascontiguousarray(a, dtype="<f8").ravel() for a in w.arrays()])
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        f.write(payload.tobytes())
-
-
-def _weight_shapes(input_dim: int) -> list[list[int]]:
-    """The shapes of w1, b1, w2, b2, w3 and b3, as a weights header lists them."""
-    h = HIDDEN_WIDTH
-    return [[input_dim, h], [h], [h, h], [h], [h], []]
+        f.write(np.ascontiguousarray(w.theta, dtype="<f8").tobytes())
 
 
 def load_weights(path: str | Path) -> tuple[PolicyWeights, dict]:
@@ -424,17 +368,17 @@ def load_weights(path: str | Path) -> tuple[PolicyWeights, dict]:
                              f"this version reads {FEATURE_SCHEMA_VERSION}")
         if "shapes" not in header:
             raise ValueError(f"{path}: weights header has no 'shapes' field")
-        if header["shapes"] not in (_weight_shapes(feature_dim(True)), _weight_shapes(feature_dim(False))):
+        if header["shapes"] not in (weight_shapes(feature_dim(True)), weight_shapes(feature_dim(False))):
             raise ValueError(f"{path}: weights header shapes {header['shapes']!r} are not "
                              f"this network's")
         payload = f.read()
-    sizes = [math.prod(shape) for shape in header["shapes"]]
-    if len(payload) != 8 * sum(sizes):
+    input_dim = header["shapes"][0][0]
+    if len(payload) != 8 * _n_weights(input_dim):
         raise ValueError(f"{path}: payload of {len(payload)} bytes, the header's shapes "
-                         f"need {8 * sum(sizes)} (8 per float64 weight); the file is truncated "
-                         f"or was not written by save_weights")
-    flat = np.frombuffer(payload, dtype="<f8")
-    if not np.isfinite(flat).all():
-        raise ValueError(f"{path}: {int(np.count_nonzero(~np.isfinite(flat)))} of {flat.size} "
+                         f"need {8 * _n_weights(input_dim)} (8 per float64 weight); the file is "
+                         f"truncated or was not written by save_weights")
+    theta = np.frombuffer(payload, dtype="<f8")
+    if not np.isfinite(theta).all():
+        raise ValueError(f"{path}: {int(np.count_nonzero(~np.isfinite(theta)))} of {theta.size} "
                          f"weights are not finite")
-    return _weights_on(flat.copy(), header["shapes"]), header
+    return PolicyWeights(theta.copy(), input_dim), header

@@ -15,7 +15,7 @@ from scipy import integrate, stats
 import jetclust as jc
 from jetclust.env import action_table, reset, step
 from jetclust.features import extract_pair_features, feature_dim
-from jetclust.policy import Demonstration, flatten_weights, init_weights, unflatten_weights
+from jetclust.policy import Demonstration, PolicyWeights, init_weights
 from jetclust.rng import make_rng
 
 from conftest import SMALL_CONFIG, make_event
@@ -191,13 +191,13 @@ def test_07_gradient_check():
         targets = tuple(int(v) for v in rng.choice(m, size=min(2, m), replace=False))
         demo = Demonstration(extract_pair_features(state, config), targets)
         _, grad = jc.policy_loss_and_grad(w, demo)
-        flat_w, flat_g = flatten_weights(w), flatten_weights(grad)
+        flat_w, flat_g = w.theta, grad.theta
         eps = 1e-6
         for idx in rng.choice(flat_w.size, size=20, replace=False):
             up = flat_w.copy(); up[idx] += eps
             dn = flat_w.copy(); dn[idx] -= eps
-            lu, _ = jc.policy_loss_and_grad(unflatten_weights(up, w), demo)
-            ld, _ = jc.policy_loss_and_grad(unflatten_weights(dn, w), demo)
+            lu, _ = jc.policy_loss_and_grad(PolicyWeights(up, w.input_dim), demo)
+            ld, _ = jc.policy_loss_and_grad(PolicyWeights(dn, w.input_dim), demo)
             fd = (lu - ld) / (2 * eps)
             worst = max(worst, abs(fd - flat_g[idx]) / max(abs(fd), abs(flat_g[idx]), 1e-8))
     assert worst < 1e-4
@@ -279,8 +279,8 @@ def test_10_determinism(tmp_path, desk_config):
     assert all(np.array_equal(a, b) for a, b in zip(m1.arrays(), m2.arrays()))
     # weight files
     f1, f2 = tmp_path / "w1.bin", tmp_path / "w2.bin"
-    jc.save_weights(f1, w1, include_ps=True, config_hash="x")
-    jc.save_weights(f2, w2, include_ps=True, config_hash="x")
+    jc.save_weights(f1, w1, config_hash="x")
+    jc.save_weights(f2, w2, config_hash="x")
     assert f1.read_bytes() == f2.read_bytes()
     # evaluation results
     r1 = jc.evaluate(events, {"algo": "mcts", "b": 2, "n_mcts": 4}, config, n_eval=10, seeds=[0, 1])

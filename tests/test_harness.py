@@ -708,7 +708,7 @@ def test_cli_policy_cluster_rejects_damaged_weights(tmp_path, capsys, damage):
     else:
         w, header = jc.load_weights(weights)
         w.w1[...] = math.nan
-        jc.save_weights(weights, w, include_ps=header["include_ps"], config_hash=header["config_hash"])
+        jc.save_weights(weights, w, config_hash=header["config_hash"])
     capsys.readouterr()
     code = cli(["cluster", "--algo", "policy", "--prior", "nn", "--weights", str(weights),
                 "--in", str(data), "--seed", "9"])

@@ -9,20 +9,18 @@ from hypothesis import strategies as st
 
 import jetclust as jc
 from jetclust.env import action_table, is_terminal, leaf_sets, reset, step
-from jetclust.features import extract_pair_features, feature_dim
+from jetclust.features import N_BASE_FEATURES, extract_pair_features, feature_dim
 from jetclust.shower import invariant_mass_sq
 from jetclust.policy import (
     GRAD_CLIP_NORM,
     Demonstration,
     NeuralPolicy,
     PolicyWeights,
-    _condition_inputs,
     _demonstrated,
     _demonstrator_tree,
+    _sgd_update,
     _sibling_map,
-    flatten_weights,
     init_weights,
-    unflatten_weights,
 )
 from jetclust.rng import make_rng
 
@@ -34,6 +32,25 @@ def _zero_weights(d=None):
     for a in w.arrays():
         a[...] = 0.0
     return w
+
+
+def test_init_weights_draws_the_per_array_normals():
+    # w1, w2 and w3 in that order, each at 1/sqrt(fan-in), into the views
+    # of one flat vector; zero biases.
+    for d in (feature_dim(True), feature_dim(False)):
+        rng = make_rng(3, d)
+
+        def dense(n_in, n_out):
+            return rng.normal(0.0, 1.0 / math.sqrt(n_in), size=(n_in, n_out))
+
+        h = 64
+        expected = [dense(d, h), np.zeros(h), dense(h, h), np.zeros(h), dense(h, 1)[:, 0], np.zeros(())]
+        w = init_weights(d, make_rng(3, d))
+        assert [a.shape for a in w.arrays()] == [a.shape for a in expected]
+        assert all(np.shares_memory(a, w.theta) for a in w.arrays())
+        assert w.theta.tobytes() == np.concatenate([a.ravel() for a in expected]).tobytes()
+    with pytest.raises(ValueError, match="does not fit input dim"):
+        PolicyWeights(np.zeros(w.theta.size), d + 1)
 
 
 def _random_state(config, seed, n_leaves, n_merges=0):
@@ -101,12 +118,23 @@ def test_feature_determinism_and_ps_column(small_config):
     assert np.all(np.isfinite(x1))
     for row, a in enumerate(action_table(state.n)[0]):
         s = jc.Splitting(state.particles[a.i], state.particles[a.j])
-        assert x1[row, -1] == jc.splitting_log_likelihood(s, small_config)
+        assert x1[row, -1] == min(max(jc.splitting_log_likelihood(s, small_config), -100.0), 100.0) * 0.1
+
+
+def _condition_inputs(x):
+    """The scaling of the n and log p_s columns, as the policy applied it
+    to raw feature rows before extract_pair_features took it over."""
+    x = x.copy()
+    x[:, 11] *= 0.05
+    if x.shape[1] > N_BASE_FEATURES:
+        x[:, N_BASE_FEATURES] = np.clip(x[:, N_BASE_FEATURES], -100.0, 100.0) * 0.1
+    return x
 
 
 def _row_loop_features(state, config, include_ps=True):
-    """The feature matrix built one row at a time, as before the columns
-    were vectorised: the oracle of extract_pair_features."""
+    """The raw feature matrix built one row at a time, as before the
+    columns were vectorised; its _condition_inputs is the oracle of
+    extract_pair_features."""
     e_tot = math.fsum(p.E for p in state.particles)
     e_scale = 1.0 / e_tot
     t_scale = e_scale * e_scale
@@ -135,7 +163,7 @@ def _row_loop_features(state, config, include_ps=True):
 def _assert_features_match_row_loop(state, config):
     for include_ps in (True, False):
         jc.PS_EVALUATIONS.reset()
-        expected = _row_loop_features(state, config, include_ps)
+        expected = _condition_inputs(_row_loop_features(state, config, include_ps))
         oracle_cost = jc.PS_EVALUATIONS.count
         jc.PS_EVALUATIONS.reset()
         got = extract_pair_features(state, config, include_ps)
@@ -244,7 +272,7 @@ def test_batched_features_match_row_loop_on_tied_energies(small_config):
               F(2.0, 0.0, -0.5, 0.0), F(2.0, 0.0, 0.5, 0.0), F(1, 0, 0, 0)]
     states = _episode(small_config, leaves, make_rng(4))
     x = extract_pair_features(states, small_config)
-    expected = np.concatenate([_row_loop_features(s, small_config) for s in states])
+    expected = np.concatenate([_condition_inputs(_row_loop_features(s, small_config)) for s in states])
     assert x.tobytes() == expected.tobytes()
 
 
@@ -284,14 +312,14 @@ def test_gradient_matches_finite_differences(small_config):
         targets = tuple(int(v) for v in rng.choice(m, size=n_targets, replace=False))
         demo = Demonstration(extract_pair_features(state, small_config), targets)
         loss, grad = jc.policy_loss_and_grad(w, demo)
-        flat_w = flatten_weights(w)
-        flat_g = flatten_weights(grad)
+        flat_w = w.theta
+        flat_g = grad.theta
         eps = 1e-6
         for idx in rng.choice(flat_w.size, size=25, replace=False):
             up = flat_w.copy(); up[idx] += eps
             dn = flat_w.copy(); dn[idx] -= eps
-            lu, _ = jc.policy_loss_and_grad(unflatten_weights(up, w), demo)
-            ld, _ = jc.policy_loss_and_grad(unflatten_weights(dn, w), demo)
+            lu, _ = jc.policy_loss_and_grad(PolicyWeights(up, w.input_dim), demo)
+            ld, _ = jc.policy_loss_and_grad(PolicyWeights(dn, w.input_dim), demo)
             fd = (lu - ld) / (2 * eps)
             denom = max(abs(fd), abs(flat_g[idx]), 1e-8)
             worst = max(worst, abs(fd - flat_g[idx]) / denom)
@@ -467,7 +495,6 @@ def test_no_ps_feature_variant_trains(small_config, small_events):
 # lookup: the oracles of train_bc, train_mcts_policy and truth_actions.
 
 def _oracle_forward(w, x):
-    x = _condition_inputs(x)
     h1 = np.tanh(x @ w.w1 + w.b1)
     h2 = np.tanh(h1 @ w.w2 + w.b2)
     logits = h2 @ w.w3 + w.b3
@@ -497,10 +524,11 @@ def _oracle_loss_and_grad(w, demo):
     dz1 = dh1 * (1.0 - h1 * h1)
     dw1 = x.T @ dz1
     db1 = dz1.sum(axis=0)
-    return loss, PolicyWeights(w1=dw1, b1=db1, w2=dw2, b2=db2, w3=dw3, b3=db3)
+    grads = (dw1, db1, dw2, db2, dw3, db3)
+    return loss, PolicyWeights(np.concatenate([g.ravel() for g in grads]), w.input_dim)
 
 
-def _sgd_update(w, grad, lr):
+def _oracle_sgd_update(w, grad, lr):
     """The oracle update; returns whether the gradient was clipped."""
     norm = math.sqrt(sum(float(np.sum(g * g)) for g in grad.arrays()))
     scale = lr if norm <= GRAD_CLIP_NORM else lr * GRAD_CLIP_NORM / norm
@@ -540,9 +568,8 @@ def _actions_in(state, pairs):
 
 def test_loss_and_grad_match_the_per_array_oracle(small_config):
     # Bits of the loss (its sign too) and of every gradient array, into
-    # new arrays and into views of one flat vector; an all-target state
-    # has loss -0.0.
-    from jetclust.policy import _FlatParams
+    # a new gradient vector and into a given one; an all-target state has
+    # loss -0.0.
     rng = make_rng(25)
     for trial in range(40):
         w = init_weights(feature_dim(), make_rng(26, trial))
@@ -552,13 +579,13 @@ def test_loss_and_grad_match_the_per_array_oracle(small_config):
         demo = Demonstration(extract_pair_features(state, small_config),
                              tuple(int(v) for v in rng.choice(m, size=k, replace=False)))
         expected_loss, expected = _oracle_loss_and_grad(w, demo)
-        params = _FlatParams.copy_of(w)
-        for out in (None, params.grad_views):
+        given = PolicyWeights(np.empty_like(w.theta), w.input_dim)
+        for out in (None, given):
             loss, grad = jc.policy_loss_and_grad(w, demo, out)
             assert loss.hex() == expected_loss.hex()
             for a, b in zip(grad.arrays(), expected.arrays()):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        assert params.grad.tobytes() == flatten_weights(expected).tobytes()
+        assert given.theta.tobytes() == expected.theta.tobytes()
 
 
 def _per_state_train_bc(dataset, config, steps, lr, rng, demonstrator="truth", include_ps=True):
@@ -583,7 +610,7 @@ def _per_state_train_bc(dataset, config, steps, lr, rng, demonstrator="truth", i
                     targets=tuple(index[a] for a in targets),
                 )
                 loss, grad = _oracle_loss_and_grad(weights, demo)
-                _sgd_update(weights, grad, lr)
+                _oracle_sgd_update(weights, grad, lr)
                 losses.append(loss)
                 chosen = targets[int(rng.integers(len(targets)))]
                 state = step(state, chosen, config)
@@ -599,7 +626,7 @@ def _per_state_train_mcts_policy(dataset, cfg, config, steps, lr, rng, include_p
     if init is None:
         weights = init_weights(feature_dim(include_ps), rng)
     else:
-        weights = PolicyWeights(*[a.copy() for a in init.arrays()])
+        weights = PolicyWeights(init.theta.copy(), init.input_dim)
     policy = NeuralPolicy(weights, config, include_ps=include_ps)
     losses = []
     while len(losses) < steps:
@@ -609,7 +636,7 @@ def _per_state_train_mcts_policy(dataset, cfg, config, steps, lr, rng, include_p
             for state, k in decisions:
                 feats = extract_pair_features(state, config, include_ps=include_ps)
                 loss, grad = _oracle_loss_and_grad(weights, Demonstration(feats, (k,)))
-                was_clipped = _sgd_update(weights, grad, lr)
+                was_clipped = _oracle_sgd_update(weights, grad, lr)
                 if clipped is not None:
                     clipped.append(was_clipped)
                 losses.append(loss)
@@ -623,7 +650,7 @@ def _per_state_train_mcts_policy(dataset, cfg, config, steps, lr, rng, include_p
 def _run_counted(train, *args, **kwargs):
     start = jc.PS_EVALUATIONS.count
     weights, losses = train(*args, **kwargs)
-    return flatten_weights(weights).tobytes(), losses, jc.PS_EVALUATIONS.count - start
+    return weights.theta.tobytes(), losses, jc.PS_EVALUATIONS.count - start
 
 
 def _off_demonstration(events):
@@ -703,30 +730,27 @@ def test_train_mcts_policy_matches_per_state_loop_when_clipping(small_events):
 
 
 def test_flat_update_matches_per_array_update_around_the_clip_norm():
-    from jetclust.policy import _FlatParams
     rng = make_rng(18)
     clipped = []
     for trial in range(60):
         w = init_weights(feature_dim(), make_rng(19, trial))
         grad = init_weights(feature_dim(), make_rng(20, trial))
-        for g in grad.arrays():
-            g *= 0.25 * (trial % 4 + 1)  # norms of about 5 to 20
-        params = _FlatParams.copy_of(w)
-        params.grad[...] = flatten_weights(grad)
+        grad.theta *= 0.25 * (trial % 4 + 1)  # norms of about 5 to 20
+        flat = PolicyWeights(w.theta.copy(), w.input_dim)
         lr = float(rng.uniform(0.01, 1.0))
-        params.sgd_update(lr)
-        clipped.append(_sgd_update(w, grad, lr))
-        assert params.theta.tobytes() == flatten_weights(w).tobytes()
+        _sgd_update(flat, PolicyWeights(grad.theta.copy(), grad.input_dim), lr)
+        clipped.append(_oracle_sgd_update(w, grad, lr))
+        assert flat.theta.tobytes() == w.theta.tobytes()
     assert 0 < sum(clipped) < len(clipped)
 
 
 def test_train_mcts_policy_leaves_init_unchanged(small_events):
     init = init_weights(feature_dim(), make_rng(21))
-    before = flatten_weights(init).tobytes()
+    before = init.theta.tobytes()
     cfg = jc.MctsConfig(c=1.0, n_mcts=2, beam_init_b=2)
     w, _ = jc.train_mcts_policy(small_events[:4], cfg, SMALL_CONFIG, 30, 0.3, make_rng(22), init=init)
-    assert flatten_weights(init).tobytes() == before
-    assert flatten_weights(w).tobytes() != before
+    assert init.theta.tobytes() == before
+    assert w.theta.tobytes() != before
 
 
 def test_self_imitation_searches_with_the_updated_weights(small_events, monkeypatch):
@@ -737,7 +761,7 @@ def test_self_imitation_searches_with_the_updated_weights(small_events, monkeypa
 
     def spying(seen):
         def spy(event, prior, *args):
-            seen.append(flatten_weights(prior.weights).tobytes())
+            seen.append(prior.weights.theta.tobytes())
             return real(event, prior, *args)
         return spy
 
@@ -815,7 +839,7 @@ def test_sibling_lookup_matches_pair_scan(seed, n_leaves, kind, repeated, drop_l
 def test_weights_round_trip(tmp_path, small_config):
     w = init_weights(feature_dim(), make_rng(9))
     path = tmp_path / "weights.bin"
-    jc.save_weights(path, w, include_ps=True, config_hash="abc123")
+    jc.save_weights(path, w, config_hash="abc123")
     loaded, header = jc.load_weights(path)
     assert header["include_ps"] is True
     assert header["config_hash"] == "abc123"
