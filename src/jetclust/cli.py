@@ -244,13 +244,15 @@ def _cmd_mle(opt: _Options) -> int:
         raise UsageError(f"--max-n must be in 2..{DEFAULT_N_MAX}, got {max_n}")
     events, config = _load_dataset(opt)
     rows = []
+    quiet = opt.get("quiet")
     for event in events:
         if event.n_leaves > max_n:
-            print(f"skipping event {event.event_id}: {event.n_leaves} leaves > max-n {max_n}")
+            if not quiet:
+                print(f"skipping event {event.event_id}: {event.n_leaves} leaves > max-n {max_n}")
             continue
         ll, _ = exact_mle(event.leaves, config)
         rows.append({"id": event.event_id, "n_leaves": event.n_leaves, "mle_ll": ll})
-        if not opt.get("quiet"):
+        if not quiet:
             print(f"event {event.event_id}: n={event.n_leaves} MLE LL {ll:.4f}")
     if rows:
         mean = sum(r["mle_ll"] for r in rows) / len(rows)

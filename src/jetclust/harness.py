@@ -161,9 +161,22 @@ def _check_schema(obj, what: str, expected: int = SCHEMA_VERSION) -> None:
 
 def _number(value, what: str) -> float:
     # json.loads gives int or float for a number (nan or inf for NaN or Infinity); bool and str are not numbers
-    if type(value) not in (int, float) or not math.isfinite(value):
+    try:
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an int beyond the float range
+        number = math.nan
+    if not math.isfinite(number):
         raise ValueError(f"{what} {value!r} is not a finite number")
-    return float(value)
+    return number
+
+
+def _kind(value, kinds: tuple[type, ...], what: str):
+    """value, if its exact type is one of kinds (so a bool is not an int);
+    else ValueError naming what."""
+    if type(value) not in kinds:
+        names = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
+        raise ValueError(f"{what} is {type(value).__name__}, not {names}")
+    return value
 
 
 def _momentum(values) -> FourMomentum:
@@ -374,28 +387,39 @@ class RunResult:
 
     @classmethod
     def from_json(cls, text: str) -> "RunResult":
+        """Decode a run-result file; ValueError naming the field unless
+        planner is a str, dataset_hash a str or null, params a dict,
+        per_event a non-empty and per_seed a list of dicts, every per_event
+        id and n_leaves an int, and every per_event ll, mean_ll, sem_ll and
+        mean_cost a finite number."""
         obj = json.loads(text)
         _check_schema(obj, "run result")
+        what = "malformed run result:"
         try:
             result = cls(
-                planner=obj["planner"],
-                params=obj["params"],
-                per_event=obj["per_event"],
-                per_seed=obj["per_seed"],
-                mean_ll=float(obj["mean_ll"]),
-                sem_ll=float(obj["sem_ll"]),
-                mean_cost=float(obj["mean_cost"]),
-                dataset_hash=obj.get("dataset_hash"),
+                planner=_kind(obj["planner"], (str,), f"{what} planner"),
+                params=_kind(obj["params"], (dict,), f"{what} params"),
+                per_event=_kind(obj["per_event"], (list,), f"{what} per_event"),
+                per_seed=_kind(obj["per_seed"], (list,), f"{what} per_seed"),
+                mean_ll=_number(obj["mean_ll"], f"{what} mean_ll"),
+                sem_ll=_number(obj["sem_ll"], f"{what} sem_ll"),
+                mean_cost=_number(obj["mean_cost"], f"{what} mean_cost"),
+                dataset_hash=_kind(obj.get("dataset_hash"), (str, type(None)), f"{what} dataset_hash"),
             )
-            if not result.per_event:
-                raise ValueError("malformed run result: per_event is empty")
-            for k, entry in enumerate(result.per_event):
-                missing = [name for name in ("id", "n_leaves", "ll") if name not in entry]
-                if missing:
-                    raise ValueError(
-                        f"malformed run result: per_event[{k}] lacks {', '.join(missing)}")
-        except (KeyError, TypeError) as exc:  # a missing field or a value of the wrong kind
-            raise ValueError(f"malformed run result: {exc!r}") from exc
+        except KeyError as exc:
+            raise ValueError(f"{what} missing field {exc}") from exc
+        if not result.per_event:
+            raise ValueError(f"{what} per_event is empty")
+        for k, entry in enumerate(result.per_seed):
+            _kind(entry, (dict,), f"{what} per_seed[{k}]")
+        for k, entry in enumerate(result.per_event):
+            _kind(entry, (dict,), f"{what} per_event[{k}]")
+            missing = [name for name in ("id", "n_leaves", "ll") if name not in entry]
+            if missing:
+                raise ValueError(f"{what} per_event[{k}] lacks {', '.join(missing)}")
+            _kind(entry["id"], (int,), f"{what} per_event[{k}].id")
+            _kind(entry["n_leaves"], (int,), f"{what} per_event[{k}].n_leaves")
+            _number(entry["ll"], f"{what} per_event[{k}].ll")
         return result
 
 
@@ -457,7 +481,7 @@ def _policy_from_spec(spec: dict, config: ShowerConfig):
         if not path:
             raise ValueError("prior 'nn' needs a weights file")
         weights, header = load_weights(path)
-        return NeuralPolicy(weights, config, include_ps=bool(header.get("include_ps", True)))
+        return NeuralPolicy(weights, config, include_ps=header["include_ps"])
     raise ValueError(f"unknown prior: {prior!r}")
 
 
@@ -579,7 +603,10 @@ def compare(results: Sequence[RunResult]) -> dict:
 
 
 def write_comparison(comparison: dict, out_prefix: str | Path) -> list[Path]:
-    """CSV per section plus one JSON with everything."""
+    """CSV per section plus one JSON with everything.  The JSON is
+    rendered first, so a value it cannot hold (a non-finite float) raises
+    before any file is written."""
+    text = dumps(comparison) + "\n"
     out_prefix = Path(out_prefix)
     written = []
     for name, rows in comparison.items():
@@ -592,6 +619,6 @@ def write_comparison(comparison: dict, out_prefix: str | Path) -> list[Path]:
         written.append(path)
     json_path = out_prefix.with_name(out_prefix.name + ".json")
     with open(json_path, "w") as f:
-        f.write(dumps(comparison) + "\n")
+        f.write(text)
     written.append(json_path)
     return written

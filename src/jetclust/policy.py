@@ -354,6 +354,11 @@ def save_weights(path: str | Path, w: PolicyWeights, config_hash: str | None = N
 
 
 def load_weights(path: str | Path) -> tuple[PolicyWeights, dict]:
+    """The weights and header of a save_weights file.  ValueError unless
+    the header is this format's, with little-endian float64 weights
+    ("<f8") shaped as one of the two networks and the include_ps flag of
+    those shapes, and the payload holds exactly the finite weights the
+    shapes need."""
     with open(path, "rb") as f:
         try:
             header = json.loads(f.readline().decode())
@@ -366,13 +371,20 @@ def load_weights(path: str | Path) -> tuple[PolicyWeights, dict]:
         if header.get("feature_schema") != FEATURE_SCHEMA_VERSION:
             raise ValueError(f"{path}: feature schema {header.get('feature_schema')!r}, "
                              f"this version reads {FEATURE_SCHEMA_VERSION}")
+        if header.get("dtype") != "<f8":
+            raise ValueError(f"{path}: weights dtype {header.get('dtype')!r}, this version reads '<f8'")
         if "shapes" not in header:
             raise ValueError(f"{path}: weights header has no 'shapes' field")
-        if header["shapes"] not in (weight_shapes(feature_dim(True)), weight_shapes(feature_dim(False))):
+        include_ps = next((flag for flag in (True, False)
+                           if header["shapes"] == weight_shapes(feature_dim(flag))), None)
+        if include_ps is None:
             raise ValueError(f"{path}: weights header shapes {header['shapes']!r} are not "
                              f"this network's")
+        if header.get("include_ps") is not include_ps:
+            raise ValueError(f"{path}: weights header include_ps {header.get('include_ps')!r} is not "
+                             f"{include_ps}, which its shapes imply")
         payload = f.read()
-    input_dim = header["shapes"][0][0]
+    input_dim = feature_dim(include_ps)
     if len(payload) != 8 * _n_weights(input_dim):
         raise ValueError(f"{path}: payload of {len(payload)} bytes, the header's shapes "
                          f"need {8 * _n_weights(input_dim)} (8 per float64 weight); the file is "

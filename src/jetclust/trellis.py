@@ -12,6 +12,8 @@ set bit (children are unordered, so this halves the symmetric
 duplicates).  Cost is O(3^n) density evaluations, so n is guarded.
 """
 
+import math
+
 from .env import check_leaves, tree_from_history
 from .shower import FourMomentum, ShowerConfig, Splitting, Tree, splitting_log_likelihood
 
@@ -40,18 +42,15 @@ def _fill_table(
         low = mask & -mask
         rest = mask ^ low
         psum[mask] = psum[low] + psum[rest]
-        # The first split seeds the best value; the rest follow in the
-        # same order, and only a strictly larger value replaces it, so
-        # ties go to the first maximum.
-        b = (rest - 1) & rest
-        a_mask = low | b  # proper nonempty subset of mask containing its lowest bit
-        c_mask = mask ^ a_mask
-        s = new_tuple(Splitting, (psum[a_mask], psum[c_mask]))
-        best_val = splitting_log_likelihood(s, config) + mll[a_mask] + mll[c_mask]
-        best_split = a_mask
+        # b runs over the proper subsets of rest, largest first.  Kernel
+        # values are finite (floored), so the first split replaces the
+        # seed; after it only a strictly larger value does, so ties go to
+        # the first maximum.
+        best_val, best_split = -math.inf, 0
+        b = rest
         while b:
             b = (b - 1) & rest
-            a_mask = low | b
+            a_mask = low | b  # proper nonempty subset of mask containing its lowest bit
             c_mask = mask ^ a_mask
             s = new_tuple(Splitting, (psum[a_mask], psum[c_mask]))
             val = splitting_log_likelihood(s, config) + mll[a_mask] + mll[c_mask]

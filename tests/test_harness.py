@@ -8,6 +8,7 @@ import shlex
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
@@ -593,6 +594,15 @@ def test_cli_mle_skips_large_events(tmp_path, capsys):
     assert "skipping event" in out
 
 
+def test_cli_mle_quiet_prints_only_the_summary(tmp_path, capsys):
+    data = tmp_path / "d.jsonl"
+    cli(["generate", "--n-events", "15", "--seed", "3", "--out", str(data), "--quiet", *SMALL_FLAGS])
+    capsys.readouterr()
+    assert cli(["mle", "--in", str(data), "--max-n", "4", "--quiet"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("mean MLE LL over ")
+
+
 def test_cli_mle_rejects_max_n_outside_the_cost_guard(tmp_path, capsys, monkeypatch):
     import jetclust.cli as cmod
 
@@ -895,6 +905,33 @@ def test_cli_rejects_weights_header_without_shapes(tmp_path, capsys):
     assert "shapes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("dtype", ">f8"), ("dtype", "<f4"), ("dtype", None),
+                                          ("include_ps", "no"), ("include_ps", False),
+                                          ("include_ps", 1), ("include_ps", None)])
+def test_cli_rejects_weights_header_fields_it_acts_on(tmp_path, capsys, field, value):
+    # None drops the field.  The weights are the network's with the p_s
+    # feature, so its include_ps must be true itself, not a truthy value.
+    data = tmp_path / "d.jsonl"
+    cli(["generate", "--n-events", "4", "--seed", "9", "--out", str(data), *SMALL_FLAGS])
+    weights = tmp_path / "w.bin"
+    cli(["train", "--mode", "bc", "--in", str(data), "--steps", "5", "--seed", "9",
+         "--out", str(weights), "--quiet"])
+    header, payload = weights.read_bytes().split(b"\n", 1)
+    obj = json.loads(header)
+    if value is None:
+        del obj[field]
+    else:
+        obj[field] = value
+    weights.write_bytes(json.dumps(obj).encode() + b"\n" + payload)
+    capsys.readouterr()
+    result = tmp_path / "r.json"
+    code = cli(["evaluate", "--algo", "policy", "--prior", "nn", "--weights", str(weights),
+                "--in", str(data), "--out", str(result), "--seed", "9"])
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not result.exists()
+
+
 def _readme_commands() -> list[str]:
     """Every `jetclust ...` command in README.md, continuation lines joined."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -957,6 +994,130 @@ def test_cli_compare_rejects_results_without_per_event_entries(tmp_path, capsys)
     assert "per_event is empty" in err
     assert "Traceback" not in err
     assert sorted(path.name for path in tmp_path.iterdir()) == ["a.json", "b.json", "d.jsonl"]
+
+
+def _set_at(obj, path, value):
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
+_MISTYPED = [
+    (("per_event", 0, "ll"), "x"), (("per_event", 0, "ll"), None), (("per_event", 0, "id"), [1]),
+    (("per_event", 0, "id"), True), (("per_event", 0, "n_leaves"), "5"), (("per_event", 1), ["id", "n_leaves", "ll"]),
+    (("params",), [1]), (("dataset_hash",), ["a"]), (("planner",), 3), (("per_seed", 0), "x"),
+    (("mean_ll",), math.nan), (("sem_ll",), 10**400), (("per_event", 2, "ll"), math.inf),
+]
+
+
+@pytest.mark.parametrize("path, value", _MISTYPED, ids=[
+    "/".join(map(str, path)) + ("=nan" if value != value else f":{type(value).__name__}") for path, value in _MISTYPED])
+def test_cli_compare_rejects_a_field_of_the_wrong_type(tmp_path, capsys, path, value):
+    # The first five ended compare in a traceback, and a NaN mean_ll left
+    # the CSVs and part of the JSON behind.
+    data = tmp_path / "d.jsonl"
+    cli(["generate", "--n-events", "4", "--seed", "11", "--out", str(data), *SMALL_FLAGS])
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    for out in (good, bad):
+        cli(["evaluate", "--algo", "greedy", "--in", str(data), "--out", str(out), "--seed", "11"])
+    obj = json.loads(bad.read_text())
+    _set_at(obj, path, value)
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli(["compare", str(good), str(bad), "--out", str(tmp_path / "cmp")]) == 2
+    err = capsys.readouterr().err
+    assert "malformed run result: " + "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path)[1:] in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "d.jsonl", "good.json"]
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A small dataset, a greedy run result on it and BC weights."""
+    root = tmp_path_factory.mktemp("valid")
+    files = {name: root / name for name in ("d.jsonl", "result.json", "w.bin")}
+    cli(["generate", "--n-events", "3", "--seed", "13", "--out", str(files["d.jsonl"]), "--quiet",
+         *SMALL_FLAGS])
+    cli(["evaluate", "--algo", "greedy", "--in", str(files["d.jsonl"]), "--out", str(files["result.json"]),
+         "--quiet"])
+    cli(["train", "--in", str(files["d.jsonl"]), "--steps", "5", "--out", str(files["w.bin"]), "--quiet"])
+    return files
+
+
+def _json_paths(obj, prefix=()):
+    """The path of every value inside a JSON object or array."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+_json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([10**400, -10**400, 2**64]), st.floats(),
+    st.text(max_size=3), st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+def _mutated(text: str, data) -> str:
+    """text, one JSON object, with one field dropped, retyped or written
+    twice (json.loads keeps the last), or the text cut short."""
+    obj = json.loads(text)
+    op = data.draw(st.sampled_from(["drop", "retype", "duplicate", "truncate"]))
+    if op == "truncate":
+        return text[:data.draw(st.integers(0, len(text) - 1))]
+    if op == "duplicate":
+        copy = f"{json.dumps(data.draw(st.sampled_from(sorted(obj))))}: {json.dumps(data.draw(_json_values))}"
+        return "{" + copy + ", " + text[1:] if data.draw(st.booleans()) else text[:-1] + ", " + copy + "}"
+    path = data.draw(st.sampled_from(list(_json_paths(obj))))
+    if op == "drop":
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+    else:
+        _set_at(obj, path, data.draw(_json_values))
+    return json.dumps(obj)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_result_files_load_or_fail_cleanly(valid_files, data):
+    text = _mutated(valid_files["result.json"].read_text().strip(), data)
+    good = jc.RunResult.from_json(valid_files["result.json"].read_text())
+    try:
+        compare([good, jc.RunResult.from_json(text)])
+    except ValueError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp) / "bad.json"
+        bad.write_text(text)
+        code = cli(["compare", str(valid_files["result.json"]), str(bad), "--out", f"{tmp}/cmp", "--quiet"])
+        assert code in (0, 2)
+        if code == 2:
+            assert [p.name for p in Path(tmp).iterdir()] == ["bad.json"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_weights_files_load_or_fail_cleanly(valid_files, data, small_config):
+    header, payload = valid_files["w.bin"].read_bytes().split(b"\n", 1)
+    if data.draw(st.booleans()):
+        blob = _mutated(header.decode(), data).encode() + b"\n" + payload
+    else:
+        blob = (header + b"\n" + payload)[:data.draw(st.integers(0, len(header) + len(payload)))]
+    with tempfile.TemporaryDirectory() as tmp:
+        weights, result = Path(tmp) / "w.bin", Path(tmp) / "r.json"
+        weights.write_bytes(blob)
+        try:
+            w, head = jc.load_weights(weights)
+        except ValueError:
+            pass
+        else:
+            jc.NeuralPolicy(w, small_config, include_ps=head["include_ps"])
+            assert np.isfinite(w.theta).all()
+        code = cli(["evaluate", "--algo", "policy", "--prior", "nn", "--weights", str(weights),
+                    "--in", str(valid_files["d.jsonl"]), "--out", str(result), "--quiet"])
+        assert code in (0, 2)
+        assert result.exists() == (code == 0)
 
 
 def test_cli_config_file_rejects_values_of_the_wrong_type(tmp_path, capsys):

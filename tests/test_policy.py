@@ -907,6 +907,21 @@ def test_load_weights_rejects_a_header_that_is_not_json(tmp_path):
         jc.load_weights(path)
 
 
+@pytest.mark.parametrize("include_ps", [True, False])
+def test_load_weights_takes_include_ps_from_the_shapes(tmp_path, include_ps):
+    path = tmp_path / "weights.bin"
+    jc.save_weights(path, init_weights(feature_dim(include_ps), make_rng(9)))
+    loaded, header = jc.load_weights(path)
+    assert header["include_ps"] is include_ps
+    assert loaded.input_dim == feature_dim(include_ps)
+    head, payload = path.read_bytes().split(b"\n", 1)
+    obj = json.loads(head)
+    obj["include_ps"] = not include_ps
+    path.write_bytes(json.dumps(obj).encode() + b"\n" + payload)
+    with pytest.raises(ValueError, match="weights.bin: weights header include_ps"):
+        jc.load_weights(path)
+
+
 def test_neural_policy_validates_dims(small_config):
     w = init_weights(feature_dim(include_ps=False), make_rng(10))
     with pytest.raises(ValueError):
