@@ -47,8 +47,9 @@ class PolicyWeights:
     update works on the two vectors whole."""
 
     def __init__(self, theta: np.ndarray, input_dim: int):
-        if theta.shape != (_n_weights(input_dim),):
-            raise ValueError(f"a weight vector of shape {theta.shape} does not fit input dim {input_dim}")
+        if theta.dtype != np.float64 or theta.shape != (_n_weights(input_dim),) or not theta.flags.c_contiguous:
+            raise ValueError(f"theta must be a contiguous float64 vector of the {_n_weights(input_dim)} "
+                             f"weights of input dim {input_dim}")
         self.theta = theta
         self.input_dim = input_dim
         views = []

@@ -49,8 +49,11 @@ def test_init_weights_draws_the_per_array_normals():
         assert [a.shape for a in w.arrays()] == [a.shape for a in expected]
         assert all(np.shares_memory(a, w.theta) for a in w.arrays())
         assert w.theta.tobytes() == np.concatenate([a.ravel() for a in expected]).tobytes()
-    with pytest.raises(ValueError, match="does not fit input dim"):
-        PolicyWeights(np.zeros(w.theta.size), d + 1)
+    # theta must hold the views' memory: the right size, float64 and contiguous.
+    for theta, dim in ((np.zeros(w.theta.size), d + 1), (np.zeros(w.theta.size, dtype=np.float32), d),
+                       (np.zeros(2 * w.theta.size)[::2], d)):
+        with pytest.raises(ValueError, match="contiguous float64 vector"):
+            PolicyWeights(theta, dim)
 
 
 def _random_state(config, seed, n_leaves, n_merges=0):
