@@ -315,11 +315,18 @@ def _cmd_evaluate(opt: _Options) -> int:
     return 0
 
 
+def _load_result(path: str) -> RunResult:
+    try:
+        return RunResult.from_json(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _cmd_compare(opt: _Options) -> int:
     paths = opt.get("results") or []
     if len(paths) < 2:
         raise UsageError("compare needs at least 2 result files")
-    results = [RunResult.from_json(Path(p).read_text()) for p in paths]
+    results = [_load_result(p) for p in paths]
     comparison = compare(results)
     if not opt.get("quiet"):
         for row in comparison["table"]:

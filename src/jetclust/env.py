@@ -6,7 +6,7 @@ cluster is named by its leaf bitmask (bit k = leaf k), as in the trellis."""
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
 from types import MappingProxyType
 
@@ -50,6 +50,13 @@ class ClusterState:
         return self
 
 
+_new_object = object.__new__
+# One setter per field, in field order; a field added to the class
+# makes this unpacking fail at import.
+_set_particles, _set_masks, _set_cumulative_reward, _set_history, _set_leaves = (
+    ClusterState.__dict__[f.name].__set__ for f in fields(ClusterState))
+
+
 def check_leaves(leaves: Sequence[FourMomentum]) -> None:
     """Raise ValueError unless there are at least two leaves, each with
     finite float components, a non-negative energy and a momentum that is
@@ -87,7 +94,7 @@ def reset(leaves: list[FourMomentum] | tuple[FourMomentum, ...]) -> ClusterState
 
 
 def is_terminal(state: ClusterState) -> bool:
-    return state.n == 1
+    return len(state.particles) == 1
 
 
 @cache
@@ -111,16 +118,18 @@ def apply_action(state: ClusterState, action: Action, reward: float) -> ClusterS
     that score all pairs anyway use this so the evaluation counter sees
     each splitting-density call exactly once."""
     i, j = action.i, action.j
-    if not (0 <= i < j < state.n):
-        raise ValueError(f"illegal action ({i}, {j}) for n={state.n}")
     ps, masks = state.particles, state.masks
-    return ClusterState(
-        particles=merged(ps, i, j, ps[i] + ps[j]),
-        masks=merged(masks, i, j, masks[i] | masks[j]),
-        cumulative_reward=state.cumulative_reward + reward,
-        history=state.history + ((masks[i], masks[j]),),
-        leaves=state.leaves,
-    )
+    if not (0 <= i < j < len(ps)):
+        raise ValueError(f"illegal action ({i}, {j}) for n={state.n}")
+    # Built through the slot descriptors, as __init__ would fill the
+    # slots but without its frozen-class object.__setattr__ calls.
+    nxt = _new_object(ClusterState)
+    _set_particles(nxt, merged(ps, i, j, ps[i] + ps[j]))
+    _set_masks(nxt, merged(masks, i, j, masks[i] | masks[j]))
+    _set_cumulative_reward(nxt, state.cumulative_reward + reward)
+    _set_history(nxt, state.history + ((masks[i], masks[j]),))
+    _set_leaves(nxt, state.leaves)
+    return nxt
 
 
 def step(state: ClusterState, action: Action, config: ShowerConfig) -> ClusterState:

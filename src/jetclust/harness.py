@@ -29,6 +29,9 @@ SCHEMA_VERSION = 1  # run-result files
 EVENT_SCHEMA_VERSION = 2  # dataset lines; version 1 stored a config hash, not the config
 # Largest |truth_ll - tree_log_likelihood(truth)| a loaded event may show.
 TRUTH_LL_TOLERANCE = 1e-9
+# Largest difference a loaded run result's stored means may show from the
+# ones recomputed from its per_event rows.
+RESULT_MEAN_TOLERANCE = 1e-9
 
 # Default configuration: a boosted root with mass-squared 400 showered
 # down to t_cut = 1, giving events around 15 particles; the whole
@@ -390,8 +393,10 @@ class RunResult:
         """Decode a run-result file; ValueError naming the field unless
         planner is a str, dataset_hash a str or null, params a dict,
         per_event a non-empty and per_seed a list of dicts, every per_event
-        id and n_leaves an int, and every per_event ll, mean_ll, sem_ll and
-        mean_cost a finite number."""
+        seed, id and n_leaves an int, every per_event ll and cost, mean_ll,
+        sem_ll and mean_cost a finite number, per_seed, mean_ll, sem_ll and
+        mean_cost within RESULT_MEAN_TOLERANCE of what evaluate computes
+        from per_event, and the mean LL of each leaf count finite."""
         obj = json.loads(text)
         _check_schema(obj, "run result")
         what = "malformed run result:"
@@ -412,15 +417,73 @@ class RunResult:
             raise ValueError(f"{what} per_event is empty")
         for k, entry in enumerate(result.per_seed):
             _kind(entry, (dict,), f"{what} per_seed[{k}]")
+            missing = [name for name in ("seed", "mean_ll", "mean_cost") if name not in entry]
+            if missing:
+                raise ValueError(f"{what} per_seed[{k}] lacks {', '.join(missing)}")
+            _kind(entry["seed"], (int,), f"{what} per_seed[{k}].seed")
         for k, entry in enumerate(result.per_event):
             _kind(entry, (dict,), f"{what} per_event[{k}]")
-            missing = [name for name in ("id", "n_leaves", "ll") if name not in entry]
+            missing = [name for name in ("seed", "id", "n_leaves", "ll", "cost") if name not in entry]
             if missing:
                 raise ValueError(f"{what} per_event[{k}] lacks {', '.join(missing)}")
-            _kind(entry["id"], (int,), f"{what} per_event[{k}].id")
-            _kind(entry["n_leaves"], (int,), f"{what} per_event[{k}].n_leaves")
+            for name in ("seed", "id", "n_leaves"):
+                _kind(entry[name], (int,), f"{what} per_event[{k}].{name}")
             _number(entry["ll"], f"{what} per_event[{k}].ll")
+            _number(entry["cost"], f"{what} per_event[{k}].cost")
+        with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows is reported below
+            per_seed, mean_ll, sem_ll, mean_cost = _summary(result.per_event)
+            by_leaves = _leaf_count_means(result.per_event)
+        seeds = [entry["seed"] for entry in result.per_seed]
+        if seeds != [entry["seed"] for entry in per_seed]:
+            raise ValueError(f"{what} per_seed holds the seeds {seeds}, per_event "
+                             f"{[entry['seed'] for entry in per_seed]}")
+        for k, (entry, want) in enumerate(zip(result.per_seed, per_seed)):
+            for name in ("mean_ll", "mean_cost"):
+                _check_mean(entry[name], want[name], f"{what} per_seed[{k}].{name}")
+        _check_mean(result.mean_ll, mean_ll, f"{what} mean_ll")
+        _check_mean(result.sem_ll, sem_ll, f"{what} sem_ll")
+        _check_mean(result.mean_cost, mean_cost, f"{what} mean_cost")
+        for n, mean, _ in by_leaves:
+            if not math.isfinite(mean):
+                raise ValueError(f"{what} per_event ll of the {n}-leaf events has the non-finite mean {mean!r}")
         return result
+
+
+def _check_mean(stored, recomputed: float, what: str) -> None:
+    number = _number(stored, what)
+    if not abs(number - recomputed) <= RESULT_MEAN_TOLERANCE:
+        raise ValueError(f"{what} {stored!r} is not {recomputed!r}, its value recomputed from per_event")
+
+
+def _summary(per_event: list[dict]) -> tuple[list[dict], float, float, float]:
+    """How evaluate reduces a run's per_event rows: each seed's mean LL and
+    mean cost, seeds in order of first appearance, then the mean of the
+    seed means, their standard error and the mean of the seed costs."""
+    by_seed: dict[int, list[dict]] = {}
+    for e in per_event:
+        by_seed.setdefault(e["seed"], []).append(e)
+    per_seed = [
+        {
+            "seed": seed,
+            "mean_ll": float(np.mean([e["ll"] for e in rows])),
+            "mean_cost": float(np.mean([e["cost"] for e in rows])),
+        }
+        for seed, rows in by_seed.items()
+    ]
+    seed_means = [s["mean_ll"] for s in per_seed]
+    sem = float(np.std(seed_means, ddof=1) / np.sqrt(len(seed_means))) if len(seed_means) > 1 else 0.0
+    return per_seed, float(np.mean(seed_means)), sem, float(np.mean([s["mean_cost"] for s in per_seed]))
+
+
+def _leaf_count_means(per_event: list[dict]) -> list[tuple[int, float, int]]:
+    """(leaf count, mean LL, number of distinct events) per leaf count,
+    in increasing leaf count."""
+    bins: dict[int, list[float]] = {}
+    seen: dict[int, set] = {}
+    for e in per_event:
+        bins.setdefault(e["n_leaves"], []).append(e["ll"])
+        seen.setdefault(e["n_leaves"], set()).add(e["id"])
+    return [(n, float(np.mean(bins[n])), len(seen[n])) for n in sorted(bins)]
 
 
 # Every key a planner spec may hold; build_planner rejects any other.
@@ -502,13 +565,12 @@ def evaluate(
         raise ValueError(f"need at least one event to evaluate, got n_eval={n_eval}")
     if len(events) < n_eval:
         raise ValueError(f"dataset has {len(events)} events, need {n_eval}")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"seeds must be distinct, got {list(seeds)}")
     subset = list(events[:n_eval])
     planner = build_planner(spec, config)
     per_event = []
-    per_seed = []
     for seed in seeds:
-        lls = []
-        costs = []
         for event in subset:
             rng = make_rng(seed, event.event_id)
             start_cost = PS_EVALUATIONS.count
@@ -524,23 +586,15 @@ def evaluate(
                 "cost": cost,
                 "ms": ms,
             })
-            lls.append(ll)
-            costs.append(cost)
-        per_seed.append({
-            "seed": int(seed),
-            "mean_ll": float(np.mean(lls)),
-            "mean_cost": float(np.mean(costs)),
-        })
-    seed_means = [s["mean_ll"] for s in per_seed]
-    sem = float(np.std(seed_means, ddof=1) / np.sqrt(len(seed_means))) if len(seed_means) > 1 else 0.0
+    per_seed, mean_ll, sem_ll, mean_cost = _summary(per_event)
     return RunResult(
         planner=spec.get("algo", "?"),
         params={k: v for k, v in spec.items() if k != "algo"},
         per_event=per_event,
         per_seed=per_seed,
-        mean_ll=float(np.mean(seed_means)),
-        sem_ll=sem,
-        mean_cost=float(np.mean([s["mean_cost"] for s in per_seed])),
+        mean_ll=mean_ll,
+        sem_ll=sem_ll,
+        mean_cost=mean_cost,
         dataset_hash=config_hash(subset[0].config),
     )
 
@@ -585,20 +639,11 @@ def compare(results: Sequence[RunResult]) -> dict:
         for r in results
     ]
 
-    by_leaves = []
-    for r in results:
-        bins: dict[int, list[float]] = {}
-        seen: dict[int, set] = {}
-        for e in r.per_event:
-            bins.setdefault(e["n_leaves"], []).append(e["ll"])
-            seen.setdefault(e["n_leaves"], set()).add(e["id"])
-        for n in sorted(bins):
-            by_leaves.append({
-                "planner": _run_label(r),
-                "n_leaves": n,
-                "mean_ll": float(np.mean(bins[n])),
-                "n_events": len(seen[n]),
-            })
+    by_leaves = [
+        {"planner": _run_label(r), "n_leaves": n, "mean_ll": mean, "n_events": n_events}
+        for r in results
+        for n, mean, n_events in _leaf_count_means(r.per_event)
+    ]
     return {"table": table, "curve": curve, "by_leaf_count": by_leaves}
 
 

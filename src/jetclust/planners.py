@@ -11,8 +11,10 @@ is looked up, not recomputed, and still counted.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations, repeat
+from operator import attrgetter
 from typing import Protocol
 
 import numpy as np
@@ -59,7 +61,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     # fsum makes the normalizer independent of summation order, so the
     # distribution is bit-identical under particle permutations.
     z = np.exp(logits - logits.max())
-    return z / math.fsum(z)
+    return z / math.fsum(z.tolist())
 
 
 def fixed_policy(kind: str, config: ShowerConfig | None = None) -> PriorPolicy:
@@ -126,6 +128,9 @@ class _BeamItem:
     state: ClusterState
     # (action, resulting state) per level, from the beam's start state.
     path: tuple[tuple[Action, ClusterState], ...]
+    # The action index of each level of path.  Action indices follow the
+    # actions' (i, j) order, so these tuples rank paths as their actions do.
+    indices: tuple[int, ...]
 
 
 def _beam_from_state(state: ClusterState, b: int, config: ShowerConfig) -> list[_BeamItem]:
@@ -138,13 +143,13 @@ def _beam_from_state(state: ClusterState, b: int, config: ShowerConfig) -> list[
     Returns the final beam (complete clusterings), best first."""
     if b < 1:
         raise ValueError(f"beam width must be >= 1, got {b}")
-    items = [_BeamItem(state=state, path=())]
+    items = [_BeamItem(state=state, path=(), indices=())]
     while items[0].state.n > 1:
         # A candidate's path is its parent's path plus its action, and the
         # parents' paths differ at one length, so candidates laid out in
         # (parent rank, action index) order are in path order; the sort is
         # stable, so candidates of equal total keep that order.
-        by_path = sorted(items, key=lambda item: [a for a, _ in item.path])
+        by_path = sorted(items, key=attrgetter("indices"))
         rewards = [_rewards(item.state, config) for item in by_path]
         totals: list[float] = []
         for item, rs in zip(by_path, rewards):
@@ -165,7 +170,8 @@ def _beam_from_state(state: ClusterState, b: int, config: ShowerConfig) -> list[
             seen.add(key)
             item = by_path[h]
             nxt = apply_action(item.state, action, rewards[h][k])
-            survivors.append(_BeamItem(state=nxt, path=item.path + ((action, nxt),)))
+            survivors.append(_BeamItem(state=nxt, path=item.path + ((action, nxt),),
+                                       indices=item.indices + (k,)))
             if len(survivors) == b:
                 break
         items = survivors
@@ -205,10 +211,15 @@ class MctsConfig:
     rollout_rule: str = "puct"
 
     def validate(self) -> None:
-        if self.c <= 0.0:
-            raise ValueError(f"exploration constant must be > 0, got {self.c}")
-        if self.n_mcts < 0 or self.beam_init_b < 0:
-            raise ValueError("n_mcts and beam_init_b must be non-negative")
+        c = self.c
+        if isinstance(c, bool) or not isinstance(c, numbers.Real) or not math.isfinite(c) or c <= 0.0:
+            raise ValueError(f"c, the exploration constant, must be a finite number > 0, got {c!r}")
+        for name in ("n_mcts", "beam_init_b"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
         if self.final_rule not in ("max-rollout", "puct-visits"):
             raise ValueError(f"unknown final_rule: {self.final_rule!r}")
         if self.rollout_rule not in ("puct", "policy-sample"):
@@ -220,19 +231,21 @@ class MctsConfig:
 class SearchNode:
     """One state of the search tree with per-action visit statistics."""
 
-    __slots__ = ("state", "actions", "action_index", "priors", "n_visits",
+    __slots__ = ("state", "actions", "priors", "n_visits",
                  "n_sa", "w_sa", "q", "best_return", "children")
 
     def __init__(self, state: ClusterState, policy: PriorPolicy):
         self.state = state
-        self.actions, self.action_index = action_table(state.n)
+        self.actions = action_table(state.n)[0]
         m = len(self.actions)
         self.priors = policy.priors(state) if m else np.zeros(0)
         self.n_visits = 0
         self.n_sa = np.zeros(m)  # whole counts, held as floats so 1 + N_sa needs no cast
         self.w_sa = np.zeros(m)
-        self.q = np.full(m, 0.5)  # w_sa / n_sa, kept by _backup; 0.5 while unvisited
-        self.best_return = np.full(m, -np.inf)
+        self.q = np.empty(m)  # w_sa / n_sa, kept by _backup; 0.5 while unvisited
+        self.q.fill(0.5)
+        self.best_return = np.empty(m)
+        self.best_return.fill(-math.inf)
         self.children: list["SearchNode | None"] = [None] * m
 
     def puct_scores(self, c: float) -> np.ndarray:
@@ -240,10 +253,12 @@ class SearchNode:
         every action.  An unvisited action's Q reads 0.5, neutral on the
         normalized scale."""
         # The operations of q + c * prior * sqrt(N_s) / (1 + N_sa), in
-        # that order, on one buffer (addition commutes bit for bit).
-        scores = c * self.priors
+        # that order, on one buffer.  Addition and multiplication commute
+        # bit for bit, so the array goes first, where numpy takes the
+        # scalar without a reflected call.
+        scores = self.priors * c
         scores *= math.sqrt(max(self.n_visits, 1))
-        scores /= 1.0 + self.n_sa
+        scores /= self.n_sa + 1.0
         scores += self.q
         return scores
 
@@ -271,11 +286,14 @@ def _backup(path: list[tuple[SearchNode, int]], ret: float, normalizer: ReturnNo
     w = normalizer.normalize(ret)
     for node, k in path:
         node.n_visits += 1
-        node.n_sa[k] += 1
-        node.w_sa[k] += w
-        node.q[k] = node.w_sa[k] / node.n_sa[k]
-        if ret > node.best_return[k]:
-            node.best_return[k] = ret
+        n_sa, w_sa, best_return = node.n_sa, node.w_sa, node.best_return
+        n = n_sa[k] + 1.0
+        total = w_sa[k] + w
+        n_sa[k] = n
+        w_sa[k] = total
+        node.q[k] = total / n
+        if ret > best_return[k]:
+            best_return[k] = ret
 
 
 def _ensure_child(node: SearchNode, k: int, policy: PriorPolicy, config: ShowerConfig,
@@ -299,8 +317,7 @@ def _insert_beam_trajectories(
     for item in _beam_from_state(root.state, cfg.beam_init_b, config):
         node = root
         path: list[tuple[SearchNode, int]] = []
-        for action, state_after in item.path:
-            k = node.action_index[action]
+        for k, (_, state_after) in zip(item.indices, item.path):
             path.append((node, k))
             node = _ensure_child(node, k, policy, config, state=state_after)
         _backup(path, item.state.cumulative_reward, normalizer)
@@ -314,15 +331,19 @@ def _run_rollout(
     rng: np.random.Generator,
     normalizer: ReturnNormalizer,
 ) -> None:
+    c = cfg.c
+    sample = cfg.rollout_rule == "policy-sample"
     node = root
     path: list[tuple[SearchNode, int]] = []
     while not is_terminal(node.state):
-        if cfg.rollout_rule == "policy-sample":
-            k = int(rng.choice(len(node.actions), p=node.priors / node.priors.sum()))
+        if sample:
+            priors = node.priors
+            k = int(rng.choice(len(node.actions), p=priors / priors.sum()))
         else:
-            k = int(node.puct_scores(cfg.c).argmax())
+            k = int(node.puct_scores(c).argmax())
         path.append((node, k))
-        node = _ensure_child(node, k, policy, config)
+        child = node.children[k]
+        node = child if child is not None else _ensure_child(node, k, policy, config)
     _backup(path, node.state.cumulative_reward, normalizer)
 
 

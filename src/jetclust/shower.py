@@ -13,7 +13,7 @@ algorithms in this package optimise.
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -56,12 +56,15 @@ class FourMomentum:
     _t: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __add__(self, other: "FourMomentum") -> "FourMomentum":
-        return FourMomentum(
-            self.E + other.E,
-            self.px + other.px,
-            self.py + other.py,
-            self.pz + other.pz,
-        )
+        # Built through the slot descriptors, as __init__ would fill the
+        # slots but without its frozen-class object.__setattr__ calls.
+        p = _new_object(FourMomentum)
+        _set_E(p, self.E + other.E)
+        _set_px(p, self.px + other.px)
+        _set_py(p, self.py + other.py)
+        _set_pz(p, self.pz + other.pz)
+        _set_t(p, None)
+        return p
 
     def __reduce__(self):
         return FourMomentum, self.as_tuple()
@@ -70,10 +73,17 @@ class FourMomentum:
         return (self.E, self.px, self.py, self.pz)
 
 
+_new_object = object.__new__
+# One setter per field, in field order; a field added to the class
+# makes this unpacking fail at import.
+_set_E, _set_px, _set_py, _set_pz, _set_t = (
+    FourMomentum.__dict__[f.name].__set__ for f in fields(FourMomentum))
+
+
 def _fill_mass_sq(p: FourMomentum) -> float:
     """Compute p's raw E^2 - |p|^2, keep it in p's slot and return it."""
     t = p.E * p.E - p.px * p.px - p.py * p.py - p.pz * p.pz
-    object.__setattr__(p, "_t", t)
+    _set_t(p, t)
     return t
 
 
@@ -351,15 +361,19 @@ def splitting_log_likelihood(s: Splitting, config: ShowerConfig) -> float:
     their bits; the tests hold it to them."""
     PS_EVALUATIONS.count += 1
     a, b = s
-    ae, ax, ay, az = a.E, a.px, a.py, a.pz
-    be, bx, by, bz = b.E, b.px, b.py, b.pz
-    lam = config.lam
     memo = _PS_MEMO.get()
     if memo is not None:
-        key = (ae, ax, ay, az, be, bx, by, bz, lam)
+        # A hit, most queries in a planner's scope, reads the attributes
+        # into the key only; a miss unpacks them from it.
+        key = (a.E, a.px, a.py, a.pz, b.E, b.px, b.py, b.pz, config.lam)
         value = memo.get(key)
         if value is not None:
             return value
+        ae, ax, ay, az, be, bx, by, bz, lam = key
+    else:
+        ae, ax, ay, az = a.E, a.px, a.py, a.pz
+        be, bx, by, bz = b.E, b.px, b.py, b.pz
+        lam = config.lam
     if ae < 0.0 or be < 0.0:
         raise ValueError("child energies must be non-negative")
     t_a = a._t

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import jetclust as jc
 from jetclust import harness
 from jetclust.cli import _build_parser, cli
+from jetclust.env import check_leaves
 from jetclust.harness import (
     build_planner,
     compare,
@@ -1221,3 +1222,176 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert done.returncode == 1
     assert "--bogus" in done.stderr
     assert not (tmp_path / "z.jsonl").exists()
+
+
+# ---------------------------------------------------------------------------
+# run-result aggregates, recomputed on load
+# ---------------------------------------------------------------------------
+
+def _greedy_result(tmp_path, name="good.json", seeds=1):
+    data = tmp_path / "d.jsonl"
+    if not data.exists():
+        cli(["generate", "--n-events", "4", "--seed", "11", "--out", str(data), "--quiet", *SMALL_FLAGS])
+    path = tmp_path / name
+    cli(["evaluate", "--algo", "greedy", "--in", str(data), "--out", str(path), "--seeds", str(seeds),
+         "--quiet"])
+    return path
+
+
+def _compare_fails(tmp_path, capsys, good, bad, *needles):
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    assert cli(["compare", str(good), str(bad), "--out", str(tmp_path / "cmp")]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_result_means_that_disagree_with_per_event_are_rejected(tmp_path, capsys):
+    # Every per_event ll at 1.5e308 under the stored mean_ll of -10.47 used to
+    # load; compare ranked the run at -10.47, then overflowed in by_leaf_count
+    # and exited 2 naming neither the file nor the field.
+    good = _greedy_result(tmp_path)
+    bad = tmp_path / "bad.json"
+    obj = json.loads(good.read_text())
+    for e in obj["per_event"]:
+        e["ll"], e["n_leaves"] = 1.5e308, 3
+    bad.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=r"per_seed\[0\]\.mean_ll .* recomputed from per_event"):
+        jc.RunResult.from_json(bad.read_text())
+    _compare_fails(tmp_path, capsys, good, bad, "per_seed[0].mean_ll")
+
+
+@pytest.mark.parametrize("field", ["mean_ll", "sem_ll", "mean_cost", "per_seed/1/mean_ll",
+                                   "per_seed/0/mean_cost"])
+def test_a_stored_mean_beyond_the_tolerance_is_rejected(tmp_path, capsys, field):
+    good = _greedy_result(tmp_path, seeds=2)
+    obj = json.loads(good.read_text())
+    path = [int(k) if k.isdigit() else k for k in field.split("/")]
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    stored = parent[path[-1]]
+    for delta, loads in ((harness.RESULT_MEAN_TOLERANCE / 4, True), (1e-6, False)):
+        parent[path[-1]] = stored + delta
+        text = json.dumps(obj)
+        if loads:
+            jc.RunResult.from_json(text)
+        else:
+            with pytest.raises(ValueError, match=re.escape(field.replace("/1/", "[1].").replace("/0/", "[0]."))):
+                jc.RunResult.from_json(text)
+            bad = tmp_path / "bad.json"
+            bad.write_text(text)
+            _compare_fails(tmp_path, capsys, good, bad)
+
+
+def test_per_seed_must_list_the_seeds_of_per_event(tmp_path):
+    obj = json.loads(_greedy_result(tmp_path, seeds=2).read_text())
+    obj["per_seed"].reverse()
+    with pytest.raises(ValueError, match=r"per_seed holds the seeds \[1, 0\], per_event \[0, 1\]"):
+        jc.RunResult.from_json(json.dumps(obj))
+    obj["per_seed"] = obj["per_seed"][:1]
+    with pytest.raises(ValueError, match="per_seed holds the seeds"):
+        jc.RunResult.from_json(json.dumps(obj))
+
+
+def test_a_non_finite_leaf_count_mean_names_the_file_and_field(tmp_path, capsys):
+    # Finite per-seed means can hide a leaf count whose LLs overflow in sum.
+    good = _greedy_result(tmp_path)
+    obj = json.loads(good.read_text())
+    for k, e in enumerate(obj["per_event"]):
+        e["ll"], e["n_leaves"] = (1.5e308, 3) if k % 2 == 0 else (-1.5e308, 4)
+    lls = [e["ll"] for e in obj["per_event"]]
+    obj["per_seed"][0]["mean_ll"] = obj["mean_ll"] = float(np.mean(lls))
+    assert math.isfinite(obj["mean_ll"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match="per_event ll of the 3-leaf events has the non-finite mean inf"):
+        jc.RunResult.from_json(bad.read_text())
+    _compare_fails(tmp_path, capsys, good, bad, "3-leaf events")
+
+
+@pytest.mark.parametrize("spec", [
+    {"algo": "greedy"}, {"algo": "beam", "b": 3}, {"algo": "random"},
+    {"algo": "mcts", "n_mcts": 3, "b": 2, "prior": "proportional-to-ps"},
+    {"algo": "mcts", "n_mcts": 3, "b": 0, "prior": "random", "c": 0.7},
+])
+def test_every_result_evaluate_writes_loads(small_events, small_config, spec):
+    for seeds in ([0], [3, 1, 2]):
+        result = evaluate(small_events, spec, small_config, n_eval=6, seeds=seeds)
+        assert jc.RunResult.from_json(result.to_json()) == result
+
+
+def test_evaluate_rejects_repeated_seeds(small_events, small_config):
+    with pytest.raises(ValueError, match="seeds must be distinct"):
+        evaluate(small_events, {"algo": "greedy"}, small_config, n_eval=2, seeds=[4, 4])
+
+
+# ---------------------------------------------------------------------------
+# dataset lines as a property: a mutated line loads to a valid event or
+# is rejected at its path:line
+# ---------------------------------------------------------------------------
+
+def _tree_mutation(obj, data):
+    """Make the truth tree of event obj cyclic or non-binary, or point one
+    of its links out of range."""
+    nodes = obj["truth"]["nodes"]
+    internal = [k for k, node in enumerate(nodes) if node["children"] is not None]
+    k = data.draw(st.sampled_from(internal))
+    op = data.draw(st.sampled_from(["cycle", "self", "three", "one", "range", "parent"]))
+    children = nodes[k]["children"]
+    if op == "cycle":  # a child that is the root or one of k's ancestors
+        ancestors, a = [], k
+        while a is not None:
+            ancestors.append(a)
+            a = nodes[a]["parent"]
+        children[data.draw(st.integers(0, 1))] = data.draw(st.sampled_from(ancestors))
+    elif op == "self":
+        nodes[children[0]]["children"] = [k, children[0]]
+    elif op == "three":
+        children.append(data.draw(st.integers(0, len(nodes) - 1)))
+    elif op == "one":
+        del children[data.draw(st.integers(0, 1))]
+    elif op == "range":
+        children[data.draw(st.integers(0, 1))] = data.draw(
+            st.sampled_from([len(nodes), -1, 2**63, 10**400, -(10**400)]))
+    else:
+        nodes[children[0]]["parent"] = data.draw(st.sampled_from([len(nodes), -1, 10**400, k + 0.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_event_lines_load_or_fail_at_their_line(valid_files, data):
+    lines = valid_files["d.jsonl"].read_text().splitlines()
+    at = data.draw(st.integers(0, len(lines) - 1), label="line")
+    kind = data.draw(st.sampled_from(["field", "tree", "repeat"]))
+    if kind == "tree":
+        obj = json.loads(lines[at])
+        _tree_mutation(obj, data)
+        lines[at] = json.dumps(obj)
+    elif kind == "repeat":  # another line's event, id included
+        lines[at] = lines[data.draw(st.sampled_from([k for k in range(len(lines)) if k != at]))]
+    else:
+        lines[at] = _mutated(lines[at], data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, weights = Path(tmp) / "d.jsonl", Path(tmp) / "w.bin"
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            events = harness.load_events(path)
+        except ValueError as exc:
+            assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)), str(exc)
+            events = None
+        else:
+            assert len({e.event_id for e in events}) == len(events)
+            for e in events:
+                check_leaves(e.leaves)
+                assert e.truth.leaf_momenta() == list(e.leaves)
+                assert abs(jc.tree_log_likelihood(e.truth, e.config) - e.truth_ll) <= harness.TRUTH_LL_TOLERANCE
+        code = cli(["train", "--mode", "bc", "--in", str(path), "--steps", "5", "--out", str(weights),
+                    "--quiet"])
+        if events is None:
+            assert code == 2 and not weights.exists()
+        else:
+            assert code == 0 and weights.exists()

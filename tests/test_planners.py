@@ -1,5 +1,8 @@
+import dataclasses
 import math
+import pickle
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,7 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import jetclust as jc
-from jetclust.env import action_table, apply_action, leaf_sets, reset
+from jetclust import env as env_module
+from jetclust import planners as planners_module
+from jetclust.env import ClusterState, action_table, apply_action, leaf_sets, merged, reset
 from jetclust.features import feature_dim
 from jetclust.planners import (
     SearchNode,
@@ -16,9 +21,11 @@ from jetclust.planners import (
     _insert_beam_trajectories,
     _rewards,
     _run_rollout,
+    _softmax,
 )
 from jetclust.policy import init_weights
 from jetclust.rng import make_rng
+from jetclust.shower import FourMomentum
 
 from conftest import as_frozensets, make_event
 
@@ -416,8 +423,9 @@ def test_puct_scores_match_the_recomputed_q_at_every_node(small_config, prior):
         while stack:
             node = stack.pop()
             visited += 1
-            for c in (cfg.c, 0.1):
+            for c in (1.0, 0.7, 2.5, 0.1):
                 assert node.puct_scores(c).tobytes() == _old_puct_scores(node, c).tobytes()
+                assert node.puct_scores(c).tobytes() == _oracle_puct_scores(node, c).tobytes()
             stack.extend(child for child in node.children if child is not None)
     assert visited > 20
 
@@ -707,3 +715,254 @@ def test_every_planner_rejects_leaves_whose_squares_overflow(small_config, leave
     for name, run in runs.items():
         with pytest.raises(ValueError, match=re.escape(message)):
             run()
+
+
+# ---------------------------------------------------------------------------
+# MctsConfig.validate
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field, value", [
+    ("c", math.nan), ("c", math.inf), ("c", -math.inf), ("c", 0.0), ("c", "1.0"), ("c", True),
+    ("n_mcts", 2.5), ("n_mcts", True), ("n_mcts", "3"), ("n_mcts", -1),
+    ("beam_init_b", 1.0), ("beam_init_b", False), ("beam_init_b", -2),
+])
+def test_mcts_config_rejects_a_bad_field_by_name(small_config, field, value):
+    # A NaN or infinite c made every PUCT score NaN, so argmax always took
+    # action 0, and a float n_mcts raised TypeError inside the search.
+    cfg = _mcts_cfg(**{field: value})
+    with pytest.raises(ValueError, match=rf"^{field}\b"):
+        cfg.validate()
+    ev = _event(small_config, 3, 4)
+    with pytest.raises(ValueError, match=rf"^{field}\b"):
+        jc.cluster_mcts(ev, jc.fixed_policy("random"), cfg, small_config, make_rng(0))
+
+
+def test_mcts_config_takes_numpy_scalars(small_config):
+    cfg = _mcts_cfg(c=np.float64(0.7), n_mcts=np.int64(3), beam_init_b=np.int32(2))
+    cfg.validate()
+    plain = _mcts_cfg(c=0.7, n_mcts=3, beam_init_b=2)
+    ev = _event(small_config, 3, 5)
+    policy = jc.fixed_policy("random")
+    assert (jc.cluster_mcts(ev, policy, cfg, small_config, make_rng(1))[1].hex()
+            == jc.cluster_mcts(ev, policy, plain, small_config, make_rng(1))[1].hex())
+
+
+# ---------------------------------------------------------------------------
+# the search hot path before its per-call overhead was cut, kept as the
+# oracle: the planners must build the same trees, LL bits, counted cost
+# and decisions with either
+# ---------------------------------------------------------------------------
+
+def _oracle_add(self, other):
+    return FourMomentum(self.E + other.E, self.px + other.px, self.py + other.py, self.pz + other.pz)
+
+
+def _oracle_apply_action(state, action, reward):
+    i, j = action.i, action.j
+    if not (0 <= i < j < state.n):
+        raise ValueError(f"illegal action ({i}, {j}) for n={state.n}")
+    ps, masks = state.particles, state.masks
+    return ClusterState(
+        particles=merged(ps, i, j, ps[i] + ps[j]),
+        masks=merged(masks, i, j, masks[i] | masks[j]),
+        cumulative_reward=state.cumulative_reward + reward,
+        history=state.history + ((masks[i], masks[j]),),
+        leaves=state.leaves,
+    )
+
+
+def _oracle_softmax(logits):
+    z = np.exp(logits - logits.max())
+    return z / math.fsum(z)
+
+
+def _oracle_puct_scores(node, c):
+    scores = c * node.priors
+    scores *= math.sqrt(max(node.n_visits, 1))
+    scores /= 1.0 + node.n_sa
+    scores += node.q
+    return scores
+
+
+def _oracle_backup(path, ret, normalizer):
+    normalizer.update(ret)
+    w = normalizer.normalize(ret)
+    for node, k in path:
+        node.n_visits += 1
+        node.n_sa[k] += 1
+        node.w_sa[k] += w
+        node.q[k] = node.w_sa[k] / node.n_sa[k]
+        if ret > node.best_return[k]:
+            node.best_return[k] = ret
+
+
+def _oracle_run_rollout(root, policy, cfg, config, rng, normalizer):
+    node = root
+    path = []
+    while not jc.is_terminal(node.state):
+        if cfg.rollout_rule == "policy-sample":
+            k = int(rng.choice(len(node.actions), p=node.priors / node.priors.sum()))
+        else:
+            k = int(node.puct_scores(cfg.c).argmax())
+        path.append((node, k))
+        node = planners_module._ensure_child(node, k, policy, config)
+    planners_module._backup(path, node.state.cumulative_reward, normalizer)
+
+
+@dataclass
+class _OracleBeamItem:
+    state: object
+    path: tuple
+
+
+def _oracle_beam_from_state(state, b, config):
+    """The lazy beam ranking its parents by their lists of Action values."""
+    if b < 1:
+        raise ValueError(f"beam width must be >= 1, got {b}")
+    items = [_OracleBeamItem(state=state, path=())]
+    while items[0].state.n > 1:
+        by_path = sorted(items, key=lambda item: [a for a, _ in item.path])
+        rewards = [_rewards(item.state, config) for item in by_path]
+        totals = []
+        for item, rs in zip(by_path, rewards):
+            cum = item.state.cumulative_reward
+            totals += [cum + r for r in rs]
+        actions = action_table(items[0].state.n)[0]
+        m = len(actions)
+        masks = [leaf_sets(item.state) for item in by_path]
+        survivors, seen = [], set()
+        for c in sorted(range(len(totals)), key=totals.__getitem__, reverse=True):
+            h, k = divmod(c, m)
+            action = actions[k]
+            ls = masks[h]
+            key = frozenset(merged(ls, action.i, action.j, ls[action.i] | ls[action.j]))
+            if key in seen:
+                continue
+            seen.add(key)
+            item = by_path[h]
+            nxt = planners_module.apply_action(item.state, action, rewards[h][k])
+            survivors.append(_OracleBeamItem(state=nxt, path=item.path + ((action, nxt),)))
+            if len(survivors) == b:
+                break
+        items = survivors
+    return items
+
+
+def _oracle_insert_beam_trajectories(root, policy, cfg, config, normalizer):
+    """Inserts each beam path, finding each action's index by a map lookup."""
+    for item in planners_module._beam_from_state(root.state, cfg.beam_init_b, config):
+        node = root
+        path = []
+        for action, state_after in item.path:
+            k = action_table(node.state.n)[1][action]
+            path.append((node, k))
+            node = planners_module._ensure_child(node, k, policy, config, state=state_after)
+        planners_module._backup(path, item.state.cumulative_reward, normalizer)
+
+
+@contextmanager
+def _oracle_hot_path():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FourMomentum, "__add__", _oracle_add)
+        mp.setattr(env_module, "apply_action", _oracle_apply_action)
+        mp.setattr(planners_module, "apply_action", _oracle_apply_action)
+        mp.setattr(planners_module, "_softmax", _oracle_softmax)
+        mp.setattr(planners_module.SearchNode, "puct_scores", _oracle_puct_scores)
+        mp.setattr(planners_module, "_backup", _oracle_backup)
+        mp.setattr(planners_module, "_run_rollout", _oracle_run_rollout)
+        mp.setattr(planners_module, "_beam_from_state", _oracle_beam_from_state)
+        mp.setattr(planners_module, "_insert_beam_trajectories", _oracle_insert_beam_trajectories)
+        yield
+
+
+def _light_leaves(seed):
+    """Leaves of the first light-config event with 3-9 leaves in the
+    stream of `seed`."""
+    config = jc.ShowerConfig(lam=1.5, t_cut=1.0, root=jc.FourMomentum(5.0, 0.0, 0.0, 1.5))
+    for k in range(400):
+        leaves = jc.sample_shower(config, make_rng(seed, k)).leaf_momenta()
+        if 3 <= len(leaves) <= 9:
+            return config, leaves
+    raise RuntimeError(f"no light event of 3-9 leaves for seed {seed}")
+
+
+def _twinned(seed):
+    """Every leaf of a light event twice, so rewards come in bit-equal
+    ties and only the ranking of paths orders them."""
+    config, leaves = _light_leaves(seed)
+    return config, [p for p in leaves[:4] for _ in range(2)]
+
+
+_hot_path_events = st.one_of(
+    st.integers(0, 2**31 - 1).map(lambda seed: (DESK, _desk_leaves(seed))),
+    st.integers(0, 2**31 - 1).map(_light_leaves),
+    st.integers(0, 2**31 - 1).map(_twinned),
+)
+
+
+def _run_summary(tree, ll, cost, decisions=()):
+    return ([(node.children, node.momentum.as_tuple()) for node in tree.nodes], ll.hex(), cost,
+            [(s.history, s.cumulative_reward.hex(), k) for s, k in decisions])
+
+
+@settings(max_examples=60, deadline=None)
+@given(event=_hot_path_events, prior=st.sampled_from(["proportional-to-ps", "random"]),
+       final_rule=st.sampled_from(["max-rollout", "puct-visits"]),
+       rollout_rule=st.sampled_from(["puct", "policy-sample"]),
+       b=st.sampled_from([0, 1, 3, 5]), c=st.sampled_from([1.0, 0.7, 2.5]),
+       n_mcts=st.integers(1, 8), seed=st.integers(0, 2**31 - 1))
+def test_search_matches_the_oracle_hot_path(event, prior, final_rule, rollout_rule, b, c, n_mcts, seed):
+    config, leaves = event
+    cfg = jc.MctsConfig(c=c, n_mcts=n_mcts, beam_init_b=b, final_rule=final_rule,
+                        rollout_rule=rollout_rule)
+
+    def runs():
+        policy = jc.fixed_policy(prior, config)
+        (tree, ll, decisions), cost = _counted(
+            lambda: jc.cluster_mcts(leaves, policy, cfg, config, make_rng(seed)))
+        out = [_run_summary(tree, ll, cost, decisions)]
+        for width in (1, 5):
+            (tree, ll), cost = _counted(lambda: jc.cluster_beam(leaves, width, config))
+            out.append(_run_summary(tree, ll, cost))
+        return out
+
+    fast = runs()
+    with _oracle_hot_path():
+        assert runs() == fast
+
+
+@settings(max_examples=50, deadline=None)
+@given(logits=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=80))
+def test_softmax_matches_the_oracle(logits):
+    x = np.array(logits)
+    assert _softmax(x).tobytes() == _oracle_softmax(x).tobytes()
+
+
+def test_values_built_through_slot_setters_match_their_constructors(small_config):
+    leaves = _event(small_config, 3, 5)
+    a, b = leaves[1], leaves[3]
+    fast = a + b
+    assert fast._t is None  # filled by the first mass query, as after __init__
+    slow = FourMomentum(a.E + b.E, a.px + b.px, a.py + b.py, a.pz + b.pz)
+    state = jc.step(reset(leaves), jc.Action(0, 2), small_config)
+    after = apply_action(state, jc.Action(1, 3), -2.5)
+    ps, masks = state.particles, state.masks
+    built = ClusterState(
+        particles=merged(ps, 1, 3, ps[1] + ps[3]),
+        masks=merged(masks, 1, 3, masks[1] | masks[3]),
+        cumulative_reward=state.cumulative_reward + -2.5,
+        history=state.history + ((masks[1], masks[3]),),
+        leaves=state.leaves,
+    )
+    for got, want in ((fast, slow), (after, built)):
+        assert type(got) is type(want)
+        assert got == want
+        assert hash(got) == hash(want)
+        assert repr(got) == repr(want)
+        assert pickle.dumps(got) == pickle.dumps(want)
+        assert pickle.loads(pickle.dumps(got)) == want
+        for f in dataclasses.fields(got):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(got, f.name, getattr(got, f.name))
+    assert jc.invariant_mass_sq(fast) == jc.invariant_mass_sq(slow)
+    assert fast._t == slow._t
