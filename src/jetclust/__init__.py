@@ -43,7 +43,6 @@ from .planners import (
     fixed_policy,
 )
 from .policy import (
-    Demonstration,
     NeuralPolicy,
     PolicyWeights,
     load_weights,

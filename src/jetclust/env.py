@@ -5,10 +5,9 @@ immutable value, so any number of episodes can run concurrently.  A
 cluster is named by its leaf bitmask (bit k = leaf k), as in the trellis."""
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cache
-from types import MappingProxyType
 
 from .shower import (
     FourMomentum,
@@ -98,13 +97,11 @@ def is_terminal(state: ClusterState) -> bool:
 
 
 @cache
-def action_table(n: int) -> tuple[tuple[Action, ...], Mapping[Action, int]]:
+def action_table(n: int) -> tuple[Action, ...]:
     """The legal actions of every n-particle state, all pairs i < j in the
     lexicographic order that action indices, priors and feature rows
-    follow, and a read-only map from each action to its position.  Built
-    once per n and shared; the tables of all n up to 31 hold about 0.5 MB."""
-    actions = tuple(Action(i, j) for i in range(n) for j in range(i + 1, n))
-    return actions, MappingProxyType({a: k for k, a in enumerate(actions)})
+    follow.  Built once per n and shared."""
+    return tuple(Action(i, j) for i in range(n) for j in range(i + 1, n))
 
 
 def merged(values: tuple, i: int, j: int, value) -> tuple:

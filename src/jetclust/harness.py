@@ -261,9 +261,10 @@ def event_to_json(event: EventRecord) -> str:
 
 def event_from_json(line: str, config: ShowerConfig | None = None) -> EventRecord:
     """Decode one dataset line; ValueError if it is not an event of this
-    schema version, if its `truth_ll` is more than TRUTH_LL_TOLERANCE from
-    the log-likelihood of its truth tree, or if it stores a config other
-    than `config`, which the record then shares.
+    schema version, if its truth tree's root momentum is not its config's
+    `root`, if its `truth_ll` is more than TRUTH_LL_TOLERANCE from the
+    log-likelihood of its truth tree, or if it stores a config other than
+    `config`, which the record then shares.
 
     Scoring the truth tree makes n - 1 kernel queries for an event of n
     leaves.  They add to the global PS_EVALUATIONS tally, but they happen
@@ -283,6 +284,10 @@ def event_from_json(line: str, config: ShowerConfig | None = None) -> EventRecor
             truth=_tree_from_obj(obj["truth"], obj["leaves"]),
             truth_ll=_number(obj["truth_ll"], "truth_ll"),
         )
+        root = event.truth.nodes[event.truth.root_index].momentum
+        if root != event.config.root:
+            raise ValueError(f"truth root momentum {root.as_tuple()} is not the config root "
+                             f"{event.config.root.as_tuple()}, where the sampler starts every tree")
         ll = tree_log_likelihood(event.truth, event.config)
         if not abs(ll - event.truth_ll) <= TRUTH_LL_TOLERANCE:
             raise ValueError(f"truth_ll {event.truth_ll!r} differs from the truth tree's log-likelihood {ll!r}")

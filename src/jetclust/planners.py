@@ -87,7 +87,7 @@ def cluster_random(
     """Uniformly random legal action at every step."""
     state = reset(event)
     while not is_terminal(state):
-        actions = action_table(state.n)[0]
+        actions = action_table(state.n)
         state = step(state, actions[int(rng.integers(len(actions)))], config)
     return tree_from_state(state), state.cumulative_reward
 
@@ -114,7 +114,7 @@ def cluster_greedy(
     while not is_terminal(state):
         rewards = _rewards(state, config)
         best_reward = max(rewards)  # the first maximum, as index() finds it
-        best_action = action_table(state.n)[0][rewards.index(best_reward)]
+        best_action = action_table(state.n)[rewards.index(best_reward)]
         state = apply_action(state, best_action, best_reward)
     return tree_from_state(state), state.cumulative_reward
 
@@ -155,7 +155,7 @@ def _beam_from_state(state: ClusterState, b: int, config: ShowerConfig) -> list[
         for item, rs in zip(by_path, rewards):
             cum = item.state.cumulative_reward
             totals += [cum + r for r in rs]
-        actions = action_table(items[0].state.n)[0]
+        actions = action_table(items[0].state.n)
         m = len(actions)
         masks = [leaf_sets(item.state) for item in by_path]
         survivors: list[_BeamItem] = []
@@ -236,7 +236,7 @@ class SearchNode:
 
     def __init__(self, state: ClusterState, policy: PriorPolicy):
         self.state = state
-        self.actions = action_table(state.n)[0]
+        self.actions = action_table(state.n)
         m = len(self.actions)
         self.priors = policy.priors(state) if m else np.zeros(0)
         self.n_visits = 0
@@ -400,5 +400,5 @@ def cluster_policy(
     state = reset(event)
     while not is_terminal(state):
         k = int(np.argmax(policy.priors(state)))
-        state = step(state, action_table(state.n)[0][k], config)
+        state = step(state, action_table(state.n)[k], config)
     return tree_from_state(state), state.cumulative_reward

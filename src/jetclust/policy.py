@@ -10,7 +10,6 @@ equivariant.  Training is plain SGD with gradient-norm clipping.
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -64,21 +63,6 @@ class PolicyWeights:
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
 
 
-@dataclass(frozen=True)
-class Demonstration:
-    """Features of one state plus the indices of all correct actions."""
-
-    features: np.ndarray  # (m, d)
-    targets: tuple[int, ...]
-
-    def validate(self) -> None:
-        if not self.targets:
-            raise ValueError("demonstration needs at least one target action")
-        m = self.features.shape[0]
-        if any(not (0 <= k < m) for k in self.targets):
-            raise ValueError("target indices out of range")
-
-
 def init_weights(input_dim: int, rng: np.random.Generator) -> PolicyWeights:
     """Normal weights of standard deviation 1/sqrt(fan-in), drawn for w1,
     w2 and w3 in that order; zero biases."""
@@ -113,16 +97,20 @@ def policy_forward(w: PolicyWeights, state: ClusterState, config: ShowerConfig,
     return _forward(w, x)[0]
 
 
-def policy_loss_and_grad(w: PolicyWeights, demo: Demonstration,
+def policy_loss_and_grad(w: PolicyWeights, features: np.ndarray, targets: Sequence[int],
                          out: PolicyWeights | None = None) -> tuple[float, PolicyWeights]:
-    """Cross-entropy against the target set, loss = -log sum_{a in T} pi(a),
-    with the exact reverse-mode gradient.  The gradient is written into
-    `out` (a PolicyWeights of w's input dim) when given, else into a new
-    one."""
-    demo.validate()
-    x = demo.features
-    probs, shifted, total, h1, h2 = _forward(w, x)
-    targets = list(demo.targets)
+    """Cross-entropy of the softmax over the rows of `features` (one row
+    per legal action of a state) against the target action indices T,
+    loss = -log sum_{a in T} pi(a), with the exact reverse-mode gradient.
+    The gradient is written into `out` (a PolicyWeights of w's input dim)
+    when given, else into a new one."""
+    if not targets:
+        raise ValueError("demonstration needs at least one target action")
+    m = features.shape[0]
+    if any(not (0 <= k < m) for k in targets):
+        raise ValueError("target indices out of range")
+    probs, shifted, total, h1, h2 = _forward(w, features)
+    targets = list(targets)
 
     # Numerically stable -log q: the target and total sums of exp(logits - max).
     loss = -(math.log(math.fsum(shifted[targets].tolist())) - math.log(total))
@@ -143,7 +131,7 @@ def policy_loss_and_grad(w: PolicyWeights, demo: Demonstration,
     dz1 = dz2 @ w.w2.T
     h1 *= h1
     dz1 *= np.subtract(1.0, h1, out=h1)
-    np.matmul(x.T, dz1, out=g.w1)
+    np.matmul(features.T, dz1, out=g.w1)
     np.add.reduce(dz1, axis=0, out=g.b1)
     return loss, g
 
@@ -221,7 +209,7 @@ def truth_actions(state: ClusterState, tree: Tree) -> list[Action]:
     """All pairs whose merged leaf sets form a sibling pair of the
     demonstrator tree; empty when the state has drifted off the tree
     (callers skip such samples)."""
-    actions = action_table(state.n)[0]
+    actions = action_table(state.n)
     return [actions[k] for k in _demonstrated(leaf_sets(state), _sibling_map(tree))]
 
 
@@ -276,7 +264,7 @@ def train_bc(
                     break  # off-demonstration state, skip the rest
                 states.append(state)
                 targets.append(t)
-                chosen = action_table(state.n)[0][t[int(rng.integers(len(t)))]]
+                chosen = action_table(state.n)[t[int(rng.integers(len(t)))]]
                 state = step(state, chosen, config)
             _fit_episode(w, states, targets, config, include_ps, lr, losses)
             if len(losses) >= steps:
@@ -296,7 +284,7 @@ def _fit_episode(w: PolicyWeights, states: list[ClusterState], targets: list[tup
     end = 0
     for state, t in zip(states, targets):
         start, end = end, end + state.n * (state.n - 1) // 2
-        loss, g = policy_loss_and_grad(w, Demonstration(x[start:end], t), g)
+        loss, g = policy_loss_and_grad(w, x[start:end], t, g)
         _sgd_update(w, g, lr)
         losses.append(loss)
 

@@ -50,9 +50,9 @@ class FourMomentum:
     px: float
     py: float
     pz: float
-    # E^2 - |p|^2, unclamped, filled by the first invariant_mass_sq or
-    # splitting_log_likelihood that needs it; no comparison, hash, repr
-    # or pickle sees it.
+    # invariant_mass_sq(self), filled by the first invariant_mass_sq or
+    # splitting_log_likelihood that needs it and left None while that
+    # raises; no comparison, hash, repr or pickle sees it.
     _t: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __add__(self, other: "FourMomentum") -> "FourMomentum":
@@ -81,8 +81,14 @@ _set_E, _set_px, _set_py, _set_pz, _set_t = (
 
 
 def _fill_mass_sq(p: FourMomentum) -> float:
-    """Compute p's raw E^2 - |p|^2, keep it in p's slot and return it."""
+    """Compute p's E^2 - |p|^2 clamped to 0 within EPS_MASS_SQ, keep it in
+    p's slot and return it; ValueError, with the slot left empty, if p is
+    spacelike beyond tolerance."""
     t = p.E * p.E - p.px * p.px - p.py * p.py - p.pz * p.pz
+    if t < 0.0:
+        if t < -EPS_MASS_SQ:
+            raise ValueError(f"momentum is spacelike beyond tolerance: t={t!r}")
+        t = 0.0
     _set_t(p, t)
     return t
 
@@ -90,13 +96,7 @@ def _fill_mass_sq(p: FourMomentum) -> float:
 def invariant_mass_sq(p: FourMomentum) -> float:
     """Squared invariant mass t = E^2 - |p|^2, clamped to 0 within EPS_MASS_SQ."""
     t = p._t
-    if t is None:
-        t = _fill_mass_sq(p)
-    if t < 0.0:
-        if t < -EPS_MASS_SQ:
-            raise ValueError(f"momentum is spacelike beyond tolerance: t={t!r}")
-        return 0.0
-    return t
+    return _fill_mass_sq(p) if t is None else t
 
 
 def invariant_mass_sq_rows(p: np.ndarray) -> np.ndarray:
@@ -379,17 +379,9 @@ def splitting_log_likelihood(s: Splitting, config: ShowerConfig) -> float:
     t_a = a._t
     if t_a is None:
         t_a = _fill_mass_sq(a)
-    if t_a < 0.0:
-        if t_a < -EPS_MASS_SQ:
-            raise ValueError(f"momentum is spacelike beyond tolerance: t={t_a!r}")
-        t_a = 0.0
     t_b = b._t
     if t_b is None:
         t_b = _fill_mass_sq(b)
-    if t_b < 0.0:
-        if t_b < -EPS_MASS_SQ:
-            raise ValueError(f"momentum is spacelike beyond tolerance: t={t_b!r}")
-        t_b = 0.0
     pe, px, py, pz = ae + be, ax + bx, ay + by, az + bz
     t_p = pe * pe - px * px - py * py - pz * pz
     if t_p < 0.0:

@@ -75,13 +75,12 @@ def _backtrack(mask: int, best: list[int], history: list[tuple[int, int]]) -> No
 def exact_mle(
     leaves: list[FourMomentum] | tuple[FourMomentum, ...],
     config: ShowerConfig,
-    n_max: int = DEFAULT_N_MAX,
 ) -> tuple[float, Tree]:
     """Maximum-likelihood binary tree over the given particles."""
     check_leaves(leaves)
     n = len(leaves)
-    if n > n_max:
-        raise ValueError(f"{n} leaves exceeds the n_max={n_max} cost guard")
+    if n > DEFAULT_N_MAX:
+        raise ValueError(f"{n} leaves exceeds the DEFAULT_N_MAX={DEFAULT_N_MAX} cost guard")
     mll, best, _ = _fill_table(leaves, config)
     full = (1 << n) - 1
     history: list[tuple[int, int]] = []

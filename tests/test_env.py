@@ -28,14 +28,14 @@ def _legal_actions(state):
 def test_reset_two_leaves(small_config):
     state = jc.reset(_leaves(small_config, 3, 2))
     assert state.n == 2
-    assert list(action_table(state.n)[0]) == [jc.Action(0, 1)]
+    assert list(action_table(state.n)) == [jc.Action(0, 1)]
     assert state.cumulative_reward == 0.0
     assert state.history == ()
 
 
 def test_reset_counts_actions(small_config):
     state = jc.reset(_leaves(small_config, 3, 5))
-    assert len(action_table(state.n)[0]) == 10
+    assert len(action_table(state.n)) == 10
 
 
 def test_reset_is_idempotent(small_config):
@@ -49,29 +49,26 @@ def test_reset_rejects_single_particle():
 
 
 def test_legal_actions_shapes(small_config):
-    assert list(action_table(jc.reset(_leaves(small_config, 3, 3)).n)[0]) == [
+    assert list(action_table(jc.reset(_leaves(small_config, 3, 3)).n)) == [
         jc.Action(0, 1), jc.Action(0, 2), jc.Action(1, 2)]
     for n in (4, 6, 8):
         state = jc.reset(_leaves(small_config, 5, n))
-        assert len(action_table(state.n)[0]) == n * (n - 1) // 2
+        assert len(action_table(state.n)) == n * (n - 1) // 2
 
 
 def test_action_table_matches_legal_actions(small_config):
     for n in range(2, 9):
         state = jc.reset(_leaves(small_config, 3, n))
-        actions, index = action_table(n)
+        actions = action_table(n)
         assert list(actions) == _legal_actions(state)
-        assert [index[a] for a in actions] == list(range(len(actions)))
-        assert action_table(n)[0] is actions
-        with pytest.raises(TypeError):
-            index[jc.Action(0, 1)] = 5
+        assert action_table(n) is actions
 
 
 def test_legal_actions_empty_at_terminal(small_config):
     state = jc.reset(_leaves(small_config, 3, 2))
     state = jc.step(state, jc.Action(0, 1), small_config)
     assert jc.is_terminal(state)
-    assert action_table(state.n)[0] == ()
+    assert action_table(state.n) == ()
 
 
 def test_step_two_leaves_reward_is_tree_likelihood(small_config):
@@ -100,7 +97,7 @@ def test_step_conserves_total_momentum(small_config):
 
     before = total(state)
     while not jc.is_terminal(state):
-        actions = action_table(state.n)[0]
+        actions = action_table(state.n)
         state = jc.step(state, actions[int(rng.integers(len(actions)))], small_config)
         after = total(state)
         assert all(abs(a - b) <= 1e-12 for a, b in zip(after, before))
@@ -113,7 +110,7 @@ def test_episode_reward_equals_tree_likelihood(small_config):
         state = jc.reset(leaves)
         n_steps = 0
         while not jc.is_terminal(state):
-            actions = action_table(state.n)[0]
+            actions = action_table(state.n)
             state = jc.step(state, actions[int(rng.integers(len(actions)))], small_config)
             n_steps += 1
         assert n_steps == len(leaves) - 1
@@ -177,7 +174,7 @@ def test_leaf_masks_partition_the_leaves_as_the_frozenset_oracle_does(desk_confi
         if jc.is_terminal(state):
             break
         demonstrated = jc.truth_actions(state, truth)
-        actions = demonstrated if demonstrated and data.draw(st.booleans()) else action_table(state.n)[0]
+        actions = demonstrated if demonstrated and data.draw(st.booleans()) else action_table(state.n)
         state = jc.step(state, actions[data.draw(st.integers(0, len(actions) - 1))], desk_config)
 
 
@@ -229,7 +226,7 @@ def _random_episode(seed, data, config):
     hypothesis draws, root state first."""
     states = [jc.reset(jc.sample_shower(config, make_rng(seed, 0)).leaf_momenta())]
     while not jc.is_terminal(states[-1]):
-        actions = action_table(states[-1].n)[0]
+        actions = action_table(states[-1].n)
         states.append(jc.step(states[-1], actions[data.draw(st.integers(0, len(actions) - 1))],
                               config))
     return states
@@ -274,7 +271,7 @@ def _apply_action_by_position(state, action, reward):
 def test_apply_action_matches_by_position(desk_config, seed, data):
     state = jc.reset(jc.sample_shower(desk_config, make_rng(seed, 0)).leaf_momenta())
     while not jc.is_terminal(state):
-        actions = action_table(state.n)[0]
+        actions = action_table(state.n)
         action = actions[data.draw(st.integers(0, len(actions) - 1))]
         reward = jc.splitting_log_likelihood(
             jc.Splitting(state.particles[action.i], state.particles[action.j]), desk_config)

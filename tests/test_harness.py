@@ -240,6 +240,33 @@ def test_cli_rejects_a_truth_ll_its_truth_tree_does_not_score(tmp_path, capsys, 
     assert not weights.exists()
 
 
+def test_cli_rejects_a_truth_root_that_is_not_the_config_root(tmp_path, capsys, desk_config):
+    lines = [event_to_json(e) for e in jc.generate_events(desk_config, 3)]
+    obj = json.loads(lines[1])
+    obj["truth"]["nodes"][obj["truth"]["root"]]["p"] = [90.0, 0.0, 0.0, 1.0]
+    lines[1] = json.dumps(obj)
+    data = tmp_path / "d.jsonl"
+    data.write_text("\n".join(lines) + "\n")
+    reason = "truth root momentum (90.0, 0.0, 0.0, 1.0) is not the config root"
+    with pytest.raises(ValueError, match=f"{re.escape(str(data))}:2: {re.escape(reason)}"):
+        jc.load_events(data)
+    weights = tmp_path / "w.bin"
+    assert cli(["train", "--mode", "bc", "--in", str(data), "--steps", "20", "--out", str(weights)]) == 2
+    err = capsys.readouterr().err
+    assert f"{data}:2: " in err and reason in err
+    assert not weights.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--seed", "7"], ["--lam", "3"], ["--t-cut", "0.5"],
+                                   ["--root", "40", "3", "-2.5", "10"]])
+def test_every_generated_dataset_loads_with_the_config_root(tmp_path, flags):
+    data = tmp_path / "d.jsonl"
+    assert cli(["generate", "--n-events", "40", "--out", str(data), "--quiet", *flags]) == 0
+    events = jc.load_events(data)
+    assert len(events) == 40
+    assert all(e.truth.nodes[e.truth.root_index].momentum == e.config.root for e in events)
+
+
 def test_failed_write_leaves_no_partial_dataset(tmp_path, small_config):
     events = jc.generate_events(small_config, 3)
     path = tmp_path / "d.jsonl"

@@ -57,7 +57,7 @@ def test_fixed_policy_proportional_to_ps(small_config):
         jc.splitting_log_likelihood(
             jc.Splitting(state.particles[a.i], state.particles[a.j]),
             small_config)
-        for a in action_table(state.n)[0]
+        for a in action_table(state.n)
     ]
     order = np.argsort(logps)
     assert all(priors[order[k]] <= priors[order[k + 1]] for k in range(len(order) - 1))
@@ -93,7 +93,7 @@ def test_greedy_first_step_is_argmax_over_three_trees(small_config):
     state = reset(ev)
     # brute force over the three possible first actions, then forced merge
     outcomes = []
-    for a in action_table(state.n)[0]:
+    for a in action_table(state.n):
         nxt = jc.step(state, a, small_config)
         done = jc.step(nxt, jc.Action(0, 1), small_config)
         outcomes.append((a, done.cumulative_reward))
@@ -101,7 +101,7 @@ def test_greedy_first_step_is_argmax_over_three_trees(small_config):
         a: jc.splitting_log_likelihood(
             jc.Splitting(state.particles[a.i], state.particles[a.j]),
             small_config)
-        for a in action_table(state.n)[0]
+        for a in action_table(state.n)
     }
     best_first = max(first_rewards, key=lambda a: first_rewards[a])
     expected = dict((a, ll) for a, ll in outcomes)[best_first]
@@ -191,7 +191,7 @@ class _EagerItem:
 
 def _pair_rewards(state, config):
     """Every legal action with its reward, in legal-action order."""
-    return list(zip(action_table(state.n)[0], _rewards(state, config)))
+    return list(zip(action_table(state.n), _rewards(state, config)))
 
 
 def _eager_partition_key(leafsets):
@@ -296,7 +296,7 @@ def test_lazy_beam_matches_eager_oracle_on_random_events(small_config, seed, b, 
     assume(len(leaves) <= 9)
     state = reset(leaves)
     for _ in range(data.draw(st.integers(0, len(leaves) - 2), label="prefix")):
-        actions = action_table(state.n)[0]
+        actions = action_table(state.n)
         a = actions[data.draw(st.integers(0, len(actions) - 1), label="action")]
         state = jc.step(state, a, small_config)
     _assert_same_beam(_beam_from_state(state, b, small_config),
@@ -455,7 +455,7 @@ def test_mcts_two_leaf_root_returns_the_single_action(small_config):
     ev = _event(small_config, 3, 2)
     for cfg in (_mcts_cfg(), _mcts_cfg(beam_init_b=0, n_mcts=1), _mcts_cfg(final_rule="puct-visits")):
         _, _, decisions = jc.cluster_mcts(ev, jc.fixed_policy("random"), cfg, small_config, make_rng(0))
-        assert [action_table(s.n)[0][k] for s, k in decisions] == [jc.Action(0, 1)]
+        assert [action_table(s.n)[k] for s, k in decisions] == [jc.Action(0, 1)]
 
 
 def test_mcts_rejects_empty_budget(small_config):
@@ -525,7 +525,7 @@ def test_mcts_emits_training_examples(small_config):
     _, _, decisions = jc.cluster_mcts(ev, policy, _mcts_cfg(), small_config, make_rng(67))
     assert len(decisions) == 4  # one decision per merge
     for state, k in decisions:
-        assert 0 <= k < len(action_table(state.n)[0])
+        assert 0 <= k < len(action_table(state.n))
 
 
 def test_mcts_better_prior_at_least_greedy_on_average(small_config, oracle_events):
@@ -827,7 +827,7 @@ def _oracle_beam_from_state(state, b, config):
         for item, rs in zip(by_path, rewards):
             cum = item.state.cumulative_reward
             totals += [cum + r for r in rs]
-        actions = action_table(items[0].state.n)[0]
+        actions = action_table(items[0].state.n)
         m = len(actions)
         masks = [leaf_sets(item.state) for item in by_path]
         survivors, seen = [], set()
@@ -849,12 +849,12 @@ def _oracle_beam_from_state(state, b, config):
 
 
 def _oracle_insert_beam_trajectories(root, policy, cfg, config, normalizer):
-    """Inserts each beam path, finding each action's index by a map lookup."""
+    """Inserts each beam path, finding each action's index by a search of the action table."""
     for item in planners_module._beam_from_state(root.state, cfg.beam_init_b, config):
         node = root
         path = []
         for action, state_after in item.path:
-            k = action_table(node.state.n)[1][action]
+            k = action_table(node.state.n).index(action)
             path.append((node, k))
             node = planners_module._ensure_child(node, k, policy, config, state=state_after)
         planners_module._backup(path, item.state.cumulative_reward, normalizer)

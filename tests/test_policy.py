@@ -13,7 +13,6 @@ from jetclust.features import N_BASE_FEATURES, extract_pair_features, feature_di
 from jetclust.shower import invariant_mass_sq
 from jetclust.policy import (
     GRAD_CLIP_NORM,
-    Demonstration,
     NeuralPolicy,
     PolicyWeights,
     _demonstrated,
@@ -61,7 +60,7 @@ def _random_state(config, seed, n_leaves, n_merges=0):
     state = reset(leaves)
     rng = make_rng(seed, 999)
     for _ in range(n_merges):
-        acts = action_table(state.n)[0]
+        acts = action_table(state.n)
         state = step(state, acts[int(rng.integers(len(acts)))], config)
     return state
 
@@ -86,7 +85,7 @@ def test_forward_normalization_over_random_states(small_config):
             if len(probs) > 1:
                 assert np.all(probs < 1.0)
             checked += 1
-            acts = action_table(state.n)[0]
+            acts = action_table(state.n)
             state = step(state, acts[int(rng.integers(len(acts)))], small_config)
     assert checked >= 1000
 
@@ -101,13 +100,13 @@ def test_forward_is_permutation_equivariant(small_config):
     w = init_weights(feature_dim(), make_rng(13))
     leaves = make_event(small_config, seed=17, n_leaves=7).leaf_momenta()
     probs = jc.policy_forward(w, reset(leaves), small_config)
-    acts = action_table(len(leaves))[0]
+    acts = action_table(len(leaves))
     for trial in range(10):
         perm = make_rng(19, trial).permutation(len(leaves))
         permuted = reset([leaves[k] for k in perm])
         probs_p = jc.policy_forward(w, permuted, small_config)
         where = {int(p): k for k, p in enumerate(perm)}
-        index_p = {(a.i, a.j): k for k, a in enumerate(action_table(permuted.n)[0])}
+        index_p = {(a.i, a.j): k for k, a in enumerate(action_table(permuted.n))}
         for k, a in enumerate(acts):
             i, j = sorted((where[a.i], where[a.j]))
             assert probs[k] == probs_p[index_p[(i, j)]]  # bit-identical
@@ -119,7 +118,7 @@ def test_feature_determinism_and_ps_column(small_config):
     x2 = extract_pair_features(state, small_config)
     assert np.array_equal(x1, x2)
     assert np.all(np.isfinite(x1))
-    for row, a in enumerate(action_table(state.n)[0]):
+    for row, a in enumerate(action_table(state.n)):
         s = jc.Splitting(state.particles[a.i], state.particles[a.j])
         assert x1[row, -1] == min(max(jc.splitting_log_likelihood(s, small_config), -100.0), 100.0) * 0.1
 
@@ -143,7 +142,7 @@ def _row_loop_features(state, config, include_ps=True):
     t_scale = e_scale * e_scale
     n = float(state.n)
     masses = [invariant_mass_sq(p) for p in state.particles]
-    actions = action_table(state.n)[0]
+    actions = action_table(state.n)
     out = np.empty((len(actions), feature_dim(include_ps)))
     for row, act in enumerate(actions):
         pi, pj = state.particles[act.i], state.particles[act.j]
@@ -185,7 +184,7 @@ def test_features_match_row_loop_on_random_states(seed, n_leaves, data):
     state = reset(leaves)
     n_merges = data.draw(st.integers(0, state.n - 2))
     for _ in range(n_merges):
-        actions = action_table(state.n)[0]
+        actions = action_table(state.n)
         state = step(state, actions[data.draw(st.integers(0, len(actions) - 1))], config)
     _assert_features_match_row_loop(state, config)
 
@@ -200,7 +199,7 @@ def test_features_match_row_loop_on_tied_energies(small_config):
     state = reset(leaves)
     _assert_features_match_row_loop(state, small_config)
     for k in range(3):
-        state = step(state, action_table(state.n)[0][k], small_config)
+        state = step(state, action_table(state.n)[k], small_config)
         _assert_features_match_row_loop(state, small_config)
 
 
@@ -226,7 +225,7 @@ def _episode(config, leaves, rng):
     state, states = reset(leaves), []
     while not is_terminal(state):
         states.append(state)
-        acts = action_table(state.n)[0]
+        acts = action_table(state.n)
         state = step(state, acts[int(rng.integers(len(acts)))], config)
     return states
 
@@ -299,8 +298,7 @@ def test_features_share_cost_counter(small_config):
 
 def test_uniform_loss_is_log_action_count(small_config):
     state = _random_state(small_config, 3, 3)
-    demo = Demonstration(extract_pair_features(state, small_config), targets=(0,))
-    loss, _ = jc.policy_loss_and_grad(_zero_weights(), demo)
+    loss, _ = jc.policy_loss_and_grad(_zero_weights(), extract_pair_features(state, small_config), (0,))
     assert loss == pytest.approx(math.log(3), abs=1e-12)
 
 
@@ -310,19 +308,19 @@ def test_gradient_matches_finite_differences(small_config):
     for trial in range(10):
         w = init_weights(feature_dim(), make_rng(31, trial))
         state = _random_state(small_config, 37 + trial, 5, n_merges=trial % 3)
-        m = len(action_table(state.n)[0])
+        m = len(action_table(state.n))
         n_targets = 1 + trial % 2
         targets = tuple(int(v) for v in rng.choice(m, size=n_targets, replace=False))
-        demo = Demonstration(extract_pair_features(state, small_config), targets)
-        loss, grad = jc.policy_loss_and_grad(w, demo)
+        x = extract_pair_features(state, small_config)
+        loss, grad = jc.policy_loss_and_grad(w, x, targets)
         flat_w = w.theta
         flat_g = grad.theta
         eps = 1e-6
         for idx in rng.choice(flat_w.size, size=25, replace=False):
             up = flat_w.copy(); up[idx] += eps
             dn = flat_w.copy(); dn[idx] -= eps
-            lu, _ = jc.policy_loss_and_grad(PolicyWeights(up, w.input_dim), demo)
-            ld, _ = jc.policy_loss_and_grad(PolicyWeights(dn, w.input_dim), demo)
+            lu, _ = jc.policy_loss_and_grad(PolicyWeights(up, w.input_dim), x, targets)
+            ld, _ = jc.policy_loss_and_grad(PolicyWeights(dn, w.input_dim), x, targets)
             fd = (lu - ld) / (2 * eps)
             denom = max(abs(fd), abs(flat_g[idx]), 1e-8)
             worst = max(worst, abs(fd - flat_g[idx]) / denom)
@@ -331,11 +329,11 @@ def test_gradient_matches_finite_differences(small_config):
 
 def test_loss_decreases_under_descent(small_config):
     state = _random_state(small_config, 41, 5)
-    demo = Demonstration(extract_pair_features(state, small_config), targets=(2,))
+    x = extract_pair_features(state, small_config)
     w = init_weights(feature_dim(), make_rng(43))
     losses = []
     for _ in range(100):
-        loss, grad = jc.policy_loss_and_grad(w, demo)
+        loss, grad = jc.policy_loss_and_grad(w, x, (2,))
         losses.append(loss)
         for arr, g in zip(w.arrays(), grad.arrays()):
             arr -= 0.01 * g
@@ -344,10 +342,11 @@ def test_loss_decreases_under_descent(small_config):
 
 
 def test_demonstration_validation():
-    with pytest.raises(ValueError):
-        Demonstration(np.zeros((3, 2)), targets=()).validate()
-    with pytest.raises(ValueError):
-        Demonstration(np.zeros((3, 2)), targets=(5,)).validate()
+    w = init_weights(2, make_rng(0))
+    with pytest.raises(ValueError, match="at least one target action"):
+        jc.policy_loss_and_grad(w, np.zeros((3, 2)), ())
+    with pytest.raises(ValueError, match="target indices out of range"):
+        jc.policy_loss_and_grad(w, np.zeros((3, 2)), (5,))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +439,7 @@ def test_train_bc_learns_above_uniform(medium_events):
             targets = jc.truth_actions(state, event.truth)
             if not targets:
                 break
-            acts = action_table(state.n)[0]
+            acts = action_table(state.n)
             if len(acts) >= 10:
                 probs = jc.policy_forward(w, state, config)
                 hits += acts[int(np.argmax(probs))] in targets
@@ -506,16 +505,15 @@ def _oracle_forward(w, x):
     return probs, logits, h1, h2, x
 
 
-def _oracle_loss_and_grad(w, demo):
-    demo.validate()
-    probs, logits, h1, h2, x = _oracle_forward(w, demo.features)
+def _oracle_loss_and_grad(w, features, targets):
+    probs, logits, h1, h2, x = _oracle_forward(w, features)
     t_mask = np.zeros(len(probs))
-    t_mask[list(demo.targets)] = 1.0
+    t_mask[list(targets)] = 1.0
     zmax = logits.max()
-    log_q = math.log(math.fsum(np.exp(logits[list(demo.targets)] - zmax).tolist())) \
+    log_q = math.log(math.fsum(np.exp(logits[list(targets)] - zmax).tolist())) \
         - math.log(math.fsum(np.exp(logits - zmax).tolist()))
     loss = -log_q
-    q = max(probs[list(demo.targets)].sum(), 1e-300)
+    q = max(probs[list(targets)].sum(), 1e-300)
     dlogits = probs - probs * t_mask / q
     dw3 = h2.T @ dlogits
     db3 = np.asarray(dlogits.sum())
@@ -564,7 +562,7 @@ def _sibling_pairs(tree):
 def _actions_in(state, pairs):
     sets = as_frozensets(leaf_sets(state))
     return [
-        a for a in action_table(state.n)[0]
+        a for a in action_table(state.n)
         if frozenset((sets[a.i], sets[a.j])) in pairs
     ]
 
@@ -577,14 +575,14 @@ def test_loss_and_grad_match_the_per_array_oracle(small_config):
     for trial in range(40):
         w = init_weights(feature_dim(), make_rng(26, trial))
         state = _random_state(small_config, 27 + trial, 2 + trial % 6, n_merges=trial % 2)
-        m = len(action_table(state.n)[0])
+        m = len(action_table(state.n))
         k = 1 + int(rng.integers(m))
-        demo = Demonstration(extract_pair_features(state, small_config),
-                             tuple(int(v) for v in rng.choice(m, size=k, replace=False)))
-        expected_loss, expected = _oracle_loss_and_grad(w, demo)
+        x = extract_pair_features(state, small_config)
+        targets = tuple(int(v) for v in rng.choice(m, size=k, replace=False))
+        expected_loss, expected = _oracle_loss_and_grad(w, x, targets)
         given = PolicyWeights(np.empty_like(w.theta), w.input_dim)
         for out in (None, given):
-            loss, grad = jc.policy_loss_and_grad(w, demo, out)
+            loss, grad = jc.policy_loss_and_grad(w, x, targets, out)
             assert loss.hex() == expected_loss.hex()
             for a, b in zip(grad.arrays(), expected.arrays()):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -607,12 +605,10 @@ def _per_state_train_bc(dataset, config, steps, lr, rng, demonstrator="truth", i
                 targets = _actions_in(state, pairs)
                 if not targets:
                     break
-                index = action_table(state.n)[1]
-                demo = Demonstration(
-                    features=extract_pair_features(state, config, include_ps=include_ps),
-                    targets=tuple(index[a] for a in targets),
-                )
-                loss, grad = _oracle_loss_and_grad(weights, demo)
+                actions = action_table(state.n)
+                loss, grad = _oracle_loss_and_grad(
+                    weights, extract_pair_features(state, config, include_ps=include_ps),
+                    tuple(actions.index(a) for a in targets))
                 _oracle_sgd_update(weights, grad, lr)
                 losses.append(loss)
                 chosen = targets[int(rng.integers(len(targets)))]
@@ -638,7 +634,7 @@ def _per_state_train_mcts_policy(dataset, cfg, config, steps, lr, rng, include_p
             _, _, decisions = jc.cluster_mcts(event.leaves, policy, cfg, config, rng)
             for state, k in decisions:
                 feats = extract_pair_features(state, config, include_ps=include_ps)
-                loss, grad = _oracle_loss_and_grad(weights, Demonstration(feats, (k,)))
+                loss, grad = _oracle_loss_and_grad(weights, feats, (k,))
                 was_clipped = _oracle_sgd_update(weights, grad, lr)
                 if clipped is not None:
                     clipped.append(was_clipped)
@@ -796,7 +792,7 @@ def test_train_bc_matches_per_state_loop_on_repeated_leaves(small_events, demons
 def _random_tree(leaves, config, rng):
     state = reset(leaves)
     while not is_terminal(state):
-        acts = action_table(state.n)[0]
+        acts = action_table(state.n)
         state = step(state, acts[int(rng.integers(len(acts)))], config)
     return jc.tree_from_state(state)
 
@@ -829,9 +825,9 @@ def test_sibling_lookup_matches_pair_scan(seed, n_leaves, kind, repeated, drop_l
     while not is_terminal(state):
         expected = _actions_in(state, pairs)
         assert jc.truth_actions(state, tree) == expected
-        index = action_table(state.n)[1]
-        assert _demonstrated(leaf_sets(state), sibling) == tuple(index[a] for a in expected)
-        acts = expected if expected and data.draw(st.booleans()) else action_table(state.n)[0]
+        actions = action_table(state.n)
+        assert _demonstrated(leaf_sets(state), sibling) == tuple(actions.index(a) for a in expected)
+        acts = expected if expected and data.draw(st.booleans()) else action_table(state.n)
         state = step(state, acts[data.draw(st.integers(0, len(acts) - 1))], config)
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import pickle
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import jetclust as jc
+from jetclust import shower
 from jetclust.costs import CostCounter
 from jetclust.rng import make_rng
 from jetclust.shower import (
@@ -637,18 +639,20 @@ def test_repeated_query_of_the_same_children_matches_the_first(a, b, raises):
     first = _outcome(first_a, first_b, config)
     assert _outcome(first_a, first_b, config) == first
     assert _outcome(first_b, first_a, config) == first
-    # a slot holds the raw, unclamped value, or nothing where the kernel
-    # raised before reading it
+    # a slot holds the clamped value, or nothing where the kernel raised
+    # before reading it or the momentum is spacelike
     for p in (first_a, first_b):
-        assert p._t is None or p._t == p.E * p.E - p.px * p.px - p.py * p.py - p.pz * p.pz
-    # children whose slots invariant_mass_sq filled first, also where it raised
+        assert p._t is None or p._t == max(p.E * p.E - p.px * p.px - p.py * p.py - p.pz * p.pz, 0.0)
+    # children whose slots invariant_mass_sq filled first, or left empty
+    # where it raised
     seen_a, seen_b = jc.FourMomentum(*a), jc.FourMomentum(*b)
     for p in (seen_a, seen_b):
         try:
             jc.invariant_mass_sq(p)
         except ValueError:
-            pass
-        assert p._t is not None
+            assert p._t is None
+        else:
+            assert p._t is not None
     assert _outcome(seen_a, seen_b, config) == first
     if raises is None:
         assert isinstance(first, str)
@@ -686,3 +690,160 @@ def test_invariant_mass_sq_matches_the_rows_bit_for_bit(momenta):
     fresh = [jc.FourMomentum(*p.as_tuple()) for p in momenta]
     assert scalar(fresh) == expected
     assert scalar(fresh) == expected  # from the filled slots
+
+
+# ---------------------------------------------------------------------------
+# The mass rule as it was written before invariant_mass_sq and the kernel
+# shared it, kept as the oracle: the slot held the raw E^2 - |p|^2, and
+# invariant_mass_sq and each of the kernel's two children applied the
+# clamp to it.  The kernel must give the same bits, the same exceptions
+# and the same count, whatever its slots hold.
+# ---------------------------------------------------------------------------
+
+def _oracle_fill_mass_sq(p):
+    t = p.E * p.E - p.px * p.px - p.py * p.py - p.pz * p.pz
+    shower._set_t(p, t)
+    return t
+
+
+def _oracle_invariant_mass_sq(p):
+    t = p._t
+    if t is None:
+        t = _oracle_fill_mass_sq(p)
+    if t < 0.0:
+        if t < -EPS_MASS_SQ:
+            raise ValueError(f"momentum is spacelike beyond tolerance: t={t!r}")
+        return 0.0
+    return t
+
+
+def _oracle_splitting_log_likelihood(s, config):
+    jc.PS_EVALUATIONS.count += 1
+    a, b = s
+    memo = _PS_MEMO.get()
+    if memo is not None:
+        key = (a.E, a.px, a.py, a.pz, b.E, b.px, b.py, b.pz, config.lam)
+        value = memo.get(key)
+        if value is not None:
+            return value
+        ae, ax, ay, az, be, bx, by, bz, lam = key
+    else:
+        ae, ax, ay, az = a.E, a.px, a.py, a.pz
+        be, bx, by, bz = b.E, b.px, b.py, b.pz
+        lam = config.lam
+    if ae < 0.0 or be < 0.0:
+        raise ValueError("child energies must be non-negative")
+    t_a = a._t
+    if t_a is None:
+        t_a = _oracle_fill_mass_sq(a)
+    if t_a < 0.0:
+        if t_a < -EPS_MASS_SQ:
+            raise ValueError(f"momentum is spacelike beyond tolerance: t={t_a!r}")
+        t_a = 0.0
+    t_b = b._t
+    if t_b is None:
+        t_b = _oracle_fill_mass_sq(b)
+    if t_b < 0.0:
+        if t_b < -EPS_MASS_SQ:
+            raise ValueError(f"momentum is spacelike beyond tolerance: t={t_b!r}")
+        t_b = 0.0
+    pe, px, py, pz = ae + be, ax + bx, ay + by, az + bz
+    t_p = pe * pe - px * px - py * py - pz * pz
+    if t_p < 0.0:
+        if t_p < -EPS_MASS_SQ:
+            raise ValueError(f"momentum is spacelike beyond tolerance: t={t_p!r}")
+        t_p = 0.0
+    if t_p <= 0.0:
+        value = 2.0 * LOG_DENSITY_FLOOR + shower._LOG_INV_4PI
+    else:
+        if lam <= 0.0:
+            raise ValueError(f"lam must be > 0, got {lam}")
+        log_norm = shower._LOG_NORM.get(lam)
+        if t_a < t_b:
+            t_a, t_b = t_b, t_a
+        if t_a > t_p + shower._SUPPORT_RTOL * t_p:
+            first = LOG_DENSITY_FLOOR
+        else:
+            if log_norm is None:
+                log_norm = shower._log_norm(lam)
+            t = t_p if t_a > t_p else t_a
+            first = math.log(lam / t_p) - lam * t / t_p - log_norm
+        bound = (math.sqrt(t_p) - math.sqrt(t_a)) ** 2
+        if not bound > 0.0 or t_b > bound + shower._SUPPORT_RTOL * bound:
+            second = LOG_DENSITY_FLOOR
+        else:
+            if log_norm is None:
+                log_norm = shower._log_norm(lam)
+            t = bound if t_b > bound else t_b
+            second = math.log(lam / bound) - lam * t / bound - log_norm
+        value = first + second + shower._LOG_INV_4PI
+    if memo is not None:
+        memo[key] = value
+        memo[(be, bx, by, bz, ae, ax, ay, az, lam)] = value
+    return value
+
+
+@st.composite
+def _on_light_cone(draw):
+    """t exactly 0: along an axis, or a Pythagorean quadruple scaled by a power of 2."""
+    if draw(st.booleans()):
+        pz = draw(_component)
+        return jc.FourMomentum(abs(pz), 0.0, 0.0, pz)
+    e, px, py, pz = draw(st.sampled_from([(3, 2, 2, 1), (7, 6, 3, 2), (9, 8, 4, 1), (5, 0, 3, 4)]))
+    scale = 2.0 ** draw(st.integers(-4, 4))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    return jc.FourMomentum(e * scale, sign * px * scale, py * scale, -pz * scale)
+
+
+@st.composite
+def _spacelike(draw):
+    px, py, pz = draw(_component), draw(_component), draw(_component)
+    size = math.sqrt(px * px + py * py + pz * pz)
+    return jc.FourMomentum(size * draw(st.floats(0.0, 0.999)), px, py, pz)
+
+
+@st.composite
+def _negative_energy(draw):
+    p = draw(st.one_of(_timelike(), _on_light_cone()))
+    return jc.FourMomentum(-p.E - draw(st.sampled_from([0.0, 1.0])), p.px, p.py, p.pz)
+
+
+def _mass_outcome(mass, p):
+    try:
+        return mass(p).hex()
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def _run_queries(momenta, pairs, kernel, mass, config, memo, prefill):
+    """Each mass, then the kernel's outcome and counted cost of each pair
+    and its swap, then each mass again, on fresh copies of the momenta."""
+    ps = [jc.FourMomentum(*p.as_tuple()) for p in momenta]
+    out = [_mass_outcome(mass, p) for p in ps] if prefill else []
+    with ps_memo() if memo else contextlib.nullcontext():
+        for i, j in pairs:
+            for a, b in ((ps[i], ps[j]), (ps[j], ps[i])):
+                before = jc.PS_EVALUATIONS.count
+                try:
+                    out.append(kernel(jc.Splitting(a, b), config).hex())
+                except ValueError as err:
+                    out.append((type(err), str(err)))
+                out.append(jc.PS_EVALUATIONS.count - before)
+    out.extend(_mass_outcome(mass, p) for p in ps)
+    return out
+
+
+@given(st.lists(st.one_of(_timelike(), _near_lightlike(), _on_light_cone(), _spacelike(),
+                          _negative_energy()), min_size=1, max_size=5),
+       st.data(), st.floats(0.05, 10.0, allow_nan=False))
+@settings(max_examples=300, deadline=None)
+def test_mass_rule_matches_the_oracle(momenta, data, lam):
+    config = jc.ShowerConfig(lam=lam, t_cut=1.0, root=jc.FourMomentum(25.0, 0.0, 0.0, 15.0))
+    index = st.integers(0, len(momenta) - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=8))
+    for memo in (False, True):
+        for prefill in (False, True):
+            expected = _run_queries(momenta, pairs, _oracle_splitting_log_likelihood,
+                                    _oracle_invariant_mass_sq, config, memo, prefill)
+            assert _run_queries(momenta, pairs, jc.splitting_log_likelihood,
+                                jc.invariant_mass_sq, config, memo, prefill) == expected

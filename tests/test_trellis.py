@@ -60,8 +60,10 @@ def test_evaluation_count_closed_form(small_config, n, monkeypatch):
 
 def test_guards(small_config):
     leaves = make_event(small_config, seed=13, n_leaves=5).leaf_momenta()
-    with pytest.raises(ValueError):
-        jc.exact_mle(leaves, small_config, n_max=4)
+    jc.PS_EVALUATIONS.reset()
+    with pytest.raises(ValueError, match="DEFAULT_N_MAX=16"):
+        jc.exact_mle(leaves * 4, small_config)
+    assert jc.PS_EVALUATIONS.count == 0  # the guard raises before any fill
     with pytest.raises(ValueError):
         jc.enumerate_all_trees(leaves * 2, small_config)
     with pytest.raises(ValueError):
