@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Subcommands: generate, cluster, mle, train, evaluate, compare.  Every
-parameter can come from a JSON config file via --config; explicit flags
-win over the file, and a file key that names no flag is a usage error.
+Subcommands: generate, cluster, mle, train, evaluate, compare.  Each
+default is declared once, on its flag.  Every parameter can come from a
+JSON config file via --config, whose value replaces the default; a flag
+given on the command line replaces both, and a file key that names no
+flag is a usage error.
 The density flags belong to generate alone: a dataset stores the shower
 config that generated it, and every other subcommand scores with that.
 Exit codes: 0 success, 1 usage error, 2 runtime error.
@@ -16,6 +18,7 @@ from pathlib import Path
 
 from .harness import (
     DESK_CONFIG,
+    PLANNER_SPEC_KEYS,
     RunResult,
     compare,
     config_hash,
@@ -40,84 +43,86 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="jetclust", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, out):
         p.add_argument("--config", help="JSON file with defaults for any flag")
-        p.add_argument("--seed", type=int, default=None, help="base random seed")
-        p.add_argument("--out", default=None, help="output path")
-        p.add_argument("--quiet", action="store_true", default=None)
+        p.add_argument("--seed", type=int, default=0, help="base random seed")
+        p.add_argument("--out", default=out, help="output path")
+        p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("generate", help="simulate a dataset of events")
-    common(p)
-    p.add_argument("--n-events", dest="n_events", type=int, default=None)
-    p.add_argument("--lam", "--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--t-cut", dest="t_cut", type=float, default=None)
-    p.add_argument("--root", dest="root", type=float, nargs=4, default=None,
+    common(p, "events.jsonl")
+    p.add_argument("--n-events", dest="n_events", type=int, default=100)
+    p.add_argument("--lam", "--lambda", dest="lam", type=float, default=DESK_CONFIG.lam)
+    p.add_argument("--t-cut", dest="t_cut", type=float, default=DESK_CONFIG.t_cut)
+    p.add_argument("--root", dest="root", type=float, nargs=4, default=DESK_CONFIG.root.as_tuple(),
                    metavar=("E", "PX", "PY", "PZ"))
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("cluster", help="run one planner over a dataset")
-    common(p)
+    common(p, None)
     _planner_flags(p)
-    p.add_argument("--in", dest="infile", default=None)
+    p.add_argument("--in", dest="infile")
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("mle", help="exact maximum-likelihood trees for small events")
-    common(p)
-    p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--max-n", dest="max_n", type=int, default=None)
+    common(p, None)
+    p.add_argument("--in", dest="infile")
+    p.add_argument("--max-n", dest="max_n", type=int, default=10)
     p.set_defaults(func=_cmd_mle)
 
     p = sub.add_parser("train", help="train a policy (bc, mle-bc, or mcts)")
-    common(p)
-    p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--mode", choices=["bc", "mle-bc", "mcts"], default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--no-ps-feature", dest="no_ps_feature", action="store_true", default=None)
-    p.add_argument("--init-weights", dest="init_weights", default=None,
+    common(p, "weights.bin")
+    p.add_argument("--in", dest="infile")
+    p.add_argument("--mode", choices=["bc", "mle-bc", "mcts"], default="bc")
+    p.add_argument("--steps", type=int, default=20000)
+    p.add_argument("--lr", type=float, default=0.03)
+    p.add_argument("--no-ps-feature", dest="no_ps_feature", action="store_true")
+    p.add_argument("--init-weights", dest="init_weights",
                    help="pretrained weights to continue from (mcts mode)")
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--n-mcts", dest="n_mcts", type=int, default=None)
-    p.add_argument("--c", type=float, default=None)
+    p.add_argument("--b", type=int)
+    p.add_argument("--n-mcts", dest="n_mcts", type=int)
+    p.add_argument("--c", type=float)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate", help="multi-seed planner evaluation")
-    common(p)
+    common(p, "result.json")
     _planner_flags(p)
-    p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--n-eval", dest="n_eval", type=int, default=None)
-    p.add_argument("--seeds", type=int, default=None, help="number of seeds, starting at --seed")
+    p.add_argument("--in", dest="infile")
+    p.add_argument("--n-eval", dest="n_eval", type=int)
+    p.add_argument("--seeds", type=int, default=1, help="number of seeds, starting at --seed")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("compare", help="tabulate and export several result files")
-    common(p)
-    p.add_argument("results", nargs="*", default=None)
+    common(p, "comparison")
+    p.add_argument("results", nargs="*")
     p.set_defaults(func=_cmd_compare)
 
     return parser
 
 
 def _planner_flags(p) -> None:
-    p.add_argument("--algo", choices=["random", "greedy", "beam", "mcts", "policy"], default=None)
-    p.add_argument("--b", type=int, default=None,
-                   help="beam width / MCTS beam-init width (0: no beam seeding)")
-    p.add_argument("--n-mcts", dest="n_mcts", type=int, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--prior", choices=["random", "proportional-to-ps", "nn"], default=None)
-    p.add_argument("--weights", default=None)
-    p.add_argument("--final-rule", dest="final_rule",
-                   choices=["max-rollout", "puct-visits"], default=None)
-    p.add_argument("--rollout-rule", dest="rollout_rule",
-                   choices=["puct", "policy-sample"], default=None)
+    # No default here: a planner spec holds only the keys given, and a
+    # result file stores it as its params.
+    p.add_argument("--algo", choices=["random", "greedy", "beam", "mcts", "policy"])
+    p.add_argument("--b", type=int, help="beam width / MCTS beam-init width (0: no beam seeding)")
+    p.add_argument("--n-mcts", dest="n_mcts", type=int)
+    p.add_argument("--c", type=float)
+    p.add_argument("--prior", choices=["random", "proportional-to-ps", "nn"])
+    p.add_argument("--weights")
+    p.add_argument("--final-rule", dest="final_rule", choices=["max-rollout", "puct-visits"])
+    p.add_argument("--rollout-rule", dest="rollout_rule", choices=["puct", "policy-sample"])
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def _config_flags(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
     """The flags a config file may set, by the key it uses (the flag's
     dest): every flag of every subcommand, so one file can serve several
     subcommands."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     flags = {}
-    for p in sub.choices.values():
+    for p in _subcommands(parser).values():
         for a in p._actions:
             if a.option_strings and a.dest not in ("help", "config"):
                 flags.setdefault(a.dest, a)
@@ -147,171 +152,137 @@ def _parse_one(flag: argparse.Action, value):
     return value
 
 
-class _Options:
-    """Flag > config-file > default resolution."""
-
-    def __init__(self, args, config_flags: dict[str, argparse.Action]):
-        self.args = args
-        self.cfg = {}
-        if getattr(args, "config", None):
-            path = Path(args.config)
-            if not path.exists():
-                raise UsageError(f"config file not found: {path}")
-            with open(path) as f:
-                self.cfg = json.load(f)
-            if not isinstance(self.cfg, dict):
-                raise UsageError(f"config file {path} is not a JSON object")
-            unknown = sorted(set(self.cfg) - set(config_flags))
-            if unknown:
-                raise UsageError(f"config file {path} has keys that name no flag: "
-                                 f"{', '.join(unknown)}")
-            for key, value in self.cfg.items():
-                flag = config_flags[key]
-                try:
-                    self.cfg[key] = _parse(flag, value)
-                except ValueError:
-                    raise UsageError(f"config file {path}: {key}={json.dumps(value)} is not a "
-                                     f"valid value for {flag.option_strings[0]}") from None
-
-    def get(self, key, default=None):
-        value = getattr(self.args, key, None)
-        if value is not None:
-            return value
-        return self.cfg.get(key, default)
+def _read_config(path: str, flags: dict[str, argparse.Action]) -> dict:
+    """The values a JSON config file gives, by flag dest, each parsed as
+    its flag would parse it; UsageError naming the file, and the key where
+    there is one, for a missing file, a file that is not an object, a key
+    that names no flag, or a value the flag would not accept."""
+    path = Path(path)
+    if not path.exists():
+        raise UsageError(f"config file not found: {path}")
+    with open(path) as f:
+        cfg = json.load(f)
+    if not isinstance(cfg, dict):
+        raise UsageError(f"config file {path} is not a JSON object")
+    unknown = sorted(set(cfg) - set(flags))
+    if unknown:
+        raise UsageError(f"config file {path} has keys that name no flag: {', '.join(unknown)}")
+    values = {}
+    for key, value in cfg.items():
+        try:
+            values[key] = _parse(flags[key], value)
+        except ValueError:
+            raise UsageError(f"config file {path}: {key}={json.dumps(value)} is not a "
+                             f"valid value for {flags[key].option_strings[0]}") from None
+    return values
 
 
-def _shower_config(opt: _Options) -> ShowerConfig:
-    return ShowerConfig(lam=opt.get("lam", DESK_CONFIG.lam), t_cut=opt.get("t_cut", DESK_CONFIG.t_cut),
-                        root=FourMomentum(*opt.get("root", DESK_CONFIG.root.as_tuple())),
-                        rng_seed=opt.get("seed", DESK_CONFIG.rng_seed))
-
-
-def _planner_spec(opt: _Options) -> dict:
-    algo = opt.get("algo")
-    if algo is None:
+def _planner_spec(args) -> dict:
+    if args.algo is None:
         raise UsageError("--algo is required")
-    spec = {"algo": algo}
-    for key in ("b", "n_mcts", "c", "prior", "weights", "final_rule", "rollout_rule"):
-        value = opt.get(key)
-        if value is not None:
-            spec[key] = value
-    return spec
+    return {key: getattr(args, key) for key in PLANNER_SPEC_KEYS if getattr(args, key) is not None}
 
 
-def _load_dataset(opt: _Options) -> tuple[list, ShowerConfig]:
+def _load_dataset(args) -> tuple[list, ShowerConfig]:
     """The --in events and the shower config they store, which is the
     density every score uses."""
-    infile = opt.get("infile")
-    if not infile:
+    if not args.infile:
         raise UsageError("--in dataset file is required")
-    events = load_events(infile)
+    events = load_events(args.infile)
     if not events:
-        raise ValueError(f"dataset {infile} is empty")
+        raise ValueError(f"dataset {args.infile} is empty")
     return events, events[0].config
 
 
-def _cmd_generate(opt: _Options) -> int:
-    config = _shower_config(opt)
-    n_events = opt.get("n_events", 100)
-    if n_events < 1:
-        raise UsageError(f"--n-events must be >= 1, got {n_events}")
-    out = opt.get("out", "events.jsonl")
-    events = generate(config, n_events, out)
-    if not opt.get("quiet"):
+def _cmd_generate(args) -> int:
+    config = ShowerConfig(lam=args.lam, t_cut=args.t_cut, root=FourMomentum(*args.root), rng_seed=args.seed)
+    if args.n_events < 1:
+        raise UsageError(f"--n-events must be >= 1, got {args.n_events}")
+    events = generate(config, args.n_events, args.out)
+    if not args.quiet:
         mean_n = sum(e.n_leaves for e in events) / len(events)
-        print(f"wrote {len(events)} events to {out} (mean leaves {mean_n:.2f}, "
+        print(f"wrote {len(events)} events to {args.out} (mean leaves {mean_n:.2f}, "
               f"config {config_hash(config)})")
     return 0
 
 
-def _cmd_cluster(opt: _Options) -> int:
-    events, config = _load_dataset(opt)
-    result = evaluate(events, _planner_spec(opt), config, n_eval=len(events), seeds=[opt.get("seed", 0)])
+def _cmd_cluster(args) -> int:
+    events, config = _load_dataset(args)
+    result = evaluate(events, _planner_spec(args), config, n_eval=len(events), seeds=[args.seed])
     print(f"{result.planner}: mean LL {result.mean_ll:.4f} over {len(events)} events "
           f"(mean cost {result.mean_cost:.1f})")
-    out = opt.get("out")
-    if out:
-        Path(out).write_text(result.to_json() + "\n")
-        if not opt.get("quiet"):
-            print(f"wrote per-event results to {out}")
+    if args.out:
+        Path(args.out).write_text(result.to_json() + "\n")
+        if not args.quiet:
+            print(f"wrote per-event results to {args.out}")
     return 0
 
 
-def _cmd_mle(opt: _Options) -> int:
-    max_n = opt.get("max_n", 10)
+def _cmd_mle(args) -> int:
+    max_n = args.max_n
     if not 2 <= max_n <= DEFAULT_N_MAX:
         # exact_mle costs O(3^n); its own guard stops at DEFAULT_N_MAX.
         raise UsageError(f"--max-n must be in 2..{DEFAULT_N_MAX}, got {max_n}")
-    events, config = _load_dataset(opt)
+    events, config = _load_dataset(args)
     rows = []
-    quiet = opt.get("quiet")
     for event in events:
         if event.n_leaves > max_n:
-            if not quiet:
+            if not args.quiet:
                 print(f"skipping event {event.event_id}: {event.n_leaves} leaves > max-n {max_n}")
             continue
         ll, _ = exact_mle(event.leaves, config)
         rows.append({"id": event.event_id, "n_leaves": event.n_leaves, "mle_ll": ll})
-        if not quiet:
+        if not args.quiet:
             print(f"event {event.event_id}: n={event.n_leaves} MLE LL {ll:.4f}")
     if rows:
         mean = sum(r["mle_ll"] for r in rows) / len(rows)
         print(f"mean MLE LL over {len(rows)} events: {mean:.4f}")
-    out = opt.get("out")
-    if out:
-        Path(out).write_text(dumps({"per_event": rows}) + "\n")
+    if args.out:
+        Path(args.out).write_text(dumps({"per_event": rows}) + "\n")
     return 0
 
 
-def _cmd_train(opt: _Options) -> int:
-    steps = opt.get("steps", 20000)
-    if steps < 1:
-        raise UsageError(f"--steps must be >= 1, got {steps}")
-    lr = opt.get("lr", 0.03)
-    if not (math.isfinite(lr) and lr > 0.0):
-        raise UsageError(f"--lr must be finite and > 0, got {lr}")
-    events, config = _load_dataset(opt)
-    mode = opt.get("mode", "bc")
-    include_ps = not opt.get("no_ps_feature")
-    rng = make_rng(opt.get("seed", 0), 1_000_003)
-    if mode in ("bc", "mle-bc"):
-        demonstrator = "truth" if mode == "bc" else "mle-for-small-n"
-        weights, losses = train_bc(events, config, steps, lr, rng,
+def _cmd_train(args) -> int:
+    if args.steps < 1:
+        raise UsageError(f"--steps must be >= 1, got {args.steps}")
+    if not (math.isfinite(args.lr) and args.lr > 0.0):
+        raise UsageError(f"--lr must be finite and > 0, got {args.lr}")
+    events, config = _load_dataset(args)
+    include_ps = not args.no_ps_feature
+    rng = make_rng(args.seed, 1_000_003)
+    if args.mode in ("bc", "mle-bc"):
+        demonstrator = "truth" if args.mode == "bc" else "mle-for-small-n"
+        weights, losses = train_bc(events, config, args.steps, args.lr, rng,
                                    demonstrator=demonstrator, include_ps=include_ps)
     else:
         init = None
-        init_path = opt.get("init_weights")
-        if init_path:
-            init, _ = load_weights(init_path)
-        cfg = mcts_config({k: opt.get(k) for k in ("c", "n_mcts", "b") if opt.get(k) is not None})
-        weights, losses = train_mcts_policy(events, cfg, config, steps, lr, rng,
+        if args.init_weights:
+            init, _ = load_weights(args.init_weights)
+        cfg = mcts_config({k: getattr(args, k) for k in ("c", "n_mcts", "b") if getattr(args, k) is not None})
+        weights, losses = train_mcts_policy(events, cfg, config, args.steps, args.lr, rng,
                                             init=init, include_ps=include_ps)
-    out = opt.get("out", "weights.bin")
-    save_weights(out, weights, config_hash=config_hash(config))
-    if not opt.get("quiet"):
+    save_weights(args.out, weights, config_hash=config_hash(config))
+    if not args.quiet:
         tail = sum(losses[-100:]) / max(len(losses[-100:]), 1)
-        print(f"trained {mode} for {len(losses)} steps; mean loss of last 100: {tail:.4f}")
-        print(f"wrote weights to {out}")
+        print(f"trained {args.mode} for {len(losses)} steps; mean loss of last 100: {tail:.4f}")
+        print(f"wrote weights to {args.out}")
     return 0
 
 
-def _cmd_evaluate(opt: _Options) -> int:
-    n_seeds = opt.get("seeds", 1)
-    if n_seeds < 1:
-        raise UsageError(f"--seeds must be >= 1, got {n_seeds}")
-    n_eval = opt.get("n_eval")
-    if n_eval is not None and n_eval < 1:
-        raise UsageError(f"--n-eval must be >= 1, got {n_eval}")
-    events, config = _load_dataset(opt)
-    base = opt.get("seed", 0)
-    result = evaluate(events, _planner_spec(opt), config, n_eval=len(events) if n_eval is None else n_eval,
-                      seeds=list(range(base, base + n_seeds)))
+def _cmd_evaluate(args) -> int:
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
+    if args.n_eval is not None and args.n_eval < 1:
+        raise UsageError(f"--n-eval must be >= 1, got {args.n_eval}")
+    events, config = _load_dataset(args)
+    result = evaluate(events, _planner_spec(args), config,
+                      n_eval=len(events) if args.n_eval is None else args.n_eval,
+                      seeds=list(range(args.seed, args.seed + args.seeds)))
     print(f"{result.planner}: mean LL {result.mean_ll:.4f} +- {result.sem_ll:.4f} "
-          f"({n_seeds} seeds, mean cost {result.mean_cost:.1f})")
-    out = opt.get("out", "result.json")
-    Path(out).write_text(result.to_json() + "\n")
-    if not opt.get("quiet"):
-        print(f"wrote run result to {out}")
+          f"({args.seeds} seeds, mean cost {result.mean_cost:.1f})")
+    Path(args.out).write_text(result.to_json() + "\n")
+    if not args.quiet:
+        print(f"wrote run result to {args.out}")
     return 0
 
 
@@ -322,19 +293,16 @@ def _load_result(path: str) -> RunResult:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _cmd_compare(opt: _Options) -> int:
-    paths = opt.get("results") or []
-    if len(paths) < 2:
+def _cmd_compare(args) -> int:
+    if len(args.results) < 2:
         raise UsageError("compare needs at least 2 result files")
-    results = [_load_result(p) for p in paths]
-    comparison = compare(results)
-    if not opt.get("quiet"):
+    comparison = compare([_load_result(p) for p in args.results])
+    if not args.quiet:
         for row in comparison["table"]:
             print(f"{row['planner']:40s} mean LL {row['mean_ll']:10.4f} "
                   f"+- {row['sem_ll']:.4f}  cost {row['mean_cost']:12.1f}")
-    out = opt.get("out", "comparison")
-    written = write_comparison(comparison, out)
-    if not opt.get("quiet"):
+    written = write_comparison(comparison, args.out)
+    if not args.quiet:
         print("wrote " + ", ".join(str(p) for p in written))
     return 0
 
@@ -346,8 +314,12 @@ def cli(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        opt = _Options(args, _config_flags(parser))
-        return args.func(opt)
+        if args.config:
+            # The file's values become the subcommand's defaults, so a flag
+            # given on the command line still beats them.
+            _subcommands(parser)[args.command].set_defaults(**_read_config(args.config, _config_flags(parser)))
+            args = parser.parse_args(argv)
+        return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

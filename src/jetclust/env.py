@@ -156,7 +156,7 @@ def tree_from_history(
     n = len(leaves)
     if len(history) != n - 1:
         raise ValueError(f"history has {len(history)} merges, need {n - 1} for {n} leaves")
-    nodes = [TreeNode(momentum=p, t=invariant_mass_sq(p)) for p in leaves]
+    nodes = [TreeNode(momentum=p) for p in leaves]
     node_of = {1 << k: k for k in range(n)}  # current cluster's mask -> node index
     for mask_a, mask_b in history:
         a, b = node_of.pop(mask_a, None), node_of.pop(mask_b, None)
@@ -164,7 +164,7 @@ def tree_from_history(
             raise ValueError(f"merge ({mask_a:#b}, {mask_b:#b}) does not join two current clusters")
         node_of[mask_a | mask_b] = nodes[a].parent = nodes[b].parent = len(nodes)
         momentum = nodes[a].momentum + nodes[b].momentum
-        nodes.append(TreeNode(momentum=momentum, t=invariant_mass_sq(momentum), children=(a, b)))
+        nodes.append(TreeNode(momentum=momentum, children=(a, b)))
     return Tree(nodes=nodes, root_index=len(nodes) - 1, leaf_indices=list(range(n)))
 
 

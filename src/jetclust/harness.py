@@ -23,7 +23,7 @@ import numpy as np
 from .costs import PS_EVALUATIONS
 from .planners import MctsConfig, cluster_beam, cluster_greedy, cluster_mcts, cluster_policy, cluster_random, fixed_policy
 from .rng import make_rng
-from .shower import FourMomentum, ShowerConfig, Tree, TreeNode, invariant_mass_sq, sample_shower, tree_log_likelihood
+from .shower import FourMomentum, ShowerConfig, Tree, TreeNode, sample_shower, tree_log_likelihood
 
 SCHEMA_VERSION = 1  # run-result files
 EVENT_SCHEMA_VERSION = 2  # dataset lines; version 1 stored a config hash, not the config
@@ -214,8 +214,7 @@ def _tree_from_obj(obj: dict, leaves: list) -> Tree:
             if type(children) is not list or len(children) != 2:
                 raise ValueError(f"truth tree node {k} has children {children!r}, not two")
             children = tuple(children)
-        nodes.append(TreeNode(momentum=momentum, t=invariant_mass_sq(momentum),
-                              parent=rec["parent"], children=children))
+        nodes.append(TreeNode(momentum=momentum, parent=rec["parent"], children=children))
     size = len(nodes)
     root = obj["root"]
     if type(root) is not int or not 0 <= root < size:

@@ -120,7 +120,7 @@ class ShowerConfig:
 
     lam    : decay-rate shape parameter of the truncated exponential (> 0)
     t_cut  : mass-squared cutoff below which a particle stops decaying (> 0)
-    root   : four-momentum of the initial particle, t(root) > t_cut
+    root   : four-momentum of the initial particle, E >= 0 and t(root) > t_cut
     rng_seed : root seed for the event streams
     """
 
@@ -137,6 +137,8 @@ class ShowerConfig:
         _log_norm(self.lam)  # raises for lam up to 2**-54, about 5.6e-17
         if self.t_cut <= 0.0:
             raise ValueError(f"t_cut must be > 0, got {self.t_cut}")
+        if self.root.E < 0.0:
+            raise ValueError(f"root {self.root.as_tuple()} has negative energy; the sampler needs E >= 0")
         t_root = invariant_mass_sq(self.root)
         # The sampler squares mass-squareds (the Kallen term of two_body_decay).
         if not math.isfinite(t_root * t_root):
@@ -149,12 +151,17 @@ class ShowerConfig:
 @dataclass
 class TreeNode:
     momentum: FourMomentum
-    t: float
     parent: int | None = None
     children: tuple[int, int] | None = None
     # Log-density of the splitting this node underwent, recorded when the
     # tree came out of the sampler (None for leaves and rebuilt trees).
     split_ll: float | None = None
+
+    @property
+    def t(self) -> float:
+        """The node's mass-squared, invariant_mass_sq(momentum), which the
+        momentum's slot holds once computed."""
+        return invariant_mass_sq(self.momentum)
 
 
 @dataclass
@@ -299,17 +306,16 @@ def sample_shower(config: ShowerConfig, rng: np.random.Generator) -> Tree:
     from the stored momenta alone.
     """
     config.validate()
-    root_t = invariant_mass_sq(config.root)
-    nodes = [TreeNode(momentum=config.root, t=root_t)]
+    nodes = [TreeNode(momentum=config.root)]
     leaf_indices: list[int] = []
     stack = [0]
     while stack:
         idx = stack.pop()
         node = nodes[idx]
-        if node.t < config.t_cut:
+        t_p = node.t
+        if t_p < config.t_cut:
             leaf_indices.append(idx)
             continue
-        t_p = node.t
         t_a = sample_truncated_exp(t_p, config.lam, rng)
         remainder = (math.sqrt(t_p) - math.sqrt(t_a)) ** 2
         t_b = sample_truncated_exp(remainder, config.lam, rng) if remainder > 0.0 else 0.0
@@ -318,9 +324,9 @@ def sample_shower(config: ShowerConfig, rng: np.random.Generator) -> Tree:
         node.split_ll = _unordered_pair_log_density(t_a, t_b, t_p, config.lam)
 
         ia = len(nodes)
-        nodes.append(TreeNode(momentum=child_a, t=invariant_mass_sq(child_a), parent=idx))
+        nodes.append(TreeNode(momentum=child_a, parent=idx))
         ib = len(nodes)
-        nodes.append(TreeNode(momentum=child_b, t=invariant_mass_sq(child_b), parent=idx))
+        nodes.append(TreeNode(momentum=child_b, parent=idx))
         node.children = (ia, ib)
         stack.append(ib)
         stack.append(ia)

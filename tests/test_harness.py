@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 from typing import NamedTuple
 
@@ -850,6 +851,112 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     assert len(data.read_text().splitlines()) == 3
 
 
+@pytest.fixture
+def cli_calls(tmp_path, monkeypatch):
+    """cli() run in tmp_path with its harness, policy and trellis callees
+    replaced by recorders: returns the record, name -> [(args, kwargs)],
+    and a runner that clears it and asserts exit 0.  The loaded dataset
+    holds a 10-leaf and an 11-leaf event of DESK_CONFIG."""
+    import jetclust.cli as cmod
+
+    calls = {}
+    events = [types.SimpleNamespace(event_id=k, n_leaves=n, leaves=(), config=jc.DESK_CONFIG)
+              for k, n in enumerate((10, 11))]
+    result = types.SimpleNamespace(planner="p", mean_ll=0.0, sem_ll=0.0, mean_cost=0.0, to_json=lambda: "{}")
+
+    def recorder(name, value):
+        def callee(*args, **kwargs):
+            calls.setdefault(name, []).append((args, kwargs))
+            return value
+        return callee
+
+    for name, value in [("generate", events[:1]), ("load_events", events), ("evaluate", result),
+                        ("exact_mle", (0.0, None)), ("train_bc", (None, [0.0])),
+                        ("train_mcts_policy", (None, [0.0])), ("save_weights", None),
+                        ("load_weights", (None, {})), ("compare", {"table": []}), ("write_comparison", [])]:
+        monkeypatch.setattr(cmod, name, recorder(name, value))
+    monkeypatch.setattr(cmod, "RunResult", types.SimpleNamespace(from_json=str.strip))
+    monkeypatch.chdir(tmp_path)
+
+    def run(*argv):
+        calls.clear()
+        assert cli(list(argv)) == 0, argv
+        return calls
+    return events, run
+
+
+def test_cli_defaults_are_pinned(cli_calls, tmp_path, capsys):
+    events, run = cli_calls
+    (config, n_events, out), _ = run("generate")["generate"][0]
+    assert (config, n_events, out) == (jc.DESK_CONFIG, 100, "events.jsonl")
+    assert "wrote 1 events to events.jsonl" in capsys.readouterr().out  # --quiet is off
+
+    (_, spec, config, *_), kwargs = run("cluster", "--algo", "greedy", "--in", "d.jsonl")["evaluate"][0]
+    assert (spec, config, kwargs) == ({"algo": "greedy"}, jc.DESK_CONFIG, {"n_eval": 2, "seeds": [0]})
+
+    assert [args[0] for args, _ in run("mle", "--in", "d.jsonl")["exact_mle"]] == [()]  # --max-n 10
+    assert "skipping event 1: 11 leaves > max-n 10" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []  # cluster and mle write no file by default
+
+    calls = run("train", "--in", "d.jsonl")
+    (got, config, steps, lr, rng), kwargs = calls["train_bc"][0]
+    assert (got, config, steps, lr) == (events, jc.DESK_CONFIG, 20000, 0.03)
+    assert kwargs == {"demonstrator": "truth", "include_ps": True}
+    assert rng.random(4).tolist() == make_rng(0, 1_000_003).random(4).tolist()  # --seed 0
+    assert calls["save_weights"][0][0][0] == "weights.bin"
+    (_, cfg, _, steps, lr, _), kwargs = run("train", "--in", "d.jsonl", "--mode", "mcts")["train_mcts_policy"][0]
+    assert (cfg, steps, lr, kwargs) == (harness.mcts_config({}), 20000, 0.03, {"init": None, "include_ps": True})
+
+    _, kwargs = run("evaluate", "--algo", "greedy", "--in", "d.jsonl")["evaluate"][0]
+    assert kwargs == {"n_eval": 2, "seeds": [0]}
+    assert (tmp_path / "result.json").read_text() == "{}\n"
+
+    for name in ("a.json", "b.json"):
+        (tmp_path / name).write_text(name + "\n")
+    calls = run("compare", "a.json", "b.json")
+    assert calls["compare"][0][0] == (["a.json", "b.json"],)
+    assert calls["write_comparison"][0][0] == ({"table": []}, "comparison")
+
+    for command in ("generate", "cluster", "mle", "train", "evaluate", "compare"):
+        assert cli([command, "--help"]) == 0
+        assert f"usage: jetclust {command}" in capsys.readouterr().out
+
+
+def _trained_as(calls) -> str:
+    if "train_mcts_policy" in calls:
+        return "mcts"
+    return {"truth": "bc", "mle-for-small-n": "mle-bc"}[calls["train_bc"][0][1]["demonstrator"]]
+
+
+_TRAIN = ("train", "--in", "d.jsonl")
+_PRECEDENCE = [
+    # argv, key, (file value, file value under the flags), flags, read,
+    # (default, value from the file, value from the flags)
+    (_TRAIN, "steps", (7, 7), ["--steps", "9"], lambda c: c["train_bc"][0][0][2], (20000, 7, 9)),
+    (_TRAIN, "lr", (0.5, 0.5), ["--lr", "0.25"], lambda c: c["train_bc"][0][0][3], (0.03, 0.5, 0.25)),
+    (("generate",), "root", ([30, 0, 0, 10], [30, 0, 0, 10]), ["--root", "40", "0", "0", "20"],
+     lambda c: c["generate"][0][0][0].root.as_tuple(),
+     ((25.0, 0.0, 0.0, 15.0), (30.0, 0.0, 0.0, 10.0), (40.0, 0.0, 0.0, 20.0))),
+    # a switch can only be turned on by its flag, so the flags beat a file that turns it off
+    (_TRAIN, "no_ps_feature", (True, False), ["--no-ps-feature"],
+     lambda c: c["train_bc"][0][1]["include_ps"], (True, False, False)),
+    (_TRAIN, "mode", ("mcts", "mcts"), ["--mode", "mle-bc"], _trained_as, ("bc", "mcts", "mle-bc")),
+]
+
+
+@pytest.mark.parametrize("argv, key, file_values, flags, read, want", _PRECEDENCE,
+                         ids=["int", "float", "four-numbers", "switch", "choice"])
+def test_cli_config_values_replace_defaults_and_flags_replace_both(cli_calls, tmp_path, argv, key,
+                                                                   file_values, flags, read, want):
+    _, run = cli_calls
+    config = tmp_path / "cfg.json"
+    got = [read(run(*argv))]
+    for value, extra in zip(file_values, ([], flags)):
+        config.write_text(json.dumps({key: value}))
+        got.append(read(run(*argv, "--config", str(config), *extra)))
+    assert tuple(got) == want
+
+
 def test_cli_quiet_suppresses_chatter(tmp_path, capsys):
     data = tmp_path / "d.jsonl"
     assert cli(["generate", "--n-events", "3", "--seed", "1", "--out", str(data),
@@ -1229,6 +1336,24 @@ def test_load_rejects_a_stored_root_whose_mass_squared_overflows(tmp_path, capsy
     assert cli(["cluster", "--algo", "greedy", "--in", str(data)]) == 2
     err = capsys.readouterr().err
     assert f"{data}:2: " in err and "root (1e+154, 0.0, 0.0, 0.0)" in err and "overflows" in err
+
+
+def test_cli_rejects_a_root_with_negative_energy(tmp_path, capsys, small_config):
+    # Its mass-squared passes; the kernel's "child energies must be
+    # non-negative" used to be the only message, naming neither the root nor --root.
+    data = tmp_path / "d.jsonl"
+    assert cli(["generate", "--n-events", "2", "--out", str(data), "--root", "-25", "0", "0", "15"]) == 2
+    err = capsys.readouterr().err
+    assert "root (-25.0, 0.0, 0.0, 15.0) has negative energy" in err
+    assert list(tmp_path.iterdir()) == []
+    lines = [event_to_json(e) for e in jc.generate_events(small_config, 3)]
+    obj = json.loads(lines[1])
+    obj["config"]["root"] = [-5.0, 0.0, 0.0, 1.5]
+    lines[1] = json.dumps(obj)
+    data.write_text("\n".join(lines) + "\n")
+    assert cli(["cluster", "--algo", "greedy", "--in", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert f"{data}:2: " in err and "root (-5.0, 0.0, 0.0, 1.5) has negative energy" in err
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -362,10 +362,10 @@ def test_truth_actions_two_leaf_tree(small_config):
 def _manual_tree(momenta, merges):
     """Tree over explicit leaves; merges are (node_a, node_b) index pairs."""
     from jetclust.shower import Tree, TreeNode
-    nodes = [TreeNode(momentum=p, t=jc.invariant_mass_sq(p)) for p in momenta]
+    nodes = [TreeNode(momentum=p) for p in momenta]
     for a, b in merges:
         p = nodes[a].momentum + nodes[b].momentum
-        nodes.append(TreeNode(momentum=p, t=jc.invariant_mass_sq(p), children=(a, b)))
+        nodes.append(TreeNode(momentum=p, children=(a, b)))
         nodes[a].parent = len(nodes) - 1
         nodes[b].parent = len(nodes) - 1
     return Tree(nodes=nodes, root_index=len(nodes) - 1,

@@ -242,3 +242,39 @@ def test_fill_table_keeps_the_first_maximum_among_ties(seed, k):
     _assert_table_matches_the_oracle(doubled)
     # fresh copies: the oracle's kernel queries start from empty slots
     _assert_table_matches_the_oracle([jc.FourMomentum(*p.as_tuple()) for p in doubled])
+
+
+def _most_partitions(n):
+    """max over k of the Stirling number S(n, k): the most partitions of
+    n leaves into k clusters that one beam level can hold."""
+    row = [1]  # S(0, 0)
+    for m in range(1, n + 1):
+        row = [0] + [k * (row[k] if k < m else 0) + row[k - 1] for k in range(1, m + 1)]
+    return max(row)
+
+
+def _assert_saturated_beam_is_the_mle(leaves):
+    """cluster_beam at a width that prunes nothing scores as exact_mle.
+    A beam level collapses states to distinct partitions into leaf
+    bitmasks, which is lossless because future rewards depend only on the
+    current clusters; that is why a width of _most_partitions(n) keeps
+    every partition and makes the beam a DP over partitions.  It shares
+    the kernel with the trellis, but neither its subset table nor its
+    order of sums."""
+    tree, ll = jc.cluster_beam(leaves, _most_partitions(len(leaves)), jc.DESK_CONFIG)
+    mle_ll, _ = jc.exact_mle(leaves, jc.DESK_CONFIG)
+    assert abs(ll - mle_ll) <= 1e-9
+    assert abs(jc.tree_log_likelihood(tree, jc.DESK_CONFIG) - ll) <= 1e-9
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_saturated_beam_equals_the_mle_at_eight_leaves(seed):
+    """An oracle for the trellis past enumeration's 7 leaves: 8 leaves of
+    a desk event, about 0.2 s each."""
+    _assert_saturated_beam_is_the_mle(_desk_leaves(seed, 8, 100)[:8])
+
+
+def test_saturated_beam_equals_the_mle_at_nine_leaves():
+    assert [_most_partitions(n) for n in (3, 8, 9)] == [3, 1701, 7770]
+    _assert_saturated_beam_is_the_mle(_desk_leaves(0, 9, 100)[:9])
