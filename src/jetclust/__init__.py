@@ -33,7 +33,6 @@ from .harness import (
 )
 from .planners import (
     MctsConfig,
-    ReturnNormalizer,
     SearchNode,
     cluster_beam,
     cluster_greedy,

@@ -155,13 +155,17 @@ def _parse_one(flag: argparse.Action, value):
 def _read_config(path: str, flags: dict[str, argparse.Action]) -> dict:
     """The values a JSON config file gives, by flag dest, each parsed as
     its flag would parse it; UsageError naming the file, and the key where
-    there is one, for a missing file, a file that is not an object, a key
-    that names no flag, or a value the flag would not accept."""
+    there is one, for a missing file, a file that is not UTF-8 JSON or not
+    an object, a key that names no flag, or a value the flag would not
+    accept."""
     path = Path(path)
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
-    with open(path) as f:
-        cfg = json.load(f)
+    with open(path, encoding="utf-8") as f:
+        try:
+            cfg = json.load(f)
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+            raise UsageError(f"config file {path} is not UTF-8 JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError(f"config file {path} is not a JSON object")
     unknown = sorted(set(cfg) - set(flags))
@@ -257,7 +261,12 @@ def _cmd_train(args) -> int:
     else:
         init = None
         if args.init_weights:
-            init, _ = load_weights(args.init_weights)
+            # The network continues from the file, so it reads what the file's network reads.
+            init, header = load_weights(args.init_weights)
+            if args.no_ps_feature and header["include_ps"]:
+                raise UsageError(f"--no-ps-feature, but --init-weights {args.init_weights} "
+                                 f"holds a network that reads the p_s feature")
+            include_ps = header["include_ps"]
         cfg = mcts_config({k: getattr(args, k) for k in ("c", "n_mcts", "b") if getattr(args, k) is not None})
         weights, losses = train_mcts_policy(events, cfg, config, args.steps, args.lr, rng,
                                             init=init, include_ps=include_ps)

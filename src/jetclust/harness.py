@@ -562,7 +562,8 @@ def evaluate(
     """Run the planner over the first n_eval events once per seed.  The
     mean is the mean of per-seed means and the standard error is taken
     across seeds, matching how trained models with different seeds are
-    compared."""
+    compared.  ValueError unless every evaluated event was generated by
+    `config`, the density that scores it and the one the result names."""
     if not seeds:
         raise ValueError("need at least one seed")
     if n_eval < 1:
@@ -572,6 +573,11 @@ def evaluate(
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"seeds must be distinct, got {list(seeds)}")
     subset = list(events[:n_eval])
+    dataset_hash = config_hash(config)
+    for event in subset:
+        if config_hash(event.config) != dataset_hash:
+            raise ValueError(f"event {event.event_id} was generated by config {config_hash(event.config)}, "
+                             f"but evaluate scores with config {dataset_hash}")
     planner = build_planner(spec, config)
     per_event = []
     for seed in seeds:
@@ -599,7 +605,7 @@ def evaluate(
         mean_ll=mean_ll,
         sem_ll=sem_ll,
         mean_cost=mean_cost,
-        dataset_hash=config_hash(subset[0].config),
+        dataset_hash=dataset_hash,
     )
 
 

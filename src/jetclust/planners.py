@@ -242,7 +242,7 @@ class SearchNode:
         self.n_visits = 0
         self.n_sa = np.zeros(m)  # whole counts, held as floats so 1 + N_sa needs no cast
         self.w_sa = np.zeros(m)
-        self.q = np.empty(m)  # w_sa / n_sa, kept by _backup; 0.5 while unvisited
+        self.q = np.empty(m)  # w_sa / n_sa, kept by _Search.backup; 0.5 while unvisited
         self.q.fill(0.5)
         self.best_return = np.empty(m)
         self.best_return.fill(-math.inf)
@@ -263,105 +263,80 @@ class SearchNode:
         return scores
 
 
-@dataclass
-class ReturnNormalizer:
-    """Maps raw episode returns to [0, 1] by the running min/max observed
-    in the current search; 0.5 while the range is degenerate."""
+class _Search:
+    """One MCTS episode: the prior, the search settings, the density and
+    the rng its decisions share, and the range [lo, hi] of the returns it
+    has backed up, which maps each return to a weight in [0, 1]."""
 
-    lo: float = math.inf
-    hi: float = -math.inf
+    def __init__(self, policy: PriorPolicy, cfg: MctsConfig, config: ShowerConfig,
+                 rng: np.random.Generator):
+        self.policy = policy
+        self.cfg = cfg
+        self.config = config
+        self.rng = rng
+        self.lo = math.inf
+        self.hi = -math.inf
 
-    def update(self, value: float) -> None:
-        self.lo = min(self.lo, value)
-        self.hi = max(self.hi, value)
+    def child(self, node: SearchNode, k: int, state: ClusterState | None = None) -> SearchNode:
+        child = node.children[k]
+        if child is None:
+            if state is None:
+                state = step(node.state, node.actions[k], self.config)
+            child = SearchNode(state, self.policy)
+            node.children[k] = child
+        return child
 
-    def normalize(self, value: float) -> float:
-        if not (self.hi > self.lo):
-            return 0.5
-        return min(max((value - self.lo) / (self.hi - self.lo), 0.0), 1.0)
+    def backup(self, path: list[tuple[SearchNode, int]], ret: float) -> None:
+        # ret lies in [lo, hi] once added, so its weight needs no clamp;
+        # 0.5 while the range is degenerate.
+        self.lo = lo = min(self.lo, ret)
+        self.hi = hi = max(self.hi, ret)
+        w = (ret - lo) / (hi - lo) if hi > lo else 0.5
+        for node, k in path:
+            node.n_visits += 1
+            n_sa, w_sa, best_return = node.n_sa, node.w_sa, node.best_return
+            n = n_sa[k] + 1.0
+            total = w_sa[k] + w
+            n_sa[k] = n
+            w_sa[k] = total
+            node.q[k] = total / n
+            if ret > best_return[k]:
+                best_return[k] = ret
 
+    def seed(self, root: SearchNode) -> None:
+        for item in _beam_from_state(root.state, self.cfg.beam_init_b, self.config):
+            node = root
+            path: list[tuple[SearchNode, int]] = []
+            for k, (_, state_after) in zip(item.indices, item.path):
+                path.append((node, k))
+                node = self.child(node, k, state_after)
+            self.backup(path, item.state.cumulative_reward)
 
-def _backup(path: list[tuple[SearchNode, int]], ret: float, normalizer: ReturnNormalizer) -> None:
-    normalizer.update(ret)
-    w = normalizer.normalize(ret)
-    for node, k in path:
-        node.n_visits += 1
-        n_sa, w_sa, best_return = node.n_sa, node.w_sa, node.best_return
-        n = n_sa[k] + 1.0
-        total = w_sa[k] + w
-        n_sa[k] = n
-        w_sa[k] = total
-        node.q[k] = total / n
-        if ret > best_return[k]:
-            best_return[k] = ret
-
-
-def _ensure_child(node: SearchNode, k: int, policy: PriorPolicy, config: ShowerConfig,
-                  state: ClusterState | None = None) -> SearchNode:
-    child = node.children[k]
-    if child is None:
-        if state is None:
-            state = step(node.state, node.actions[k], config)
-        child = SearchNode(state, policy)
-        node.children[k] = child
-    return child
-
-
-def _insert_beam_trajectories(
-    root: SearchNode,
-    policy: PriorPolicy,
-    cfg: MctsConfig,
-    config: ShowerConfig,
-    normalizer: ReturnNormalizer,
-) -> None:
-    for item in _beam_from_state(root.state, cfg.beam_init_b, config):
+    def rollout(self, root: SearchNode) -> None:
+        c = self.cfg.c
+        sample = self.cfg.rollout_rule == "policy-sample"
         node = root
         path: list[tuple[SearchNode, int]] = []
-        for k, (_, state_after) in zip(item.indices, item.path):
+        while not is_terminal(node.state):
+            if sample:
+                priors = node.priors
+                k = int(self.rng.choice(len(node.actions), p=priors / priors.sum()))
+            else:
+                k = int(node.puct_scores(c).argmax())
             path.append((node, k))
-            node = _ensure_child(node, k, policy, config, state=state_after)
-        _backup(path, item.state.cumulative_reward, normalizer)
+            child = node.children[k]
+            node = child if child is not None else self.child(node, k)
+        self.backup(path, node.state.cumulative_reward)
 
-
-def _run_rollout(
-    root: SearchNode,
-    policy: PriorPolicy,
-    cfg: MctsConfig,
-    config: ShowerConfig,
-    rng: np.random.Generator,
-    normalizer: ReturnNormalizer,
-) -> None:
-    c = cfg.c
-    sample = cfg.rollout_rule == "policy-sample"
-    node = root
-    path: list[tuple[SearchNode, int]] = []
-    while not is_terminal(node.state):
-        if sample:
-            priors = node.priors
-            k = int(rng.choice(len(node.actions), p=priors / priors.sum()))
-        else:
-            k = int(node.puct_scores(c).argmax())
-        path.append((node, k))
-        child = node.children[k]
-        node = child if child is not None else _ensure_child(node, k, policy, config)
-    _backup(path, node.state.cumulative_reward, normalizer)
-
-
-def _decide(
-    root: SearchNode,
-    policy: PriorPolicy,
-    cfg: MctsConfig,
-    config: ShowerConfig,
-    rng: np.random.Generator,
-    normalizer: ReturnNormalizer,
-) -> int:
-    if cfg.beam_init_b > 0:
-        _insert_beam_trajectories(root, policy, cfg, config, normalizer)
-    for _ in range(cfg.n_mcts):
-        _run_rollout(root, policy, cfg, config, rng, normalizer)
-    if cfg.final_rule == "puct-visits":
-        return int(root.n_sa.argmax())
-    return int(root.best_return.argmax())
+    def decide(self, root: SearchNode) -> int:
+        cfg = self.cfg
+        if cfg.beam_init_b > 0:
+            self.seed(root)
+        for _ in range(cfg.n_mcts):
+            self.rollout(root)
+        if cfg.final_rule == "puct-visits":
+            return int(root.n_sa.argmax())
+        return int(root.best_return.argmax())
 
 
 @ps_memo()
@@ -373,7 +348,7 @@ def cluster_mcts(
     rng: np.random.Generator,
 ) -> tuple[Tree, float, list[tuple[ClusterState, int]]]:
     """Run MCTS decisions until the clustering is complete, reusing the
-    chosen child's subtree (and the return normalizer) between decisions.
+    chosen child's subtree (and the range of returns) between decisions.
     Each decision seeds the tree with beam-search trajectories, runs the
     PUCT roll-outs to termination and takes the action behind the best
     roll-out (or the most visited one under the puct-visits ablation).
@@ -381,12 +356,12 @@ def cluster_mcts(
     which policy self-imitation trains on."""
     cfg.validate()
     root = SearchNode(reset(event), policy)
-    normalizer = ReturnNormalizer()
+    search = _Search(policy, cfg, config, rng)
     decisions: list[tuple[ClusterState, int]] = []
     while not is_terminal(root.state):
-        k = _decide(root, policy, cfg, config, rng, normalizer)
+        k = search.decide(root)
         decisions.append((root.state, k))
-        root = _ensure_child(root, k, policy, config)
+        root = search.child(root, k)
     return tree_from_state(root.state), root.state.cumulative_reward, decisions
 
 

@@ -525,6 +525,20 @@ def test_evaluate_rejects_fewer_than_one_event(small_events, small_config, monke
             evaluate(small_events, {"algo": "greedy"}, small_config, n_eval=n_eval, seeds=[0])
 
 
+def test_evaluate_rejects_events_of_another_config(monkeypatch):
+    import jetclust.harness as hmod
+
+    def no_planner(spec, config):
+        raise AssertionError("a planner was built for events of another config")
+
+    monkeypatch.setattr(hmod, "build_planner", no_planner)
+    other = dataclasses.replace(jc.DESK_CONFIG, lam=3.0, rng_seed=5)
+    events = jc.generate_events(other, 3)
+    with pytest.raises(ValueError) as err:
+        evaluate(events, {"algo": "greedy"}, jc.DESK_CONFIG, 3, [0])
+    assert config_hash(other) in str(err.value) and config_hash(jc.DESK_CONFIG) in str(err.value)
+
+
 def test_run_result_round_trip(small_events, small_config):
     result = evaluate(small_events, {"algo": "greedy"}, small_config, n_eval=5, seeds=[0])
     text = result.to_json()
@@ -849,6 +863,44 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     # flag wins over the file
     assert cli(["generate", "--config", str(cfg), "--n-events", "3"]) == 0
     assert len(data.read_text().splitlines()) == 3
+
+
+def test_cli_config_file_that_is_not_utf8_json_is_a_usage_error(tmp_path, capsys):
+    data = tmp_path / "d.jsonl"
+    cfg = tmp_path / "cfg.json"
+    for content in (b"{not json", b"\xff\xfe"):
+        cfg.write_bytes(content)
+        capsys.readouterr()
+        assert cli(["generate", "--config", str(cfg), "--out", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and str(cfg) in err
+        assert not data.exists()
+    # a directory fails on open, whose error names the path
+    assert cli(["generate", "--config", str(tmp_path), "--out", str(data)]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+    assert not data.exists()
+
+
+def test_cli_train_mcts_takes_its_network_from_the_init_weights(tmp_path, capsys):
+    data = tmp_path / "d.jsonl"
+    cli(["generate", "--n-events", "4", "--seed", "9", "--out", str(data), "--quiet", *SMALL_FLAGS])
+    no_ps, with_ps = tmp_path / "no_ps.bin", tmp_path / "ps.bin"
+    bc = ["train", "--mode", "bc", "--in", str(data), "--steps", "5", "--seed", "9", "--quiet"]
+    assert cli([*bc, "--no-ps-feature", "--out", str(no_ps)]) == 0
+    assert cli([*bc, "--out", str(with_ps)]) == 0
+    mcts = ["train", "--mode", "mcts", "--in", str(data), "--steps", "3", "--n-mcts", "2",
+            "--b", "1", "--seed", "9", "--quiet"]
+    derived, flagged = tmp_path / "derived.bin", tmp_path / "flagged.bin"
+    assert cli([*mcts, "--init-weights", str(no_ps), "--out", str(derived)]) == 0
+    assert cli([*mcts, "--init-weights", str(no_ps), "--no-ps-feature", "--out", str(flagged)]) == 0
+    assert derived.read_bytes() == flagged.read_bytes()
+    assert jc.load_weights(derived)[1]["include_ps"] is False
+    capsys.readouterr()
+    out = tmp_path / "bad.bin"
+    assert cli([*mcts, "--init-weights", str(with_ps), "--no-ps-feature", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "--no-ps-feature" in err and str(with_ps) in err
+    assert not out.exists()
 
 
 @pytest.fixture

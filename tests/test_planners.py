@@ -18,9 +18,8 @@ from jetclust.features import feature_dim
 from jetclust.planners import (
     SearchNode,
     _beam_from_state,
-    _insert_beam_trajectories,
     _rewards,
-    _run_rollout,
+    _Search,
     _softmax,
 )
 from jetclust.policy import init_weights
@@ -351,7 +350,7 @@ def test_golden_log_likelihoods_and_costs(small_config, name, seed, n, expected)
 # ---------------------------------------------------------------------------
 
 def _set_visits(node, n_sa, w_sa):
-    """Visit statistics as a run of _backup would leave them, Q included."""
+    """Visit statistics as a run of _Search.backup would leave them, Q included."""
     node.n_sa[:] = n_sa
     node.w_sa[:] = w_sa
     node.q[:] = np.where(node.n_sa > 0, node.w_sa / np.maximum(node.n_sa, 1), 0.5)
@@ -408,17 +407,16 @@ def test_puct_c_zero_is_argmax_q(small_config):
 
 @pytest.mark.parametrize("prior", ["random", "proportional-to-ps"])
 def test_puct_scores_match_the_recomputed_q_at_every_node(small_config, prior):
-    # _backup keeps Q up to date; after each of 20 simulations every node's
+    # _Search.backup keeps Q up to date; after each of 20 simulations every node's
     # scores must equal the formula that recomputes Q from n_sa and w_sa.
     config = jc.ShowerConfig(lam=1.5, t_cut=1.0, root=jc.FourMomentum(12.0, 0.0, 0.0, 4.0))
     policy = jc.fixed_policy(prior, config)
     cfg = _mcts_cfg(n_mcts=20, beam_init_b=2)
     root = SearchNode(reset(make_event(config, seed=5, n_leaves=9).leaf_momenta()), policy)
-    normalizer = jc.ReturnNormalizer()
-    rng = make_rng(3)
-    _insert_beam_trajectories(root, policy, cfg, config, normalizer)
+    search = _Search(policy, cfg, config, make_rng(3))
+    search.seed(root)
     for _ in range(cfg.n_mcts):
-        _run_rollout(root, policy, cfg, config, rng, normalizer)
+        search.rollout(root)
         stack, visited = [root], 0
         while stack:
             node = stack.pop()
@@ -430,15 +428,19 @@ def test_puct_scores_match_the_recomputed_q_at_every_node(small_config, prior):
     assert visited > 20
 
 
-def test_normalizer_degenerate_range():
-    norm = jc.ReturnNormalizer()
-    assert norm.normalize(-5.0) == 0.5
-    norm.update(-5.0)
-    assert norm.normalize(-5.0) == 0.5
-    norm.update(-1.0)
-    assert norm.normalize(-1.0) == 1.0
-    assert norm.normalize(-5.0) == 0.0
-    assert norm.normalize(-3.0) == 0.5
+def test_backup_weights_returns_by_their_place_in_the_range_seen(small_config):
+    # 0.5 while the range is degenerate, then (ret - lo) / (hi - lo).
+    node = SearchNode(reset(_event(small_config, 3, 3)), jc.fixed_policy("random"))
+    search = _Search(jc.fixed_policy("random"), _mcts_cfg(), small_config, make_rng(0))
+    weights = []
+    for ret in (-5.0, -5.0, -1.0, -5.0, -3.0):
+        before = node.w_sa[0]
+        search.backup([(node, 0)], ret)
+        weights.append(node.w_sa[0] - before)
+    assert weights == [0.5, 0.5, 1.0, 0.0, 0.5]
+    assert (search.lo, search.hi) == (-5.0, -1.0)
+    assert node.n_sa[0] == 5 and node.n_visits == 5
+    assert node.best_return[0] == -1.0
 
 
 # ---------------------------------------------------------------------------
@@ -784,9 +786,14 @@ def _oracle_puct_scores(node, c):
     return scores
 
 
-def _oracle_backup(path, ret, normalizer):
-    normalizer.update(ret)
-    w = normalizer.normalize(ret)
+def _oracle_backup(search, path, ret):
+    """Weights each return by the clamped formula of the return range."""
+    search.lo = min(search.lo, ret)
+    search.hi = max(search.hi, ret)
+    if search.hi > search.lo:
+        w = min(max((ret - search.lo) / (search.hi - search.lo), 0.0), 1.0)
+    else:
+        w = 0.5
     for node, k in path:
         node.n_visits += 1
         node.n_sa[k] += 1
@@ -796,17 +803,18 @@ def _oracle_backup(path, ret, normalizer):
             node.best_return[k] = ret
 
 
-def _oracle_run_rollout(root, policy, cfg, config, rng, normalizer):
+def _oracle_run_rollout(search, root):
+    cfg = search.cfg
     node = root
     path = []
     while not jc.is_terminal(node.state):
         if cfg.rollout_rule == "policy-sample":
-            k = int(rng.choice(len(node.actions), p=node.priors / node.priors.sum()))
+            k = int(search.rng.choice(len(node.actions), p=node.priors / node.priors.sum()))
         else:
             k = int(node.puct_scores(cfg.c).argmax())
         path.append((node, k))
-        node = planners_module._ensure_child(node, k, policy, config)
-    planners_module._backup(path, node.state.cumulative_reward, normalizer)
+        node = search.child(node, k)
+    search.backup(path, node.state.cumulative_reward)
 
 
 @dataclass
@@ -848,16 +856,16 @@ def _oracle_beam_from_state(state, b, config):
     return items
 
 
-def _oracle_insert_beam_trajectories(root, policy, cfg, config, normalizer):
+def _oracle_insert_beam_trajectories(search, root):
     """Inserts each beam path, finding each action's index by a search of the action table."""
-    for item in planners_module._beam_from_state(root.state, cfg.beam_init_b, config):
+    for item in planners_module._beam_from_state(root.state, search.cfg.beam_init_b, search.config):
         node = root
         path = []
         for action, state_after in item.path:
             k = action_table(node.state.n).index(action)
             path.append((node, k))
-            node = planners_module._ensure_child(node, k, policy, config, state=state_after)
-        planners_module._backup(path, item.state.cumulative_reward, normalizer)
+            node = search.child(node, k, state=state_after)
+        search.backup(path, item.state.cumulative_reward)
 
 
 @contextmanager
@@ -868,10 +876,10 @@ def _oracle_hot_path():
         mp.setattr(planners_module, "apply_action", _oracle_apply_action)
         mp.setattr(planners_module, "_softmax", _oracle_softmax)
         mp.setattr(planners_module.SearchNode, "puct_scores", _oracle_puct_scores)
-        mp.setattr(planners_module, "_backup", _oracle_backup)
-        mp.setattr(planners_module, "_run_rollout", _oracle_run_rollout)
+        mp.setattr(_Search, "backup", _oracle_backup)
+        mp.setattr(_Search, "rollout", _oracle_run_rollout)
         mp.setattr(planners_module, "_beam_from_state", _oracle_beam_from_state)
-        mp.setattr(planners_module, "_insert_beam_trajectories", _oracle_insert_beam_trajectories)
+        mp.setattr(_Search, "seed", _oracle_insert_beam_trajectories)
         yield
 
 
