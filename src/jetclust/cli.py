@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.03)
     p.add_argument("--no-ps-feature", dest="no_ps_feature", action="store_true")
     p.add_argument("--init-weights", dest="init_weights",
-                   help="pretrained weights to continue from (mcts mode)")
+                   help="pretrained weights to continue from (--mode mcts only)")
     p.add_argument("--b", type=int)
     p.add_argument("--n-mcts", dest="n_mcts", type=int)
     p.add_argument("--c", type=float)
@@ -251,6 +251,8 @@ def _cmd_train(args) -> int:
         raise UsageError(f"--steps must be >= 1, got {args.steps}")
     if not (math.isfinite(args.lr) and args.lr > 0.0):
         raise UsageError(f"--lr must be finite and > 0, got {args.lr}")
+    if args.init_weights and args.mode != "mcts":
+        raise UsageError(f"--init-weights continues --mode mcts only, not --mode {args.mode}")
     events, config = _load_dataset(args)
     include_ps = not args.no_ps_feature
     rng = make_rng(args.seed, 1_000_003)

@@ -1,5 +1,5 @@
 """Learnable merge prior: a small per-pair feed-forward scorer with
-exact hand-written gradients, plus the imitation training loops.
+exact hand-written gradients, plus the imitation training loop.
 
 The same two-hidden-layer network scores every candidate pair, and a
 softmax across the legal pairs of a state turns the scores into a
@@ -214,22 +214,52 @@ def truth_actions(state: ClusterState, tree: Tree) -> list[Action]:
 
 
 # ---------------------------------------------------------------------------
-# Training
+# Training: one imitation loop, fed episodes by a demonstrator
 # ---------------------------------------------------------------------------
 
 MLE_DEMONSTRATOR_MAX_N = 10
 
 
-def _demonstrator_tree(event, demonstrator: str, config: ShowerConfig, cache: dict) -> Tree:
+def _demonstrator_tree(event, demonstrator: str, config: ShowerConfig) -> Tree:
     if demonstrator == "truth":
         return event.truth
     if demonstrator == "mle-for-small-n":
         if len(event.leaves) > MLE_DEMONSTRATOR_MAX_N:
             return event.truth
-        if event.event_id not in cache:
-            cache[event.event_id] = exact_mle(event.leaves, config)[1]
-        return cache[event.event_id]
+        return exact_mle(event.leaves, config)[1]
     raise ValueError(f"unknown demonstrator: {demonstrator!r}")
+
+
+def _imitate(dataset: Sequence, w: PolicyWeights, episode, config: ShowerConfig, steps: int,
+             lr: float, rng: np.random.Generator) -> tuple[PolicyWeights, list[float]]:
+    """SGD on `steps` demonstrated decisions, in passes over the dataset in
+    rng.permutation order.  episode(position, budget) plays that dataset
+    item and returns at most `budget` (state, target action indices)
+    pairs in order.  One extract_pair_features call per episode, in the
+    layout of w.input_dim, then one step per state.  ValueError for an
+    empty dataset, or once a whole pass fits nothing, as every later
+    pass would."""
+    if not dataset:
+        raise ValueError("dataset is empty")
+    include_ps = w.input_dim == feature_dim(True)
+    g = PolicyWeights(np.empty_like(w.theta), w.input_dim)
+    losses: list[float] = []
+    while len(losses) < steps:
+        fitted = len(losses)
+        for pos in rng.permutation(len(dataset)):
+            demos = episode(int(pos), steps - len(losses))
+            if demos:
+                x = extract_pair_features([state for state, _ in demos], config, include_ps=include_ps)
+                end = 0
+                for state, t in demos:
+                    start, end = end, end + state.n * (state.n - 1) // 2
+                    losses.append(policy_loss_and_grad(w, x[start:end], t, g)[0])
+                    _sgd_update(w, g, lr)
+            if len(losses) >= steps:
+                break
+        if len(losses) == fitted:
+            raise ValueError("no item of the dataset yields a demonstrated state")
+    return w, losses
 
 
 def train_bc(
@@ -244,49 +274,25 @@ def train_bc(
     """Behavioral cloning on demonstrator merges.  Each step consumes one
     demonstrated decision: replay an episode along the demonstrator tree,
     resolving ties between available sibling pairs uniformly at random,
-    then take a gradient step on every visited state in order.  Dataset
-    items need .event_id, .leaves and .truth attributes."""
-    if not dataset:
-        raise ValueError("dataset is empty")
+    until it leaves the tree.  Dataset items need .leaves and .truth
+    attributes; an MLE tree is solved once per dataset position."""
     w = init_weights(feature_dim(include_ps), rng)
-    losses: list[float] = []
-    mle_cache: dict = {}
-    while len(losses) < steps:
-        for ev_idx in rng.permutation(len(dataset)):
-            event = dataset[int(ev_idx)]
-            sibling = _sibling_map(_demonstrator_tree(event, demonstrator, config, mle_cache))
-            state = reset(event.leaves)
-            states: list[ClusterState] = []
-            targets: list[tuple[int, ...]] = []
-            while not is_terminal(state) and len(losses) + len(states) < steps:
-                t = _demonstrated(state.masks, sibling)
-                if not t:
-                    break  # off-demonstration state, skip the rest
-                states.append(state)
-                targets.append(t)
-                chosen = action_table(state.n)[t[int(rng.integers(len(t)))]]
-                state = step(state, chosen, config)
-            _fit_episode(w, states, targets, config, include_ps, lr, losses)
-            if len(losses) >= steps:
-                break
-    return w, losses
+    siblings: dict[int, dict[int, int]] = {}
 
+    def replay(pos: int, budget: int) -> list[tuple[ClusterState, tuple[int, ...]]]:
+        if pos not in siblings:
+            siblings[pos] = _sibling_map(_demonstrator_tree(dataset[pos], demonstrator, config))
+        state = reset(dataset[pos].leaves)
+        demos = []
+        while not is_terminal(state) and len(demos) < budget:
+            t = _demonstrated(state.masks, siblings[pos])
+            if not t:
+                break  # off-demonstration state, skip the rest
+            demos.append((state, t))
+            state = step(state, action_table(state.n)[t[int(rng.integers(len(t)))]], config)
+        return demos
 
-def _fit_episode(w: PolicyWeights, states: list[ClusterState], targets: list[tuple[int, ...]],
-                 config: ShowerConfig, include_ps: bool, lr: float, losses: list[float]) -> None:
-    """One SGD step per demonstrated state, in episode order, on features
-    extracted for all of the episode's states in one call.  The first
-    step's gradient vector is reused by the rest."""
-    if not states:
-        return
-    x = extract_pair_features(states, config, include_ps=include_ps)
-    g = None
-    end = 0
-    for state, t in zip(states, targets):
-        start, end = end, end + state.n * (state.n - 1) // 2
-        loss, g = policy_loss_and_grad(w, x[start:end], t, g)
-        _sgd_update(w, g, lr)
-        losses.append(loss)
+    return _imitate(dataset, w, replay, config, steps, lr, rng)
 
 
 def train_mcts_policy(
@@ -303,24 +309,17 @@ def train_mcts_policy(
     policy to the chosen actions.  One step is one environment decision.
     `init` continues from pretrained (e.g. BC) weights; it is copied, not
     changed.  The MCTS prior reads the weights that the steps update."""
-    if not dataset:
-        raise ValueError("dataset is empty")
     if init is None:
         w = init_weights(feature_dim(include_ps), rng)
     else:
         w = PolicyWeights(init.theta.copy(), init.input_dim)
     policy = NeuralPolicy(w, config, include_ps=include_ps)
-    losses: list[float] = []
-    while len(losses) < steps:
-        for ev_idx in rng.permutation(len(dataset)):
-            event = dataset[int(ev_idx)]
-            _, _, decisions = cluster_mcts(event.leaves, policy, cfg, config, rng)
-            decisions = decisions[:steps - len(losses)]
-            _fit_episode(w, [state for state, _ in decisions], [(k,) for _, k in decisions],
-                         config, include_ps, lr, losses)
-            if len(losses) >= steps:
-                break
-    return w, losses
+
+    def search(pos: int, budget: int) -> list[tuple[ClusterState, tuple[int]]]:
+        decisions = cluster_mcts(dataset[pos].leaves, policy, cfg, config, rng)[2]
+        return [(state, (k,)) for state, k in decisions[:budget]]
+
+    return _imitate(dataset, w, search, config, steps, lr, rng)
 
 
 # ---------------------------------------------------------------------------

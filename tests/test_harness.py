@@ -903,6 +903,29 @@ def test_cli_train_mcts_takes_its_network_from_the_init_weights(tmp_path, capsys
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("mode", ["bc", "mle-bc"])
+@pytest.mark.parametrize("init", ["written", "missing"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_train_rejects_init_weights_outside_mcts(tmp_path, capsys, mode, init, source):
+    # Cloning starts from fresh weights, so it would drop the file unread.
+    data = tmp_path / "d.jsonl"
+    cli(["generate", "--n-events", "4", "--seed", "9", "--out", str(data), "--quiet", *SMALL_FLAGS])
+    init_path = tmp_path / "init.bin"
+    if init == "written":
+        assert cli(["train", "--in", str(data), "--steps", "5", "--out", str(init_path), "--quiet"]) == 0
+    argv = ["train", "--mode", mode, "--in", str(data), "--steps", "5", "--out", str(tmp_path / "w.bin")]
+    if source == "flag":
+        argv += ["--init-weights", str(init_path)]
+    else:
+        (tmp_path / "c.json").write_text(json.dumps({"init_weights": str(init_path)}))
+        argv += ["--config", str(tmp_path / "c.json")]
+    capsys.readouterr()
+    assert cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--init-weights" in err and f"--mode {mode}" in err
+    assert not (tmp_path / "w.bin").exists()
+
 @pytest.fixture
 def cli_calls(tmp_path, monkeypatch):
     """cli() run in tmp_path with its harness, policy and trellis callees

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from types import SimpleNamespace
@@ -594,12 +595,14 @@ def _per_state_train_bc(dataset, config, steps, lr, rng, demonstrator="truth", i
     state between the steps: the oracle of the episode-at-once loop."""
     weights = init_weights(feature_dim(include_ps), rng)
     losses = []
-    mle_cache = {}
+    trees = {}  # by dataset position: an MLE tree is solved once per position
     while len(losses) < steps:
         for ev_idx in rng.permutation(len(dataset)):
-            event = dataset[int(ev_idx)]
-            tree = _demonstrator_tree(event, demonstrator, config, mle_cache)
-            pairs = _sibling_pairs(tree)
+            pos = int(ev_idx)
+            event = dataset[pos]
+            if pos not in trees:
+                trees[pos] = _demonstrator_tree(event, demonstrator, config)
+            pairs = _sibling_pairs(trees[pos])
             state = reset(event.leaves)
             while not is_terminal(state) and len(losses) < steps:
                 targets = _actions_in(state, pairs)
@@ -787,6 +790,32 @@ def test_train_bc_matches_per_state_loop_on_repeated_leaves(small_events, demons
     expected = _run_counted(_per_state_train_bc, events, SMALL_CONFIG, 90, 0.05, make_rng(24),
                             demonstrator=demonstrator)
     assert got == expected
+
+
+def test_mle_demonstrations_are_solved_per_dataset_position(small_events):
+    # Two datasets concatenated: ids 0-5 appear twice, and each event is
+    # still cloned from its own MLE tree, as when the ids are distinct.
+    first = small_events[:6]
+    second = jc.generate_events(dataclasses.replace(SMALL_CONFIG, rng_seed=1), 6)
+    colliding = list(first) + second
+    distinct = list(first) + [dataclasses.replace(e, event_id=e.event_id + 6) for e in second]
+    assert [e.event_id for e in colliding] == list(range(6)) * 2
+    args = (SMALL_CONFIG, 150, 0.05)
+    got = _run_counted(jc.train_bc, colliding, *args, make_rng(28), demonstrator="mle-for-small-n")
+    expected = _run_counted(jc.train_bc, distinct, *args, make_rng(28), demonstrator="mle-for-small-n")
+    assert got == expected
+    assert got == _run_counted(_per_state_train_bc, colliding, *args, make_rng(28),
+                               demonstrator="mle-for-small-n")
+
+
+def test_train_bc_rejects_a_dataset_that_demonstrates_nothing(small_events):
+    # Two leaves that are not siblings in their truth tree: every episode
+    # leaves the demonstration at its first state, so no pass fits a step.
+    events = [SimpleNamespace(leaves=e.leaves[:2], truth=e.truth) for e in small_events
+              if e.n_leaves >= 4 and not jc.truth_actions(reset(e.leaves[:2]), e.truth)][:3]
+    assert len(events) == 3
+    with pytest.raises(ValueError, match="demonstrated state"):
+        jc.train_bc(events, SMALL_CONFIG, 5, 0.05, make_rng(29))
 
 
 def _random_tree(leaves, config, rng):
