@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime error.
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -211,8 +212,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    events, config = _load_dataset(args)
-    result = evaluate(events, _planner_spec(args), config, n_eval=len(events), seeds=[args.seed])
+    events, _ = _load_dataset(args)
+    result = evaluate(events, _planner_spec(args), n_eval=len(events), seeds=[args.seed])
     print(f"{result.planner}: mean LL {result.mean_ll:.4f} over {len(events)} events "
           f"(mean cost {result.mean_cost:.1f})")
     if args.out:
@@ -285,8 +286,8 @@ def _cmd_evaluate(args) -> int:
         raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
     if args.n_eval is not None and args.n_eval < 1:
         raise UsageError(f"--n-eval must be >= 1, got {args.n_eval}")
-    events, config = _load_dataset(args)
-    result = evaluate(events, _planner_spec(args), config,
+    events, _ = _load_dataset(args)
+    result = evaluate(events, _planner_spec(args),
                       n_eval=len(events) if args.n_eval is None else args.n_eval,
                       seeds=list(range(args.seed, args.seed + args.seeds)))
     print(f"{result.planner}: mean LL {result.mean_ll:.4f} +- {result.sem_ll:.4f} "
@@ -307,6 +308,8 @@ def _load_result(path: str) -> RunResult:
 def _cmd_compare(args) -> int:
     if len(args.results) < 2:
         raise UsageError("compare needs at least 2 result files")
+    if os.path.basename(args.out) in ("", ".", ".."):
+        raise UsageError(f"--out must name a file prefix, got {args.out!r}")
     comparison = compare([_load_result(p) for p in args.results])
     if not args.quiet:
         for row in comparison["table"]:
@@ -330,6 +333,8 @@ def cli(argv: list[str] | None = None) -> int:
             # given on the command line still beats them.
             _subcommands(parser)[args.command].set_defaults(**_read_config(args.config, _config_flags(parser)))
             args = parser.parse_args(argv)
+        if args.seed < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

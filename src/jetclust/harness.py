@@ -22,6 +22,7 @@ import numpy as np
 
 from .costs import PS_EVALUATIONS
 from .planners import MctsConfig, cluster_beam, cluster_greedy, cluster_mcts, cluster_policy, cluster_random, fixed_policy
+from .policy import NeuralPolicy, load_weights
 from .rng import make_rng
 from .shower import FourMomentum, ShowerConfig, Tree, TreeNode, sample_shower, tree_log_likelihood
 
@@ -370,14 +371,16 @@ def generate(config: ShowerConfig, n_events: int, path: str | Path) -> list[Even
 
 @dataclass
 class RunResult:
+    """A run's rows and what scored them.  per_seed ({seed, mean_ll,
+    mean_cost}), mean_ll, sem_ll and mean_cost are derived from per_event
+    by _summary when the result is built."""
     planner: str
     params: dict
     per_event: list[dict]  # {seed, id, n_leaves, ll, cost, ms}
-    per_seed: list[dict]   # {seed, mean_ll, mean_cost}
-    mean_ll: float
-    sem_ll: float
-    mean_cost: float
     dataset_hash: str | None = None
+
+    def __post_init__(self):
+        self.per_seed, self.mean_ll, self.sem_ll, self.mean_cost = _summary(self.per_event)
 
     def to_json(self) -> str:
         return dumps({
@@ -398,34 +401,31 @@ class RunResult:
         planner is a str, dataset_hash a str or null, params a dict,
         per_event a non-empty and per_seed a list of dicts, every per_event
         seed, id and n_leaves an int, every per_event ll and cost, mean_ll,
-        sem_ll and mean_cost a finite number, per_seed, mean_ll, sem_ll and
-        mean_cost within RESULT_MEAN_TOLERANCE of what evaluate computes
-        from per_event, and the mean LL of each leaf count finite."""
+        sem_ll and mean_cost a finite number, the stored per_seed, mean_ll,
+        sem_ll and mean_cost within RESULT_MEAN_TOLERANCE of the ones
+        derived from per_event, and the mean LL of each leaf count finite.
+        The result keeps the derived aggregates, not the stored ones."""
         obj = json.loads(text)
         _check_schema(obj, "run result")
         what = "malformed run result:"
         try:
-            result = cls(
-                planner=_kind(obj["planner"], (str,), f"{what} planner"),
-                params=_kind(obj["params"], (dict,), f"{what} params"),
-                per_event=_kind(obj["per_event"], (list,), f"{what} per_event"),
-                per_seed=_kind(obj["per_seed"], (list,), f"{what} per_seed"),
-                mean_ll=_number(obj["mean_ll"], f"{what} mean_ll"),
-                sem_ll=_number(obj["sem_ll"], f"{what} sem_ll"),
-                mean_cost=_number(obj["mean_cost"], f"{what} mean_cost"),
-                dataset_hash=_kind(obj.get("dataset_hash"), (str, type(None)), f"{what} dataset_hash"),
-            )
+            planner = _kind(obj["planner"], (str,), f"{what} planner")
+            params = _kind(obj["params"], (dict,), f"{what} params")
+            per_event = _kind(obj["per_event"], (list,), f"{what} per_event")
+            stored_per_seed = _kind(obj["per_seed"], (list,), f"{what} per_seed")
+            stored = {name: _number(obj[name], f"{what} {name}") for name in ("mean_ll", "sem_ll", "mean_cost")}
+            dataset_hash = _kind(obj.get("dataset_hash"), (str, type(None)), f"{what} dataset_hash")
         except KeyError as exc:
             raise ValueError(f"{what} missing field {exc}") from exc
-        if not result.per_event:
+        if not per_event:
             raise ValueError(f"{what} per_event is empty")
-        for k, entry in enumerate(result.per_seed):
+        for k, entry in enumerate(stored_per_seed):
             _kind(entry, (dict,), f"{what} per_seed[{k}]")
             missing = [name for name in ("seed", "mean_ll", "mean_cost") if name not in entry]
             if missing:
                 raise ValueError(f"{what} per_seed[{k}] lacks {', '.join(missing)}")
             _kind(entry["seed"], (int,), f"{what} per_seed[{k}].seed")
-        for k, entry in enumerate(result.per_event):
+        for k, entry in enumerate(per_event):
             _kind(entry, (dict,), f"{what} per_event[{k}]")
             missing = [name for name in ("seed", "id", "n_leaves", "ll", "cost") if name not in entry]
             if missing:
@@ -435,18 +435,17 @@ class RunResult:
             _number(entry["ll"], f"{what} per_event[{k}].ll")
             _number(entry["cost"], f"{what} per_event[{k}].cost")
         with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows is reported below
-            per_seed, mean_ll, sem_ll, mean_cost = _summary(result.per_event)
-            by_leaves = _leaf_count_means(result.per_event)
-        seeds = [entry["seed"] for entry in result.per_seed]
-        if seeds != [entry["seed"] for entry in per_seed]:
+            result = cls(planner, params, per_event, dataset_hash)
+            by_leaves = _leaf_count_means(per_event)
+        seeds = [entry["seed"] for entry in stored_per_seed]
+        if seeds != [entry["seed"] for entry in result.per_seed]:
             raise ValueError(f"{what} per_seed holds the seeds {seeds}, per_event "
-                             f"{[entry['seed'] for entry in per_seed]}")
-        for k, (entry, want) in enumerate(zip(result.per_seed, per_seed)):
+                             f"{[entry['seed'] for entry in result.per_seed]}")
+        for k, (entry, want) in enumerate(zip(stored_per_seed, result.per_seed)):
             for name in ("mean_ll", "mean_cost"):
                 _check_mean(entry[name], want[name], f"{what} per_seed[{k}].{name}")
-        _check_mean(result.mean_ll, mean_ll, f"{what} mean_ll")
-        _check_mean(result.sem_ll, sem_ll, f"{what} sem_ll")
-        _check_mean(result.mean_cost, mean_cost, f"{what} mean_cost")
+        for name, value in stored.items():
+            _check_mean(value, getattr(result, name), f"{what} {name}")
         for n, mean, _ in by_leaves:
             if not math.isfinite(mean):
                 raise ValueError(f"{what} per_event ll of the {n}-leaf events has the non-finite mean {mean!r}")
@@ -460,7 +459,7 @@ def _check_mean(stored, recomputed: float, what: str) -> None:
 
 
 def _summary(per_event: list[dict]) -> tuple[list[dict], float, float, float]:
-    """How evaluate reduces a run's per_event rows: each seed's mean LL and
+    """How a RunResult reduces its per_event rows: each seed's mean LL and
     mean cost, seeds in order of first appearance, then the mean of the
     seed means, their standard error and the mean of the seed costs."""
     by_seed: dict[int, list[dict]] = {}
@@ -542,8 +541,6 @@ def _policy_from_spec(spec: dict, config: ShowerConfig):
     if prior in ("random", "proportional-to-ps"):
         return fixed_policy(prior, config)
     if prior == "nn":
-        from .policy import NeuralPolicy, load_weights
-
         path = spec.get("weights")
         if not path:
             raise ValueError("prior 'nn' needs a weights file")
@@ -552,18 +549,12 @@ def _policy_from_spec(spec: dict, config: ShowerConfig):
     raise ValueError(f"unknown prior: {prior!r}")
 
 
-def evaluate(
-    events: Sequence[EventRecord],
-    spec: dict,
-    config: ShowerConfig,
-    n_eval: int,
-    seeds: Sequence[int],
-) -> RunResult:
-    """Run the planner over the first n_eval events once per seed.  The
-    mean is the mean of per-seed means and the standard error is taken
-    across seeds, matching how trained models with different seeds are
-    compared.  ValueError unless every evaluated event was generated by
-    `config`, the density that scores it and the one the result names."""
+def evaluate(events: Sequence[EventRecord], spec: dict, n_eval: int, seeds: Sequence[int]) -> RunResult:
+    """Run the planner over the first n_eval events once per seed, scoring
+    with the config those events carry, which the result names.  The mean
+    is the mean of per-seed means and the standard error is taken across
+    seeds, matching how trained models with different seeds are compared.
+    ValueError unless the evaluated events share one config."""
     if not seeds:
         raise ValueError("need at least one seed")
     if n_eval < 1:
@@ -572,12 +563,16 @@ def evaluate(
         raise ValueError(f"dataset has {len(events)} events, need {n_eval}")
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"seeds must be distinct, got {list(seeds)}")
+    if min(seeds) < 0:
+        raise ValueError(f"seeds must be non-negative, got {min(seeds)}")
     subset = list(events[:n_eval])
+    config = subset[0].config
     dataset_hash = config_hash(config)
     for event in subset:
         if config_hash(event.config) != dataset_hash:
             raise ValueError(f"event {event.event_id} was generated by config {config_hash(event.config)}, "
-                             f"but evaluate scores with config {dataset_hash}")
+                             f"but event {subset[0].event_id} by config {dataset_hash}; "
+                             f"evaluate scores a run with one config")
     planner = build_planner(spec, config)
     per_event = []
     for seed in seeds:
@@ -596,15 +591,10 @@ def evaluate(
                 "cost": cost,
                 "ms": ms,
             })
-    per_seed, mean_ll, sem_ll, mean_cost = _summary(per_event)
     return RunResult(
-        planner=spec.get("algo", "?"),
+        planner=spec["algo"],
         params={k: v for k, v in spec.items() if k != "algo"},
         per_event=per_event,
-        per_seed=per_seed,
-        mean_ll=mean_ll,
-        sem_ll=sem_ll,
-        mean_cost=mean_cost,
         dataset_hash=dataset_hash,
     )
 

@@ -113,7 +113,9 @@ def policy_loss_and_grad(w: PolicyWeights, features: np.ndarray, targets: Sequen
     targets = list(targets)
 
     # Numerically stable -log q: the target and total sums of exp(logits - max).
-    loss = -(math.log(math.fsum(shifted[targets].tolist())) - math.log(total))
+    # A target sum that underflows to 0 is an infinite loss.
+    target = math.fsum(shifted[targets].tolist())
+    loss = math.inf if target == 0.0 else -(math.log(target) - math.log(total))
 
     g = PolicyWeights(np.empty_like(w.theta), w.input_dim) if out is None else out
     # dlogits = probs - probs * [a in T] / q, which changes only the target rows.
@@ -237,8 +239,8 @@ def _imitate(dataset: Sequence, w: PolicyWeights, episode, config: ShowerConfig,
     item and returns at most `budget` (state, target action indices)
     pairs in order.  One extract_pair_features call per episode, in the
     layout of w.input_dim, then one step per state.  ValueError for an
-    empty dataset, or once a whole pass fits nothing, as every later
-    pass would."""
+    empty dataset, once a whole pass fits nothing, as every later pass
+    would, or before the update of a step whose loss is not finite."""
     if not dataset:
         raise ValueError("dataset is empty")
     include_ps = w.input_dim == feature_dim(True)
@@ -253,7 +255,11 @@ def _imitate(dataset: Sequence, w: PolicyWeights, episode, config: ShowerConfig,
                 end = 0
                 for state, t in demos:
                     start, end = end, end + state.n * (state.n - 1) // 2
-                    losses.append(policy_loss_and_grad(w, x[start:end], t, g)[0])
+                    loss = policy_loss_and_grad(w, x[start:end], t, g)[0]
+                    if not math.isfinite(loss):
+                        raise ValueError(f"training diverged: step {len(losses) + 1} has loss {loss!r} "
+                                         f"at lr={lr!r}")
+                    losses.append(loss)
                     _sgd_update(w, g, lr)
             if len(losses) >= steps:
                 break

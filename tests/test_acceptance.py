@@ -283,8 +283,8 @@ def test_10_determinism(tmp_path, desk_config):
     jc.save_weights(f2, w2, config_hash="x")
     assert f1.read_bytes() == f2.read_bytes()
     # evaluation results
-    r1 = jc.evaluate(events, {"algo": "mcts", "b": 2, "n_mcts": 4}, config, n_eval=10, seeds=[0, 1])
-    r2 = jc.evaluate(events, {"algo": "mcts", "b": 2, "n_mcts": 4}, config, n_eval=10, seeds=[0, 1])
+    r1 = jc.evaluate(events, {"algo": "mcts", "b": 2, "n_mcts": 4}, n_eval=10, seeds=[0, 1])
+    r2 = jc.evaluate(events, {"algo": "mcts", "b": 2, "n_mcts": 4}, n_eval=10, seeds=[0, 1])
     strip = lambda r: {k: v for k, v in r.__dict__.items() if k != "per_event"} | {
         "per_event": [{k: v for k, v in e.items() if k != "ms"} for e in r.per_event]}
     assert strip(r1) == strip(r2)

@@ -449,7 +449,7 @@ def test_cli_rejects_a_repeated_event_id(tmp_path, capsys, small_config):
 # evaluate
 # ---------------------------------------------------------------------------
 
-def test_evaluate_trivial_aggregation(small_events, small_config, monkeypatch):
+def test_evaluate_trivial_aggregation(small_events, monkeypatch):
     # stub planner returning fixed values checks the arithmetic exactly
     fixed = {0: -1.0, 1: -2.0, 2: -3.0}
 
@@ -459,15 +459,13 @@ def test_evaluate_trivial_aggregation(small_events, small_config, monkeypatch):
 
     import jetclust.harness as hmod
     monkeypatch.setattr(hmod, "build_planner", fake_build_planner)
-    result = evaluate(small_events[:3], {"algo": "greedy"}, small_config,
-                      n_eval=3, seeds=[0])
+    result = evaluate(small_events[:3], {"algo": "greedy"}, n_eval=3, seeds=[0])
     assert result.mean_ll == -2.0
     assert result.sem_ll == 0.0
 
 
-def test_evaluate_greedy_zero_variance_across_seeds(small_events, small_config):
-    result = evaluate(small_events, {"algo": "greedy"}, small_config,
-                      n_eval=10, seeds=[0, 1, 2])
+def test_evaluate_greedy_zero_variance_across_seeds(small_events):
+    result = evaluate(small_events, {"algo": "greedy"}, n_eval=10, seeds=[0, 1, 2])
     assert result.sem_ll == 0.0
     assert len(result.per_seed) == 3
     # aggregate recomputes from the parts
@@ -478,31 +476,31 @@ def test_evaluate_greedy_zero_variance_across_seeds(small_events, small_config):
         assert abs(np.mean(rows) - entry["mean_ll"]) <= 1e-12
 
 
-def test_evaluate_beam_costs_exceed_greedy(small_events, small_config):
-    greedy = evaluate(small_events, {"algo": "greedy"}, small_config, n_eval=10, seeds=[0])
-    beam = evaluate(small_events, {"algo": "beam", "b": 3}, small_config, n_eval=10, seeds=[0])
+def test_evaluate_beam_costs_exceed_greedy(small_events):
+    greedy = evaluate(small_events, {"algo": "greedy"}, n_eval=10, seeds=[0])
+    beam = evaluate(small_events, {"algo": "beam", "b": 3}, n_eval=10, seeds=[0])
     for g, b in zip(greedy.per_event, beam.per_event):
         assert b["cost"] > g["cost"]
 
 
-def test_evaluate_greedy_cost_closed_form(small_events, small_config):
-    result = evaluate(small_events, {"algo": "greedy"}, small_config, n_eval=10, seeds=[0])
+def test_evaluate_greedy_cost_closed_form(small_events):
+    result = evaluate(small_events, {"algo": "greedy"}, n_eval=10, seeds=[0])
     for entry in result.per_event:
         n = entry["n_leaves"]
         assert entry["cost"] == sum(k * (k - 1) // 2 for k in range(2, n + 1))
 
 
-def test_evaluate_rejects_unknown_planner(small_events, small_config):
+def test_evaluate_rejects_unknown_planner(small_events):
     with pytest.raises(ValueError):
-        evaluate(small_events, {"algo": "quantum"}, small_config, n_eval=2, seeds=[0])
+        evaluate(small_events, {"algo": "quantum"}, n_eval=2, seeds=[0])
 
 
-def test_evaluate_requires_enough_events(small_events, small_config):
+def test_evaluate_requires_enough_events(small_events):
     with pytest.raises(ValueError):
-        evaluate(small_events[:3], {"algo": "greedy"}, small_config, n_eval=5, seeds=[0])
+        evaluate(small_events[:3], {"algo": "greedy"}, n_eval=5, seeds=[0])
 
 
-def test_evaluate_rejects_empty_seed_list(small_events, small_config, monkeypatch):
+def test_evaluate_rejects_empty_seed_list(small_events, monkeypatch):
     import jetclust.harness as hmod
 
     def no_planner(spec, config):
@@ -510,10 +508,10 @@ def test_evaluate_rejects_empty_seed_list(small_events, small_config, monkeypatc
 
     monkeypatch.setattr(hmod, "build_planner", no_planner)
     with pytest.raises(ValueError, match="seed"):
-        evaluate(small_events, {"algo": "greedy"}, small_config, n_eval=2, seeds=[])
+        evaluate(small_events, {"algo": "greedy"}, n_eval=2, seeds=[])
 
 
-def test_evaluate_rejects_fewer_than_one_event(small_events, small_config, monkeypatch):
+def test_evaluate_rejects_fewer_than_one_event(small_events, monkeypatch):
     import jetclust.harness as hmod
 
     def no_planner(spec, config):
@@ -522,7 +520,7 @@ def test_evaluate_rejects_fewer_than_one_event(small_events, small_config, monke
     monkeypatch.setattr(hmod, "build_planner", no_planner)
     for n_eval in (0, -1):
         with pytest.raises(ValueError, match="n_eval"):
-            evaluate(small_events, {"algo": "greedy"}, small_config, n_eval=n_eval, seeds=[0])
+            evaluate(small_events, {"algo": "greedy"}, n_eval=n_eval, seeds=[0])
 
 
 def test_evaluate_rejects_events_of_another_config(monkeypatch):
@@ -533,21 +531,44 @@ def test_evaluate_rejects_events_of_another_config(monkeypatch):
 
     monkeypatch.setattr(hmod, "build_planner", no_planner)
     other = dataclasses.replace(jc.DESK_CONFIG, lam=3.0, rng_seed=5)
-    events = jc.generate_events(other, 3)
+    events = jc.generate_events(jc.DESK_CONFIG, 2) + jc.generate_events(other, 1)
     with pytest.raises(ValueError) as err:
-        evaluate(events, {"algo": "greedy"}, jc.DESK_CONFIG, 3, [0])
+        evaluate(events, {"algo": "greedy"}, 3, [0])
     assert config_hash(other) in str(err.value) and config_hash(jc.DESK_CONFIG) in str(err.value)
 
 
-def test_run_result_round_trip(small_events, small_config):
-    result = evaluate(small_events, {"algo": "greedy"}, small_config, n_eval=5, seeds=[0])
+def test_evaluate_rejects_a_negative_seed(small_events, monkeypatch):
+    import jetclust.harness as hmod
+
+    def no_planner(spec, config):
+        raise AssertionError("a planner was built for a negative seed")
+
+    monkeypatch.setattr(hmod, "build_planner", no_planner)
+    with pytest.raises(ValueError, match="seeds must be non-negative, got -3"):
+        evaluate(small_events, {"algo": "greedy"}, n_eval=2, seeds=[0, -3])
+
+
+def test_run_result_derives_its_aggregates_from_its_rows():
+    rows = [{"seed": seed, "id": k, "n_leaves": 3 + k, "ll": -1.5 * (k + 1) - seed, "cost": 3 * k + seed,
+             "ms": 0.25} for seed in (2, 0) for k in range(3)]
+    result = jc.RunResult("greedy", {"b": 1}, rows, "abc")
+    assert [f.name for f in dataclasses.fields(result)] == ["planner", "params", "per_event", "dataset_hash"]
+    assert (result.per_seed, result.mean_ll, result.sem_ll, result.mean_cost) == harness._summary(rows)
+    assert [s["seed"] for s in result.per_seed] == [2, 0]
+    text = result.to_json()
+    back = jc.RunResult.from_json(text)
+    assert back == result and back.to_json() == text
+
+
+def test_run_result_round_trip(small_events):
+    result = evaluate(small_events, {"algo": "greedy"}, n_eval=5, seeds=[0])
     text = result.to_json()
     back = jc.RunResult.from_json(text)
     assert back.to_json() == text
 
 
-def test_run_result_rejects_other_schema_version(small_events, small_config):
-    result = evaluate(small_events, {"algo": "greedy"}, small_config, n_eval=2, seeds=[0])
+def test_run_result_rejects_other_schema_version(small_events):
+    result = evaluate(small_events, {"algo": "greedy"}, n_eval=2, seeds=[0])
     obj = json.loads(result.to_json())
     obj["schema_version"] = 99
     with pytest.raises(ValueError, match="schema_version 99"):
@@ -558,32 +579,32 @@ def test_run_result_rejects_other_schema_version(small_events, small_config):
 # compare
 # ---------------------------------------------------------------------------
 
-def test_compare_identical_runs_identical_rows(small_events, small_config):
-    r1 = evaluate(small_events, {"algo": "greedy"}, small_config, n_eval=8, seeds=[0])
-    r2 = evaluate(small_events, {"algo": "greedy"}, small_config, n_eval=8, seeds=[0])
+def test_compare_identical_runs_identical_rows(small_events):
+    r1 = evaluate(small_events, {"algo": "greedy"}, n_eval=8, seeds=[0])
+    r2 = evaluate(small_events, {"algo": "greedy"}, n_eval=8, seeds=[0])
     out = compare([r1, r2])
     assert out["table"][0] == out["table"][1]
 
 
-def test_compare_orders_by_mean_ll(small_events, small_config):
-    greedy = evaluate(small_events, {"algo": "greedy"}, small_config, n_eval=12, seeds=[0])
-    random = evaluate(small_events, {"algo": "random"}, small_config, n_eval=12, seeds=[0])
+def test_compare_orders_by_mean_ll(small_events):
+    greedy = evaluate(small_events, {"algo": "greedy"}, n_eval=12, seeds=[0])
+    random = evaluate(small_events, {"algo": "random"}, n_eval=12, seeds=[0])
     out = compare([random, greedy])
     assert out["table"][0]["planner"] == "greedy"
     assert out["table"][0]["mean_ll"] >= out["table"][1]["mean_ll"]
 
 
-def test_compare_bins_partition_events(small_events, small_config):
-    result = evaluate(small_events, {"algo": "greedy"}, small_config, n_eval=15, seeds=[0])
-    other = evaluate(small_events, {"algo": "random"}, small_config, n_eval=15, seeds=[0])
+def test_compare_bins_partition_events(small_events):
+    result = evaluate(small_events, {"algo": "greedy"}, n_eval=15, seeds=[0])
+    other = evaluate(small_events, {"algo": "random"}, n_eval=15, seeds=[0])
     out = compare([result, other])
     greedy_rows = [row for row in out["by_leaf_count"] if row["planner"] == "greedy"]
     assert sum(row["n_events"] for row in greedy_rows) == 15
 
 
-def test_compare_rejects_mismatched_event_sets(small_events, small_config):
-    r1 = evaluate(small_events, {"algo": "greedy"}, small_config, n_eval=8, seeds=[0])
-    r2 = evaluate(small_events, {"algo": "greedy"}, small_config, n_eval=9, seeds=[0])
+def test_compare_rejects_mismatched_event_sets(small_events):
+    r1 = evaluate(small_events, {"algo": "greedy"}, n_eval=8, seeds=[0])
+    r2 = evaluate(small_events, {"algo": "greedy"}, n_eval=9, seeds=[0])
     with pytest.raises(ValueError):
         compare([r1, r2])
 
@@ -593,15 +614,15 @@ def test_compare_rejects_different_datasets(small_events, small_config):
         lam=small_config.lam, t_cut=small_config.t_cut,
         root=small_config.root, rng_seed=small_config.rng_seed + 5)
     other_events = jc.generate_events(other_config, 8)
-    r1 = evaluate(small_events, {"algo": "greedy"}, small_config, n_eval=8, seeds=[0])
-    r2 = evaluate(other_events, {"algo": "greedy"}, other_config, n_eval=8, seeds=[0])
+    r1 = evaluate(small_events, {"algo": "greedy"}, n_eval=8, seeds=[0])
+    r2 = evaluate(other_events, {"algo": "greedy"}, n_eval=8, seeds=[0])
     with pytest.raises(ValueError, match="different datasets"):
         compare([r1, r2])
 
 
-def test_write_comparison_emits_csv_and_json(tmp_path, small_events, small_config):
-    r1 = evaluate(small_events, {"algo": "greedy"}, small_config, n_eval=5, seeds=[0])
-    r2 = evaluate(small_events, {"algo": "beam", "b": 2}, small_config, n_eval=5, seeds=[0])
+def test_write_comparison_emits_csv_and_json(tmp_path, small_events):
+    r1 = evaluate(small_events, {"algo": "greedy"}, n_eval=5, seeds=[0])
+    r2 = evaluate(small_events, {"algo": "beam", "b": 2}, n_eval=5, seeds=[0])
     written = write_comparison(compare([r1, r2]), tmp_path / "cmp")
     names = {p.name for p in written}
     assert names == {"cmp_table.csv", "cmp_curve.csv", "cmp_by_leaf_count.csv", "cmp.json"}
@@ -700,6 +721,55 @@ def test_cli_evaluate_rejects_fewer_than_one_seed(tmp_path, capsys, monkeypatch)
         assert code == 1
         assert "--seeds" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "cluster", "evaluate", "train"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_rejects_a_negative_seed(tmp_path, capsys, monkeypatch, command, source):
+    # numpy's "expected non-negative integer" used to end the run with
+    # exit 2, after the dataset had been read, naming neither flag nor value.
+    import jetclust.cli as cmod
+
+    data = tmp_path / "d.jsonl"
+    cli(["generate", "--n-events", "2", "--out", str(data), "--quiet", *SMALL_FLAGS])
+    monkeypatch.setattr(cmod, "load_events", lambda path: pytest.fail("the dataset was read"))
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--out", "out"] + (["--algo", "greedy"] if command in ("cluster", "evaluate") else [])
+    argv += [] if command == "generate" else ["--in", str(data)]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        (tmp_path / "c.json").write_text(json.dumps({"seed": -1}))
+        argv += ["--config", "c.json"]
+    capsys.readouterr()
+    assert cli(argv) == 1
+    assert capsys.readouterr().err == "usage error: --seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out", [".", "..", "", "cmp/", "cmp/.", "cmp/.."])
+def test_cli_compare_out_must_name_a_file_prefix(tmp_path, capsys, monkeypatch, out):
+    # "." printed the table, then exited 2 on pathlib's empty-name error;
+    # ".." wrote hidden files named "..*" into the working directory.
+    import jetclust.cli as cmod
+
+    (tmp_path / "cmp").mkdir()
+    monkeypatch.setattr(cmod, "_load_result", lambda path: pytest.fail("a result file was read"))
+    monkeypatch.chdir(tmp_path / "cmp")
+    capsys.readouterr()
+    assert cli(["compare", "a.json", "b.json", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"usage error: --out must name a file prefix, got {out!r}\n"
+    assert [p.name for p in tmp_path.rglob("*")] == ["cmp"]
+
+
+def test_cli_train_that_diverges_writes_no_weights(tmp_path, capsys):
+    data, weights = tmp_path / "d.jsonl", tmp_path / "w.bin"
+    cli(["generate", "--n-events", "5", "--out", str(data), "--quiet"])
+    capsys.readouterr()
+    assert cli(["train", "--steps", "200", "--lr", "1000", "--in", str(data), "--out", str(weights)]) == 2
+    assert re.fullmatch(r"error: training diverged: step \d+ has loss inf at lr=1000\.0\n", capsys.readouterr().err)
+    assert not weights.exists()
 
 
 def test_cli_train_and_policy_cluster(tmp_path, capsys):
@@ -807,7 +877,7 @@ def test_cli_clusters_a_dataset_with_the_density_it_stores(tmp_path, capsys):
                 "--out", str(data), "--quiet"]) == 0
     out = tmp_path / "r.json"
     assert cli(["cluster", "--algo", "greedy", "--in", str(data), "--quiet", "--out", str(out)]) == 0
-    want = evaluate(jc.generate_events(config, 4), {"algo": "greedy"}, config, n_eval=4, seeds=[0])
+    want = evaluate(jc.generate_events(config, 4), {"algo": "greedy"}, n_eval=4, seeds=[0])
     got = json.loads(out.read_text())["per_event"]
     assert [(e["ll"], e["cost"]) for e in got] == [(e["ll"], e["cost"]) for e in want.per_event]
     assert jc.RunResult.from_json(out.read_text()).dataset_hash == config_hash(config)
@@ -966,8 +1036,8 @@ def test_cli_defaults_are_pinned(cli_calls, tmp_path, capsys):
     assert (config, n_events, out) == (jc.DESK_CONFIG, 100, "events.jsonl")
     assert "wrote 1 events to events.jsonl" in capsys.readouterr().out  # --quiet is off
 
-    (_, spec, config, *_), kwargs = run("cluster", "--algo", "greedy", "--in", "d.jsonl")["evaluate"][0]
-    assert (spec, config, kwargs) == ({"algo": "greedy"}, jc.DESK_CONFIG, {"n_eval": 2, "seeds": [0]})
+    (got, spec), kwargs = run("cluster", "--algo", "greedy", "--in", "d.jsonl")["evaluate"][0]
+    assert (got, spec, kwargs) == (events, {"algo": "greedy"}, {"n_eval": 2, "seeds": [0]})
 
     assert [args[0] for args, _ in run("mle", "--in", "d.jsonl")["exact_mle"]] == [()]  # --max-n 10
     assert "skipping event 1: 11 leaves > max-n 10" in capsys.readouterr().out
@@ -1160,7 +1230,7 @@ def test_readme_cli_examples_parse():
 def test_build_planner_rejects_unknown_spec_keys(small_events, small_config):
     spec = {"algo": "mcts", "n_mcts": 2, "use_beam_init": False, "n_mct": 0}
     for run in (lambda: build_planner(spec, small_config),
-                lambda: evaluate(small_events, spec, small_config, n_eval=2, seeds=[0])):
+                lambda: evaluate(small_events, spec, n_eval=2, seeds=[0])):
         with pytest.raises(ValueError) as exc:
             run()
         assert "use_beam_init" in str(exc.value) and "n_mct" in str(exc.value)
@@ -1370,7 +1440,7 @@ def test_cli_config_file_rejects_values_of_the_wrong_type(tmp_path, capsys):
         "bool-n_mcts", "str-c", "nan-c"])
 def test_build_planner_checks_spec_values(small_events, small_config, spec, key):
     for run in (lambda: build_planner(spec, small_config),
-                lambda: evaluate(small_events, spec, small_config, n_eval=2, seeds=[0])):
+                lambda: evaluate(small_events, spec, n_eval=2, seeds=[0])):
         with pytest.raises(ValueError, match=f"planner spec {key}="):
             run()
     # an int is a real number, and a numpy int is an int
@@ -1545,15 +1615,15 @@ def test_a_non_finite_leaf_count_mean_names_the_file_and_field(tmp_path, capsys)
     {"algo": "mcts", "n_mcts": 3, "b": 2, "prior": "proportional-to-ps"},
     {"algo": "mcts", "n_mcts": 3, "b": 0, "prior": "random", "c": 0.7},
 ])
-def test_every_result_evaluate_writes_loads(small_events, small_config, spec):
+def test_every_result_evaluate_writes_loads(small_events, spec):
     for seeds in ([0], [3, 1, 2]):
-        result = evaluate(small_events, spec, small_config, n_eval=6, seeds=seeds)
+        result = evaluate(small_events, spec, n_eval=6, seeds=seeds)
         assert jc.RunResult.from_json(result.to_json()) == result
 
 
-def test_evaluate_rejects_repeated_seeds(small_events, small_config):
+def test_evaluate_rejects_repeated_seeds(small_events):
     with pytest.raises(ValueError, match="seeds must be distinct"):
-        evaluate(small_events, {"algo": "greedy"}, small_config, n_eval=2, seeds=[4, 4])
+        evaluate(small_events, {"algo": "greedy"}, n_eval=2, seeds=[4, 4])
 
 
 # ---------------------------------------------------------------------------

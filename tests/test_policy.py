@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -340,6 +341,20 @@ def test_loss_decreases_under_descent(small_config):
             arr -= 0.01 * g
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
     assert losses[-1] < losses[0]
+
+
+def test_a_target_mass_that_underflows_is_an_infinite_loss(small_config):
+    # math.log(0.0) used to raise "math domain error" here.
+    state = _random_state(small_config, 41, 5)
+    x = extract_pair_features(state, small_config)
+    w = init_weights(feature_dim(), make_rng(43))
+    w.w3[...] *= 1e6
+    probs = jc.policy_forward(w, state, small_config)
+    target = int(np.argmin(probs))
+    assert probs[target] == 0.0
+    loss, grad = jc.policy_loss_and_grad(w, x, (target,))
+    assert loss == math.inf
+    assert np.isfinite(grad.theta).all()
 
 
 def test_demonstration_validation():
@@ -816,6 +831,25 @@ def test_train_bc_rejects_a_dataset_that_demonstrates_nothing(small_events):
     assert len(events) == 3
     with pytest.raises(ValueError, match="demonstrated state"):
         jc.train_bc(events, SMALL_CONFIG, 5, 0.05, make_rng(29))
+
+
+@pytest.mark.parametrize("train", ["bc", "mcts"])
+def test_training_that_diverges_raises_before_the_update(small_events, train, monkeypatch):
+    # At lr 1e150 a target mass soon underflows; that ended in "math
+    # domain error" instead of naming the step, the loss and lr.
+    import jetclust.policy as pmod
+
+    updates = []
+    sgd_update = pmod._sgd_update
+    monkeypatch.setattr(pmod, "_sgd_update", lambda w, g, lr: (updates.append(lr), sgd_update(w, g, lr)))
+    with pytest.raises(ValueError, match=r"training diverged: step \d+ has loss inf at lr=1e\+150") as err:
+        if train == "bc":
+            jc.train_bc(small_events[:5], SMALL_CONFIG, 20, 1e150, make_rng(30))
+        else:
+            jc.train_mcts_policy(small_events[:5], jc.MctsConfig(n_mcts=2, beam_init_b=1), SMALL_CONFIG, 20,
+                                 1e150, make_rng(30))
+    step = int(re.search(r"step (\d+)", str(err.value)).group(1))
+    assert updates == [1e150] * (step - 1)
 
 
 def _random_tree(leaves, config, rng):
