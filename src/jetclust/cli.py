@@ -44,9 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="jetclust", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out):
+    def common(p, out, seeded=True):
         p.add_argument("--config", help="JSON file with defaults for any flag")
-        p.add_argument("--seed", type=int, default=0, help="base random seed")
+        if seeded:
+            p.add_argument("--seed", type=int, default=0, help="base random seed")
         p.add_argument("--out", default=out, help="output path")
         p.add_argument("--quiet", action="store_true")
 
@@ -66,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("mle", help="exact maximum-likelihood trees for small events")
-    common(p, None)
+    common(p, None, seeded=False)
     p.add_argument("--in", dest="infile")
     p.add_argument("--max-n", dest="max_n", type=int, default=10)
     p.set_defaults(func=_cmd_mle)
@@ -94,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("compare", help="tabulate and export several result files")
-    common(p, "comparison")
+    common(p, "comparison", seeded=False)
     p.add_argument("results", nargs="*")
     p.set_defaults(func=_cmd_compare)
 
@@ -310,13 +311,14 @@ def _cmd_compare(args) -> int:
         raise UsageError("compare needs at least 2 result files")
     if os.path.basename(args.out) in ("", ".", ".."):
         raise UsageError(f"--out must name a file prefix, got {args.out!r}")
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise UsageError(f"--out {args.out!r} is in a directory that does not exist")
     comparison = compare([_load_result(p) for p in args.results])
+    written = write_comparison(comparison, args.out)
     if not args.quiet:
         for row in comparison["table"]:
             print(f"{row['planner']:40s} mean LL {row['mean_ll']:10.4f} "
                   f"+- {row['sem_ll']:.4f}  cost {row['mean_cost']:12.1f}")
-    written = write_comparison(comparison, args.out)
-    if not args.quiet:
         print("wrote " + ", ".join(str(p) for p in written))
     return 0
 
@@ -329,11 +331,13 @@ def cli(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         if args.config:
-            # The file's values become the subcommand's defaults, so a flag
-            # given on the command line still beats them.
-            _subcommands(parser)[args.command].set_defaults(**_read_config(args.config, _config_flags(parser)))
+            # The values of the subcommand's own flags become its defaults,
+            # so a flag given on the command line still beats them.
+            sub = _subcommands(parser)[args.command]
+            values = _read_config(args.config, _config_flags(parser))
+            sub.set_defaults(**{key: value for key, value in values.items() if key in vars(args)})
             args = parser.parse_args(argv)
-        if args.seed < 0:
+        if "seed" in vars(args) and args.seed < 0:
             raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except UsageError as exc:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .costs import PS_EVALUATIONS
 from .env import ClusterState
+from .planners import _rewards
 from .shower import (
     ShowerConfig,
     Splitting,
@@ -55,49 +56,47 @@ def extract_pair_features(
     """Feature matrix of one state, shape (C(n,2), feature_dim), or of a
     non-empty sequence of states: their matrices stacked in order.
 
-    The states of one episode share every particle object but the ones
-    their merges made, so each distinct particle object is read once and
-    each distinct pair of particle objects is scored once.  Every row
-    still counts as one p_s evaluation: the rows that reuse a value are
-    charged in one bulk add."""
+    One state's p_s column is `planners._rewards`, one kernel call per
+    row.  The states of a longer sequence, one episode's, share every
+    particle object but the ones their merges made, so there each
+    distinct particle object is read once and each distinct pair of
+    particle objects is scored once.  Every row still counts as one p_s
+    evaluation: the rows that reuse a value are charged in one bulk add."""
     if isinstance(states, ClusterState):
         states = (states,)
-    # The distinct particle objects in order of first appearance, and each
-    # state's particles as indices into them, laid end to end.
-    index_of: dict[int, int] = {}
-    particles: list = []
-    slots: list[int] = []
-    for state in states:
-        for p in state.particles:
-            k = index_of.setdefault(id(p), len(particles))
-            if k == len(particles):
-                particles.append(p)
-            slots.append(k)
-    keys = [p.as_tuple() for p in particles]
-    mom = np.array(keys, dtype=float)
-    masses = np.array([invariant_mass_sq(p) for p in particles], dtype=float)
-
-    # The pairs as particle positions, and each row's energy and mass
-    # scales and particle count: scalars for one state.
+    # The particles, the pairs as positions in them, and each row's energy
+    # and mass scales and particle count: scalars for one state.
     scales = [1.0 / math.fsum(p.E for p in state.particles) for state in states]
     if len(states) == 1:
+        particles = states[0].particles
         i, j = _pair_index(states[0].n)
         e_scale = scales[0]
         t_scale = e_scale * e_scale
         n_column = float(states[0].n)
     else:
+        # The distinct particle objects in order of first appearance, and
+        # each state's particles as indices into them, laid end to end.
+        index_of: dict[int, int] = {}
+        particles = []
+        slots: list[int] = []
+        for state in states:
+            for p in state.particles:
+                k = index_of.setdefault(id(p), len(particles))
+                if k == len(particles):
+                    particles.append(p)
+                slots.append(k)
         sizes = [state.n for state in states]
         rows = [n * (n - 1) // 2 for n in sizes]
         offsets = np.repeat(np.cumsum([0] + sizes[:-1]), rows)
-        i = np.concatenate([_pair_index(n)[0] for n in sizes]) + offsets
-        j = np.concatenate([_pair_index(n)[1] for n in sizes]) + offsets
+        slot = np.array(slots)
+        i = slot[np.concatenate([_pair_index(n)[0] for n in sizes]) + offsets]
+        j = slot[np.concatenate([_pair_index(n)[1] for n in sizes]) + offsets]
         e_rows = np.repeat(scales, rows)
         e_scale, t_scale = e_rows[:, None], e_rows * e_rows
         n_column = np.repeat(np.array(sizes, dtype=float), rows)
-    shared = len(particles) < len(slots)
-    if shared:  # positions to particle indices
-        slot = np.array(slots)
-        i, j = slot[i], slot[j]
+    keys = [p.as_tuple() for p in particles]
+    mom = np.array(keys, dtype=float)
+    masses = np.array([invariant_mass_sq(p) for p in particles], dtype=float)
 
     # The first constituent of a pair is the one whose (E, px, py, pz) is
     # lexicographically larger: rank each particle among the sorted keys,
@@ -119,28 +118,27 @@ def extract_pair_features(
     out[:, 10] = invariant_mass_sq_rows(mom_first + mom_second) * t_scale
     out[:, 11] = n_column * 0.05
     if include_ps:
-        log_ps = _ps_column(particles, first, second, shared, config)
+        # The kernel is symmetric in its children bit for bit, so _rewards,
+        # which scores each pair in position order, gives the rows' values.
+        if len(states) == 1:
+            log_ps = _rewards(states[0], config)
+        else:
+            log_ps = _ps_column(particles, first, second, config)
         out[:, N_BASE_FEATURES] = np.clip(log_ps, -100.0, 100.0) * 0.1
     return out
 
 
-def _ps_column(particles, first, second, shared, config):
-    """log p_s of each row's pair (particles[first], particles[second]).
-    Without shared particle objects every row is a distinct pair;
-    otherwise each distinct pair is scored once, which is safe while the
-    caller holds the objects whose identities the indices stand for."""
-    if shared:
-        # The kernel is symmetric in its children bit for bit, so a pair
-        # is keyed unordered.
-        key = np.minimum(first, second) * len(particles) + np.maximum(first, second)
-        _, row, inverse = np.unique(key, return_index=True, return_inverse=True)
-        first, second = first[row], second[row]
+def _ps_column(particles, first, second, config):
+    """log p_s of each row's pair (particles[first], particles[second]),
+    each distinct pair scored once, which is safe while the caller holds
+    the objects whose identities the indices stand for.  The pair is
+    keyed unordered, as the kernel is symmetric in its children."""
+    key = np.minimum(first, second) * len(particles) + np.maximum(first, second)
+    _, row, inverse = np.unique(key, return_index=True, return_inverse=True)
     new_tuple = tuple.__new__  # builds each Splitting in C, as the trellis does
     values = [
         splitting_log_likelihood(new_tuple(Splitting, (particles[a], particles[b])), config)
-        for a, b in zip(first.tolist(), second.tolist())
+        for a, b in zip(first[row].tolist(), second[row].tolist())
     ]
-    if not shared:
-        return values
     PS_EVALUATIONS.increment(len(inverse) - len(values))
     return np.array(values)[inverse]

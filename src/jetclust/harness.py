@@ -9,6 +9,7 @@ byte-stable under regeneration with the same seed.
 
 import csv
 import hashlib
+import io
 import json
 import math
 import numbers
@@ -16,7 +17,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -314,25 +315,38 @@ def generate_events(config: ShowerConfig, n_events: int) -> list[EventRecord]:
     return events
 
 
-def write_events(path: str | Path, events: Sequence[EventRecord]) -> None:
-    """Write a dataset, one event per line.  The lines go to a temporary
-    file beside `path` (beside its target, if `path` is a symlink), which
-    replaces it only once every event is written; a failed write removes
-    it, so `path` keeps its old content (or stays absent) and never holds
-    part of a dataset.  OSError if `path` exists but is not a regular file."""
-    target = Path(os.path.realpath(path))
-    if target.exists() and not target.is_file():
-        raise OSError(f"cannot write dataset to {path}: not a regular file")
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+def _write_all(outputs: dict[str | Path, Iterable[str]], what: str) -> None:
+    """Write the strings of each output to its path, all or none.  They go
+    to a temporary file beside the path (beside its target, if the path
+    is a symlink), and the temporary files replace their paths only once
+    every one is written; a failed write removes them, so each path keeps
+    its old content (or stays absent) and none holds part of the output.
+    OSError naming the path if one exists but is not a regular file, or
+    cannot be written."""
+    targets = {path: Path(os.path.realpath(path)) for path in outputs}
+    for path, target in targets.items():
+        if target.exists() and not target.is_file():
+            raise OSError(f"cannot write {what} to {path}: not a regular file")
+    tmps = []
     try:
-        with open(tmp, "w") as f:
-            for event in events:
-                f.write(event_to_json(event) + "\n")
-        os.replace(tmp, target)
+        for path, parts in outputs.items():
+            tmps.append(targets[path].with_name(f".{targets[path].name}.{os.getpid()}.tmp"))
+            with open(tmps[-1], "w", newline="") as f:
+                f.writelines(parts)
+        for path, tmp in zip(outputs, tmps):
+            os.replace(tmp, targets[path])
     except OSError as exc:
-        raise OSError(f"cannot write dataset to {path}: {exc}") from exc
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
     finally:
-        tmp.unlink(missing_ok=True)  # gone already once it has replaced path
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)  # gone already once it has replaced its path
+
+
+def write_events(path: str | Path, events: Sequence[EventRecord]) -> None:
+    """Write a dataset, one event per line, all or none (`_write_all`), so
+    `path` never holds part of a dataset.  OSError if `path` exists but is
+    not a regular file."""
+    _write_all({path: (event_to_json(event) + "\n" for event in events)}, "dataset")
 
 
 def load_events(path: str | Path) -> list[EventRecord]:
@@ -648,22 +662,17 @@ def compare(results: Sequence[RunResult]) -> dict:
 
 
 def write_comparison(comparison: dict, out_prefix: str | Path) -> list[Path]:
-    """CSV per section plus one JSON with everything.  The JSON is
-    rendered first, so a value it cannot hold (a non-finite float) raises
-    before any file is written."""
-    text = dumps(comparison) + "\n"
+    """CSV per section plus one JSON with everything, all or none
+    (`_write_all`).  Every file is rendered first, so a value the JSON
+    cannot hold (a non-finite float) raises before any file is written."""
     out_prefix = Path(out_prefix)
-    written = []
+    outputs = {}
     for name, rows in comparison.items():
-        path = out_prefix.with_name(out_prefix.name + f"_{name}.csv")
-        with open(path, "w", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
-        written.append(path)
-    json_path = out_prefix.with_name(out_prefix.name + ".json")
-    with open(json_path, "w") as f:
-        f.write(text)
-    written.append(json_path)
-    return written
+        text = io.StringIO()
+        writer = csv.DictWriter(text, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
+        outputs[out_prefix.with_name(out_prefix.name + f"_{name}.csv")] = [text.getvalue()]
+    outputs[out_prefix.with_name(out_prefix.name + ".json")] = [dumps(comparison) + "\n"]
+    _write_all(outputs, "comparison")
+    return list(outputs)

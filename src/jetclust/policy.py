@@ -88,12 +88,12 @@ def _forward(w: PolicyWeights, x: np.ndarray):
     return shifted / total, shifted, total, h1, h2
 
 
-def policy_forward(w: PolicyWeights, state: ClusterState, config: ShowerConfig,
-                   include_ps: bool = True) -> np.ndarray:
-    """Distribution over the legal actions of a non-terminal state."""
+def policy_forward(w: PolicyWeights, state: ClusterState, config: ShowerConfig) -> np.ndarray:
+    """Distribution over the legal actions of a non-terminal state, from
+    the features in the layout of w.input_dim."""
     if is_terminal(state):
         raise ValueError("terminal state has no actions")
-    x = extract_pair_features(state, config, include_ps=include_ps)
+    x = extract_pair_features(state, config, include_ps=w.input_dim == feature_dim(True))
     return _forward(w, x)[0]
 
 
@@ -157,10 +157,9 @@ class NeuralPolicy:
                 f"features produce {feature_dim(include_ps)}")
         self.weights = weights
         self.config = config
-        self.include_ps = include_ps
 
     def priors(self, state: ClusterState) -> np.ndarray:
-        return policy_forward(self.weights, state, self.config, include_ps=self.include_ps)
+        return policy_forward(self.weights, state, self.config)
 
 
 # ---------------------------------------------------------------------------

@@ -340,13 +340,9 @@ _PS_MEMO: ContextVar[dict | None] = ContextVar("ps_memo", default=None)
 @contextmanager
 def ps_memo():
     """Scope in which splitting_log_likelihood remembers the values it
-    computed.  A scope opened inside another reuses the outer memo.  The
-    memo only saves work: every call is still counted, and a remembered
-    value is the one the kernel would compute."""
-    memo = _PS_MEMO.get()
-    if memo is not None:
-        yield memo
-        return
+    computed, in a fresh memo; the memo of an enclosing scope is current
+    again on exit.  The memo only saves work: every call is still
+    counted, and a remembered value is the one the kernel would compute."""
     memo = {}
     token = _PS_MEMO.set(memo)
     try:

@@ -652,10 +652,46 @@ def test_cli_generate_then_cluster(tmp_path, capsys):
 def test_cli_mle_skips_large_events(tmp_path, capsys):
     data = tmp_path / "d.jsonl"
     cli(["generate", "--n-events", "15", "--seed", "3", "--out", str(data), *SMALL_FLAGS])
-    code = cli(["mle", "--in", str(data), "--max-n", "4", "--seed", "3"])
+    code = cli(["mle", "--in", str(data), "--max-n", "4"])
     out = capsys.readouterr().out
     assert code == 0
     assert "skipping event" in out
+
+
+def test_cli_mle_out_holds_the_exact_mle_lls(tmp_path, capsys):
+    data, out = tmp_path / "d.jsonl", tmp_path / "mle.json"
+    cli(["generate", "--n-events", "15", "--seed", "3", "--out", str(data), "--quiet", *SMALL_FLAGS])
+    assert cli(["mle", "--in", str(data), "--max-n", "6", "--out", str(out), "--quiet"]) == 0
+    first = out.read_bytes()
+    rows = json.loads(first)["per_event"]
+    events = [e for e in jc.load_events(data) if e.n_leaves <= 6]
+    assert 0 < len(rows) == len(events) < 15
+    assert rows == [{"id": e.event_id, "n_leaves": e.n_leaves,
+                     "mle_ll": jc.exact_mle(e.leaves, e.config)[0]} for e in events]
+    assert cli(["mle", "--in", str(data), "--max-n", "6", "--out", str(out), "--quiet"]) == 0
+    assert out.read_bytes() == first
+
+
+@pytest.mark.parametrize("command", ["mle", "compare"])
+def test_cli_seed_is_only_on_the_subcommands_that_read_it(tmp_path, capsys, command):
+    # mle and compare draw nothing at random: they took a --seed and
+    # ignored it.
+    data = tmp_path / "d.jsonl"
+    cli(["generate", "--n-events", "4", "--out", str(data), "--quiet", *SMALL_FLAGS])
+    r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    for r in (r1, r2):
+        cli(["evaluate", "--algo", "greedy", "--in", str(data), "--out", str(r), "--quiet"])
+    argv = (["mle", "--in", str(data), "--max-n", "4"] if command == "mle"
+            else ["compare", str(r1), str(r2), "--out", str(tmp_path / "cmp")])
+    capsys.readouterr()
+    assert cli([*argv, "--seed", "7", "--quiet"]) == 1
+    assert "--seed" in capsys.readouterr().err
+    # A config file's seed serves the subcommands that read one, and is
+    # not checked for one that reads none.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    assert cli([*argv, "--config", str(cfg), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_mle_quiet_prints_only_the_summary(tmp_path, capsys):
@@ -761,6 +797,44 @@ def test_cli_compare_out_must_name_a_file_prefix(tmp_path, capsys, monkeypatch, 
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"usage error: --out must name a file prefix, got {out!r}\n"
     assert [p.name for p in tmp_path.rglob("*")] == ["cmp"]
+
+
+def test_cli_compare_out_in_a_missing_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # It printed the table, then exited 2 on a raw "[Errno 2]".
+    import jetclust.cli as cmod
+
+    monkeypatch.setattr(cmod, "_load_result", lambda path: pytest.fail("a result file was read"))
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert cli(["compare", "a.json", "b.json", "--out", "nodir/x"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage error: --out ") and "nodir/x" in out.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_compare_writes_all_of_its_outputs_or_none(tmp_path, capsys):
+    # A directory named x.json took the JSON; the three CSVs were
+    # written before it failed.
+    data = tmp_path / "d.jsonl"
+    cli(["generate", "--n-events", "4", "--out", str(data), "--quiet", *SMALL_FLAGS])
+    r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    for r, algo in ((r1, "greedy"), (r2, "random")):
+        cli(["evaluate", "--algo", algo, "--in", str(data), "--out", str(r), "--quiet"])
+    out = tmp_path / "out"
+    out.mkdir()
+    for blocker in ("x.json", "x_table.csv", "x_by_leaf_count.csv"):
+        (out / blocker).mkdir()
+        capsys.readouterr()
+        assert cli(["compare", str(r1), str(r2), "--out", str(out / "x")]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith("error: cannot write comparison to ") and str(out / blocker) in printed.err
+        assert sorted(p.name for p in out.iterdir()) == [blocker]
+        (out / blocker).rmdir()
+    assert cli(["compare", str(r1), str(r2), "--out", str(out / "x"), "--quiet"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "x.json", "x_by_leaf_count.csv", "x_curve.csv", "x_table.csv"]
 
 
 def test_cli_train_that_diverges_writes_no_weights(tmp_path, capsys):
@@ -933,6 +1007,25 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     # flag wins over the file
     assert cli(["generate", "--config", str(cfg), "--n-events", "3"]) == 0
     assert len(data.read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("case", ["missing config", "config not an object", "no algo"])
+def test_cli_usage_errors_before_any_work(tmp_path, capsys, case):
+    data, cfg, out = tmp_path / "d.jsonl", tmp_path / "cfg.json", tmp_path / "r.json"
+    cli(["generate", "--n-events", "2", "--out", str(data), "--quiet", *SMALL_FLAGS])
+    argv = ["cluster", "--in", str(data), "--out", str(out)]
+    if case == "missing config":
+        argv += ["--algo", "greedy", "--config", str(cfg)]
+        message = f"config file not found: {cfg}"
+    elif case == "config not an object":
+        cfg.write_text(json.dumps(["algo", "greedy"]))
+        argv += ["--config", str(cfg)]
+        message = f"config file {cfg} is not a JSON object"
+    else:
+        message = "--algo is required"
+    assert cli(argv) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_config_file_that_is_not_utf8_json_is_a_usage_error(tmp_path, capsys):

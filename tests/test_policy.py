@@ -15,6 +15,7 @@ from jetclust.features import N_BASE_FEATURES, extract_pair_features, feature_di
 from jetclust.shower import invariant_mass_sq
 from jetclust.policy import (
     GRAD_CLIP_NORM,
+    MLE_DEMONSTRATOR_MAX_N,
     NeuralPolicy,
     PolicyWeights,
     _demonstrated,
@@ -504,7 +505,7 @@ def test_no_ps_feature_variant_trains(small_config, small_events):
                             rng=make_rng(8, 0), include_ps=False)
     assert w.input_dim == feature_dim(include_ps=False)
     state = reset(small_events[0].leaves)
-    probs = jc.policy_forward(w, state, small_config, include_ps=False)
+    probs = jc.policy_forward(w, state, small_config)
     assert abs(probs.sum() - 1.0) <= 1e-6
 
 
@@ -716,6 +717,14 @@ def test_train_bc_matches_per_state_loop_on_desk_events(desk_config):
     got = _run_counted(jc.train_bc, events, desk_config, 150, 0.03, make_rng(14))
     expected = _run_counted(_per_state_train_bc, events, desk_config, 150, 0.03, make_rng(14))
     assert got == expected
+
+
+def test_mle_demonstrator_takes_the_truth_above_its_leaf_cap(desk_config):
+    events = [e for e in jc.generate_events(desk_config, 10) if e.n_leaves > MLE_DEMONSTRATOR_MAX_N]
+    assert len(events) >= 5
+    args = (events, desk_config, 120, 0.03)
+    mle = _run_counted(jc.train_bc, *args, make_rng(17), demonstrator="mle-for-small-n")
+    assert mle == _run_counted(jc.train_bc, *args, make_rng(17), demonstrator="truth")
 
 
 @pytest.mark.parametrize("include_ps", [True, False])

@@ -350,12 +350,15 @@ def test_ps_memo_exists_only_inside_a_scope(small_config):
         assert fresh == {} and fresh is not memo
 
 
-def test_ps_memo_nested_scope_reuses_outer(small_config):
+def test_ps_memo_nested_scope_is_fresh(small_config):
     s = jc.Splitting(jc.FourMomentum(1, 0, 0, 1), jc.FourMomentum(2, 1, 0, 0))
     with ps_memo() as outer:
+        jc.splitting_log_likelihood(s, small_config)
         with ps_memo() as inner:
-            assert inner is outer
+            assert inner == {} and inner is not outer
+            assert _PS_MEMO.get() is inner
             jc.splitting_log_likelihood(s, small_config)
+            assert len(inner) == 2
         assert _PS_MEMO.get() is outer
         assert len(outer) == 2
     assert _PS_MEMO.get() is None
