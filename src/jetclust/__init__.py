@@ -29,6 +29,7 @@ from .harness import (
     generate,
     generate_events,
     load_events,
+    save_weights,
     write_events,
 )
 from .planners import (
@@ -47,7 +48,6 @@ from .policy import (
     load_weights,
     policy_forward,
     policy_loss_and_grad,
-    save_weights,
     train_bc,
     train_mcts_policy,
     truth_actions,

@@ -7,6 +7,8 @@ given on the command line replaces both, and a file key that names no
 flag is a usage error.
 The density flags belong to generate alone: a dataset stores the shower
 config that generated it, and every other subcommand scores with that.
+Every --out is checked before any input is read and written all or
+none (`harness.write_all`).
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
 
@@ -28,9 +30,11 @@ from .harness import (
     generate,
     load_events,
     mcts_config,
+    save_weights,
+    write_all,
     write_comparison,
 )
-from .policy import load_weights, save_weights, train_bc, train_mcts_policy
+from .policy import load_weights, train_bc, train_mcts_policy
 from .rng import make_rng
 from .shower import FourMomentum, ShowerConfig
 from .trellis import DEFAULT_N_MAX, exact_mle
@@ -215,12 +219,12 @@ def _cmd_generate(args) -> int:
 def _cmd_cluster(args) -> int:
     events, _ = _load_dataset(args)
     result = evaluate(events, _planner_spec(args), n_eval=len(events), seeds=[args.seed])
+    if args.out is not None:
+        write_all({args.out: [(result.to_json() + "\n").encode()]}, "per-event results")
     print(f"{result.planner}: mean LL {result.mean_ll:.4f} over {len(events)} events "
           f"(mean cost {result.mean_cost:.1f})")
-    if args.out:
-        Path(args.out).write_text(result.to_json() + "\n")
-        if not args.quiet:
-            print(f"wrote per-event results to {args.out}")
+    if args.out is not None and not args.quiet:
+        print(f"wrote per-event results to {args.out}")
     return 0
 
 
@@ -240,11 +244,11 @@ def _cmd_mle(args) -> int:
         rows.append({"id": event.event_id, "n_leaves": event.n_leaves, "mle_ll": ll})
         if not args.quiet:
             print(f"event {event.event_id}: n={event.n_leaves} MLE LL {ll:.4f}")
+    if args.out is not None:
+        write_all({args.out: [(dumps({"per_event": rows}) + "\n").encode()]}, "MLE results")
     if rows:
         mean = sum(r["mle_ll"] for r in rows) / len(rows)
         print(f"mean MLE LL over {len(rows)} events: {mean:.4f}")
-    if args.out:
-        Path(args.out).write_text(dumps({"per_event": rows}) + "\n")
     return 0
 
 
@@ -291,9 +295,9 @@ def _cmd_evaluate(args) -> int:
     result = evaluate(events, _planner_spec(args),
                       n_eval=len(events) if args.n_eval is None else args.n_eval,
                       seeds=list(range(args.seed, args.seed + args.seeds)))
+    write_all({args.out: [(result.to_json() + "\n").encode()]}, "run result")
     print(f"{result.planner}: mean LL {result.mean_ll:.4f} +- {result.sem_ll:.4f} "
           f"({args.seeds} seeds, mean cost {result.mean_cost:.1f})")
-    Path(args.out).write_text(result.to_json() + "\n")
     if not args.quiet:
         print(f"wrote run result to {args.out}")
     return 0
@@ -309,10 +313,6 @@ def _load_result(path: str) -> RunResult:
 def _cmd_compare(args) -> int:
     if len(args.results) < 2:
         raise UsageError("compare needs at least 2 result files")
-    if os.path.basename(args.out) in ("", ".", ".."):
-        raise UsageError(f"--out must name a file prefix, got {args.out!r}")
-    if not os.path.isdir(os.path.dirname(args.out) or "."):
-        raise UsageError(f"--out {args.out!r} is in a directory that does not exist")
     comparison = compare([_load_result(p) for p in args.results])
     written = write_comparison(comparison, args.out)
     if not args.quiet:
@@ -339,6 +339,12 @@ def cli(argv: list[str] | None = None) -> int:
             args = parser.parse_args(argv)
         if "seed" in vars(args) and args.seed < 0:
             raise UsageError(f"--seed must be >= 0, got {args.seed}")
+        if args.out is not None:
+            # Checked before any input is read, so a bad --out costs no work.
+            if os.path.basename(args.out) in ("", ".", ".."):
+                raise UsageError(f"--out must end in a file name, got {args.out!r}")
+            if not os.path.isdir(os.path.dirname(args.out) or "."):
+                raise UsageError(f"--out {args.out!r} is in a directory that does not exist")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -7,9 +7,11 @@ significant digits, which round-trips float64 exactly, so files are
 byte-stable under regeneration with the same seed.
 """
 
+import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import numbers
@@ -23,7 +25,7 @@ import numpy as np
 
 from .costs import PS_EVALUATIONS
 from .planners import MctsConfig, cluster_beam, cluster_greedy, cluster_mcts, cluster_policy, cluster_random, fixed_policy
-from .policy import NeuralPolicy, load_weights
+from .policy import NeuralPolicy, PolicyWeights, load_weights, weights_bytes
 from .rng import make_rng
 from .shower import FourMomentum, ShowerConfig, Tree, TreeNode, sample_shower, tree_log_likelihood
 
@@ -315,23 +317,28 @@ def generate_events(config: ShowerConfig, n_events: int) -> list[EventRecord]:
     return events
 
 
-def _write_all(outputs: dict[str | Path, Iterable[str]], what: str) -> None:
-    """Write the strings of each output to its path, all or none.  They go
+# Numbers the temporary files of this process, so that no two writes share one.
+_TMP_SERIAL = itertools.count()
+
+
+def write_all(outputs: dict[str | Path, Iterable[bytes]], what: str) -> None:
+    """Write the bytes of each output to its path, all or none.  They go
     to a temporary file beside the path (beside its target, if the path
-    is a symlink), and the temporary files replace their paths only once
-    every one is written; a failed write removes them, so each path keeps
-    its old content (or stays absent) and none holds part of the output.
-    OSError naming the path if one exists but is not a regular file, or
-    cannot be written."""
+    is a symlink), whose name does not grow with the path's, and the
+    temporary files replace their paths only once every one is written;
+    a failed write removes them, so each path keeps its old content (or
+    stays absent) and none holds part of the output.  OSError naming
+    what and the path if one exists but is not a regular file, or cannot
+    be written.  This is the package's only file writer."""
     targets = {path: Path(os.path.realpath(path)) for path in outputs}
-    for path, target in targets.items():
-        if target.exists() and not target.is_file():
-            raise OSError(f"cannot write {what} to {path}: not a regular file")
     tmps = []
     try:
+        for path, target in targets.items():
+            if target.exists() and not target.is_file():
+                raise OSError("not a regular file")
         for path, parts in outputs.items():
-            tmps.append(targets[path].with_name(f".{targets[path].name}.{os.getpid()}.tmp"))
-            with open(tmps[-1], "w", newline="") as f:
+            tmps.append(targets[path].with_name(f".jetclust-{os.getpid()}-{next(_TMP_SERIAL)}.tmp"))
+            with open(tmps[-1], "wb") as f:
                 f.writelines(parts)
         for path, tmp in zip(outputs, tmps):
             os.replace(tmp, targets[path])
@@ -339,14 +346,21 @@ def _write_all(outputs: dict[str | Path, Iterable[str]], what: str) -> None:
         raise OSError(f"cannot write {what} to {path}: {exc}") from exc
     finally:
         for tmp in tmps:
-            tmp.unlink(missing_ok=True)  # gone already once it has replaced its path
+            with contextlib.suppress(OSError):  # a failed clean-up must not mask the write's error
+                tmp.unlink(missing_ok=True)  # gone already once it has replaced its path
 
 
 def write_events(path: str | Path, events: Sequence[EventRecord]) -> None:
-    """Write a dataset, one event per line, all or none (`_write_all`), so
+    """Write a dataset, one event per line, all or none (`write_all`), so
     `path` never holds part of a dataset.  OSError if `path` exists but is
     not a regular file."""
-    _write_all({path: (event_to_json(event) + "\n" for event in events)}, "dataset")
+    write_all({path: ((event_to_json(event) + "\n").encode() for event in events)}, "dataset")
+
+
+def save_weights(path: str | Path, w: PolicyWeights, config_hash: str | None = None) -> None:
+    """Write `w` as a weights file (`policy.weights_bytes`), all or none
+    (`write_all`), so a failed write keeps the file that was there."""
+    write_all({path: [weights_bytes(w, config_hash)]}, "weights")
 
 
 def load_events(path: str | Path) -> list[EventRecord]:
@@ -663,7 +677,7 @@ def compare(results: Sequence[RunResult]) -> dict:
 
 def write_comparison(comparison: dict, out_prefix: str | Path) -> list[Path]:
     """CSV per section plus one JSON with everything, all or none
-    (`_write_all`).  Every file is rendered first, so a value the JSON
+    (`write_all`).  Every file is rendered first, so a value the JSON
     cannot hold (a non-finite float) raises before any file is written."""
     out_prefix = Path(out_prefix)
     outputs = {}
@@ -672,7 +686,7 @@ def write_comparison(comparison: dict, out_prefix: str | Path) -> list[Path]:
         writer = csv.DictWriter(text, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-        outputs[out_prefix.with_name(out_prefix.name + f"_{name}.csv")] = [text.getvalue()]
-    outputs[out_prefix.with_name(out_prefix.name + ".json")] = [dumps(comparison) + "\n"]
-    _write_all(outputs, "comparison")
+        outputs[out_prefix.with_name(out_prefix.name + f"_{name}.csv")] = [text.getvalue().encode()]
+    outputs[out_prefix.with_name(out_prefix.name + ".json")] = [(dumps(comparison) + "\n").encode()]
+    write_all(outputs, "comparison")
     return list(outputs)

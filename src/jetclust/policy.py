@@ -331,7 +331,9 @@ def train_mcts_policy(
 # Serialization: one JSON header line, then raw little-endian float64
 # ---------------------------------------------------------------------------
 
-def save_weights(path: str | Path, w: PolicyWeights, config_hash: str | None = None) -> None:
+def weights_bytes(w: PolicyWeights, config_hash: str | None = None) -> bytes:
+    """The weights file of `w`, which `harness.save_weights` writes and
+    `load_weights` reads."""
     header = {
         "magic": WEIGHTS_MAGIC,
         "version": WEIGHTS_FORMAT_VERSION,
@@ -341,9 +343,7 @@ def save_weights(path: str | Path, w: PolicyWeights, config_hash: str | None = N
         "shapes": weight_shapes(w.input_dim),
         "dtype": "<f8",
     }
-    with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        f.write(np.ascontiguousarray(w.theta, dtype="<f8").tobytes())
+    return json.dumps(header, sort_keys=True).encode() + b"\n" + np.ascontiguousarray(w.theta, dtype="<f8").tobytes()
 
 
 def load_weights(path: str | Path) -> tuple[PolicyWeights, dict]:

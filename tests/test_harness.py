@@ -783,34 +783,127 @@ def test_cli_rejects_a_negative_seed(tmp_path, capsys, monkeypatch, command, sou
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("out", [".", "..", "", "cmp/", "cmp/.", "cmp/.."])
-def test_cli_compare_out_must_name_a_file_prefix(tmp_path, capsys, monkeypatch, out):
-    # "." printed the table, then exited 2 on pathlib's empty-name error;
-    # ".." wrote hidden files named "..*" into the working directory.
+def _out_argv(command: str, out: str) -> list[str]:
+    """A command line of `command` that writes `out`, reading d.jsonl (or
+    a.json and b.json, for compare)."""
+    return {
+        "generate": ["generate"],
+        "cluster": ["cluster", "--algo", "greedy", "--in", "d.jsonl"],
+        "mle": ["mle", "--in", "d.jsonl"],
+        "train": ["train", "--steps", "2", "--in", "d.jsonl"],
+        "evaluate": ["evaluate", "--algo", "greedy", "--in", "d.jsonl"],
+        "compare": ["compare", "a.json", "b.json"],
+    }[command] + ["--out", out]
+
+
+OUT_COMMANDS = ["generate", "cluster", "mle", "train", "evaluate", "compare"]
+
+
+def _no_input_is_read(monkeypatch):
     import jetclust.cli as cmod
 
-    (tmp_path / "cmp").mkdir()
+    monkeypatch.setattr(cmod, "generate", lambda *args: pytest.fail("events were generated"))
+    monkeypatch.setattr(cmod, "load_events", lambda path: pytest.fail("the dataset was read"))
     monkeypatch.setattr(cmod, "_load_result", lambda path: pytest.fail("a result file was read"))
+
+
+@pytest.mark.parametrize("out", [".", "..", "", "cmp/", "cmp/.", "cmp/.."])
+def test_cli_compare_out_must_name_a_file_prefix(tmp_path, capsys, monkeypatch, out):
+    # compare --out "." printed the table, then exited 2 on pathlib's
+    # empty-name error; ".." wrote hidden files named "..*" into the
+    # working directory.  Every subcommand's --out is checked the same way.
+    (tmp_path / "cmp").mkdir()
+    _no_input_is_read(monkeypatch)
     monkeypatch.chdir(tmp_path / "cmp")
     capsys.readouterr()
-    assert cli(["compare", "a.json", "b.json", "--out", out]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == f"usage error: --out must name a file prefix, got {out!r}\n"
+    for command in OUT_COMMANDS:
+        assert cli(_out_argv(command, out)) == 1, command
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"usage error: --out must end in a file name, got {out!r}\n"
     assert [p.name for p in tmp_path.rglob("*")] == ["cmp"]
 
 
 def test_cli_compare_out_in_a_missing_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):
-    # It printed the table, then exited 2 on a raw "[Errno 2]".
-    import jetclust.cli as cmod
-
-    monkeypatch.setattr(cmod, "_load_result", lambda path: pytest.fail("a result file was read"))
+    # compare printed the table, then exited 2 on a raw "[Errno 2]";
+    # evaluate and train did so after all their work.  Every subcommand's
+    # --out is checked the same way, before any input is read.
+    _no_input_is_read(monkeypatch)
     monkeypatch.chdir(tmp_path)
     capsys.readouterr()
-    assert cli(["compare", "a.json", "b.json", "--out", "nodir/x"]) == 1
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err.startswith("usage error: --out ") and "nodir/x" in out.err
+    for command in OUT_COMMANDS:
+        assert cli(_out_argv(command, "nodir/x")) == 1, command
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("usage error: --out ") and "nodir/x" in out.err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["cluster", "mle", "evaluate", "train"])
+def test_cli_out_that_cannot_be_written_is_a_runtime_error_after_no_summary(tmp_path, capsys, monkeypatch, command):
+    # cluster, mle and evaluate printed their summary, then failed on a
+    # raw "[Errno 21]" from Path.write_text.
+    monkeypatch.chdir(tmp_path)
+    cli(["generate", "--n-events", "3", "--seed", "3", "--out", "d.jsonl", "--quiet", *SMALL_FLAGS])
+    (tmp_path / "x").mkdir()
+    capsys.readouterr()
+    assert cli([*_out_argv(command, "x"), "--quiet"]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith("error: cannot write ") and " to x: " in printed.err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["d.jsonl", "x"]
+
+
+def test_cli_train_keeps_the_old_weights_when_its_write_fails(tmp_path, capsys, monkeypatch):
+    # save_weights truncated the file before writing it.
+    monkeypatch.chdir(tmp_path)
+    cli(["generate", "--n-events", "3", "--seed", "3", "--out", "d.jsonl", "--quiet", *SMALL_FLAGS])
+    assert cli(["train", "--steps", "2", "--in", "d.jsonl", "--out", "w.bin", "--quiet"]) == 0
+    old = (tmp_path / "w.bin").read_bytes()
+
+    def no_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(harness.os, "replace", no_replace)
+    capsys.readouterr()
+    assert cli(["train", "--steps", "3", "--seed", "1", "--in", "d.jsonl", "--out", "w.bin"]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == "error: cannot write weights to w.bin: disk full\n"
+    assert (tmp_path / "w.bin").read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "w.bin"]
+
+
+def test_cli_writes_an_out_of_the_longest_file_name(tmp_path, capsys, monkeypatch):
+    # The temporary file was named after the target plus about 13
+    # characters, so a name that fits NAME_MAX failed with a raw
+    # "[Errno 36]" that named the temporary file.
+    monkeypatch.chdir(tmp_path)
+    longest = os.pathconf(tmp_path, "PC_NAME_MAX")
+    name = "a" * (longest - len(".jsonl")) + ".jsonl"
+    assert cli(["generate", "--n-events", "3", "--seed", "3", "--out", name, "--quiet", *SMALL_FLAGS]) == 0
+    (tmp_path / "d.jsonl").symlink_to(name)
+    for command in ("cluster", "mle", "evaluate", "train"):
+        name = command[0] * longest
+        assert cli([*_out_argv(command, name), "--quiet"]) == 0, command
+        assert (tmp_path / name).stat().st_size > 0
+    for r in ("a.json", "b.json"):
+        cli(["evaluate", "--algo", "greedy", "--in", "d.jsonl", "--out", r, "--quiet"])
+    prefix = "c" * (longest - len("_by_leaf_count.csv"))
+    assert cli(_out_argv("compare", prefix) + ["--quiet"]) == 0
+    assert (tmp_path / (prefix + "_by_leaf_count.csv")).exists()
+    assert not any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
+
+
+def test_write_all_reports_its_own_error_when_clean_up_fails(tmp_path, monkeypatch):
+    # The clean-up's unlink raised in the finally block and replaced the
+    # write's error, which named what and where.
+    def fail(*args, **kwargs):
+        raise OSError("no room")
+
+    monkeypatch.setattr(harness.os, "replace", fail)
+    monkeypatch.setattr(Path, "unlink", fail)
+    with pytest.raises(OSError, match=re.escape(f"cannot write weights to {tmp_path / 'w.bin'}: no room")):
+        harness.write_all({tmp_path / "w.bin": [b"x"]}, "weights")
 
 
 def test_cli_compare_writes_all_of_its_outputs_or_none(tmp_path, capsys):
