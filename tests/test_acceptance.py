@@ -7,6 +7,8 @@ planner sweep) are module-scoped fixtures, so the whole file runs in
 """
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,24 +61,30 @@ def bc_policies(train_events, desk_config):
 
 @pytest.fixture(scope="module")
 def sweep(eval_events, desk_config, bc_policies):
-    """Every planner over the full evaluation set: planner -> [(tree, ll)]."""
+    """Every planner over the full evaluation set: planner -> [(tree, ll, cost)],
+    cost being the call's counted p_s evaluations."""
     out = {"random": [], "greedy": [], "beam5": [], "mcts": [], "bc0": [], "bc1": []}
     policy = jc.fixed_policy("random")
+
+    def run(name, call):
+        before = jc.PS_EVALUATIONS.count
+        tree, ll = call()[:2]
+        out[name].append((tree, ll, jc.PS_EVALUATIONS.count - before))
+
     for event in eval_events:
-        out["random"].append(jc.cluster_random(event.leaves, desk_config, make_rng(1, event.event_id)))
-        out["greedy"].append(jc.cluster_greedy(event.leaves, desk_config))
-        out["beam5"].append(jc.cluster_beam(event.leaves, 5, desk_config))
-        tree, ll, _ = jc.cluster_mcts(event.leaves, policy, MCTS_CFG, desk_config,
-                                      make_rng(2, event.event_id))
-        out["mcts"].append((tree, ll))
+        run("random", lambda: jc.cluster_random(event.leaves, desk_config, make_rng(1, event.event_id)))
+        run("greedy", lambda: jc.cluster_greedy(event.leaves, desk_config))
+        run("beam5", lambda: jc.cluster_beam(event.leaves, 5, desk_config))
+        run("mcts", lambda: jc.cluster_mcts(event.leaves, policy, MCTS_CFG, desk_config,
+                                            make_rng(2, event.event_id)))
         for k, bc in enumerate(bc_policies):
-            out[f"bc{k}"].append(jc.cluster_policy(event.leaves, bc, desk_config))
+            run(f"bc{k}", lambda: jc.cluster_policy(event.leaves, bc, desk_config))
     return out
 
 
 def test_01_reward_likelihood_identity(sweep, desk_config):
     for name, results in sweep.items():
-        for tree, ll in results:
+        for tree, ll, _ in results:
             recomputed = jc.tree_log_likelihood(tree, desk_config)
             assert abs(recomputed - ll) <= 1e-9, name
     _ok(1, "episode reward equals tree log-likelihood (every planner, 200 events, <=1e-9)")
@@ -151,7 +159,7 @@ def test_04_beam_degeneracies(small_events):
 
 def test_05_mcts_dominates_its_seed(eval_events, sweep, desk_config):
     # b=5 from the sweep, all 200 events
-    for (_, mcts_ll), (_, beam_ll) in zip(sweep["mcts"], sweep["beam5"]):
+    for (_, mcts_ll, _), (_, beam_ll, _) in zip(sweep["mcts"], sweep["beam5"]):
         assert mcts_ll >= beam_ll - 1e-9
     # b=3 on the first 100 events
     policy = jc.fixed_policy("random")
@@ -165,7 +173,7 @@ def test_05_mcts_dominates_its_seed(eval_events, sweep, desk_config):
 
 
 def test_06_qualitative_ordering(sweep):
-    means = {name: float(np.mean([ll for _, ll in results]))
+    means = {name: float(np.mean([ll for _, ll, _ in results]))
              for name, results in sweep.items()}
     bc_mean = 0.5 * (means["bc0"] + means["bc1"])
     assert means["random"] < bc_mean, means
@@ -289,3 +297,68 @@ def test_10_determinism(tmp_path, desk_config):
         "per_event": [{k: v for k, v in e.items() if k != "ms"} for e in r.per_event]}
     assert strip(r1) == strip(r2)
     _ok(10, "pipeline stages bit-identical under fixed seeds across two runs")
+
+
+# ---------------------------------------------------------------------------
+# The behaviour fingerprint: the LL bits and counted cost of every event
+# under the sweep's random, greedy, beam(5) and uniform-prior MCTS agents.
+# ---------------------------------------------------------------------------
+
+FINGERPRINT = Path(__file__).with_name("fingerprint.txt")
+FINGERPRINT_PLANNERS = ("random", "greedy", "beam5", "mcts")
+FINGERPRINT_HEADER = """\
+# Behaviour fingerprint of the acceptance sweep (tests/test_acceptance.py):
+# one line per event and planner, "<event id> <planner> <ll.hex()> <counted
+# p_s evaluations>", on the 200 desk events of seed 100.  A change that is
+# declared to move LLs or counts regenerates it with
+#   JETCLUST_WRITE_FINGERPRINT=1 python -m pytest -q tests/test_acceptance.py -k fingerprint
+# and its diff is the declaration.  The BC agents are left out: their
+# weights pass through BLAS matmuls, whose bits may differ between CPUs
+# and BLAS builds; these four agents use Python floats, math and
+# elementwise numpy only.
+"""
+
+
+def _fingerprint_rows(eval_events, sweep):
+    return [f"{event.event_id} {name} {sweep[name][k][1].hex()} {sweep[name][k][2]}"
+            for k, event in enumerate(eval_events) for name in FINGERPRINT_PLANNERS]
+
+
+def _fingerprint_lines(text):
+    return [line for line in text.splitlines() if line and not line.startswith("#")]
+
+
+def _first_difference(expected, rows):
+    """None if the rows are the expected lines, else a message naming the
+    first event and planner that differ."""
+    for want, got in zip(expected, rows):
+        if want != got:
+            event_id, planner = got.split()[:2]
+            return f"event {event_id}, planner {planner}: expected {want!r}, got {got!r}"
+    if len(expected) != len(rows):
+        return f"{len(expected)} entries expected, {len(rows)} computed"
+    return None
+
+
+def test_11_behaviour_fingerprint(eval_events, sweep):
+    rows = _fingerprint_rows(eval_events, sweep)
+    if os.environ.get("JETCLUST_WRITE_FINGERPRINT"):
+        FINGERPRINT.write_text(FINGERPRINT_HEADER + "".join(row + "\n" for row in rows))
+    difference = _first_difference(_fingerprint_lines(FINGERPRINT.read_text()), rows)
+    assert difference is None, difference
+    _ok(11, f"LL bits and counted cost match {FINGERPRINT.name} ({len(rows)} entries)")
+
+
+def test_12_fingerprint_catches_one_ulp_and_one_evaluation():
+    lines = _fingerprint_lines(FINGERPRINT.read_text())
+    assert len(lines) == N_EVAL * len(FINGERPRINT_PLANNERS)
+    k = len(lines) // 2 + 1
+    event_id, planner, ll_hex, cost = lines[k].split()
+    ll = float.fromhex(ll_hex)
+    for mutated in (f"{event_id} {planner} {math.nextafter(ll, math.inf).hex()} {cost}",
+                    f"{event_id} {planner} {ll_hex} {int(cost) + 1}"):
+        copy = lines[:k] + [mutated] + lines[k + 1:]
+        assert _first_difference(lines, copy).startswith(f"event {event_id}, planner {planner}:")
+        assert _first_difference(copy, lines) is not None
+    assert _first_difference(lines, lines) is None
+    assert _first_difference(lines, lines[:-1]) is not None
