@@ -11,6 +11,7 @@ algorithms in this package optimise.
 """
 
 import math
+import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
@@ -54,6 +55,11 @@ class FourMomentum:
     # splitting_log_likelihood that needs it and left None while that
     # raises; no comparison, hash, repr or pickle sees it.
     _t: float | None = field(default=None, init=False, repr=False, compare=False)
+    # The p_s memo's key for this momentum, the bytes of (E, px, py, pz)
+    # packed as four little-endian doubles, filled by the first
+    # splitting_log_likelihood inside a ps_memo() scope that queries it;
+    # no comparison, hash, repr or pickle sees it either.
+    _k: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __add__(self, other: "FourMomentum") -> "FourMomentum":
         # Built through the slot descriptors, as __init__ would fill the
@@ -64,6 +70,7 @@ class FourMomentum:
         _set_py(p, self.py + other.py)
         _set_pz(p, self.pz + other.pz)
         _set_t(p, None)
+        _set_k(p, None)
         return p
 
     def __reduce__(self):
@@ -76,7 +83,7 @@ class FourMomentum:
 _new_object = object.__new__
 # One setter per field, in field order; a field added to the class
 # makes this unpacking fail at import.
-_set_E, _set_px, _set_py, _set_pz, _set_t = (
+_set_E, _set_px, _set_py, _set_pz, _set_t, _set_k = (
     FourMomentum.__dict__[f.name].__set__ for f in fields(FourMomentum))
 
 
@@ -91,6 +98,18 @@ def _fill_mass_sq(p: FourMomentum) -> float:
         t = 0.0
     _set_t(p, t)
     return t
+
+
+_pack_key = struct.Struct("<4d").pack
+
+
+def _fill_key(p: FourMomentum) -> bytes:
+    """Pack p's components into its memo key, keep it in p's slot and
+    return it.  A bytes object caches its own hash, so a memo lookup
+    hashes each key once."""
+    k = _pack_key(p.E, p.px, p.py, p.pz)
+    _set_k(p, k)
+    return k
 
 
 def invariant_mass_sq(p: FourMomentum) -> float:
@@ -342,7 +361,13 @@ def ps_memo():
     """Scope in which splitting_log_likelihood remembers the values it
     computed, in a fresh memo; the memo of an enclosing scope is current
     again on exit.  The memo only saves work: every call is still
-    counted, and a remembered value is the one the kernel would compute."""
+    counted, and a remembered value is the one the kernel would compute.
+
+    The memo maps (a._k, b._k, lam) to the value, each child keyed by
+    the packed bits of its components (`_fill_key`), so equal momenta
+    that are separate objects share an entry.  Bits are not values: 0.0
+    and -0.0 are separate keys, which costs a miss and never a different
+    value, since the kernel only squares and sums components."""
     memo = {}
     token = _PS_MEMO.set(memo)
     try:
@@ -354,7 +379,9 @@ def ps_memo():
 def splitting_log_likelihood(s: Splitting, config: ShowerConfig) -> float:
     """log p_s of one merge, a deterministic function of the unordered
     child pair.  Every call adds 1 to the shared evaluation counter,
-    also when the open ps_memo() scope already holds the value.
+    also when the open ps_memo() scope already holds the value.  Inside
+    a scope the query fills each child's memo key on first use and
+    looks up (a._k, b._k, lam); outside one it reads no key.
 
     The body is invariant_mass_sq of both children (read from their
     slots after the first query), the same clamp on the mass of their
@@ -364,18 +391,23 @@ def splitting_log_likelihood(s: Splitting, config: ShowerConfig) -> float:
     PS_EVALUATIONS.count += 1
     a, b = s
     memo = _PS_MEMO.get()
+    lam = config.lam
     if memo is not None:
-        # A hit, most queries in a planner's scope, reads the attributes
-        # into the key only; a miss unpacks them from it.
-        key = (a.E, a.px, a.py, a.pz, b.E, b.px, b.py, b.pz, config.lam)
-        value = memo.get(key)
-        if value is not None:
-            return value
-        ae, ax, ay, az, be, bx, by, bz, lam = key
-    else:
-        ae, ax, ay, az = a.E, a.px, a.py, a.pz
-        be, bx, by, bz = b.E, b.px, b.py, b.pz
-        lam = config.lam
+        # A hit, most queries in a planner's scope, reads two cached keys
+        # and hashes one float.
+        ka = a._k
+        if ka is None:
+            ka = _fill_key(a)
+        kb = b._k
+        if kb is None:
+            kb = _fill_key(b)
+        key = (ka, kb, lam)
+        try:
+            return memo[key]
+        except KeyError:
+            pass
+    ae, ax, ay, az = a.E, a.px, a.py, a.pz
+    be, bx, by, bz = b.E, b.px, b.py, b.pz
     if ae < 0.0 or be < 0.0:
         raise ValueError("child energies must be non-negative")
     t_a = a._t
@@ -426,7 +458,7 @@ def splitting_log_likelihood(s: Splitting, config: ShowerConfig) -> float:
         # the heavier/lighter ordering do not depend on their order), so
         # it serves the swapped query too.
         memo[key] = value
-        memo[(be, bx, by, bz, ae, ax, ay, az, lam)] = value
+        memo[(kb, ka, lam)] = value
     return value
 
 

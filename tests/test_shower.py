@@ -364,6 +364,96 @@ def test_ps_memo_nested_scope_is_fresh(small_config):
     assert _PS_MEMO.get() is None
 
 
+def test_memo_key_slot_is_invisible_to_value_semantics(small_config):
+    keyed, fresh = jc.FourMomentum(2.0, 0.5, -0.25, 1.0), jc.FourMomentum(2.0, 0.5, -0.25, 1.0)
+    with ps_memo():
+        jc.splitting_log_likelihood(jc.Splitting(keyed, jc.FourMomentum(3.0, 0.0, 1.0, 0.0)),
+                                    small_config)
+    assert keyed._k is not None and fresh._k is None
+    assert keyed == fresh and hash(keyed) == hash(fresh)
+    assert repr(keyed) == repr(fresh) == "FourMomentum(E=2.0, px=0.5, py=-0.25, pz=1.0)"
+    assert {keyed: 1}[fresh] == 1
+    assert dataclasses.replace(keyed)._k is None
+    assert pickle.dumps(keyed) == pickle.dumps(fresh)
+    restored = pickle.loads(pickle.dumps(keyed))
+    assert restored == keyed and restored._k is None
+
+
+def test_memo_key_is_left_empty_outside_a_scope_and_by_addition(small_config):
+    a, b = jc.FourMomentum(2.0, 0.5, -0.25, 1.0), jc.FourMomentum(3.0, 0.0, 1.0, 0.0)
+    jc.splitting_log_likelihood(jc.Splitting(a, b), small_config)
+    assert a._k is None and b._k is None
+    with ps_memo():
+        jc.splitting_log_likelihood(jc.Splitting(a, b), small_config)
+    assert a._k is not None and b._k is not None
+    assert (a + b)._k is None
+
+
+def test_equal_momenta_that_are_separate_objects_share_a_memo_entry(small_config):
+    pair = ((2.0, 0.5, -0.25, 1.0), (3.0, 0.0, 1.0, 0.0))
+    with ps_memo() as memo:
+        values = []
+        for _ in range(3):
+            a, b = (jc.FourMomentum(*p) for p in pair)
+            before = jc.PS_EVALUATIONS.count
+            values.append(jc.splitting_log_likelihood(jc.Splitting(a, b), small_config).hex())
+            values.append(jc.splitting_log_likelihood(jc.Splitting(b, a), small_config).hex())
+            assert jc.PS_EVALUATIONS.count == before + 2
+            assert len(memo) == 2
+    assert len(set(values)) == 1
+
+
+def _signed_zeros(components):
+    """Every copy of the components with its zeros' signs flipped."""
+    zeros = [i for i, c in enumerate(components) if c == 0.0]
+    for signs in range(1 << len(zeros)):
+        flipped = list(components)
+        for bit, i in enumerate(zeros):
+            flipped[i] = -0.0 if signs >> bit & 1 else 0.0
+        yield jc.FourMomentum(*flipped)
+
+
+@pytest.mark.parametrize("a,b", [
+    ((2.0, 0.0, 0.5, 1.0), (3.0, 0.0, 0.0, -1.0)),
+    ((1.0, 0.0, 0.0, 1.0), (2.0, 0.0, 0.0, 0.0)),  # a massless child
+    ((1.0, 0.0, 0.0, 1.0), (2.0, 0.0, 0.0, 2.0)),  # the degenerate collinear merge
+])
+def test_signed_zeros_are_separate_keys_with_the_same_value(a, b, small_config):
+    expected = jc.splitting_log_likelihood(jc.Splitting(jc.FourMomentum(*a), jc.FourMomentum(*b)),
+                                           small_config).hex()
+    for memo in (False, True):
+        with ps_memo() if memo else contextlib.nullcontext():
+            keys = set()
+            for pa in _signed_zeros(a):
+                for pb in _signed_zeros(b):
+                    for s in (jc.Splitting(pa, pb), jc.Splitting(pb, pa)):
+                        before = jc.PS_EVALUATIONS.count
+                        assert jc.splitting_log_likelihood(s, small_config).hex() == expected
+                        assert jc.PS_EVALUATIONS.count == before + 1
+                    keys.update((pa._k, pb._k))
+        if memo:
+            n_variants = sum(1 for _ in _signed_zeros(a)) + sum(1 for _ in _signed_zeros(b))
+            assert len(keys) == n_variants
+        else:
+            assert keys == {None}
+
+
+@pytest.mark.parametrize("a,b,message", [
+    ((2.0, 0.0, 0.0, 1.0), (-1.0, 0.0, 0.0, 0.0), "non-negative"),
+    ((2.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 2.0), "spacelike"),
+])
+def test_an_invalid_child_raises_on_every_query_in_a_scope(a, b, message, small_config):
+    with ps_memo() as memo:
+        for _ in range(3):
+            pa, pb = jc.FourMomentum(*a), jc.FourMomentum(*b)
+            for s in (jc.Splitting(pa, pb), jc.Splitting(pb, pa), jc.Splitting(pa, pb)):
+                before = jc.PS_EVALUATIONS.count
+                with pytest.raises(ValueError, match=message):
+                    jc.splitting_log_likelihood(s, small_config)
+                assert jc.PS_EVALUATIONS.count == before + 1
+        assert memo == {}
+
+
 def test_tree_log_likelihood_two_leaf_tree(small_config):
     tree = make_event(small_config, seed=61, n_leaves=2)
     s = jc.Splitting(*[tree.nodes[i].momentum for i in tree.leaf_indices])
