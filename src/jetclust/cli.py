@@ -24,6 +24,7 @@ from .harness import (
     PLANNER_SPEC_KEYS,
     RunResult,
     compare,
+    comparison_paths,
     config_hash,
     dumps,
     evaluate,
@@ -323,6 +324,34 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _name_max(directory: str) -> int:
+    """The longest file name, in bytes, that the directory allows; 255
+    where the system does not say."""
+    try:
+        name_max = os.pathconf(directory, "PC_NAME_MAX")
+    except (OSError, ValueError):
+        return 255
+    return name_max if name_max > 0 else 255
+
+
+def _check_out(args) -> None:
+    """UsageError unless --out names files that can be made: its final
+    component is a file name, its directory exists, and every name the
+    command derives from it fits the directory's NAME_MAX.  Checked before
+    any input is read, so a bad --out costs no work."""
+    directory, name = os.path.split(args.out)
+    if name in ("", ".", ".."):
+        raise UsageError(f"--out must end in a file name, got {args.out!r}")
+    if not os.path.isdir(directory or "."):
+        raise UsageError(f"--out {args.out!r} is in a directory that does not exist")
+    names = [p.name for p in comparison_paths(name)] if args.command == "compare" else [name]
+    longest = max(len(os.fsencode(n)) for n in names)
+    name_max = _name_max(directory or ".")
+    if longest > name_max:
+        raise UsageError(f"--out {args.out!r} makes a file name of {longest} bytes; "
+                         f"its directory allows {name_max}")
+
+
 def cli(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -340,11 +369,7 @@ def cli(argv: list[str] | None = None) -> int:
         if "seed" in vars(args) and args.seed < 0:
             raise UsageError(f"--seed must be >= 0, got {args.seed}")
         if args.out is not None:
-            # Checked before any input is read, so a bad --out costs no work.
-            if os.path.basename(args.out) in ("", ".", ".."):
-                raise UsageError(f"--out must end in a file name, got {args.out!r}")
-            if not os.path.isdir(os.path.dirname(args.out) or "."):
-                raise UsageError(f"--out {args.out!r} is in a directory that does not exist")
+            _check_out(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

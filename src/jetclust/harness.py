@@ -638,6 +638,10 @@ def _run_label(result: RunResult) -> str:
     return f"{result.planner}({inner})" if inner else result.planner
 
 
+# The sections of a comparison, in the order compare() builds them.
+COMPARISON_SECTIONS = ("table", "curve", "by_leaf_count")
+
+
 def compare(results: Sequence[RunResult]) -> dict:
     """Ranked table, cost-vs-quality curve points, and per-leaf-count
     means for runs over the same events."""
@@ -679,14 +683,23 @@ def write_comparison(comparison: dict, out_prefix: str | Path) -> list[Path]:
     """CSV per section plus one JSON with everything, all or none
     (`write_all`).  Every file is rendered first, so a value the JSON
     cannot hold (a non-finite float) raises before any file is written."""
-    out_prefix = Path(out_prefix)
+    *csv_paths, json_path = comparison_paths(out_prefix)
     outputs = {}
-    for name, rows in comparison.items():
+    for path, name in zip(csv_paths, COMPARISON_SECTIONS):
+        rows = comparison[name]
         text = io.StringIO()
         writer = csv.DictWriter(text, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-        outputs[out_prefix.with_name(out_prefix.name + f"_{name}.csv")] = [text.getvalue().encode()]
-    outputs[out_prefix.with_name(out_prefix.name + ".json")] = [(dumps(comparison) + "\n").encode()]
+        outputs[path] = [text.getvalue().encode()]
+    outputs[json_path] = [(dumps(comparison) + "\n").encode()]
     write_all(outputs, "comparison")
     return list(outputs)
+
+
+def comparison_paths(out_prefix: str | Path) -> list[Path]:
+    """The files write_comparison writes under out_prefix: one CSV per
+    section, <prefix>_<section>.csv, then <prefix>.json."""
+    out_prefix = Path(out_prefix)
+    return ([out_prefix.with_name(f"{out_prefix.name}_{name}.csv") for name in COMPARISON_SECTIONS]
+            + [out_prefix.with_name(out_prefix.name + ".json")])

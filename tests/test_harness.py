@@ -623,7 +623,10 @@ def test_compare_rejects_different_datasets(small_events, small_config):
 def test_write_comparison_emits_csv_and_json(tmp_path, small_events):
     r1 = evaluate(small_events, {"algo": "greedy"}, n_eval=5, seeds=[0])
     r2 = evaluate(small_events, {"algo": "beam", "b": 2}, n_eval=5, seeds=[0])
-    written = write_comparison(compare([r1, r2]), tmp_path / "cmp")
+    comparison = compare([r1, r2])
+    assert tuple(comparison) == harness.COMPARISON_SECTIONS
+    written = write_comparison(comparison, tmp_path / "cmp")
+    assert written == harness.comparison_paths(tmp_path / "cmp")
     names = {p.name for p in written}
     assert names == {"cmp_table.csv", "cmp_curve.csv", "cmp_by_leaf_count.csv", "cmp.json"}
     table = (tmp_path / "cmp_table.csv").read_text().splitlines()
@@ -835,6 +838,50 @@ def test_cli_compare_out_in_a_missing_directory_is_a_usage_error(tmp_path, capsy
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("usage error: --out ") and "nodir/x" in out.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _too_long_outs(name_max):
+    """Per subcommand, --out values one byte too long for NAME_MAX: in
+    ASCII and in two-byte characters; for compare, in its longest
+    derived name, <prefix>_by_leaf_count.csv."""
+    outs = {}
+    for command in OUT_COMMANDS:
+        room = name_max - (len("_by_leaf_count.csv") if command == "compare" else 0)
+        outs[command] = ["a" * (room + 1), "\u00e9" * (room // 2) + "a" * (room % 2 + 1)]
+    return outs
+
+
+def test_cli_out_name_longer_than_name_max_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # generate simulated every event, then exited 2 on a raw "[Errno 36]
+    # File name too long"; every subcommand did its work first.
+    _no_input_is_read(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+    capsys.readouterr()
+    for command, outs in _too_long_outs(name_max).items():
+        for out in outs:
+            assert cli(_out_argv(command, out)) == 1, command
+            printed = capsys.readouterr()
+            assert printed.out == ""
+            assert printed.err.startswith(f"usage error: --out {out!r} makes a file name of ")
+            assert printed.err.endswith(f"; its directory allows {name_max}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_out_name_check_falls_back_to_255_bytes(tmp_path, capsys, monkeypatch):
+    import jetclust.cli as cmod
+
+    def unknown(path, name):
+        raise OSError("no limit known")
+
+    _no_input_is_read(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    for pathconf in (unknown, lambda path, name: -1):
+        monkeypatch.setattr(cmod.os, "pathconf", pathconf)
+        for command, outs in _too_long_outs(255).items():
+            assert cli(_out_argv(command, outs[0])) == 1, command
+            assert capsys.readouterr().err.endswith("; its directory allows 255\n")
     assert list(tmp_path.iterdir()) == []
 
 
