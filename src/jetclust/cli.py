@@ -340,13 +340,14 @@ def _check_out(args) -> None:
     command derives from it fits the directory's NAME_MAX.  Checked before
     any input is read, so a bad --out costs no work."""
     directory, name = os.path.split(args.out)
+    directory = directory or "."
     if name in ("", ".", ".."):
         raise UsageError(f"--out must end in a file name, got {args.out!r}")
-    if not os.path.isdir(directory or "."):
+    if not os.path.isdir(directory):
         raise UsageError(f"--out {args.out!r} is in a directory that does not exist")
     names = [p.name for p in comparison_paths(name)] if args.command == "compare" else [name]
     longest = max(len(os.fsencode(n)) for n in names)
-    name_max = _name_max(directory or ".")
+    name_max = _name_max(directory)
     if longest > name_max:
         raise UsageError(f"--out {args.out!r} makes a file name of {longest} bytes; "
                          f"its directory allows {name_max}")
