@@ -206,9 +206,9 @@ def _load_dataset(args) -> tuple[list, ShowerConfig]:
 
 
 def _cmd_generate(args) -> int:
-    config = ShowerConfig(lam=args.lam, t_cut=args.t_cut, root=FourMomentum(*args.root), rng_seed=args.seed)
     if args.n_events < 1:
         raise UsageError(f"--n-events must be >= 1, got {args.n_events}")
+    config = ShowerConfig(lam=args.lam, t_cut=args.t_cut, root=FourMomentum(*args.root), rng_seed=args.seed)
     events = generate(config, args.n_events, args.out)
     if not args.quiet:
         mean_n = sum(e.n_leaves for e in events) / len(events)

@@ -199,10 +199,8 @@ def _config_from_obj(obj) -> ShowerConfig:
     if not (isinstance(obj, dict) and obj.keys() == {"lam", "t_cut", "root", "rng_seed"}
             and type(obj["rng_seed"]) is int):
         raise ValueError(f"config {obj!r} is not lam, t_cut, root and an int rng_seed")
-    config = ShowerConfig(_number(obj["lam"], "config lam"), _number(obj["t_cut"], "config t_cut"),
-                          _momentum(obj["root"]), obj["rng_seed"])
-    config.validate()
-    return config
+    return ShowerConfig(_number(obj["lam"], "config lam"), _number(obj["t_cut"], "config t_cut"),
+                        _momentum(obj["root"]), obj["rng_seed"])
 
 
 def _tree_from_obj(obj: dict, leaves: list) -> Tree:
@@ -303,7 +301,6 @@ def generate_events(config: ShowerConfig, n_events: int) -> list[EventRecord]:
     """Simulate n_events decay trees; the observed leaves of each tree are
     one clustering problem.  Event k uses the stream (rng_seed, k), so the
     dataset is reproducible event by event."""
-    config.validate()
     events = []
     for k in range(n_events):
         tree = sample_shower(config, make_rng(config.rng_seed, k))
@@ -545,13 +542,11 @@ def build_planner(spec: dict, config: ShowerConfig):
 
 
 def mcts_config(spec: dict) -> MctsConfig:
-    """The validated MCTS settings of a planner spec; a key the spec
-    leaves out keeps the MctsConfig default."""
+    """The MCTS settings of a planner spec, checked as MctsConfig checks
+    them; a key the spec leaves out keeps the MctsConfig default."""
     fields = {"c": ("c", float), "n_mcts": ("n_mcts", int), "b": ("beam_init_b", int),
               "final_rule": ("final_rule", str), "rollout_rule": ("rollout_rule", str)}
-    cfg = MctsConfig(**{name: _spec_value(spec, key, kind) for key, (name, kind) in fields.items() if key in spec})
-    cfg.validate()
-    return cfg
+    return MctsConfig(**{name: _spec_value(spec, key, kind) for key, (name, kind) in fields.items() if key in spec})
 
 
 def _spec_value(spec: dict, key: str, kind: type, default=None):

@@ -195,9 +195,10 @@ def cluster_beam(
 # MCTS
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class MctsConfig:
-    """Search hyperparameters, and the one place their defaults live.
+    """Search hyperparameters, and the one place their defaults live;
+    making one with a field out of range raises ValueError naming it.
     beam_init_b is the width of the beam that seeds each decision's tree;
     0 turns seeding off.  final_rule is 'max-rollout' (pick the action
     whose subtree produced the single best roll-out) or 'puct-visits' (the
@@ -210,7 +211,7 @@ class MctsConfig:
     final_rule: str = "max-rollout"
     rollout_rule: str = "puct"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         c = self.c
         if isinstance(c, bool) or not isinstance(c, numbers.Real) or not math.isfinite(c) or c <= 0.0:
             raise ValueError(f"c, the exploration constant, must be a finite number > 0, got {c!r}")
@@ -354,7 +355,6 @@ def cluster_mcts(
     roll-out (or the most visited one under the puct-visits ablation).
     Also returns each decision as (state, index of the chosen action),
     which policy self-imitation trains on."""
-    cfg.validate()
     root = SearchNode(reset(event), policy)
     search = _Search(policy, cfg, config, rng)
     decisions: list[tuple[ClusterState, int]] = []

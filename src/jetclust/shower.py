@@ -39,9 +39,6 @@ _LOG_INV_4PI = -math.log(4.0 * math.pi)
 _log = math.log
 _sqrt = math.sqrt
 
-# log(1 - exp(-lam)), the truncated exponential's normaliser, per lam.
-_LOG_NORM: dict[float, float] = {}
-
 
 @dataclass(frozen=True, slots=True)
 class FourMomentum:
@@ -135,25 +132,31 @@ def invariant_mass_sq_rows(p: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ShowerConfig:
-    """Generative-model parameters.
+    """Generative-model parameters; making a config with one out of range
+    raises ValueError naming it.
 
     lam    : decay-rate shape parameter of the truncated exponential (> 0)
     t_cut  : mass-squared cutoff below which a particle stops decaying (> 0)
     root   : four-momentum of the initial particle, E >= 0 and t(root) > t_cut
     rng_seed : root seed for the event streams
+    log_norm : log(1 - exp(-lam)), the truncated exponential's normaliser,
+               computed from lam when the config is made; no comparison,
+               hash, repr or file sees it
     """
 
     lam: float
     t_cut: float
     root: FourMomentum
     rng_seed: int = 0
+    log_norm: float = field(init=False, repr=False, compare=False)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not all(map(math.isfinite, (self.lam, self.t_cut, *self.root.as_tuple()))):
             raise ValueError(f"lam, t_cut and root must be finite, got {self}")
         if self.lam <= 0.0:
             raise ValueError(f"lam must be > 0, got {self.lam}")
-        _log_norm(self.lam)  # raises for lam up to 2**-54, about 5.6e-17
+        # Raises for lam up to 2**-54, about 5.6e-17.
+        object.__setattr__(self, "log_norm", _log_norm(self.lam))
         if self.t_cut <= 0.0:
             raise ValueError(f"t_cut must be > 0, got {self.t_cut}")
         if self.root.E < 0.0:
@@ -224,24 +227,17 @@ def truncated_exp_log_density(t: float, t_max: float, lam: float) -> float:
         t = 0.0
     elif t > t_max:
         t = t_max
-    log_norm = _LOG_NORM.get(lam)
-    if log_norm is None:
-        log_norm = _log_norm(lam)
-    return math.log(lam / t_max) - lam * t / t_max - log_norm
+    return math.log(lam / t_max) - lam * t / t_max - _log_norm(lam)
 
 
 def _log_norm(lam: float) -> float:
-    """Compute and remember log(1 - exp(-lam)); the cache holds at most 64
-    lams.  Raises ValueError where exp(-lam) rounds to 1, so that the
-    normaliser does not exist."""
+    """log(1 - exp(-lam)); ValueError where exp(-lam) rounds to 1, so that
+    the normaliser does not exist."""
     exp_neg = math.exp(-lam)
     if exp_neg == 1.0:
         raise ValueError(f"lam {lam} is too small: exp(-lam) rounds to 1, so the "
                          f"density normaliser log(1 - exp(-lam)) does not exist")
-    if len(_LOG_NORM) >= 64:
-        _LOG_NORM.clear()
-    log_norm = _LOG_NORM[lam] = math.log1p(-exp_neg)
-    return log_norm
+    return math.log1p(-exp_neg)
 
 
 def sample_truncated_exp(t_max: float, lam: float, rng: np.random.Generator) -> float:
@@ -324,7 +320,6 @@ def sample_shower(config: ShowerConfig, rng: np.random.Generator) -> Tree:
     so the tree likelihood can be cross-checked against recomputation
     from the stored momenta alone.
     """
-    config.validate()
     nodes = [TreeNode(momentum=config.root)]
     leaf_indices: list[int] = []
     stack = [0]
@@ -387,7 +382,9 @@ def splitting_log_likelihood(s: Splitting, config: ShowerConfig) -> float:
     slots after the first query), the same clamp on the mass of their
     component sums, and _unordered_pair_log_density, written out in one
     function with the same operations in the same order, so it returns
-    their bits; the tests hold it to them."""
+    their bits; the tests hold it to them.  The normaliser is
+    config.log_norm, which a ShowerConfig computes when it is made, so
+    a query checks nothing of the config."""
     PS_EVALUATIONS.count += 1
     a, b = s
     memo = _PS_MEMO.get()
@@ -426,12 +423,7 @@ def splitting_log_likelihood(s: Splitting, config: ShowerConfig) -> float:
         # Degenerate (exactly collinear massless) merge: no valid decay.
         value = 2.0 * LOG_DENSITY_FLOOR + _LOG_INV_4PI
     else:
-        if lam <= 0.0:
-            raise ValueError(f"lam must be > 0, got {lam}")
-        # The normaliser is computed only when a term inside its support
-        # needs it: for a lam below about 1e-16 it does not exist, yet a
-        # query outside both supports still scores the floor.
-        log_norm = _LOG_NORM.get(lam)
+        log_norm = config.log_norm
         if t_a < t_b:
             t_a, t_b = t_b, t_a
         # Both masses are >= 0 here, so only the upper edge of each
@@ -439,8 +431,6 @@ def splitting_log_likelihood(s: Splitting, config: ShowerConfig) -> float:
         if t_a > t_p + _SUPPORT_RTOL * t_p:
             first = LOG_DENSITY_FLOOR
         else:
-            if log_norm is None:
-                log_norm = _log_norm(lam)
             t = t_p if t_a > t_p else t_a
             first = _log(lam / t_p) - lam * t / t_p - log_norm
         # the lighter against the remainder, bounded by the unclamped t_a:
@@ -448,8 +438,6 @@ def splitting_log_likelihood(s: Splitting, config: ShowerConfig) -> float:
         if not bound > 0.0 or t_b > bound + _SUPPORT_RTOL * bound:
             second = LOG_DENSITY_FLOOR
         else:
-            if log_norm is None:
-                log_norm = _log_norm(lam)
             t = bound if t_b > bound else t_b
             second = _log(lam / bound) - lam * t / bound - log_norm
         value = first + second + _LOG_INV_4PI
