@@ -218,8 +218,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
+    spec = _planner_spec(args)
     events, _ = _load_dataset(args)
-    result = evaluate(events, _planner_spec(args), n_eval=len(events), seeds=[args.seed])
+    result = evaluate(events, spec, n_eval=len(events), seeds=[args.seed])
     if args.out is not None:
         write_all({args.out: [(result.to_json() + "\n").encode()]}, "per-event results")
     print(f"{result.planner}: mean LL {result.mean_ll:.4f} over {len(events)} events "
@@ -292,8 +293,9 @@ def _cmd_evaluate(args) -> int:
         raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
     if args.n_eval is not None and args.n_eval < 1:
         raise UsageError(f"--n-eval must be >= 1, got {args.n_eval}")
+    spec = _planner_spec(args)
     events, _ = _load_dataset(args)
-    result = evaluate(events, _planner_spec(args),
+    result = evaluate(events, spec,
                       n_eval=len(events) if args.n_eval is None else args.n_eval,
                       seeds=list(range(args.seed, args.seed + args.seeds)))
     write_all({args.out: [(result.to_json() + "\n").encode()]}, "run result")

@@ -514,8 +514,19 @@ def _leaf_count_means(per_event: list[dict]) -> list[tuple[int, float, int]]:
     return [(n, float(np.mean(bins[n])), len(seen[n])) for n in sorted(bins)]
 
 
+# The spec keys each algo reads besides "algo"; a run records only these.
+# mcts, listed first, reads every key, so its order is that of
+# PLANNER_SPEC_KEYS, in which the CLI builds a spec and a result file
+# lists its params.
+PLANNER_READS = {
+    "mcts": ("b", "n_mcts", "c", "prior", "weights", "final_rule", "rollout_rule"),
+    "random": (),
+    "greedy": (),
+    "beam": ("b",),
+    "policy": ("prior", "weights"),
+}
 # Every key a planner spec may hold; build_planner rejects any other.
-PLANNER_SPEC_KEYS = ("algo", "b", "n_mcts", "c", "prior", "weights", "final_rule", "rollout_rule")
+PLANNER_SPEC_KEYS = ("algo", *dict.fromkeys(key for keys in PLANNER_READS.values() for key in keys))
 
 
 def build_planner(spec: dict, config: ShowerConfig):
@@ -577,7 +588,9 @@ def evaluate(events: Sequence[EventRecord], spec: dict, n_eval: int, seeds: Sequ
     with the config those events carry, which the result names.  The mean
     is the mean of per-seed means and the standard error is taken across
     seeds, matching how trained models with different seeds are compared.
-    ValueError unless the evaluated events share one config."""
+    The result's params are the spec's keys that the algo reads
+    (PLANNER_READS).  ValueError unless the evaluated events share one
+    config."""
     if not seeds:
         raise ValueError("need at least one seed")
     if n_eval < 1:
@@ -616,7 +629,7 @@ def evaluate(events: Sequence[EventRecord], spec: dict, n_eval: int, seeds: Sequ
             })
     return RunResult(
         planner=spec["algo"],
-        params={k: v for k, v in spec.items() if k != "algo"},
+        params={k: v for k, v in spec.items() if k in PLANNER_READS[spec["algo"]]},
         per_event=per_event,
         dataset_hash=dataset_hash,
     )

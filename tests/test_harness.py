@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import io
 import json
@@ -56,6 +57,11 @@ def test_dumps_round_trips_floats():
     for _ in range(500):
         x = float(rng.normal(0.0, 10.0 ** rng.integers(-8, 8)))
         assert float(json.loads(dumps(x))) == x
+
+
+def test_dumps_writes_a_dict_subclass_as_its_dict():
+    ordered = collections.OrderedDict([("b", 0.1), ("a", [1, None])])
+    assert dumps(ordered) == dumps(dict(ordered)) == '{"b":0.10000000000000001,"a":[1,null]}'
 
 
 def test_dumps_rejects_non_finite():
@@ -548,6 +554,33 @@ def test_evaluate_rejects_a_negative_seed(small_events, monkeypatch):
         evaluate(small_events, {"algo": "greedy"}, n_eval=2, seeds=[0, -3])
 
 
+def test_a_run_records_only_the_settings_its_planner_reads(small_events):
+    # Every key of the spec used to land in params, so a greedy run stored
+    # a beam width and an MCTS budget it never read.
+    unread = {"b": 2, "n_mcts": 2, "c": 0.5, "prior": "nn", "weights": "w.bin", "final_rule": "max-rollout",
+              "rollout_rule": "puct"}
+    assert evaluate(small_events, {"algo": "greedy", "b": 5, "n_mcts": 7, "prior": "nn"}, 3, [0]).params == {}
+    assert evaluate(small_events, {"algo": "random", **unread}, 3, [0]).params == {}
+    assert evaluate(small_events, {"algo": "beam", **unread}, 3, [0]).params == {"b": 2}
+    policy = {"algo": "policy", **unread, "prior": "random"}
+    assert evaluate(small_events, policy, 3, [0]).params == {"prior": "random", "weights": "w.bin"}
+    # mcts reads every key, and params keep the spec's order
+    mcts = {"rollout_rule": "puct", "algo": "mcts", **unread, "prior": "random"}
+    assert list(evaluate(small_events, mcts, 3, [0]).params) == [k for k in mcts if k != "algo"]
+    assert harness.PLANNER_SPEC_KEYS == ("algo", *harness.PLANNER_READS["mcts"])
+
+
+def test_cli_compare_labels_a_run_by_the_settings_its_planner_reads(tmp_path, capsys):
+    data, greedy, beam = tmp_path / "d.jsonl", tmp_path / "g.json", tmp_path / "b.json"
+    cli(["generate", "--n-events", "3", "--out", str(data), "--quiet", *SMALL_FLAGS])
+    for algo, out in (("greedy", greedy), ("beam", beam)):
+        assert cli(["evaluate", "--algo", algo, "--b", "5", "--n-mcts", "7", "--in", str(data),
+                    "--out", str(out), "--quiet"]) == 0
+    assert cli(["compare", str(greedy), str(beam), "--out", str(tmp_path / "cmp"), "--quiet"]) == 0
+    table = json.loads((tmp_path / "cmp.json").read_text())["table"]
+    assert sorted(row["planner"] for row in table) == ["beam(b=5)", "greedy"]
+
+
 def test_run_result_derives_its_aggregates_from_its_rows():
     rows = [{"seed": seed, "id": k, "n_leaves": 3 + k, "ll": -1.5 * (k + 1) - seed, "cost": 3 * k + seed,
              "ms": 0.25} for seed in (2, 0) for k in range(3)]
@@ -607,6 +640,13 @@ def test_compare_rejects_mismatched_event_sets(small_events):
     r2 = evaluate(small_events, {"algo": "greedy"}, n_eval=9, seeds=[0])
     with pytest.raises(ValueError):
         compare([r1, r2])
+
+
+def test_compare_needs_two_runs(small_events):
+    run = evaluate(small_events, {"algo": "greedy"}, n_eval=2, seeds=[0])
+    for runs in ([], [run]):
+        with pytest.raises(ValueError, match="need at least 2 runs to compare"):
+            compare(runs)
 
 
 def test_compare_rejects_different_datasets(small_events, small_config):
@@ -1361,6 +1401,28 @@ def test_cli_config_file_rejects_keys_that_name_no_flag(tmp_path, capsys):
                 "--seed", "3"]) == 0
 
 
+@pytest.mark.parametrize("command", ["cluster", "evaluate"])
+def test_cli_checks_algo_before_reading_the_dataset(tmp_path, capsys, monkeypatch, command):
+    # The dataset was read, and every truth tree scored, before a missing
+    # --algo was reported.
+    _no_input_is_read(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    Path("ev.jsonl").write_text("")
+    argv = [command, "--in", "ev.jsonl"] + (["--out", "r.json"] if command == "evaluate" else [])
+    assert cli(argv) == 1
+    assert capsys.readouterr().err == "usage error: --algo is required\n"
+
+
+def test_cli_names_an_input_file_that_holds_no_event(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("ev.jsonl").write_text("\n \n")
+    for argv in (["cluster", "--algo", "greedy"], ["mle"], ["train", "--steps", "2", "--out", "w.bin"],
+                 ["evaluate", "--algo", "greedy", "--out", "r.json"]):
+        assert cli(argv + ["--in", "ev.jsonl"]) == 2, argv
+        assert capsys.readouterr().err == "error: dataset ev.jsonl is empty\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ev.jsonl"]
+
+
 def test_cli_generate_rejects_fewer_than_one_event(tmp_path, capsys):
     data = tmp_path / "d.jsonl"
     for n in ("0", "-3"):
@@ -1458,6 +1520,17 @@ def test_readme_cli_examples_parse():
     parser = _build_parser()
     for command in commands:
         parser.parse_args(shlex.split(command)[1:])  # argparse exits on an unknown flag
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"algo": "policy", "prior": "nn"}, "prior 'nn' needs a weights file"),
+    ({"algo": "mcts", "prior": "nn", "weights": ""}, "prior 'nn' needs a weights file"),
+    ({"algo": "policy", "prior": "magic"}, "unknown prior: 'magic'"),
+    ({"algo": "mcts", "prior": "magic"}, "unknown prior: 'magic'"),
+])
+def test_build_planner_names_a_prior_it_cannot_build(small_config, spec, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_planner(spec, small_config)
 
 
 def test_build_planner_rejects_unknown_spec_keys(small_events, small_config):
