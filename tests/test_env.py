@@ -48,6 +48,12 @@ def test_reset_rejects_single_particle():
         jc.reset([jc.FourMomentum(1, 0, 0, 0)])
 
 
+def test_reset_rejects_a_leaf_of_negative_energy():
+    # Its mass-squared is 0, so only the energy check stops it.
+    with pytest.raises(ValueError, match="energies must be non-negative"):
+        jc.reset([jc.FourMomentum(2.0, 0.0, 0.0, 1.0), jc.FourMomentum(-1.0, 0.0, 0.0, -1.0)])
+
+
 def test_legal_actions_shapes(small_config):
     assert list(action_table(jc.reset(_leaves(small_config, 3, 3)).n)) == [
         jc.Action(0, 1), jc.Action(0, 2), jc.Action(1, 2)]
@@ -84,8 +90,10 @@ def test_step_two_leaves_reward_is_tree_likelihood(small_config):
 def test_step_rejects_illegal_action(small_config):
     state = jc.reset(_leaves(small_config, 3, 3))
     for bad in (jc.Action(1, 1), jc.Action(2, 1), jc.Action(0, 3), jc.Action(-1, 1)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="illegal action"):
             jc.step(state, bad, small_config)
+        with pytest.raises(ValueError, match="illegal action"):
+            apply_action(state, bad, 0.0)
 
 
 def test_step_conserves_total_momentum(small_config):

@@ -67,6 +67,11 @@ def test_fixed_policy_unknown_kind():
         jc.fixed_policy("magic")
 
 
+def test_fixed_policy_proportional_to_ps_needs_the_config():
+    with pytest.raises(ValueError, match="needs the shower config"):
+        jc.fixed_policy("proportional-to-ps")
+
+
 # ---------------------------------------------------------------------------
 # random / greedy
 # ---------------------------------------------------------------------------
@@ -721,6 +726,13 @@ def test_mcts_config_rejects_a_bad_field_by_name(field, value):
     # action 0, and a float n_mcts raised TypeError inside the search.
     with pytest.raises(ValueError, match=rf"^{field}\b"):
         _mcts_cfg(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["final_rule", "rollout_rule"])
+def test_mcts_config_rejects_an_unknown_rule(field):
+    # The CLI offers only the known rules; a library caller can pass any string.
+    with pytest.raises(ValueError, match=f"unknown {field}: 'best'"):
+        _mcts_cfg(**{field: "best"})
 
 
 def test_mcts_config_takes_numpy_scalars(small_config):

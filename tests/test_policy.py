@@ -438,6 +438,11 @@ def test_train_bc_rejects_empty_dataset(small_config):
         jc.train_bc([], small_config, steps=10, lr=0.01, rng=make_rng(0))
 
 
+def test_train_bc_rejects_an_unknown_demonstrator(small_config, small_events):
+    with pytest.raises(ValueError, match="unknown demonstrator: 'oracle'"):
+        jc.train_bc(small_events[:3], small_config, steps=5, lr=0.01, rng=make_rng(0), demonstrator="oracle")
+
+
 def test_train_bc_learns_above_uniform(medium_events):
     config, events = medium_events
     train, held = events[:45], events[45:]

@@ -50,6 +50,10 @@ def test_density_value_at_zero():
 def test_density_out_of_support():
     assert jc.truncated_exp_log_density(2.0, 1.0, 1.0) == LOG_DENSITY_FLOOR
     assert jc.truncated_exp_log_density(-0.5, 1.0, 1.0) == LOG_DENSITY_FLOOR
+    # within the support's relative tolerance of an edge, t scores as the edge
+    at_zero, at_top = (jc.truncated_exp_log_density(t, 1.0, 1.0).hex() for t in (0.0, 1.0))
+    assert jc.truncated_exp_log_density(-1e-13, 1.0, 1.0).hex() == at_zero
+    assert jc.truncated_exp_log_density(1.0 + 1e-13, 1.0, 1.0).hex() == at_top
 
 
 def test_density_rejects_bad_parameters():
@@ -121,6 +125,8 @@ def test_two_body_one_massive_child():
 def test_two_body_rejects_overweight_children():
     with pytest.raises(ValueError):
         jc.two_body_decay(jc.FourMomentum(2, 0, 0, 0), 3.0, 2.0, (0.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match="parent must be massive"):
+        jc.two_body_decay(jc.FourMomentum(2, 0, 0, 2), 0.0, 0.0, (0.0, 0.0, 1.0))
 
 
 def test_two_body_conservation_over_random_parents():

@@ -68,6 +68,8 @@ def test_guards(small_config):
         jc.enumerate_all_trees(leaves * 2, small_config)
     with pytest.raises(ValueError):
         jc.exact_mle(leaves[:1], small_config)
+    with pytest.raises(ValueError, match="need at least 2 particles, got 1"):
+        jc.enumerate_all_trees(leaves[:1], small_config)
 
 
 def test_mle_dominates_planners(small_config, oracle_events):
