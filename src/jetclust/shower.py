@@ -423,7 +423,6 @@ def splitting_log_likelihood(s: Splitting, config: ShowerConfig) -> float:
         # Degenerate (exactly collinear massless) merge: no valid decay.
         value = 2.0 * LOG_DENSITY_FLOOR + _LOG_INV_4PI
     else:
-        log_norm = config.log_norm
         if t_a < t_b:
             t_a, t_b = t_b, t_a
         # Both masses are >= 0 here, so only the upper edge of each
@@ -432,14 +431,14 @@ def splitting_log_likelihood(s: Splitting, config: ShowerConfig) -> float:
             first = LOG_DENSITY_FLOOR
         else:
             t = t_p if t_a > t_p else t_a
-            first = _log(lam / t_p) - lam * t / t_p - log_norm
+            first = _log(lam / t_p) - lam * t / t_p - config.log_norm
         # the lighter against the remainder, bounded by the unclamped t_a:
         bound = (_sqrt(t_p) - _sqrt(t_a)) ** 2
         if not bound > 0.0 or t_b > bound + _SUPPORT_RTOL * bound:
             second = LOG_DENSITY_FLOOR
         else:
             t = bound if t_b > bound else t_b
-            second = _log(lam / bound) - lam * t / bound - log_norm
+            second = _log(lam / bound) - lam * t / bound - config.log_norm
         value = first + second + _LOG_INV_4PI
     if memo is not None:
         # The value is symmetric in the children bit for bit (the sum and
