@@ -14,7 +14,6 @@ import io
 import itertools
 import json
 import math
-import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .costs import PS_EVALUATIONS
-from .planners import MctsConfig, cluster_beam, cluster_greedy, cluster_mcts, cluster_policy, cluster_random, fixed_policy
+from .planners import MctsConfig, check_beam_width, cluster_beam, cluster_greedy, cluster_mcts, cluster_policy, cluster_random, fixed_policy
 from .policy import NeuralPolicy, PolicyWeights, load_weights, weights_bytes
 from .rng import make_rng
 from .shower import FourMomentum, ShowerConfig, Tree, TreeNode, sample_shower, tree_log_likelihood
@@ -514,7 +513,8 @@ def _leaf_count_means(per_event: list[dict]) -> list[tuple[int, float, int]]:
     return [(n, float(np.mean(bins[n])), len(seen[n])) for n in sorted(bins)]
 
 
-# The spec keys each algo reads besides "algo"; a run records only these.
+# The spec keys each algo reads besides "algo"; a run records only these,
+# and records weights only with prior "nn", the one prior that reads it.
 # mcts, listed first, reads every key, so its order is that of
 # PLANNER_SPEC_KEYS, in which the CLI builds a spec and a result file
 # lists its params.
@@ -530,7 +530,10 @@ PLANNER_SPEC_KEYS = ("algo", *dict.fromkeys(key for keys in PLANNER_READS.values
 
 
 def build_planner(spec: dict, config: ShowerConfig):
-    """Planner callable (leaves, rng) -> (tree, ll) from a spec dict."""
+    """Planner callable (leaves, rng) -> (tree, ll) from a spec dict.  Each
+    setting is checked by what uses it: the beam width by
+    check_beam_width, the MCTS settings by MctsConfig, a prior other
+    than 'nn' by fixed_policy and a weights file by load_weights."""
     unknown = sorted(str(key) for key in spec if key not in PLANNER_SPEC_KEYS)
     if unknown:
         raise ValueError(f"unknown planner spec keys: {', '.join(unknown)}")
@@ -540,47 +543,32 @@ def build_planner(spec: dict, config: ShowerConfig):
     if algo == "greedy":
         return lambda leaves, rng: cluster_greedy(leaves, config)
     if algo == "beam":
-        b = _spec_value(spec, "b", int, 5)
+        b = spec.get("b", 5)
+        check_beam_width(b)
         return lambda leaves, rng: cluster_beam(leaves, b, config)
+    if algo not in ("policy", "mcts"):
+        raise ValueError(f"unknown planner algo: {algo!r}")
+    cfg = mcts_config(spec) if algo == "mcts" else None
+    prior = spec.get("prior", "random")
+    if prior == "nn":
+        if not spec.get("weights"):
+            raise ValueError("prior 'nn' needs a weights file")
+        weights, header = load_weights(spec["weights"])
+        policy = NeuralPolicy(weights, config, include_ps=header["include_ps"])
+    else:
+        policy = fixed_policy(prior, config)
     if algo == "policy":
-        policy = _policy_from_spec(spec, config)
         return lambda leaves, rng: cluster_policy(leaves, policy, config)
-    if algo == "mcts":
-        cfg = mcts_config(spec)
-        policy = _policy_from_spec(spec, config)
-        return lambda leaves, rng: cluster_mcts(leaves, policy, cfg, config, rng)[:2]
-    raise ValueError(f"unknown planner algo: {algo!r}")
+    return lambda leaves, rng: cluster_mcts(leaves, policy, cfg, config, rng)[:2]
 
 
 def mcts_config(spec: dict) -> MctsConfig:
-    """The MCTS settings of a planner spec, checked as MctsConfig checks
-    them; a key the spec leaves out keeps the MctsConfig default."""
-    fields = {"c": ("c", float), "n_mcts": ("n_mcts", int), "b": ("beam_init_b", int),
-              "final_rule": ("final_rule", str), "rollout_rule": ("rollout_rule", str)}
-    return MctsConfig(**{name: _spec_value(spec, key, kind) for key, (name, kind) in fields.items() if key in spec})
-
-
-def _spec_value(spec: dict, key: str, kind: type, default=None):
-    """spec[key], or the default, as `kind`; ValueError naming the key if it is not one."""
-    value = spec.get(key, default)
-    accepted, name = {int: (numbers.Integral, "an int"), float: (numbers.Real, "a finite real number"),
-                      str: (str, "a string")}[kind]
-    if isinstance(value, bool) or not isinstance(value, accepted) or (kind is float and not math.isfinite(value)):
-        raise ValueError(f"planner spec {key}={value!r} is not {name}")
-    return kind(value)
-
-
-def _policy_from_spec(spec: dict, config: ShowerConfig):
-    prior = spec.get("prior", "random")
-    if prior in ("random", "proportional-to-ps"):
-        return fixed_policy(prior, config)
-    if prior == "nn":
-        path = spec.get("weights")
-        if not path:
-            raise ValueError("prior 'nn' needs a weights file")
-        weights, header = load_weights(path)
-        return NeuralPolicy(weights, config, include_ps=header["include_ps"])
-    raise ValueError(f"unknown prior: {prior!r}")
+    """The MCTS settings of a planner spec, passed unchanged to MctsConfig,
+    which checks them; spec key b is field beam_init_b, and a key the spec
+    leaves out keeps the MctsConfig default."""
+    fields = {"c": "c", "n_mcts": "n_mcts", "b": "beam_init_b", "final_rule": "final_rule",
+              "rollout_rule": "rollout_rule"}
+    return MctsConfig(**{field: spec[key] for key, field in fields.items() if key in spec})
 
 
 def evaluate(events: Sequence[EventRecord], spec: dict, n_eval: int, seeds: Sequence[int]) -> RunResult:
@@ -589,8 +577,8 @@ def evaluate(events: Sequence[EventRecord], spec: dict, n_eval: int, seeds: Sequ
     is the mean of per-seed means and the standard error is taken across
     seeds, matching how trained models with different seeds are compared.
     The result's params are the spec's keys that the algo reads
-    (PLANNER_READS).  ValueError unless the evaluated events share one
-    config."""
+    (PLANNER_READS), weights only with prior 'nn'.  ValueError unless the
+    evaluated events share one config."""
     if not seeds:
         raise ValueError("need at least one seed")
     if n_eval < 1:
@@ -629,7 +617,8 @@ def evaluate(events: Sequence[EventRecord], spec: dict, n_eval: int, seeds: Sequ
             })
     return RunResult(
         planner=spec["algo"],
-        params={k: v for k, v in spec.items() if k in PLANNER_READS[spec["algo"]]},
+        params={k: v for k, v in spec.items() if k in PLANNER_READS[spec["algo"]]
+                and (k != "weights" or spec.get("prior") == "nn")},
         per_event=per_event,
         dataset_hash=dataset_hash,
     )

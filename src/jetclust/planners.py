@@ -65,14 +65,15 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def fixed_policy(kind: str, config: ShowerConfig | None = None) -> PriorPolicy:
-    """'random' for a uniform prior, 'proportional-to-ps' for p_s-weighted."""
+    """'random' for a uniform prior, 'proportional-to-ps' for p_s-weighted;
+    ValueError for any other prior."""
     if kind == "random":
         return UniformPolicy()
     if kind == "proportional-to-ps":
         if config is None:
             raise ValueError("proportional-to-ps prior needs the shower config")
         return ProportionalPsPolicy(config)
-    raise ValueError(f"unknown fixed policy kind: {kind!r}")
+    raise ValueError(f"unknown prior: {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +134,12 @@ class _BeamItem:
     indices: tuple[int, ...]
 
 
+def check_beam_width(b: int) -> None:
+    """ValueError unless b is a beam width: an int >= 1, which a bool is not."""
+    if isinstance(b, bool) or not isinstance(b, numbers.Integral) or b < 1:
+        raise ValueError(f"beam width must be an int >= 1, got {b!r}")
+
+
 def _beam_from_state(state: ClusterState, b: int, config: ShowerConfig) -> list[_BeamItem]:
     """Level-synchronous beam over partial clusterings ranked by cumulative
     log-likelihood, ties going to the smaller action path from `state`.
@@ -141,8 +148,7 @@ def _beam_from_state(state: ClusterState, b: int, config: ShowerConfig) -> list[
     rewards depend only on the current particle multiset.  Candidates are
     ranked before any state is built, and only the survivors are built.
     Returns the final beam (complete clusterings), best first."""
-    if b < 1:
-        raise ValueError(f"beam width must be >= 1, got {b}")
+    check_beam_width(b)
     items = [_BeamItem(state=state, path=(), indices=())]
     while items[0].state.n > 1:
         # A candidate's path is its parent's path plus its action, and the

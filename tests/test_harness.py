@@ -32,6 +32,7 @@ from jetclust.harness import (
     event_to_json,
     write_comparison,
 )
+from jetclust.policy import feature_dim, init_weights
 from jetclust.rng import make_rng
 from jetclust.trellis import DEFAULT_N_MAX
 
@@ -554,7 +555,7 @@ def test_evaluate_rejects_a_negative_seed(small_events, monkeypatch):
         evaluate(small_events, {"algo": "greedy"}, n_eval=2, seeds=[0, -3])
 
 
-def test_a_run_records_only_the_settings_its_planner_reads(small_events):
+def test_a_run_records_only_the_settings_its_planner_reads(small_events, tmp_path):
     # Every key of the spec used to land in params, so a greedy run stored
     # a beam width and an MCTS budget it never read.
     unread = {"b": 2, "n_mcts": 2, "c": 0.5, "prior": "nn", "weights": "w.bin", "final_rule": "max-rollout",
@@ -562,10 +563,17 @@ def test_a_run_records_only_the_settings_its_planner_reads(small_events):
     assert evaluate(small_events, {"algo": "greedy", "b": 5, "n_mcts": 7, "prior": "nn"}, 3, [0]).params == {}
     assert evaluate(small_events, {"algo": "random", **unread}, 3, [0]).params == {}
     assert evaluate(small_events, {"algo": "beam", **unread}, 3, [0]).params == {"b": 2}
+    # only an nn prior reads the weights file, so only it records one
     policy = {"algo": "policy", **unread, "prior": "random"}
-    assert evaluate(small_events, policy, 3, [0]).params == {"prior": "random", "weights": "w.bin"}
+    assert evaluate(small_events, policy, 3, [0]).params == {"prior": "random"}
+    weights = tmp_path / "w.bin"
+    jc.save_weights(weights, init_weights(feature_dim(True), make_rng(0)))
+    nn = {"algo": "policy", "prior": "nn", "weights": str(weights)}
+    assert evaluate(small_events, nn, 3, [0]).params == {"prior": "nn", "weights": str(weights)}
     # mcts reads every key, and params keep the spec's order
     mcts = {"rollout_rule": "puct", "algo": "mcts", **unread, "prior": "random"}
+    assert list(evaluate(small_events, mcts, 3, [0]).params) == [k for k in mcts if k not in ("algo", "weights")]
+    mcts = {**mcts, "n_mcts": 1, "b": 1, "prior": "nn", "weights": str(weights)}
     assert list(evaluate(small_events, mcts, 3, [0]).params) == [k for k in mcts if k != "algo"]
     assert harness.PLANNER_SPEC_KEYS == ("algo", *harness.PLANNER_READS["mcts"])
 
@@ -1733,21 +1741,23 @@ def test_cli_config_file_rejects_values_of_the_wrong_type(tmp_path, capsys):
     assert jc.RunResult.from_json(out.read_text()).params == {"b": 2}
 
 
-@pytest.mark.parametrize("spec,key", [
-    ({"algo": "beam", "b": 2.7}, "b"),
-    ({"algo": "beam", "b": "five"}, "b"),
-    ({"algo": "beam", "b": True}, "b"),
-    ({"algo": "mcts", "b": 1.5}, "b"),
-    ({"algo": "mcts", "n_mcts": 2.0}, "n_mcts"),
-    ({"algo": "mcts", "n_mcts": False}, "n_mcts"),
-    ({"algo": "mcts", "c": "1"}, "c"),
-    ({"algo": "mcts", "c": math.nan}, "c"),
+@pytest.mark.parametrize("spec,message", [
+    ({"algo": "beam", "b": 2.7}, "beam width must be an int >= 1, got 2.7"),
+    ({"algo": "beam", "b": "five"}, "beam width must be an int >= 1, got 'five'"),
+    ({"algo": "beam", "b": True}, "beam width must be an int >= 1, got True"),
+    ({"algo": "mcts", "b": 1.5}, "beam_init_b must be an int, got 1.5"),
+    ({"algo": "mcts", "n_mcts": 2.0}, "n_mcts must be an int, got 2.0"),
+    ({"algo": "mcts", "n_mcts": False}, "n_mcts must be an int, got False"),
+    ({"algo": "mcts", "c": "1"}, "c, the exploration constant, must be a finite number > 0, got '1'"),
+    ({"algo": "mcts", "c": math.nan}, "c, the exploration constant, must be a finite number > 0, got nan"),
 ], ids=["beam-float-b", "beam-str-b", "beam-bool-b", "mcts-float-b", "float-n_mcts",
         "bool-n_mcts", "str-c", "nan-c"])
-def test_build_planner_checks_spec_values(small_events, small_config, spec, key):
+def test_build_planner_checks_spec_values(small_events, small_config, spec, message):
+    # Each setting has one check, made by the code that uses it: the beam
+    # width check, or MctsConfig, which names its own field.
     for run in (lambda: build_planner(spec, small_config),
                 lambda: evaluate(small_events, spec, n_eval=2, seeds=[0])):
-        with pytest.raises(ValueError, match=f"planner spec {key}="):
+        with pytest.raises(ValueError, match=re.escape(message)):
             run()
     # an int is a real number, and a numpy int is an int
     build_planner({"algo": "mcts", "c": 2, "b": np.int64(2), "n_mcts": 2}, small_config)
