@@ -35,6 +35,7 @@ from .harness import (
     write_all,
     write_comparison,
 )
+from .planners import check_beam_width
 from .policy import load_weights, train_bc, train_mcts_policy
 from .rng import make_rng
 from .shower import FourMomentum, ShowerConfig
@@ -189,9 +190,16 @@ def _read_config(path: str, flags: dict[str, argparse.Action]) -> dict:
 
 
 def _planner_spec(args) -> dict:
+    """The planner spec of the flags, with the settings that need no
+    dataset checked, so a bad one costs no read of --in."""
     if args.algo is None:
         raise UsageError("--algo is required")
-    return {key: getattr(args, key) for key in PLANNER_SPEC_KEYS if getattr(args, key) is not None}
+    spec = {key: getattr(args, key) for key in PLANNER_SPEC_KEYS if getattr(args, key) is not None}
+    if args.algo == "mcts":
+        mcts_config(spec)
+    if args.algo == "beam" and "b" in spec:
+        check_beam_width(spec["b"])
+    return spec
 
 
 def _load_dataset(args) -> tuple[list, ShowerConfig]:
@@ -261,6 +269,9 @@ def _cmd_train(args) -> int:
         raise UsageError(f"--lr must be finite and > 0, got {args.lr}")
     if args.init_weights and args.mode != "mcts":
         raise UsageError(f"--init-weights continues --mode mcts only, not --mode {args.mode}")
+    # Checked before --in is read, so a bad setting costs no work.
+    cfg = (mcts_config({k: getattr(args, k) for k in ("c", "n_mcts", "b") if getattr(args, k) is not None})
+           if args.mode == "mcts" else None)
     events, config = _load_dataset(args)
     include_ps = not args.no_ps_feature
     rng = make_rng(args.seed, 1_000_003)
@@ -277,7 +288,6 @@ def _cmd_train(args) -> int:
                 raise UsageError(f"--no-ps-feature, but --init-weights {args.init_weights} "
                                  f"holds a network that reads the p_s feature")
             include_ps = header["include_ps"]
-        cfg = mcts_config({k: getattr(args, k) for k in ("c", "n_mcts", "b") if getattr(args, k) is not None})
         weights, losses = train_mcts_policy(events, cfg, config, args.steps, args.lr, rng,
                                             init=init, include_ps=include_ps)
     save_weights(args.out, weights, config_hash=config_hash(config))
@@ -309,6 +319,8 @@ def _cmd_evaluate(args) -> int:
 def _load_result(path: str) -> RunResult:
     try:
         return RunResult.from_json(Path(path).read_text())
+    except OSError as exc:
+        raise OSError(f"cannot read run result from {path}: {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -1763,6 +1763,47 @@ def test_build_planner_checks_spec_values(small_events, small_config, spec, mess
     build_planner({"algo": "mcts", "c": 2, "b": np.int64(2), "n_mcts": 2}, small_config)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--mode", "mcts", "--c", "nan"], "c, the exploration constant"),
+    (["train", "--mode", "mcts", "--n-mcts", "0", "--b", "0"], "n_mcts=0 without beam initialization"),
+    (["evaluate", "--algo", "mcts", "--c", "0"], "c, the exploration constant"),
+    (["cluster", "--algo", "mcts", "--b", "-1"], "beam_init_b must be non-negative"),
+    (["cluster", "--algo", "beam", "--b", "0"], "beam width must be an int >= 1, got 0"),
+    (["evaluate", "--algo", "beam", "--b", "-2"], "beam width must be an int >= 1, got -2"),
+], ids=["train-nan-c", "train-nothing-to-decide", "evaluate-zero-c", "cluster-negative-b",
+        "cluster-zero-width", "evaluate-negative-width"])
+def test_cli_checks_planner_settings_before_reading_the_dataset(tmp_path, capsys, monkeypatch, argv, message):
+    import jetclust.cli as cmod
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("the dataset was read before a bad planner setting was rejected")
+
+    monkeypatch.setattr(cmod, "load_events", no_load)
+    out = tmp_path / "out"
+    assert cli([*argv, "--in", str(tmp_path / "d.jsonl"), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unreadable_weights_and_run_results_are_named(tmp_path, capsys, small_events):
+    data = tmp_path / "d.jsonl"
+    cli(["generate", "--n-events", "3", "--out", str(data), "--quiet", *SMALL_FLAGS])
+    out = tmp_path / "out"
+    for path in (tmp_path / "nope.bin", tmp_path):  # missing, and a directory
+        with pytest.raises(OSError, match=re.escape(f"cannot read weights from {path}: ")):
+            jc.load_weights(path)
+        with pytest.raises(OSError, match=re.escape(f"cannot read weights from {path}: ")):
+            evaluate(small_events, {"algo": "policy", "prior": "nn", "weights": str(path)}, 2, [0])
+        for argv in (["evaluate", "--algo", "policy", "--prior", "nn", "--weights", str(path)],
+                     ["evaluate", "--algo", "mcts", "--n-mcts", "1", "--prior", "nn", "--weights", str(path)],
+                     ["train", "--mode", "mcts", "--steps", "1", "--init-weights", str(path)]):
+            assert cli([*argv, "--in", str(data), "--out", str(out)]) == 2
+            assert f"error: cannot read weights from {path}: " in capsys.readouterr().err
+        assert cli(["compare", str(path), str(path), "--out", str(out)]) == 2
+        assert f"error: cannot read run result from {path}: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl"]
+
+
 def test_cli_generate_rejects_non_finite_density_flags(tmp_path, capsys):
     data = tmp_path / "d.jsonl"
     for flags, reason in ((["--lam", "nan"], "finite"), (["--t-cut", "inf"], "finite"),

@@ -151,6 +151,20 @@ def test_beam_rejects_zero_width(small_config):
         jc.cluster_beam(_event(small_config, 3, 3), 0, small_config)
 
 
+@pytest.mark.parametrize("b", [2.5, True, "5", 0], ids=["float", "bool", "str", "zero"])
+def test_beam_rejects_a_width_that_is_not_an_int_of_at_least_one(small_config, b):
+    # A float width never fills the beam, which then keeps every partial
+    # clustering; five leaves keep that run short where it is not rejected.
+    with pytest.raises(ValueError, match=re.escape(f"beam width must be an int >= 1, got {b!r}")):
+        jc.cluster_beam(_event(small_config, 3, 5), b, small_config)
+
+
+def test_beam_takes_a_numpy_int_width(small_config):
+    leaves = _event(small_config, 3, 5)
+    _, ll = jc.cluster_beam(leaves, 2, small_config)
+    assert jc.cluster_beam(leaves, np.int64(2), small_config)[1].hex() == ll.hex()
+
+
 def test_beam_dedup_keeps_best_representative(small_config):
     # all partitions of a 4-leaf event fit in a wide beam; the final beam
     # must hold distinct partitions only
