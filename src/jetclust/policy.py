@@ -351,35 +351,36 @@ def load_weights(path: str | Path) -> tuple[PolicyWeights, dict]:
     the header is this format's, with little-endian float64 weights
     ("<f8") shaped as one of the two networks and the include_ps flag of
     those shapes, and the payload holds exactly the finite weights the
-    shapes need.  OSError naming the path if the file cannot be read."""
+    shapes need.  OSError naming the path if the file cannot be opened."""
     try:
-        with open(path, "rb") as f:
-            line, payload = f.readline(), f.read()
+        f = open(path, "rb")
     except OSError as exc:
         raise OSError(f"cannot read weights from {path}: {exc}") from exc
-    try:
-        header = json.loads(line.decode())
-    except ValueError:
-        raise ValueError(f"{path}: not a weights file") from None
-    if not isinstance(header, dict) or header.get("magic") != WEIGHTS_MAGIC:
-        raise ValueError(f"{path}: not a weights file")
-    if header.get("version") != WEIGHTS_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported weights format version {header.get('version')}")
-    if header.get("feature_schema") != FEATURE_SCHEMA_VERSION:
-        raise ValueError(f"{path}: feature schema {header.get('feature_schema')!r}, "
-                         f"this version reads {FEATURE_SCHEMA_VERSION}")
-    if header.get("dtype") != "<f8":
-        raise ValueError(f"{path}: weights dtype {header.get('dtype')!r}, this version reads '<f8'")
-    if "shapes" not in header:
-        raise ValueError(f"{path}: weights header has no 'shapes' field")
-    include_ps = next((flag for flag in (True, False)
-                       if header["shapes"] == weight_shapes(feature_dim(flag))), None)
-    if include_ps is None:
-        raise ValueError(f"{path}: weights header shapes {header['shapes']!r} are not "
-                         f"this network's")
-    if header.get("include_ps") is not include_ps:
-        raise ValueError(f"{path}: weights header include_ps {header.get('include_ps')!r} is not "
-                         f"{include_ps}, which its shapes imply")
+    with f:
+        try:
+            header = json.loads(f.readline().decode())
+        except ValueError:
+            raise ValueError(f"{path}: not a weights file") from None
+        if not isinstance(header, dict) or header.get("magic") != WEIGHTS_MAGIC:
+            raise ValueError(f"{path}: not a weights file")
+        if header.get("version") != WEIGHTS_FORMAT_VERSION:
+            raise ValueError(f"{path}: unsupported weights format version {header.get('version')}")
+        if header.get("feature_schema") != FEATURE_SCHEMA_VERSION:
+            raise ValueError(f"{path}: feature schema {header.get('feature_schema')!r}, "
+                             f"this version reads {FEATURE_SCHEMA_VERSION}")
+        if header.get("dtype") != "<f8":
+            raise ValueError(f"{path}: weights dtype {header.get('dtype')!r}, this version reads '<f8'")
+        if "shapes" not in header:
+            raise ValueError(f"{path}: weights header has no 'shapes' field")
+        include_ps = next((flag for flag in (True, False)
+                           if header["shapes"] == weight_shapes(feature_dim(flag))), None)
+        if include_ps is None:
+            raise ValueError(f"{path}: weights header shapes {header['shapes']!r} are not "
+                             f"this network's")
+        if header.get("include_ps") is not include_ps:
+            raise ValueError(f"{path}: weights header include_ps {header.get('include_ps')!r} is not "
+                             f"{include_ps}, which its shapes imply")
+        payload = f.read()
     input_dim = feature_dim(include_ps)
     if len(payload) != 8 * _n_weights(input_dim):
         raise ValueError(f"{path}: payload of {len(payload)} bytes, the header's shapes "
