@@ -236,10 +236,12 @@ class MctsConfig:
 
 
 class SearchNode:
-    """One state of the search tree with per-action visit statistics."""
+    """One state of the search tree with per-action visit statistics,
+    held as Python floats; `visited` lists the indices of the actions
+    backed up at least once, in the order of their first visit."""
 
-    __slots__ = ("state", "actions", "priors", "n_visits",
-                 "n_sa", "w_sa", "q", "best_return", "children")
+    __slots__ = ("state", "actions", "priors", "n_visits", "n_sa", "w_sa", "q",
+                 "best_return", "visited", "children", "_p", "_by_prior")
 
     def __init__(self, state: ClusterState, policy: PriorPolicy):
         self.state = state
@@ -247,27 +249,51 @@ class SearchNode:
         m = len(self.actions)
         self.priors = policy.priors(state) if m else np.zeros(0)
         self.n_visits = 0
-        self.n_sa = np.zeros(m)  # whole counts, held as floats so 1 + N_sa needs no cast
-        self.w_sa = np.zeros(m)
-        self.q = np.empty(m)  # w_sa / n_sa, kept by _Search.backup; 0.5 while unvisited
-        self.q.fill(0.5)
-        self.best_return = np.empty(m)
-        self.best_return.fill(-math.inf)
+        self.n_sa = [0.0] * m  # whole counts, held as floats so 1 + N_sa needs no cast
+        self.w_sa = [0.0] * m
+        self.q = [0.5] * m  # w_sa / n_sa, kept by _Search.backup; 0.5 while unvisited
+        self.best_return = [-math.inf] * m
+        self.visited: list[int] = []
         self.children: list["SearchNode | None"] = [None] * m
+        self._p: list[float] | None = None  # priors as floats, filled by the first select
+        self._by_prior: list[int] = []  # action indices by descending prior
 
-    def puct_scores(self, c: float) -> np.ndarray:
-        """Upper confidence bound Q + c * prior * sqrt(N_s) / (1 + N_sa) of
-        every action.  An unvisited action's Q reads 0.5, neutral on the
-        normalized scale."""
-        # The operations of q + c * prior * sqrt(N_s) / (1 + N_sa), in
-        # that order, on one buffer.  Addition and multiplication commute
-        # bit for bit, so the array goes first, where numpy takes the
-        # scalar without a reflected call.
-        scores = self.priors * c
-        scores *= math.sqrt(max(self.n_visits, 1))
-        scores /= self.n_sa + 1.0
-        scores += self.q
-        return scores
+    def select(self, c: float) -> int:
+        """The index of the action of highest PUCT score
+        Q + c * prior * sqrt(N_s) / (1 + N_sa), the first one on a tie, as
+        np.argmax of the score of every action would pick it, bit for bit.
+        An unvisited action's Q reads 0.5, neutral on the normalized scale.
+
+        Only the visited actions and the best unvisited ones are scored.
+        An unvisited action scores prior * c * sqrt(N_s) + 0.5, which never
+        falls as the prior grows, so the unvisited actions are scanned by
+        descending prior, up to the first that scores below the best.  A
+        higher prior can round to the same score as a lower one at a
+        smaller index, which then wins, so equal scores are scanned too."""
+        p = self._p
+        if p is None:
+            p = self._p = self.priors.tolist()
+            # Equal priors may come in any order: equal scores are all scanned.
+            self._by_prior = sorted(range(len(p)), key=p.__getitem__, reverse=True)
+        # Each score is ((prior * c) * s) / (N_sa + 1.0) + Q, the operations
+        # in that order, so its bits are those of the full score vector; an
+        # unvisited action's N_sa + 1.0 is 1.0 and its Q 0.5.
+        s = math.sqrt(max(self.n_visits, 1))
+        n_sa, q = self.n_sa, self.q
+        best, best_k = -math.inf, -1
+        for k in self.visited:
+            score = p[k] * c * s / (n_sa[k] + 1.0) + q[k]
+            if score > best or (score == best and k < best_k):
+                best, best_k = score, k
+        for k in self._by_prior:
+            if n_sa[k]:
+                continue
+            score = p[k] * c * s + 0.5
+            if score < best:
+                break
+            if score > best or k < best_k:
+                best, best_k = score, k
+        return best_k
 
 
 class _Search:
@@ -303,6 +329,8 @@ class _Search:
             node.n_visits += 1
             n_sa, w_sa, best_return = node.n_sa, node.w_sa, node.best_return
             n = n_sa[k] + 1.0
+            if n == 1.0:
+                node.visited.append(k)
             total = w_sa[k] + w
             n_sa[k] = n
             w_sa[k] = total
@@ -329,7 +357,7 @@ class _Search:
                 priors = node.priors
                 k = int(self.rng.choice(len(node.actions), p=priors / priors.sum()))
             else:
-                k = int(node.puct_scores(c).argmax())
+                k = node.select(c)
             path.append((node, k))
             child = node.children[k]
             node = child if child is not None else self.child(node, k)
@@ -341,9 +369,9 @@ class _Search:
             self.seed(root)
         for _ in range(cfg.n_mcts):
             self.rollout(root)
-        if cfg.final_rule == "puct-visits":
-            return int(root.n_sa.argmax())
-        return int(root.best_return.argmax())
+        # The first maximum, as np.argmax finds it.
+        stat = root.n_sa if cfg.final_rule == "puct-visits" else root.best_return
+        return stat.index(max(stat))
 
 
 @ps_memo()

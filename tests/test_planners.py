@@ -370,14 +370,16 @@ def test_golden_log_likelihoods_and_costs(small_config, name, seed, n, expected)
 
 def _set_visits(node, n_sa, w_sa):
     """Visit statistics as a run of _Search.backup would leave them, Q included."""
-    node.n_sa[:] = n_sa
-    node.w_sa[:] = w_sa
-    node.q[:] = np.where(node.n_sa > 0, node.w_sa / np.maximum(node.n_sa, 1), 0.5)
+    node.n_sa[:] = [float(n) for n in n_sa]
+    node.w_sa[:] = [float(w) for w in w_sa]
+    node.q[:] = [w / n if n > 0 else 0.5 for n, w in zip(node.n_sa, node.w_sa)]
+    node.visited[:] = [k for k, n in enumerate(node.n_sa) if n > 0]
 
 
 def _old_puct_scores(node, c):
-    q = np.where(node.n_sa > 0, node.w_sa / np.maximum(node.n_sa, 1), 0.5)
-    return q + c * node.priors * math.sqrt(max(node.n_visits, 1)) / (1.0 + node.n_sa)
+    n_sa, w_sa = np.array(node.n_sa), np.array(node.w_sa)
+    q = np.where(n_sa > 0, w_sa / np.maximum(n_sa, 1), 0.5)
+    return q + c * node.priors * math.sqrt(max(node.n_visits, 1)) / (1.0 + n_sa)
 
 
 def test_puct_score_direct_example(small_config):
@@ -387,14 +389,17 @@ def test_puct_score_direct_example(small_config):
     node.n_visits = 9
     _set_visits(node, [4, 2, 3], [2.0, 1.0, 1.5])
     # Q = 1/2, U = 1 * 0.2 * 3 / 3
-    assert node.puct_scores(1.0)[1] == pytest.approx(0.7, abs=1e-12)
+    scores = _oracle_puct_scores(node, 1.0)
+    assert scores[1] == pytest.approx(0.7, abs=1e-12)
+    assert node.select(1.0) == int(scores.argmax())
 
 
 def test_puct_score_matches_formula_on_random_tuples(small_config):
     state = reset(_event(small_config, 3, 3))
-    node = SearchNode(state, jc.fixed_policy("random"))
     rng = make_rng(41)
     for _ in range(10_000):
+        # A node reads its priors once, at its first select, so each case gets a new one.
+        node = SearchNode(state, jc.fixed_policy("random"))
         q = rng.uniform(0.0, 1.0, 3)
         n_sa = rng.integers(0, 50, 3)
         node.priors = rng.dirichlet(np.ones(3))
@@ -404,7 +409,9 @@ def test_puct_score_matches_formula_on_random_tuples(small_config):
         k = int(rng.integers(3))
         expected_q = q[k] if n_sa[k] > 0 else 0.5
         expected = expected_q + c * node.priors[k] * math.sqrt(max(node.n_visits, 1)) / (1 + n_sa[k])
-        assert node.puct_scores(c)[k] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        scores = _oracle_puct_scores(node, c)
+        assert scores[k] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert node.select(c) == int(scores.argmax())
 
 
 def test_puct_exploration_vanishes_with_visits(small_config):
@@ -412,7 +419,9 @@ def test_puct_exploration_vanishes_with_visits(small_config):
     node = SearchNode(state, jc.fixed_policy("random"))
     node.n_visits = 10**9
     _set_visits(node, [10**9 - 2, 1, 1], [0.25 * (10**9 - 2), 0.5, 0.5])
-    assert node.puct_scores(1.0)[0] == pytest.approx(0.25, abs=1e-3)
+    scores = _oracle_puct_scores(node, 1.0)
+    assert scores[0] == pytest.approx(0.25, abs=1e-3)
+    assert node.select(1.0) == int(scores.argmax())
 
 
 def test_puct_c_zero_is_argmax_q(small_config):
@@ -420,14 +429,77 @@ def test_puct_c_zero_is_argmax_q(small_config):
     node = SearchNode(state, jc.fixed_policy("random"))
     node.n_visits = 6
     _set_visits(node, [2, 2, 2], [0.2, 1.8, 1.0])
-    scores = node.puct_scores(1e-12)
+    scores = _oracle_puct_scores(node, 1e-12)
     assert int(np.argmax(scores)) == 1
+    assert node.select(1e-12) == 1
+
+
+class _GivenPriors:
+    def __init__(self, priors):
+        self.p = np.array(priors, dtype=float)
+
+    def priors(self, state):
+        return self.p.copy()
+
+
+def _node(small_config, priors, n_visits=0, n_sa=None, w_sa=None):
+    """A node of len(priors) actions with the given statistics."""
+    m = len(priors)
+    n = next(n for n in range(2, 10) if n * (n - 1) // 2 == m)
+    node = SearchNode(reset(_event(small_config, 3, n)), _GivenPriors(priors))
+    node.n_visits = n_visits
+    if n_sa is not None:
+        _set_visits(node, n_sa, w_sa)
+    return node
+
+
+_TIE_CASES = {
+    # Priors 0.3 and the next float up score the same bits at s = 2, c = 1,
+    # so the lower index wins although its prior is the smaller.
+    "ulp-tie": ([0.3, float(np.nextafter(0.3, 1.0)), 0.1], 4, None, None, 0),
+    # Both score exactly 0.75: visited 0.5 * 1 / 2 + 0.5 against unvisited 0.25 + 0.5.
+    "visited-first": ([0.5, 0.25, 0.25], 1, [1, 0, 0], [0.5, 0, 0], 0),
+    "unvisited-first": ([0.25, 0.5, 0.25], 1, [0, 1, 0], [0, 0.5, 0], 0),
+    "zero-tail": ([0.6, 0.4, 0.0, 0.0, 0.0, 0.0], 20, [10, 10, 0, 0, 0, 0], [1, 2, 0, 0, 0, 0], 2),
+    "zero-head": ([0.0, 0.0, 0.5, 0.0, 0.5, 0.0], 20, [0, 0, 10, 0, 10, 0], [0, 0, 1, 0, 1, 0], 0),
+    "equal-best-priors": ([0.0, 0.0, 0.5, 0.0, 0.5, 0.0], 0, None, None, 2),
+    "uniform": ([1 / 6] * 6, 0, None, None, 0),
+    "uniform-low-q": ([1 / 6] * 6, 1, [1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0], 1),
+    "uniform-high-q": ([1 / 6] * 6, 1, [1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TIE_CASES))
+def test_select_breaks_ties_toward_the_smaller_index(small_config, case):
+    priors, n_visits, n_sa, w_sa, expected = _TIE_CASES[case]
+    node = _node(small_config, priors, n_visits, n_sa, w_sa)
+    assert int(_oracle_puct_scores(node, 1.0).argmax()) == expected
+    assert node.select(1.0) == expected
+    # The same answers at other c, on this node and on a new one, in either order.
+    cs = (1.0, 0.7, 2.5, 0.1, 1e-12, 40.0)
+    answers = [node.select(c) for c in cs]
+    fresh = [_node(small_config, priors, n_visits, n_sa, w_sa).select(c) for c in cs]
+    again = [node.select(c) for c in reversed(cs)][::-1]
+    assert answers == fresh == again == [int(_oracle_puct_scores(node, c).argmax()) for c in cs]
+
+
+def test_select_ties_between_visited_actions_go_to_the_smaller_index(small_config):
+    # Actions 1 and then 0 are backed up with equal weights, so both score
+    # 0.5 * sqrt(2) / 2 + 0.5, above unvisited action 2's 0.5.
+    node = _node(small_config, [0.5, 0.5, 0.0])
+    search = _Search(jc.fixed_policy("random"), _mcts_cfg(), small_config, make_rng(0))
+    for k in (1, 0):
+        search.backup([(node, k)], -1.0)
+    assert node.visited == [1, 0]
+    assert int(_oracle_puct_scores(node, 1.0).argmax()) == 0
+    assert node.select(1.0) == 0
 
 
 @pytest.mark.parametrize("prior", ["random", "proportional-to-ps"])
 def test_puct_scores_match_the_recomputed_q_at_every_node(small_config, prior):
-    # _Search.backup keeps Q up to date; after each of 20 simulations every node's
-    # scores must equal the formula that recomputes Q from n_sa and w_sa.
+    # _Search.backup keeps Q up to date; after each of 20 simulations every
+    # node's scores must equal the formula that recomputes Q from n_sa and
+    # w_sa, and its select must pick their argmax.
     config = jc.ShowerConfig(lam=1.5, t_cut=1.0, root=jc.FourMomentum(12.0, 0.0, 0.0, 4.0))
     policy = jc.fixed_policy(prior, config)
     cfg = _mcts_cfg(n_mcts=20, beam_init_b=2)
@@ -441,8 +513,11 @@ def test_puct_scores_match_the_recomputed_q_at_every_node(small_config, prior):
             node = stack.pop()
             visited += 1
             for c in (1.0, 0.7, 2.5, 0.1):
-                assert node.puct_scores(c).tobytes() == _old_puct_scores(node, c).tobytes()
-                assert node.puct_scores(c).tobytes() == _oracle_puct_scores(node, c).tobytes()
+                scores = _oracle_puct_scores(node, c)
+                assert scores.tobytes() == _old_puct_scores(node, c).tobytes()
+                if node.actions:
+                    assert node.select(c) == int(_old_puct_scores(node, c).argmax())
+                    assert node.select(c) == int(scores.argmax())
             stack.extend(child for child in node.children if child is not None)
     assert visited > 20
 
@@ -788,11 +863,16 @@ def _oracle_softmax(logits):
 
 
 def _oracle_puct_scores(node, c):
+    """The PUCT score of every action of the node, from its lists."""
     scores = c * node.priors
     scores *= math.sqrt(max(node.n_visits, 1))
-    scores /= 1.0 + node.n_sa
-    scores += node.q
+    scores /= 1.0 + np.array(node.n_sa)
+    scores += np.array(node.q)
     return scores
+
+
+def _oracle_select(node, c):
+    return int(_oracle_puct_scores(node, c).argmax())
 
 
 def _oracle_backup(search, path, ret):
@@ -805,6 +885,8 @@ def _oracle_backup(search, path, ret):
         w = 0.5
     for node, k in path:
         node.n_visits += 1
+        if node.n_sa[k] == 0:
+            node.visited.append(k)
         node.n_sa[k] += 1
         node.w_sa[k] += w
         node.q[k] = node.w_sa[k] / node.n_sa[k]
@@ -820,7 +902,7 @@ def _oracle_run_rollout(search, root):
         if cfg.rollout_rule == "policy-sample":
             k = int(search.rng.choice(len(node.actions), p=node.priors / node.priors.sum()))
         else:
-            k = int(node.puct_scores(cfg.c).argmax())
+            k = node.select(cfg.c)
         path.append((node, k))
         node = search.child(node, k)
     search.backup(path, node.state.cumulative_reward)
@@ -884,7 +966,7 @@ def _oracle_hot_path():
         mp.setattr(env_module, "apply_action", _oracle_apply_action)
         mp.setattr(planners_module, "apply_action", _oracle_apply_action)
         mp.setattr(planners_module, "_softmax", _oracle_softmax)
-        mp.setattr(planners_module.SearchNode, "puct_scores", _oracle_puct_scores)
+        mp.setattr(planners_module.SearchNode, "select", _oracle_select)
         mp.setattr(_Search, "backup", _oracle_backup)
         mp.setattr(_Search, "rollout", _oracle_run_rollout)
         mp.setattr(planners_module, "_beam_from_state", _oracle_beam_from_state)
