@@ -23,6 +23,7 @@ from .harness import (
     DESK_CONFIG,
     PLANNER_SPEC_KEYS,
     RunResult,
+    check_nn_weights,
     compare,
     comparison_paths,
     config_hash,
@@ -197,6 +198,8 @@ def _planner_spec(args) -> dict:
     spec = {key: getattr(args, key) for key in PLANNER_SPEC_KEYS if getattr(args, key) is not None}
     if args.algo == "mcts":
         mcts_config(spec)
+    if args.algo in ("policy", "mcts"):
+        check_nn_weights(spec)
     if args.algo == "beam" and "b" in spec:
         check_beam_width(spec["b"])
     return spec

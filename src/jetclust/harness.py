@@ -533,7 +533,8 @@ def build_planner(spec: dict, config: ShowerConfig):
     """Planner callable (leaves, rng) -> (tree, ll) from a spec dict.  Each
     setting is checked by what uses it: the beam width by
     check_beam_width, the MCTS settings by MctsConfig, a prior other
-    than 'nn' by fixed_policy and a weights file by load_weights."""
+    than 'nn' by fixed_policy, the naming of an 'nn' prior's weights file
+    by check_nn_weights and the file by load_weights."""
     unknown = sorted(str(key) for key in spec if key not in PLANNER_SPEC_KEYS)
     if unknown:
         raise ValueError(f"unknown planner spec keys: {', '.join(unknown)}")
@@ -549,10 +550,9 @@ def build_planner(spec: dict, config: ShowerConfig):
     if algo not in ("policy", "mcts"):
         raise ValueError(f"unknown planner algo: {algo!r}")
     cfg = mcts_config(spec) if algo == "mcts" else None
+    check_nn_weights(spec)
     prior = spec.get("prior", "random")
     if prior == "nn":
-        if not spec.get("weights"):
-            raise ValueError("prior 'nn' needs a weights file")
         weights, header = load_weights(spec["weights"])
         policy = NeuralPolicy(weights, config, include_ps=header["include_ps"])
     else:
@@ -560,6 +560,12 @@ def build_planner(spec: dict, config: ShowerConfig):
     if algo == "policy":
         return lambda leaves, rng: cluster_policy(leaves, policy, config)
     return lambda leaves, rng: cluster_mcts(leaves, policy, cfg, config, rng)[:2]
+
+
+def check_nn_weights(spec: dict) -> None:
+    """ValueError when the spec's prior is 'nn' and it names no weights file."""
+    if spec.get("prior") == "nn" and not spec.get("weights"):
+        raise ValueError("prior 'nn' needs a weights file")
 
 
 def mcts_config(spec: dict) -> MctsConfig:

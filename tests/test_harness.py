@@ -1770,8 +1770,12 @@ def test_build_planner_checks_spec_values(small_events, small_config, spec, mess
     (["cluster", "--algo", "mcts", "--b", "-1"], "beam_init_b must be non-negative"),
     (["cluster", "--algo", "beam", "--b", "0"], "beam width must be an int >= 1, got 0"),
     (["evaluate", "--algo", "beam", "--b", "-2"], "beam width must be an int >= 1, got -2"),
+    (["evaluate", "--algo", "policy", "--prior", "nn"], "prior 'nn' needs a weights file"),
+    (["evaluate", "--algo", "mcts", "--prior", "nn"], "prior 'nn' needs a weights file"),
+    (["cluster", "--algo", "mcts", "--prior", "nn"], "prior 'nn' needs a weights file"),
 ], ids=["train-nan-c", "train-nothing-to-decide", "evaluate-zero-c", "cluster-negative-b",
-        "cluster-zero-width", "evaluate-negative-width"])
+        "cluster-zero-width", "evaluate-negative-width", "evaluate-policy-nn-without-weights",
+        "evaluate-mcts-nn-without-weights", "cluster-mcts-nn-without-weights"])
 def test_cli_checks_planner_settings_before_reading_the_dataset(tmp_path, capsys, monkeypatch, argv, message):
     import jetclust.cli as cmod
 
