@@ -238,7 +238,9 @@ class MctsConfig:
 class SearchNode:
     """One state of the search tree with per-action visit statistics,
     held as Python floats; `visited` lists the indices of the actions
-    backed up at least once, in the order of their first visit."""
+    backed up at least once, in the order of their first visit.  The
+    first `select` reads `priors` into floats, so later changes to the
+    array are not seen."""
 
     __slots__ = ("state", "actions", "priors", "n_visits", "n_sa", "w_sa", "q",
                  "best_return", "visited", "children", "_p", "_by_prior")
