@@ -28,13 +28,10 @@ from .policy import NeuralPolicy, PolicyWeights, load_weights, weights_bytes
 from .rng import make_rng
 from .shower import FourMomentum, ShowerConfig, Tree, TreeNode, sample_shower, tree_log_likelihood
 
-SCHEMA_VERSION = 1  # run-result files
+SCHEMA_VERSION = 2  # run-result files; version 1 also stored the aggregates of its rows
 EVENT_SCHEMA_VERSION = 2  # dataset lines; version 1 stored a config hash, not the config
 # Largest |truth_ll - tree_log_likelihood(truth)| a loaded event may show.
 TRUTH_LL_TOLERANCE = 1e-9
-# Largest difference a loaded run result's stored means may show from the
-# ones recomputed from its per_event rows.
-RESULT_MEAN_TOLERANCE = 1e-9
 
 # Default configuration: a boosted root with mass-squared 400 showered
 # down to t_cut = 1, giving events around 15 particles; the whole
@@ -395,9 +392,9 @@ def generate(config: ShowerConfig, n_events: int, path: str | Path) -> list[Even
 
 @dataclass
 class RunResult:
-    """A run's rows and what scored them.  per_seed ({seed, mean_ll,
-    mean_cost}), mean_ll, sem_ll and mean_cost are derived from per_event
-    by _summary when the result is built."""
+    """A run's rows and what scored them, all that its file holds.  per_seed
+    ({seed, mean_ll, mean_cost}), mean_ll, sem_ll and mean_cost are derived
+    from per_event by _summary when the result is built, and on load."""
     planner: str
     params: dict
     per_event: list[dict]  # {seed, id, n_leaves, ll, cost, ms}
@@ -413,73 +410,72 @@ class RunResult:
             "params": self.params,
             "dataset_hash": self.dataset_hash,
             "per_event": self.per_event,
-            "per_seed": self.per_seed,
-            "mean_ll": self.mean_ll,
-            "sem_ll": self.sem_ll,
-            "mean_cost": self.mean_cost,
         })
 
     @classmethod
     def from_json(cls, text: str) -> "RunResult":
-        """Decode a run-result file; ValueError naming the field unless
-        planner is a str, dataset_hash a str or null, params a dict,
-        per_event a non-empty and per_seed a list of dicts, every per_event
-        seed, id and n_leaves an int, every per_event ll and cost, mean_ll,
-        sem_ll and mean_cost a finite number, the stored per_seed, mean_ll,
-        sem_ll and mean_cost within RESULT_MEAN_TOLERANCE of the ones
-        derived from per_event, and the mean LL of each leaf count finite.
-        The result keeps the derived aggregates, not the stored ones."""
+        """Decode a run-result file of this schema version; ValueError
+        naming the field unless the file and each of its per_event rows
+        hold their fields (_RESULT_FIELDS, _ROW_FIELDS), per_event holds
+        one row per (seed, event), and every aggregate derived from it
+        (per_seed, mean_ll, sem_ll, mean_cost, each leaf count's mean LL)
+        is finite."""
         obj = json.loads(text)
         _check_schema(obj, "run result")
-        what = "malformed run result:"
         try:
-            planner = _kind(obj["planner"], (str,), f"{what} planner")
-            params = _kind(obj["params"], (dict,), f"{what} params")
-            per_event = _kind(obj["per_event"], (list,), f"{what} per_event")
-            stored_per_seed = _kind(obj["per_seed"], (list,), f"{what} per_seed")
-            stored = {name: _number(obj[name], f"{what} {name}") for name in ("mean_ll", "sem_ll", "mean_cost")}
-            dataset_hash = _kind(obj.get("dataset_hash"), (str, type(None)), f"{what} dataset_hash")
-        except KeyError as exc:
-            raise ValueError(f"{what} missing field {exc}") from exc
-        if not per_event:
-            raise ValueError(f"{what} per_event is empty")
-        for k, entry in enumerate(stored_per_seed):
-            _kind(entry, (dict,), f"{what} per_seed[{k}]")
-            missing = [name for name in ("seed", "mean_ll", "mean_cost") if name not in entry]
-            if missing:
-                raise ValueError(f"{what} per_seed[{k}] lacks {', '.join(missing)}")
-            _kind(entry["seed"], (int,), f"{what} per_seed[{k}].seed")
-        for k, entry in enumerate(per_event):
-            _kind(entry, (dict,), f"{what} per_event[{k}]")
-            missing = [name for name in ("seed", "id", "n_leaves", "ll", "cost") if name not in entry]
-            if missing:
-                raise ValueError(f"{what} per_event[{k}] lacks {', '.join(missing)}")
-            for name in ("seed", "id", "n_leaves"):
-                _kind(entry[name], (int,), f"{what} per_event[{k}].{name}")
-            _number(entry["ll"], f"{what} per_event[{k}].ll")
-            _number(entry["cost"], f"{what} per_event[{k}].cost")
-        with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows is reported below
-            result = cls(planner, params, per_event, dataset_hash)
-            by_leaves = _leaf_count_means(per_event)
-        seeds = [entry["seed"] for entry in stored_per_seed]
-        if seeds != [entry["seed"] for entry in result.per_seed]:
-            raise ValueError(f"{what} per_seed holds the seeds {seeds}, per_event "
-                             f"{[entry['seed'] for entry in result.per_seed]}")
-        for k, (entry, want) in enumerate(zip(stored_per_seed, result.per_seed)):
-            for name in ("mean_ll", "mean_cost"):
-                _check_mean(entry[name], want[name], f"{what} per_seed[{k}].{name}")
-        for name, value in stored.items():
-            _check_mean(value, getattr(result, name), f"{what} {name}")
-        for n, mean, _ in by_leaves:
-            if not math.isfinite(mean):
-                raise ValueError(f"{what} per_event ll of the {n}-leaf events has the non-finite mean {mean!r}")
+            _check_fields(obj, _RESULT_FIELDS)
+            per_event = obj["per_event"]
+            if not per_event:
+                raise ValueError("per_event is empty")
+            first_row = {}  # (seed, id) and id -> the first row that holds it
+            for k, row in enumerate(per_event):
+                _check_fields(row, _ROW_FIELDS, f"per_event[{k}]")
+                key = row["seed"], row["id"]
+                if first_row.setdefault(key, k) != k:
+                    raise ValueError(f"per_event[{k}] repeats the (seed, id) {key} of per_event[{first_row[key]}]")
+                j = first_row.setdefault(row["id"], k)
+                if row["n_leaves"] != per_event[j]["n_leaves"]:
+                    raise ValueError(f"per_event[{k}] gives id {row['id']} other n_leaves than per_event[{j}]")
+            seeds = dict.fromkeys(row["seed"] for row in per_event)
+            for k, row in enumerate(per_event):
+                for seed in seeds:
+                    if (seed, row["id"]) not in first_row:
+                        raise ValueError(f"per_event[{k}] has id {row['id']}, which seed {seed} has no row of")
+            with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows is reported below
+                result = cls(obj["planner"], obj["params"], per_event, obj["dataset_hash"])
+                by_leaves = _leaf_count_means(per_event)
+            derived = {f"per_seed[{k}].{name}": entry[name]
+                       for k, entry in enumerate(result.per_seed) for name in ("mean_ll", "mean_cost")}
+            derived.update(mean_ll=result.mean_ll, sem_ll=result.sem_ll, mean_cost=result.mean_cost)
+            for name, value in derived.items():
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} {value!r}, recomputed from per_event, is not finite")
+            for n, mean, _ in by_leaves:
+                if not math.isfinite(mean):
+                    raise ValueError(f"per_event ll of the {n}-leaf events has the non-finite mean {mean!r}")
+        except ValueError as exc:
+            raise ValueError(f"malformed run result: {exc}") from exc
         return result
 
 
-def _check_mean(stored, recomputed: float, what: str) -> None:
-    number = _number(stored, what)
-    if not abs(number - recomputed) <= RESULT_MEAN_TOLERANCE:
-        raise ValueError(f"{what} {stored!r} is not {recomputed!r}, its value recomputed from per_event")
+# The fields of a run-result file and of its per_event rows; kinds with float mean a finite number.
+_RESULT_FIELDS = (("planner", (str,)), ("params", (dict,)), ("per_event", (list,)), ("dataset_hash", (str, type(None))))
+_ROW_FIELDS = (("seed", (int,)), ("id", (int,)), ("n_leaves", (int,)), ("ll", (int, float)), ("cost", (int, float)))
+
+
+def _check_fields(obj, fields, where: str = "") -> None:
+    """ValueError naming the field unless obj is a dict that holds each of
+    fields with a value of its kinds; a field of row where is <where>.<name>."""
+    _kind(obj, (dict,), where)
+    missing = [name for name, _ in fields if name not in obj]
+    if missing:
+        raise ValueError(f"{where or 'the file'} lacks {', '.join(missing)}")
+    for name, kinds in fields:
+        what = f"{where}.{name}" if where else name
+        if float in kinds:
+            _number(obj[name], what)
+        else:
+            _kind(obj[name], kinds, what)
 
 
 def _summary(per_event: list[dict]) -> tuple[list[dict], float, float, float]:
@@ -584,7 +580,7 @@ def evaluate(events: Sequence[EventRecord], spec: dict, n_eval: int, seeds: Sequ
     seeds, matching how trained models with different seeds are compared.
     The result's params are the spec's keys that the algo reads
     (PLANNER_READS), weights only with prior 'nn'.  ValueError unless the
-    evaluated events share one config."""
+    evaluated events share one config and have distinct ids."""
     if not seeds:
         raise ValueError("need at least one seed")
     if n_eval < 1:
@@ -603,6 +599,9 @@ def evaluate(events: Sequence[EventRecord], spec: dict, n_eval: int, seeds: Sequ
             raise ValueError(f"event {event.event_id} was generated by config {config_hash(event.config)}, "
                              f"but event {subset[0].event_id} by config {dataset_hash}; "
                              f"evaluate scores a run with one config")
+    ids = [event.event_id for event in subset]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"event ids {sorted({i for i in ids if ids.count(i) > 1})} repeat among the evaluated events")
     planner = build_planner(spec, config)
     per_event = []
     for seed in seeds:
