@@ -50,6 +50,7 @@ class ClusterState:
 
 
 _new_object = object.__new__
+_new_tuple = tuple.__new__
 # One setter per field, in field order; a field added to the class
 # makes this unpacking fail at import.
 _set_particles, _set_masks, _set_cumulative_reward, _set_history, _set_leaves = (
@@ -135,7 +136,9 @@ def step(state: ClusterState, action: Action, config: ShowerConfig) -> ClusterSt
     i, j = action.i, action.j
     if not (0 <= i < j < state.n):
         raise ValueError(f"illegal action ({i}, {j}) for n={state.n}")
-    reward = splitting_log_likelihood(Splitting(state.particles[i], state.particles[j]), config)
+    ps = state.particles
+    # tuple.__new__ builds the Splitting in C, as planners._rewards does.
+    reward = splitting_log_likelihood(_new_tuple(Splitting, (ps[i], ps[j])), config)
     return apply_action(state, action, reward)
 
 

@@ -64,6 +64,9 @@ def extract_pair_features(
     evaluation: the rows that reuse a value are charged in one bulk add."""
     if isinstance(states, ClusterState):
         states = (states,)
+    elif len(states) == 0:
+        raise ValueError("extract_pair_features got an empty sequence of states; "
+                         "it takes one state or a non-empty sequence of them")
     # The particles, the pairs as positions in them, and each row's energy
     # and mass scales and particle count: scalars for one state.
     scales = [1.0 / math.fsum(p.E for p in state.particles) for state in states]
@@ -121,10 +124,14 @@ def extract_pair_features(
         # The kernel is symmetric in its children bit for bit, so _rewards,
         # which scores each pair in position order, gives the rows' values.
         if len(states) == 1:
-            log_ps = _rewards(states[0], config)
+            log_ps = np.array(_rewards(states[0], config))
         else:
             log_ps = _ps_column(particles, first, second, config)
-        out[:, N_BASE_FEATURES] = np.clip(log_ps, -100.0, 100.0) * 0.1
+        # The clip as the two ufuncs np.clip ends in, without its
+        # Python-level wrapper, which costs more than they do.
+        np.maximum(log_ps, -100.0, out=log_ps)
+        np.minimum(log_ps, 100.0, out=log_ps)
+        out[:, N_BASE_FEATURES] = log_ps * 0.1
     return out
 
 

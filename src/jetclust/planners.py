@@ -60,7 +60,7 @@ class ProportionalPsPolicy:
 def _softmax(logits: np.ndarray) -> np.ndarray:
     # fsum makes the normalizer independent of summation order, so the
     # distribution is bit-identical under particle permutations.
-    z = np.exp(logits - logits.max())
+    z = np.exp(logits - np.maximum.reduce(logits))  # the ufunc that .max() wraps
     return z / math.fsum(z.tolist())
 
 
@@ -354,7 +354,7 @@ class _Search:
         sample = self.cfg.rollout_rule == "policy-sample"
         node = root
         path: list[tuple[SearchNode, int]] = []
-        while not is_terminal(node.state):
+        while node.actions:  # empty once the state is terminal
             if sample:
                 priors = node.priors
                 k = int(self.rng.choice(len(node.actions), p=priors / priors.sum()))
@@ -410,6 +410,6 @@ def cluster_policy(
     """Roll out the policy directly, taking its argmax action each step."""
     state = reset(event)
     while not is_terminal(state):
-        k = int(np.argmax(policy.priors(state)))
+        k = int(policy.priors(state).argmax())
         state = step(state, action_table(state.n)[k], config)
     return tree_from_state(state), state.cumulative_reward

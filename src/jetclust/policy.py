@@ -83,7 +83,7 @@ def _forward(w: PolicyWeights, x: np.ndarray):
     np.tanh(h2, out=h2)
     logits = h2 @ w.w3
     logits += w.b3
-    shifted = np.exp(logits - logits.max())
+    shifted = np.exp(logits - np.maximum.reduce(logits))  # the ufunc that .max() wraps
     total = math.fsum(shifted.tolist())  # order-independent normalizer
     return shifted / total, shifted, total, h1, h2
 

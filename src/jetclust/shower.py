@@ -40,7 +40,7 @@ _log = math.log
 _sqrt = math.sqrt
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FourMomentum:
     """Relativistic (E, px, py, pz) in model units."""
 
@@ -58,9 +58,18 @@ class FourMomentum:
     # no comparison, hash, repr or pickle sees it either.
     _k: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
+    def __init__(self, E: float, px: float, py: float, pz: float) -> None:
+        # The dataclass's __init__, less its frozen-class object.__setattr__
+        # calls: the fields are filled through the slot descriptors.
+        _set_E(self, E)
+        _set_px(self, px)
+        _set_py(self, py)
+        _set_pz(self, pz)
+        _set_t(self, None)
+        _set_k(self, None)
+
     def __add__(self, other: "FourMomentum") -> "FourMomentum":
-        # Built through the slot descriptors, as __init__ would fill the
-        # slots but without its frozen-class object.__setattr__ calls.
+        # Built through the slot descriptors, as __init__ fills the slots.
         p = _new_object(FourMomentum)
         _set_E(p, self.E + other.E)
         _set_px(p, self.px + other.px)
@@ -120,13 +129,15 @@ def invariant_mass_sq_rows(p: np.ndarray) -> np.ndarray:
     operations in the same order, so every entry has the scalar's bits."""
     E, px, py, pz = p.T
     t = E * E - px * px - py * py - pz * pz
-    low = t < 0.0
-    if low.any():
-        beyond = t < -EPS_MASS_SQ
-        if beyond.any():
-            t_bad = float(t[beyond.argmax()])
+    # One ufunc reduction in place of ndarray.any's Python-level wrapper.
+    # fmin skips a NaN, as `t < 0.0` does, and the initial 0.0 is what an
+    # empty t (a terminal state's rows) reduces to.
+    t_min = np.fmin.reduce(t, initial=0.0)
+    if t_min < 0.0:
+        if t_min < -EPS_MASS_SQ:
+            t_bad = float(t[(t < -EPS_MASS_SQ).argmax()])
             raise ValueError(f"momentum is spacelike beyond tolerance: t={t_bad!r}")
-        t[low] = 0.0
+        t[t < 0.0] = 0.0
     return t
 
 
