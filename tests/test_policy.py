@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -297,6 +298,35 @@ def test_features_share_cost_counter(small_config):
     jc.PS_EVALUATIONS.reset()
     extract_pair_features(state, small_config, include_ps=False)
     assert jc.PS_EVALUATIONS.count == 0
+
+
+@pytest.mark.parametrize("empty", [[], ()])
+def test_features_reject_an_empty_sequence(small_config, empty):
+    with pytest.raises(ValueError, match="empty sequence of states"):
+        extract_pair_features(empty, small_config)
+
+
+def test_terminal_state_features_are_empty_and_count_nothing(small_config):
+    # A terminal state has no pair, so no row and no p_s evaluation, on
+    # its own and among other states of its episode.
+    leaves = make_event(small_config, seed=29, n_leaves=5).leaf_momenta()
+    states = _episode(small_config, leaves, make_rng(29))
+    last = states[-1]
+    terminal = step(last, action_table(last.n)[0], small_config)
+    assert is_terminal(terminal)
+    for include_ps in (True, False):
+        jc.PS_EVALUATIONS.reset()
+        x = extract_pair_features(terminal, small_config, include_ps)
+        assert x.shape == (0, feature_dim(include_ps)) and x.dtype == np.float64
+        assert extract_pair_features([terminal], small_config, include_ps).shape == x.shape
+        assert extract_pair_features([terminal, terminal], small_config, include_ps).shape == x.shape
+        assert jc.PS_EVALUATIONS.count == 0
+        expected, cost = _stacked_per_state(states, small_config, include_ps)
+        for batch in (states + [terminal], [terminal] + states, states[:2] + [terminal] + states[2:]):
+            start = jc.PS_EVALUATIONS.count
+            got = extract_pair_features(batch, small_config, include_ps)
+            assert jc.PS_EVALUATIONS.count - start == cost
+            assert got.tobytes() == expected.tobytes() and got.shape == expected.shape
 
 
 def test_uniform_loss_is_log_action_count(small_config):
@@ -1002,3 +1032,76 @@ def test_neural_policy_validates_dims(small_config):
     w = init_weights(feature_dim(include_ps=False), make_rng(10))
     with pytest.raises(ValueError):
         jc.NeuralPolicy(w, small_config, include_ps=True)
+
+
+# ---------------------------------------------------------------------------
+# golden roll-outs of the nn and p_s priors
+# ---------------------------------------------------------------------------
+
+def _desk_golden():
+    """(rows, digest) on the first 10 desk events of seed 0.  The rows are
+    "<event id> <planner> <ll.hex()> <counted p_s evaluations>" of the
+    argmax roll-out of fixed-seed BC weights (`policy`) and of
+    MCTS(20, b=5) with the p_s prior (`mcts-ps`); the digest is a sha256
+    of the trained weights, and of policy_forward and the p_s prior at
+    every state of each policy roll-out, as bytes.  A one-ulp change to
+    either prior moves the digest, though it may not move a row."""
+    config = jc.DESK_CONFIG
+    events = jc.generate_events(config, 10)
+    demos = jc.generate_events(dataclasses.replace(config, rng_seed=1), 30)
+    w, _ = jc.train_bc(demos, config, 300, 0.03, make_rng(41))
+    nn = NeuralPolicy(w, config)
+    ps = jc.fixed_policy("proportional-to-ps", config)
+    cfg = jc.MctsConfig(n_mcts=20, beam_init_b=5)
+    digest = hashlib.sha256(w.theta.tobytes())
+    rows = []
+    for event in events:
+        runs = [("policy", lambda: jc.cluster_policy(event.leaves, nn, config)),
+                ("mcts-ps", lambda: jc.cluster_mcts(event.leaves, ps, cfg, config,
+                                                    make_rng(43, event.event_id)))]
+        for name, run in runs:
+            start = jc.PS_EVALUATIONS.count
+            ll = run()[1]
+            rows.append(f"{event.event_id} {name} {ll.hex()} {jc.PS_EVALUATIONS.count - start}")
+        state = reset(event.leaves)
+        while not is_terminal(state):
+            probs = jc.policy_forward(w, state, config)
+            digest.update(probs.tobytes())
+            digest.update(ps.priors(state).tobytes())
+            state = step(state, action_table(state.n)[int(probs.argmax())], config)
+    return rows, digest.hexdigest()
+
+
+# Captured before the numpy calls on the prior paths were replaced by the
+# ufuncs and methods they end in.  The weights and the policy rows pass
+# through BLAS matmuls, whose bits may differ between CPUs and BLAS
+# builds (see tests/fingerprint.txt); the mcts-ps rows do not.
+DESK_GOLDEN_ROWS = [
+    "0 policy -0x1.51e25a7df883bp+5 230",
+    "0 mcts-ps -0x1.4e525b238e1bap+5 4844",
+    "1 policy -0x1.d72cce379fb86p+5 986",
+    "1 mcts-ps -0x1.c6cf90efdff3bp+5 36881",
+    "2 policy -0x1.2dc521429ec0cp+5 230",
+    "2 mcts-ps -0x1.15d64c99b16b0p+5 5732",
+    "3 policy -0x1.3af426c56b7e0p+6 2046",
+    "3 mcts-ps -0x1.303d5471245eap+6 79376",
+    "4 policy -0x1.0dce8c601638bp+5 174",
+    "4 mcts-ps -0x1.0dce8c601638bp+5 3015",
+    "5 policy -0x1.5fc6b76d3864ap+5 695",
+    "5 mcts-ps -0x1.54efa06ef93b2p+5 25435",
+    "6 policy -0x1.2eda02476ab85p+5 174",
+    "6 mcts-ps -0x1.2eda02476ab85p+5 3289",
+    "7 policy -0x1.3fef479e007eep+5 468",
+    "7 mcts-ps -0x1.3c41dea4ded28p+5 13380",
+    "8 policy -0x1.743af1ea00982p+5 230",
+    "8 mcts-ps -0x1.57f1d02aa8ec0p+5 5582",
+    "9 policy -0x1.7c3491351b4aep+5 832",
+    "9 mcts-ps -0x1.6fa28d102ad56p+5 29796",
+]
+DESK_GOLDEN_DIGEST = "0acbb52b29a5701e90e5c6209c7fcaa54de750580ad34e542b334073af6c6185"
+
+
+def test_desk_golden_of_the_nn_and_ps_priors():
+    rows, digest = _desk_golden()
+    assert rows == DESK_GOLDEN_ROWS
+    assert digest == DESK_GOLDEN_DIGEST
