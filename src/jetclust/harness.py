@@ -162,60 +162,87 @@ def _check_schema(obj, what: str, expected: int = SCHEMA_VERSION) -> None:
         raise ValueError(f"{what} has schema_version {version!r}, this version reads {expected}")
 
 
-def _number(value, what: str) -> float:
-    # json.loads gives int or float for a number (nan or inf for NaN or Infinity); bool and str are not numbers
-    try:
-        number = float(value) if type(value) in (int, float) else math.nan
-    except OverflowError:  # an int beyond the float range
-        number = math.nan
-    if not math.isfinite(number):
-        raise ValueError(f"{what} {value!r} is not a finite number")
-    return number
+_NUMBER = frozenset((int, float))
+# The fields of each level of a dataset line and of a run-result file, as _decode reads them.
+_CONFIG_FIELDS = {"lam": float, "t_cut": float, "root": FourMomentum, "rng_seed": (int,)}
+_EVENT_FIELDS = {"id": (int,), "config": _CONFIG_FIELDS, "leaves": [FourMomentum], "truth_ll": float,
+                 "truth": {"nodes": [{"p": FourMomentum, "parent": (int, type(None)), "children": (list, type(None))}],
+                           "root": (int,)}}
+_ROW_FIELDS = {"seed": (int,), "id": (int,), "n_leaves": (int,), "ll": float, "cost": float}
+_RESULT_FIELDS = {"planner": (str,), "params": (dict,), "per_event": [_ROW_FIELDS], "dataset_hash": (str, type(None))}
 
 
-def _kind(value, kinds: tuple[type, ...], what: str):
-    """value, if its exact type is one of kinds (so a bool is not an int);
-    else ValueError naming what."""
-    if type(value) not in kinds:
-        names = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
-        raise ValueError(f"{what} is {type(value).__name__}, not {names}")
-    return value
+class _FieldError(ValueError):
+    """A field missing or not of its kind: args are the reason, then its path's keys, innermost
+    first, added as it leaves each level of _decode, so a path (per_event[3].ll) is built only if shown."""
+
+    def __str__(self) -> str:
+        path = "".join(f"[{key}]" if type(key) is int else f".{key}" for key in reversed(self.args[1:]))
+        return f"{path[1:]} {self.args[0]}".lstrip()
 
 
-def _momentum(values) -> FourMomentum:
-    if len(values) == 4:
-        E, px, py, pz = values
-        if ({type(E), type(px), type(py), type(pz)} <= {int, float}
-                and math.isfinite(E) and math.isfinite(px) and math.isfinite(py) and math.isfinite(pz)):
-            return FourMomentum(float(E), float(px), float(py), float(pz))
-    raise ValueError(f"momentum {values!r} is not four finite numbers")
+def _decode(value, kind):
+    """value decoded as kind, or _FieldError.  A kind is a tuple of types,
+    matched exactly (a bool is not an int); float, a finite number (as a
+    float); FourMomentum, a list of four finite numbers; a table, a dict of
+    kinds by field name, for an object that holds each field and maybe
+    others (as the list of their values); or [kind], a list of that kind."""
+    if kind is FourMomentum:
+        try:  # unpacking raises ValueError unless there are four numbers, and 0.0 * n OverflowError for an
+            E, px, py, pz = value if type(value) is list else ()  # int beyond the float range
+            if (type(E) in _NUMBER and type(px) in _NUMBER and type(py) in _NUMBER and type(pz) in _NUMBER
+                    and 0.0 * E + 0.0 * px + 0.0 * py + 0.0 * pz == 0.0):  # nan unless all four are finite
+                return FourMomentum(float(E), float(px), float(py), float(pz))
+        except (ValueError, OverflowError):
+            pass
+        raise _FieldError(f"{value!r} is not four finite numbers")
+    if type(value) is type(kind) is dict:
+        decoded = []
+        for name in kind:
+            try:
+                item, item_kind = value[name], kind[name]
+                decoded.append(item if type(item_kind) is tuple and type(item) in item_kind else _decode(item, item_kind))
+            except KeyError:
+                raise _FieldError(f"lacks {', '.join(key for key in kind if key not in value)}") from None
+            except _FieldError as exc:
+                exc.args += (name,)
+                raise
+        return decoded
+    if type(value) is type(kind) is list:
+        decoded, item_kind = [], kind[0]
+        for index, item in enumerate(value):
+            try:
+                decoded.append(_decode(item, item_kind))
+            except _FieldError as exc:
+                exc.args += (index,)
+                raise
+        return decoded
+    if kind is float:
+        try:
+            if type(value) in _NUMBER and math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+        raise _FieldError(f"{value!r} is not a finite number")
+    if type(kind) is tuple and type(value) in kind:
+        return value
+    names = ("null" if k is type(None) else k.__name__ for k in (kind if type(kind) is tuple else (type(kind),)))
+    raise _FieldError(f"is {type(value).__name__}, not {' or '.join(names)}")
 
 
-def _config_from_obj(obj) -> ShowerConfig:
-    if not (isinstance(obj, dict) and obj.keys() == {"lam", "t_cut", "root", "rng_seed"}
-            and type(obj["rng_seed"]) is int):
-        raise ValueError(f"config {obj!r} is not lam, t_cut, root and an int rng_seed")
-    return ShowerConfig(_number(obj["lam"], "config lam"), _number(obj["t_cut"], "config t_cut"),
-                        _momentum(obj["root"]), obj["rng_seed"])
-
-
-def _tree_from_obj(obj: dict, leaves: list) -> Tree:
-    """Decode a truth tree; ValueError unless it is one binary tree whose
-    parent and child links agree and whose leaves, in the order the
-    sampler lists them (pre-order, first child first), are the line's
-    `leaves`, so that leaf k of the tree is particle k of the event."""
+def _truth_tree(rows: list, root: int, leaves: list) -> Tree:
+    """The truth tree of a line's decoded nodes and root; ValueError unless
+    it is one binary tree whose parent and child links agree and whose
+    leaves, in the order the sampler lists them (pre-order, first child
+    first), are the line's `leaves`, so that leaf k of the tree is
+    particle k of the event."""
     nodes = []
-    for k, rec in enumerate(obj["nodes"]):
-        momentum = _momentum(rec["p"])
-        children = rec["children"]
-        if children is not None:
-            if type(children) is not list or len(children) != 2:
-                raise ValueError(f"truth tree node {k} has children {children!r}, not two")
-            children = tuple(children)
-        nodes.append(TreeNode(momentum=momentum, parent=rec["parent"], children=children))
+    for k, (momentum, parent, children) in enumerate(rows):
+        if children is not None and len(children) != 2:
+            raise ValueError(f"truth tree node {k} has children {children!r}, not two")
+        nodes.append(TreeNode(momentum, parent, children and tuple(children)))
     size = len(nodes)
-    root = obj["root"]
-    if type(root) is not int or not 0 <= root < size:
+    if not 0 <= root < size:
         raise ValueError(f"truth tree root {root!r} is not a node index below {size}")
     if nodes[root].parent is not None:
         raise ValueError(f"truth tree root {root} has parent {nodes[root].parent!r}")
@@ -235,14 +262,14 @@ def _tree_from_obj(obj: dict, leaves: list) -> Tree:
             if type(c) is not int or not 0 <= c < size:
                 raise ValueError(f"truth tree node {k}'s child {c!r} is not a node index below {size}")
             parent = nodes[c].parent
-            if type(parent) is not int or parent != k:
+            if parent != k:
                 raise ValueError(f"truth tree node {c} is a child of node {k} but names parent {parent!r}")
             stack.append(c)
     if len(reached) != size:
         raise ValueError(f"truth tree nodes {sorted(set(range(size)) - reached)} are not reached from the root")
-    if [obj["nodes"][k]["p"] for k in leaf_indices] != leaves:
+    if [nodes[k].momentum for k in leaf_indices] != leaves:
         raise ValueError("truth tree leaves, in pre-order, differ from the event's leaves")
-    return Tree(nodes=nodes, root_index=root, leaf_indices=leaf_indices)
+    return Tree(nodes, root, leaf_indices)
 
 
 def event_to_json(event: EventRecord) -> str:
@@ -258,39 +285,32 @@ def event_to_json(event: EventRecord) -> str:
 
 def event_from_json(line: str, config: ShowerConfig | None = None) -> EventRecord:
     """Decode one dataset line; ValueError if it is not an event of this
-    schema version, if its truth tree's root momentum is not its config's
-    `root`, if its `truth_ll` is more than TRUTH_LL_TOLERANCE from the
-    log-likelihood of its truth tree, or if it stores a config other than
+    schema version, lacks a field or holds one of another kind (named by
+    its path, as in truth.nodes[3].p), if its truth root momentum is not
+    its config's `root`, its `truth_ll` is over TRUTH_LL_TOLERANCE from
+    its truth tree's log-likelihood, or it stores a config other than
     `config`, which the record then shares.
 
-    Scoring the truth tree makes n - 1 kernel queries for an event of n
-    leaves.  They add to the global PS_EVALUATIONS tally, but they happen
-    outside every planner call, so no per-event cost delta counts them."""
+    Scoring the truth tree makes n - 1 kernel queries for n leaves, which
+    add to the global PS_EVALUATIONS tally outside every planner call."""
     obj = json.loads(line)
     _check_schema(obj, "event", EVENT_SCHEMA_VERSION)
-    try:
-        stored = _config_from_obj(obj["config"])
-        if config is not None and stored != config:
+    event_id, (lam, t_cut, root, rng_seed), leaves, truth_ll, (nodes, root_index) = _decode(obj, _EVENT_FIELDS)
+    if len(obj["config"]) > len(_CONFIG_FIELDS):
+        raise ValueError(f"config holds keys other than {', '.join(_CONFIG_FIELDS)}")
+    if config is None or (lam, t_cut, root, rng_seed) != (config.lam, config.t_cut, config.root, config.rng_seed):
+        first, config = config, ShowerConfig(lam, t_cut, root, rng_seed)  # which rejects a value out of range
+        if first is not None:
             raise ValueError("config differs from the first event's; a dataset holds one shower config")
-        if type(obj["id"]) is not int:
-            raise ValueError(f"event id {obj['id']!r} is not an int")
-        event = EventRecord(
-            event_id=obj["id"],
-            config=stored if config is None else config,
-            leaves=tuple(_momentum(p) for p in obj["leaves"]),
-            truth=_tree_from_obj(obj["truth"], obj["leaves"]),
-            truth_ll=_number(obj["truth_ll"], "truth_ll"),
-        )
-        root = event.truth.nodes[event.truth.root_index].momentum
-        if root != event.config.root:
-            raise ValueError(f"truth root momentum {root.as_tuple()} is not the config root "
-                             f"{event.config.root.as_tuple()}, where the sampler starts every tree")
-        ll = tree_log_likelihood(event.truth, event.config)
-        if not abs(ll - event.truth_ll) <= TRUTH_LL_TOLERANCE:
-            raise ValueError(f"truth_ll {event.truth_ll!r} differs from the truth tree's log-likelihood {ll!r}")
-        return event
-    except (KeyError, TypeError, OverflowError) as exc:  # missing field, wrong kind, int beyond float range
-        raise ValueError(f"malformed event: {exc!r}") from exc
+    event = EventRecord(event_id, config, tuple(leaves), _truth_tree(nodes, root_index, leaves), truth_ll)
+    truth_root = event.truth.nodes[root_index].momentum
+    if truth_root != config.root:
+        raise ValueError(f"truth root momentum {truth_root.as_tuple()} is not the config root "
+                         f"{config.root.as_tuple()}, where the sampler starts every tree")
+    ll = tree_log_likelihood(event.truth, config)
+    if not abs(ll - truth_ll) <= TRUTH_LL_TOLERANCE:
+        raise ValueError(f"truth_ll {truth_ll!r} differs from the truth tree's log-likelihood {ll!r}")
+    return event
 
 
 def generate_events(config: ShowerConfig, n_events: int) -> list[EventRecord]:
@@ -423,13 +443,12 @@ class RunResult:
         obj = json.loads(text)
         _check_schema(obj, "run result")
         try:
-            _check_fields(obj, _RESULT_FIELDS)
-            per_event = obj["per_event"]
+            planner, params, _, dataset_hash = _decode(obj, _RESULT_FIELDS)
+            per_event = obj["per_event"]  # the rows as the file holds them, which a result keeps
             if not per_event:
                 raise ValueError("per_event is empty")
             first_row = {}  # (seed, id) and id -> the first row that holds it
             for k, row in enumerate(per_event):
-                _check_fields(row, _ROW_FIELDS, f"per_event[{k}]")
                 key = row["seed"], row["id"]
                 if first_row.setdefault(key, k) != k:
                     raise ValueError(f"per_event[{k}] repeats the (seed, id) {key} of per_event[{first_row[key]}]")
@@ -442,7 +461,7 @@ class RunResult:
                     if (seed, row["id"]) not in first_row:
                         raise ValueError(f"per_event[{k}] has id {row['id']}, which seed {seed} has no row of")
             with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows is reported below
-                result = cls(obj["planner"], obj["params"], per_event, obj["dataset_hash"])
+                result = cls(planner, params, per_event, dataset_hash)
                 by_leaves = _leaf_count_means(per_event)
             derived = {f"per_seed[{k}].{name}": entry[name]
                        for k, entry in enumerate(result.per_seed) for name in ("mean_ll", "mean_cost")}
@@ -456,26 +475,6 @@ class RunResult:
         except ValueError as exc:
             raise ValueError(f"malformed run result: {exc}") from exc
         return result
-
-
-# The fields of a run-result file and of its per_event rows; kinds with float mean a finite number.
-_RESULT_FIELDS = (("planner", (str,)), ("params", (dict,)), ("per_event", (list,)), ("dataset_hash", (str, type(None))))
-_ROW_FIELDS = (("seed", (int,)), ("id", (int,)), ("n_leaves", (int,)), ("ll", (int, float)), ("cost", (int, float)))
-
-
-def _check_fields(obj, fields, where: str = "") -> None:
-    """ValueError naming the field unless obj is a dict that holds each of
-    fields with a value of its kinds; a field of row where is <where>.<name>."""
-    _kind(obj, (dict,), where)
-    missing = [name for name, _ in fields if name not in obj]
-    if missing:
-        raise ValueError(f"{where or 'the file'} lacks {', '.join(missing)}")
-    for name, kinds in fields:
-        what = f"{where}.{name}" if where else name
-        if float in kinds:
-            _number(obj[name], what)
-        else:
-            _kind(obj[name], kinds, what)
 
 
 def _summary(per_event: list[dict]) -> tuple[list[dict], float, float, float]:

@@ -323,15 +323,17 @@ def test_load_missing_file_reports_path(tmp_path):
     (lambda obj: json.dumps({**obj, "schema_version": 1}), "schema_version 1"),
     (lambda obj: json.dumps({**obj, "leaves": [[math.nan, 0, 0, 1], *obj["leaves"][1:]]}),
      "not four finite numbers"),
-    (lambda obj: json.dumps({**obj, "leaves": [[10**400, 0, 0, 1], *obj["leaves"][1:]]}), "too large"),
+    (lambda obj: json.dumps({**obj, "leaves": [[10**400, 0, 0, 1], *obj["leaves"][1:]]}),
+     "0, 0, 1] is not four finite numbers"),
     (lambda obj: json.dumps({**obj, "truth_ll": math.inf}), "truth_ll inf is not a finite number"),
     (lambda obj: json.dumps({**obj, "config": {**obj["config"], "lam": math.nan}}),
-     "config lam nan is not a finite number"),
+     "config.lam nan is not a finite number"),
     (lambda obj: json.dumps({**obj, "config": {**obj["config"], "lam": 1e-300}}),
      "lam 1e-300 is too small"),
     (lambda obj: json.dumps({**obj, "config": {**obj["config"], "rng_seed": 8}}),
      "differs from the first event"),
-    (lambda obj: json.dumps({**obj, "config": {**obj["config"], "rng_seed": 8.0}}), "int rng_seed"),
+    (lambda obj: json.dumps({**obj, "config": {**obj["config"], "rng_seed": 8.0}}),
+     "config.rng_seed is float, not int"),
 ], ids=["invalid-json", "missing-truth_ll", "three-number-leaf", "other-schema-version",
         "schema-1-line", "nan-leaf", "huge-int-leaf", "infinite-truth_ll", "nan-lam", "tiny-lam",
         "mixed-config", "float-seed"])
@@ -435,7 +437,7 @@ def test_load_rejects_an_event_id_that_is_not_an_int(tmp_path, small_config, eve
     lines[1] = json.dumps({**json.loads(lines[1]), "id": event_id})
     data = tmp_path / "d.jsonl"
     data.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=f"{re.escape(str(data))}:2: event id .* is not an int"):
+    with pytest.raises(ValueError, match=f"{re.escape(str(data))}:2: id is .*, not int"):
         jc.load_events(data)
 
 
@@ -450,6 +452,76 @@ def test_cli_rejects_a_repeated_event_id(tmp_path, capsys, small_config):
                 "--out", str(tmp_path / "w.bin")]) == 2
     assert "repeats the id of line 2" in capsys.readouterr().err
     assert not (tmp_path / "w.bin").exists()
+
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"seed": 0}, "config holds keys other than lam, t_cut, root, rng_seed"),
+    ({"rng_seed": None}, "config lacks rng_seed"),
+    ({"lam": None, "t_cut": None}, "config lacks lam, t_cut"),
+], ids=["extra-key", "missing-key", "two-missing-keys"])
+def test_a_config_holds_exactly_its_four_keys(tmp_path, small_config, change, message):
+    obj = json.loads(event_to_json(jc.generate_events(small_config, 1)[0]))
+    obj["config"].update(change)
+    obj["config"] = {key: value for key, value in obj["config"].items() if value is not None}
+    data = tmp_path / "d.jsonl"
+    data.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(data))}:1: {message}$"):
+        jc.load_events(data)
+
+
+# Every field of a dataset line, by its path (K stands for any index of
+# its list), with the kind of value it takes.
+_LINE_FIELDS = {
+    ("id",): "int", ("config",): "object", ("config", "lam"): "number", ("config", "t_cut"): "number",
+    ("config", "root"): "momentum", ("config", "rng_seed"): "int", ("leaves",): "list",
+    ("leaves", "K"): "momentum", ("truth",): "object", ("truth", "nodes"): "list", ("truth", "nodes", "K"): "object",
+    ("truth", "nodes", "K", "p"): "momentum", ("truth", "nodes", "K", "parent"): "int or null",
+    ("truth", "nodes", "K", "children"): "list or null", ("truth", "root"): "int", ("truth_ll",): "number",
+}
+# A value of each JSON kind, with the kinds of field that take it.  A
+# number field takes none of them: a huge int is beyond the float range.
+# An object field "takes" {} only to reject it for the fields it lacks,
+# which names the field too; [] is a list, which a list field takes.
+_OTHER_VALUES = [(None, {"int or null", "list or null"}), (True, set()), ("x", set()), ([], {"list", "list or null"}),
+                 ({}, set()), (10**400, {"int", "int or null"}), (math.nan, set())]
+
+
+@pytest.fixture(scope="module")
+def desk_lines():
+    return [event_to_json(e) for e in jc.generate_events(jc.DESK_CONFIG, 4)]
+
+
+def _field_path(path) -> str:
+    return "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path)[1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_missing_or_mistyped_field_of_a_line_is_named_by_its_path(desk_lines, tmp_path_factory, data):
+    lines = [json.loads(line) for line in desk_lines[:2]]
+    lineno = data.draw(st.integers(1, 2))
+    obj = lines[lineno - 1]
+    pattern, kind = data.draw(st.sampled_from(sorted(_LINE_FIELDS.items())))
+    path, parent = [], obj
+    for key in pattern:  # K becomes an index of the list it is in
+        key = data.draw(st.integers(0, len(parent) - 1)) if key == "K" else key
+        path.append(key)
+        parent, last = parent[key], parent
+    if type(path[-1]) is str and data.draw(st.booleans()):
+        del last[path[-1]]
+        where = f"{_field_path(path[:-1])} lacks {path[-1]}".lstrip()
+    else:
+        value = data.draw(st.sampled_from([value for value, kinds in _OTHER_VALUES if kind not in kinds]))
+        last[path[-1]] = value
+        where = f"{_field_path(path)} "
+    file = tmp_path_factory.mktemp("line") / "d.jsonl"
+    file.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    with pytest.raises(ValueError) as exc:
+        jc.load_events(file)
+    message = str(exc.value)
+    assert message.startswith(f"{file}:{lineno}: {where}"), message
+    assert "KeyError" not in message and "TypeError" not in message
 
 
 # ---------------------------------------------------------------------------
