@@ -378,16 +378,20 @@ def save_weights(path: str | Path, w: PolicyWeights, config_hash: str | None = N
 
 def load_events(path: str | Path) -> list[EventRecord]:
     """Read a dataset, whose events share one ShowerConfig and have unique
-    ids; a line that is not a valid event, stores another config or
-    repeats an id raises ValueError naming path:line."""
+    ids; a line that is not UTF-8 or not a valid event, stores another
+    config or repeats an id raises ValueError naming path:line."""
     events = []
     line_of_id: dict[int, int] = {}
     try:
-        with open(path) as f:
+        # surrogateescape reads a byte that is not UTF-8 as a lone surrogate,
+        # so that the line which holds it is the one named.
+        with open(path, encoding="utf-8", errors="surrogateescape") as f:
             for lineno, line in enumerate(f, 1):
-                if not line.strip():
+                if line.isspace():  # a line from a file is never empty
                     continue
                 try:
+                    if not line.isascii():  # UnicodeDecodeError, a ValueError, for such a byte
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")
                     event = event_from_json(line, events[0].config if events else None)
                     first = line_of_id.setdefault(event.event_id, lineno)
                     if first != lineno:

@@ -455,6 +455,22 @@ def test_cli_rejects_a_repeated_event_id(tmp_path, capsys, small_config):
 
 
 
+@pytest.mark.parametrize("blob, lineno, reason", [
+    (b"\xff\xfe{}\n", 1, "can't decode byte 0xff in position 0"),
+    (b'{"note": "caf\xe9"}\n', 2, "can't decode byte 0xe9 in position 13"),
+], ids=["utf16-bom", "latin-1-byte"])
+def test_a_dataset_that_is_not_utf8_names_its_file_and_line(tmp_path, capsys, small_config, blob, lineno, reason):
+    # Such a byte used to raise from the line iterator, outside the
+    # per-line check, so the message named neither the file nor the line.
+    data = tmp_path / "d.jsonl"
+    first = (event_to_json(jc.generate_events(small_config, 1)[0]) + "\n").encode()
+    data.write_bytes(blob if lineno == 1 else first + blob)
+    with pytest.raises(ValueError, match=f"{re.escape(str(data))}:{lineno}: 'utf-8' codec {reason}"):
+        jc.load_events(data)
+    assert cli(["cluster", "--algo", "greedy", "--in", str(data)]) == 2
+    assert f"{data}:{lineno}: 'utf-8' codec {reason}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("change, message", [
     ({"seed": 0}, "config holds keys other than lam, t_cut, root, rng_seed"),
     ({"rng_seed": None}, "config lacks rng_seed"),
