@@ -23,7 +23,7 @@ from .harness import (
     DESK_CONFIG,
     PLANNER_SPEC_KEYS,
     RunResult,
-    check_nn_weights,
+    check_planner_spec,
     compare,
     comparison_paths,
     config_hash,
@@ -36,7 +36,6 @@ from .harness import (
     write_all,
     write_comparison,
 )
-from .planners import check_beam_width
 from .policy import load_weights, train_bc, train_mcts_policy
 from .rng import make_rng
 from .shower import FourMomentum, ShowerConfig
@@ -191,17 +190,12 @@ def _read_config(path: str, flags: dict[str, argparse.Action]) -> dict:
 
 
 def _planner_spec(args) -> dict:
-    """The planner spec of the flags, with the settings that need no
-    dataset checked, so a bad one costs no read of --in."""
+    """The planner spec of the flags, checked by check_planner_spec, so a
+    bad setting costs no read of --in."""
     if args.algo is None:
         raise UsageError("--algo is required")
     spec = {key: getattr(args, key) for key in PLANNER_SPEC_KEYS if getattr(args, key) is not None}
-    if args.algo == "mcts":
-        mcts_config(spec)
-    if args.algo in ("policy", "mcts"):
-        check_nn_weights(spec)
-    if args.algo == "beam" and "b" in spec:
-        check_beam_width(spec["b"])
+    check_planner_spec(spec)
     return spec
 
 

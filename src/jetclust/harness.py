@@ -529,27 +529,18 @@ PLANNER_SPEC_KEYS = ("algo", *dict.fromkeys(key for keys in PLANNER_READS.values
 
 
 def build_planner(spec: dict, config: ShowerConfig):
-    """Planner callable (leaves, rng) -> (tree, ll) from a spec dict.  Each
-    setting is checked by what uses it: the beam width by
-    check_beam_width, the MCTS settings by MctsConfig, a prior other
-    than 'nn' by fixed_policy, the naming of an 'nn' prior's weights file
-    by check_nn_weights and the file by load_weights."""
-    unknown = sorted(str(key) for key in spec if key not in PLANNER_SPEC_KEYS)
-    if unknown:
-        raise ValueError(f"unknown planner spec keys: {', '.join(unknown)}")
-    algo = spec.get("algo")
+    """Planner callable (leaves, rng) -> (tree, ll) from a spec dict, once
+    check_planner_spec passes it; a prior other than 'nn' is checked by
+    fixed_policy, and an 'nn' prior's weights file by load_weights."""
+    cfg = check_planner_spec(spec)
+    algo = spec["algo"]
     if algo == "random":
         return lambda leaves, rng: cluster_random(leaves, config, rng)
     if algo == "greedy":
         return lambda leaves, rng: cluster_greedy(leaves, config)
     if algo == "beam":
         b = spec.get("b", 5)
-        check_beam_width(b)
         return lambda leaves, rng: cluster_beam(leaves, b, config)
-    if algo not in ("policy", "mcts"):
-        raise ValueError(f"unknown planner algo: {algo!r}")
-    cfg = mcts_config(spec) if algo == "mcts" else None
-    check_nn_weights(spec)
     prior = spec.get("prior", "random")
     if prior == "nn":
         weights, header = load_weights(spec["weights"])
@@ -561,10 +552,25 @@ def build_planner(spec: dict, config: ShowerConfig):
     return lambda leaves, rng: cluster_mcts(leaves, policy, cfg, config, rng)[:2]
 
 
-def check_nn_weights(spec: dict) -> None:
-    """ValueError when the spec's prior is 'nn' and it names no weights file."""
-    if spec.get("prior") == "nn" and not spec.get("weights"):
+def check_planner_spec(spec: dict) -> MctsConfig | None:
+    """ValueError naming the first setting of spec that no planner takes,
+    of those a check needs no file for: a key not in PLANNER_SPEC_KEYS, an
+    unknown algo, a beam width check_beam_width rejects, MCTS settings
+    MctsConfig rejects, or an 'nn' prior that names no weights file.  The
+    spec's MctsConfig if its algo is mcts, else None.  build_planner calls
+    it, and the CLI before it reads a dataset."""
+    unknown = sorted(str(key) for key in spec if key not in PLANNER_SPEC_KEYS)
+    if unknown:
+        raise ValueError(f"unknown planner spec keys: {', '.join(unknown)}")
+    algo = spec.get("algo")
+    if algo == "beam":
+        check_beam_width(spec.get("b", 5))
+    elif algo not in ("random", "greedy", "policy", "mcts"):
+        raise ValueError(f"unknown planner algo: {algo!r}")
+    cfg = mcts_config(spec) if algo == "mcts" else None
+    if algo in ("policy", "mcts") and spec.get("prior") == "nn" and not spec.get("weights"):
         raise ValueError("prior 'nn' needs a weights file")
+    return cfg
 
 
 def mcts_config(spec: dict) -> MctsConfig:
