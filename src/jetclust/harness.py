@@ -188,8 +188,8 @@ def _decode(value, kind):
     kinds by field name, for an object that holds each field and maybe
     others (as the list of their values); or [kind], a list of that kind."""
     if kind is FourMomentum:
-        try:  # unpacking raises ValueError unless there are four numbers, and 0.0 * n OverflowError for an
-            E, px, py, pz = value if type(value) is list else ()  # int beyond the float range
+        try:  # ValueError unless there are four; OverflowError for an int beyond the float range
+            E, px, py, pz = value if type(value) is list else ()
             if (type(E) in _NUMBER and type(px) in _NUMBER and type(py) in _NUMBER and type(pz) in _NUMBER
                     and 0.0 * E + 0.0 * px + 0.0 * py + 0.0 * pz == 0.0):  # nan unless all four are finite
                 return FourMomentum(float(E), float(px), float(py), float(pz))
