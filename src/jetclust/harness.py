@@ -210,11 +210,11 @@ def _decode(value, kind):
         return decoded
     if type(value) is type(kind) is list:
         decoded, item_kind = [], kind[0]
-        for index, item in enumerate(value):
+        for item in value:
             try:
                 decoded.append(_decode(item, item_kind))
             except _FieldError as exc:
-                exc.args += (index,)
+                exc.args += (len(decoded),)  # the index of the item that failed
                 raise
         return decoded
     if kind is float:
@@ -255,10 +255,11 @@ def _truth_tree(rows: list, root: int, leaves: list) -> Tree:
         if k in reached:
             raise ValueError(f"truth tree node {k} is reached twice from the root")
         reached.add(k)
-        if nodes[k].children is None:
+        children = nodes[k].children
+        if children is None:
             leaf_indices.append(k)
             continue
-        for c in reversed(nodes[k].children):
+        for c in reversed(children):
             if type(c) is not int or not 0 <= c < size:
                 raise ValueError(f"truth tree node {k}'s child {c!r} is not a node index below {size}")
             parent = nodes[c].parent
