@@ -15,10 +15,12 @@ import itertools
 import json
 import math
 import os
+import re
+import reprlib
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -142,24 +144,16 @@ class EventRecord:
         return len(self.leaves)
 
 
-def _tree_to_obj(tree: Tree) -> dict:
-    return {
-        "nodes": [
-            {
-                "p": list(node.momentum.as_tuple()),
-                "parent": node.parent,
-                "children": list(node.children) if node.children is not None else None,
-            }
-            for node in tree.nodes
-        ],
-        "root": tree.root_index,
-    }
+# A value read from a file, as its messages show it: its repr, cut to at most
+# 40 characters for an int and 30 for a str, six items for a list and four
+# for a dict, so that a message stays short whatever the file holds.
+_short = reprlib.repr
 
 
 def _check_schema(obj, what: str, expected: int = SCHEMA_VERSION) -> None:
     version = obj.get("schema_version") if isinstance(obj, dict) else None
     if version != expected:
-        raise ValueError(f"{what} has schema_version {version!r}, this version reads {expected}")
+        raise ValueError(f"{what} has schema_version {_short(version)}, this version reads {expected}")
 
 
 _NUMBER = frozenset((int, float))
@@ -195,7 +189,7 @@ def _decode(value, kind):
                 return FourMomentum(float(E), float(px), float(py), float(pz))
         except (ValueError, OverflowError):
             pass
-        raise _FieldError(f"{value!r} is not four finite numbers")
+        raise _FieldError(f"{_short(value)} is not four finite numbers")
     if type(value) is type(kind) is dict:
         decoded = []
         for name in kind:
@@ -223,7 +217,7 @@ def _decode(value, kind):
                 return float(value)
         except OverflowError:  # an int beyond the float range
             pass
-        raise _FieldError(f"{value!r} is not a finite number")
+        raise _FieldError(f"{_short(value)} is not a finite number")
     if type(kind) is tuple and type(value) in kind:
         return value
     names = ("null" if k is type(None) else k.__name__ for k in (kind if type(kind) is tuple else (type(kind),)))
@@ -239,13 +233,13 @@ def _truth_tree(rows: list, root: int, leaves: list) -> Tree:
     nodes = []
     for k, (momentum, parent, children) in enumerate(rows):
         if children is not None and len(children) != 2:
-            raise ValueError(f"truth tree node {k} has children {children!r}, not two")
+            raise ValueError(f"truth tree node {k} has children {_short(children)}, not two")
         nodes.append(TreeNode(momentum, parent, children and tuple(children)))
     size = len(nodes)
     if not 0 <= root < size:
-        raise ValueError(f"truth tree root {root!r} is not a node index below {size}")
+        raise ValueError(f"truth tree root {_short(root)} is not a node index below {size}")
     if nodes[root].parent is not None:
-        raise ValueError(f"truth tree root {root} has parent {nodes[root].parent!r}")
+        raise ValueError(f"truth tree root {root} has parent {_short(nodes[root].parent)}")
     # Every other node must be reached once, from the parent it names.
     reached = set()
     leaf_indices = []
@@ -261,10 +255,10 @@ def _truth_tree(rows: list, root: int, leaves: list) -> Tree:
             continue
         for c in reversed(children):
             if type(c) is not int or not 0 <= c < size:
-                raise ValueError(f"truth tree node {k}'s child {c!r} is not a node index below {size}")
+                raise ValueError(f"truth tree node {k}'s child {_short(c)} is not a node index below {size}")
             parent = nodes[c].parent
             if parent != k:
-                raise ValueError(f"truth tree node {c} is a child of node {k} but names parent {parent!r}")
+                raise ValueError(f"truth tree node {c} is a child of node {k} but names parent {_short(parent)}")
             stack.append(c)
     if len(reached) != size:
         raise ValueError(f"truth tree nodes {sorted(set(range(size)) - reached)} are not reached from the root")
@@ -273,15 +267,53 @@ def _truth_tree(rows: list, root: int, leaves: list) -> Tree:
     return Tree(nodes, root, leaf_indices)
 
 
+# A dataset line and one truth node in it, as event_to_json fills them in.
+_LINE = '{"schema_version":%d,"id":%d,"config":{"lam":%.17g,"t_cut":%.17g,"root":%s,"rng_seed":%d},' \
+        '"leaves":[%s],"truth":{"nodes":[%s],"root":%d},"truth_ll":%.17g}'
+_NODE = '{"p":%s,"parent":%s,"children":%s}'
+_MOMENTUM = "[%.17g,%.17g,%.17g,%.17g]"
+# %.17g writes a float as _format_float does but in two cases: -0.0, which
+# it writes -0 where _format_float writes 0, and a non-finite float, which
+# it writes inf, -inf or nan where _format_float raises.  No other number is
+# written -0 (an exponent has two digits) and no key holds inf or nan, so
+# event_to_json finds both cases in the text of its line.
+_NEGATIVE_ZERO = re.compile(r"-0(?=[,\]}])")
+
+
+def _event_floats(event: EventRecord) -> Iterator[float]:
+    """The floats of event's line, in the order dumps meets them."""
+    config = event.config
+    yield config.lam
+    yield config.t_cut
+    yield from config.root.as_tuple()
+    for p in event.leaves:
+        yield from p.as_tuple()
+    for node in event.truth.nodes:
+        yield from node.momentum.as_tuple()
+    yield event.truth_ll
+
+
 def event_to_json(event: EventRecord) -> str:
-    return dumps({
-        "schema_version": EVENT_SCHEMA_VERSION,
-        "id": event.event_id,
-        "config": _config_to_obj(event.config),
-        "leaves": [list(p.as_tuple()) for p in event.leaves],
-        "truth": _tree_to_obj(event.truth),
-        "truth_ll": event.truth_ll,
-    })
+    """One dataset line: the text dumps writes for the event's fields,
+    formatted straight from them.  ValueError for a non-finite float, as
+    dumps raises."""
+    config, nodes = event.config, event.truth.nodes
+    texts = [_MOMENTUM % node.momentum.as_tuple() for node in nodes]
+    # A generated event's leaves are its truth leaves' momenta, the same
+    # objects, so each of those is written once.
+    text_of = {id(node.momentum): text for node, text in zip(nodes, texts)}
+    line = _LINE % (
+        EVENT_SCHEMA_VERSION, event.event_id,
+        config.lam, config.t_cut, _MOMENTUM % config.root.as_tuple(), config.rng_seed,
+        ",".join([text_of.get(id(p)) or _MOMENTUM % p.as_tuple() for p in event.leaves]),
+        ",".join([_NODE % (text, "null" if node.parent is None else "%d" % node.parent,
+                           "null" if node.children is None else "[%d,%d]" % node.children)
+                  for node, text in zip(nodes, texts)]),
+        event.truth.root_index, event.truth_ll)
+    if "inf" in line or "nan" in line:
+        for x in _event_floats(event):
+            _format_float(x)  # raises for the first non-finite float, as dumps does
+    return _NEGATIVE_ZERO.sub("0", line)
 
 
 def event_from_json(line: str, config: ShowerConfig | None = None) -> EventRecord:

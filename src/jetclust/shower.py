@@ -33,6 +33,8 @@ LOG_DENSITY_FLOOR = -1.0e5
 _SUPPORT_RTOL = 1e-12
 
 _LOG_INV_4PI = -math.log(4.0 * math.pi)
+_TWO_PI = 2.0 * math.pi
+_INF = math.inf
 
 # Bound here so the kernel finds each in one global lookup, not a
 # global and an attribute lookup per query.
@@ -87,6 +89,7 @@ class FourMomentum:
 
 
 _new_object = object.__new__
+_new_tuple = tuple.__new__
 # One setter per field, in field order; a field added to the class
 # makes this unpacking fail at import.
 _set_E, _set_px, _set_py, _set_pz, _set_t, _set_k = (
@@ -226,11 +229,19 @@ class Splitting(NamedTuple):
 
 def truncated_exp_log_density(t: float, t_max: float, lam: float) -> float:
     """log f(t | lam, t_max) with f = (lam/t_max) exp(-lam t/t_max) / (1 - exp(-lam))
-    on [0, t_max]; LOG_DENSITY_FLOOR outside the support."""
-    if t_max <= 0.0:
-        raise ValueError(f"t_max must be > 0, got {t_max}")
-    if lam <= 0.0:
-        raise ValueError(f"lam must be > 0, got {lam}")
+    on [0, t_max]; LOG_DENSITY_FLOOR outside the support.  ValueError unless
+    t_max and lam are finite and > 0, or if lam has no normaliser."""
+    # Written so that NaN, which fails every comparison, fails each test.
+    if not 0.0 < t_max < _INF:
+        raise ValueError(f"t_max must be finite and > 0, got {t_max!r}")
+    if not 0.0 < lam < _INF:
+        raise ValueError(f"lam must be finite and > 0, got {lam!r}")
+    return _truncated_exp_log_density(t, t_max, lam, _log_norm(lam))
+
+
+def _truncated_exp_log_density(t: float, t_max: float, lam: float, log_norm: float) -> float:
+    """truncated_exp_log_density with lam's normaliser given, for callers
+    whose t_max > 0 and lam are known good (a ShowerConfig holds log_norm)."""
     tol = _SUPPORT_RTOL * t_max
     if t < -tol or t > t_max + tol:
         return LOG_DENSITY_FLOOR
@@ -238,7 +249,7 @@ def truncated_exp_log_density(t: float, t_max: float, lam: float) -> float:
         t = 0.0
     elif t > t_max:
         t = t_max
-    return math.log(lam / t_max) - lam * t / t_max - _log_norm(lam)
+    return _log(lam / t_max) - lam * t / t_max - log_norm
 
 
 def _log_norm(lam: float) -> float:
@@ -252,11 +263,13 @@ def _log_norm(lam: float) -> float:
 
 
 def sample_truncated_exp(t_max: float, lam: float, rng: np.random.Generator) -> float:
-    """Inverse-CDF draw from the truncated exponential on [0, t_max]."""
-    if t_max <= 0.0:
-        raise ValueError(f"t_max must be > 0, got {t_max}")
-    if lam <= 0.0:
-        raise ValueError(f"lam must be > 0, got {lam}")
+    """Inverse-CDF draw from the truncated exponential on [0, t_max].
+    ValueError unless t_max and lam are finite and > 0."""
+    # Written so that NaN, which fails every comparison, fails each test.
+    if not 0.0 < t_max < _INF:
+        raise ValueError(f"t_max must be finite and > 0, got {t_max!r}")
+    if not 0.0 < lam < _INF:
+        raise ValueError(f"lam must be finite and > 0, got {lam!r}")
     u = rng.random()
     return -(t_max / lam) * math.log1p(-u * (-math.expm1(-lam)))
 
@@ -273,8 +286,8 @@ def two_body_decay(
     t_p = invariant_mass_sq(parent)
     if t_p <= 0.0:
         raise ValueError("parent must be massive")
-    m_p = math.sqrt(t_p)
-    if math.sqrt(max(t_a, 0.0)) + math.sqrt(max(t_b, 0.0)) > m_p * (1.0 + 1e-12):
+    m_p = _sqrt(t_p)
+    if _sqrt(max(t_a, 0.0)) + _sqrt(max(t_b, 0.0)) > m_p * (1.0 + 1e-12):
         raise ValueError(f"children too heavy: sqrt({t_a}) + sqrt({t_b}) > sqrt({t_p})")
 
     # Parent rest frame: energies from the mass constraint, |p*| from the
@@ -282,42 +295,45 @@ def two_body_decay(
     e_a = (t_p + t_a - t_b) / (2.0 * m_p)
     e_b = m_p - e_a
     kallen = (t_p - t_a - t_b) ** 2 - 4.0 * t_a * t_b
-    p_star = math.sqrt(max(kallen, 0.0)) / (2.0 * m_p)
+    p_star = _sqrt(max(kallen, 0.0)) / (2.0 * m_p)
     nx, ny, nz = direction
     qx, qy, qz = p_star * nx, p_star * ny, p_star * nz
 
-    # Rotation-free boost with the parent lab momentum P:
+    # Rotation-free boost with the parent lab momentum P, of child a with
+    # (e_a, q*) and of child b with (e_b, -q*):
     #   E_lab = (E_parent e* + P.q*) / m_p
     #   q_lab = q* + P (q*.P / (m_p (E_parent + m_p)) + e*/m_p)
-    def boost(e_star: float, qx: float, qy: float, qz: float) -> FourMomentum:
-        p_dot_q = parent.px * qx + parent.py * qy + parent.pz * qz
-        e_lab = (parent.E * e_star + p_dot_q) / m_p
-        coeff = p_dot_q / (m_p * (parent.E + m_p)) + e_star / m_p
-        return FourMomentum(
-            e_lab,
-            qx + parent.px * coeff,
-            qy + parent.py * coeff,
-            qz + parent.pz * coeff,
-        )
-
-    return boost(e_a, qx, qy, qz), boost(e_b, -qx, -qy, -qz)
+    E, px, py, pz = parent.E, parent.px, parent.py, parent.pz
+    p_dot_q = px * qx + py * qy + pz * qz
+    coeff = p_dot_q / (m_p * (E + m_p)) + e_a / m_p
+    a = FourMomentum((E * e_a + p_dot_q) / m_p, qx + px * coeff, qy + py * coeff, qz + pz * coeff)
+    qx, qy, qz = -qx, -qy, -qz
+    p_dot_q = px * qx + py * qy + pz * qz
+    coeff = p_dot_q / (m_p * (E + m_p)) + e_b / m_p
+    b = FourMomentum((E * e_b + p_dot_q) / m_p, qx + px * coeff, qy + py * coeff, qz + pz * coeff)
+    return a, b
 
 
 def _isotropic_direction(rng: np.random.Generator) -> tuple[float, float, float]:
-    cos_theta = rng.uniform(-1.0, 1.0)
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    sin_theta = math.sqrt(max(1.0 - cos_theta * cos_theta, 0.0))
+    # rng.uniform(low, high) is low + (high - low) * rng.random().  2u is
+    # exact, so -1 + 2u rounds once, as does 2pi u, to which adding 0 changes
+    # nothing: these are uniform(-1, 1) and uniform(0, 2 pi) bit for bit,
+    # from the same draws, with or without a fused multiply-add.
+    cos_theta = -1.0 + 2.0 * rng.random()
+    phi = _TWO_PI * rng.random()
+    sin_theta = _sqrt(max(1.0 - cos_theta * cos_theta, 0.0))
     return (sin_theta * math.cos(phi), sin_theta * math.sin(phi), cos_theta)
 
 
-def _unordered_pair_log_density(t_a: float, t_b: float, t_p: float, lam: float) -> float:
+def _unordered_pair_log_density(t_a: float, t_b: float, t_p: float, lam: float, log_norm: float) -> float:
     """Splitting density on the unordered child pair: the heavier mass is
-    scored against bound t_p, the lighter against the kinematic remainder."""
+    scored against bound t_p > 0, the lighter against the kinematic
+    remainder; log_norm is lam's normaliser."""
     if t_a < t_b:
         t_a, t_b = t_b, t_a
-    first = truncated_exp_log_density(t_a, t_p, lam)
-    bound = (math.sqrt(t_p) - math.sqrt(t_a)) ** 2
-    second = truncated_exp_log_density(t_b, bound, lam) if bound > 0.0 else LOG_DENSITY_FLOOR
+    first = _truncated_exp_log_density(t_a, t_p, lam, log_norm)
+    bound = (_sqrt(t_p) - _sqrt(t_a)) ** 2
+    second = _truncated_exp_log_density(t_b, bound, lam, log_norm) if bound > 0.0 else LOG_DENSITY_FLOOR
     return first + second + _LOG_INV_4PI
 
 
@@ -331,31 +347,30 @@ def sample_shower(config: ShowerConfig, rng: np.random.Generator) -> Tree:
     so the tree likelihood can be cross-checked against recomputation
     from the stored momenta alone.
     """
-    nodes = [TreeNode(momentum=config.root)]
+    lam, t_cut, log_norm = config.lam, config.t_cut, config.log_norm
+    nodes = [TreeNode(config.root)]
     leaf_indices: list[int] = []
     stack = [0]
     while stack:
         idx = stack.pop()
         node = nodes[idx]
-        t_p = node.t
-        if t_p < config.t_cut:
+        t_p = invariant_mass_sq(node.momentum)
+        if t_p < t_cut:
             leaf_indices.append(idx)
             continue
-        t_a = sample_truncated_exp(t_p, config.lam, rng)
-        remainder = (math.sqrt(t_p) - math.sqrt(t_a)) ** 2
-        t_b = sample_truncated_exp(remainder, config.lam, rng) if remainder > 0.0 else 0.0
-        direction = _isotropic_direction(rng)
-        child_a, child_b = two_body_decay(node.momentum, t_a, t_b, direction)
-        node.split_ll = _unordered_pair_log_density(t_a, t_b, t_p, config.lam)
+        t_a = sample_truncated_exp(t_p, lam, rng)
+        remainder = (_sqrt(t_p) - _sqrt(t_a)) ** 2
+        t_b = sample_truncated_exp(remainder, lam, rng) if remainder > 0.0 else 0.0
+        child_a, child_b = two_body_decay(node.momentum, t_a, t_b, _isotropic_direction(rng))
+        node.split_ll = _unordered_pair_log_density(t_a, t_b, t_p, lam, log_norm)
 
         ia = len(nodes)
-        nodes.append(TreeNode(momentum=child_a, parent=idx))
-        ib = len(nodes)
-        nodes.append(TreeNode(momentum=child_b, parent=idx))
-        node.children = (ia, ib)
-        stack.append(ib)
+        nodes.append(TreeNode(child_a, idx))
+        nodes.append(TreeNode(child_b, idx))
+        node.children = (ia, ia + 1)
+        stack.append(ia + 1)
         stack.append(ia)
-    return Tree(nodes=nodes, root_index=0, leaf_indices=leaf_indices)
+    return Tree(nodes, 0, leaf_indices)
 
 
 # The p_s memo of the open ps_memo() scope, or None outside any scope.
@@ -463,11 +478,13 @@ def splitting_log_likelihood(s: Splitting, config: ShowerConfig) -> float:
 def tree_log_likelihood(tree: Tree, config: ShowerConfig) -> float:
     """Total log-likelihood of a binary tree: the sum of splitting
     log-densities over its internal nodes."""
+    nodes = tree.nodes
     total = 0.0
-    for node in tree.nodes:
-        if node.children is None:
+    for node in nodes:
+        children = node.children
+        if children is None:
             continue
-        ca, cb = node.children
-        total += splitting_log_likelihood(
-            Splitting(tree.nodes[ca].momentum, tree.nodes[cb].momentum), config)
+        ca, cb = children
+        # tuple.__new__ builds the Splitting in C, as env.step does.
+        total += splitting_log_likelihood(_new_tuple(Splitting, (nodes[ca].momentum, nodes[cb].momentum)), config)
     return total

@@ -1,6 +1,8 @@
 import collections
 import dataclasses
+import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -168,11 +170,93 @@ def test_dumps_matches_the_reference_writer(value):
     assert _outcome(dumps, value) == _outcome(_reference_dumps, value)
 
 
-def test_event_to_json_matches_the_reference_writer(desk_config, monkeypatch):
+def _reference_event_obj(event) -> dict:
+    """The fields of event's dataset line, as the dict the event writer
+    once built for dumps to walk."""
+    config = event.config
+    return {
+        "schema_version": harness.EVENT_SCHEMA_VERSION,
+        "id": event.event_id,
+        "config": {"lam": config.lam, "t_cut": config.t_cut, "root": list(config.root.as_tuple()),
+                   "rng_seed": config.rng_seed},
+        "leaves": [list(p.as_tuple()) for p in event.leaves],
+        "truth": {"nodes": [{"p": list(node.momentum.as_tuple()), "parent": node.parent,
+                             "children": None if node.children is None else list(node.children)}
+                            for node in event.truth.nodes],
+                  "root": event.truth.root_index},
+        "truth_ll": event.truth_ll,
+    }
+
+
+def _written(write, value):
+    """write(value), or the type and message of the exception it raised."""
+    try:
+        return write(value)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _reference_event_line(event):
+    return _reference_dumps(_reference_event_obj(event))
+
+
+def _with_components(event, values, truth_ll, shared=True, root=None):
+    """event with the components of its truth momenta taken in turn from
+    values, its leaves the new momenta of its truth leaves (the same objects
+    if shared, else equal copies), its truth_ll and, if given, its config's
+    root replaced."""
+    draw = itertools.cycle(values).__next__
+    moved = {id(node.momentum): jc.FourMomentum(draw(), draw(), draw(), draw()) for node in event.truth.nodes}
+    nodes = [jc.TreeNode(moved[id(node.momentum)], node.parent, node.children, node.split_ll)
+             for node in event.truth.nodes]
+    leaves = [moved[id(p)] for p in event.leaves]
+    if not shared:
+        leaves = [jc.FourMomentum(*p.as_tuple()) for p in leaves]
+    config = event.config if root is None else dataclasses.replace(event.config, root=root)
+    truth = jc.Tree(nodes, event.truth.root_index, list(event.truth.leaf_indices))
+    return harness.EventRecord(event.event_id, config, tuple(leaves), truth, truth_ll)
+
+
+_EDGE_COMPONENTS = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, -2.5, 0.1, -0.30000000000000004, -1e-05]
+
+
+def test_event_to_json_matches_the_reference_writer(desk_config):
     events = jc.generate_events(desk_config, 200)
-    written = [event_to_json(e) for e in events]
-    monkeypatch.setattr(harness, "dumps", _reference_dumps)
-    assert written == [event_to_json(e) for e in events]
+    for event in events:
+        assert event_to_json(event) == _reference_event_line(event)
+    # Edge momenta and truth_ll values, leaves shared with the truth tree or
+    # not, and a config root with a negative zero.
+    event = next(e for e in events if e.n_leaves >= 6)
+    root = jc.FourMomentum(25.0, -0.0, 0.0, -15.0)
+    for start in range(len(_EDGE_COMPONENTS)):
+        values = _EDGE_COMPONENTS[start:] + _EDGE_COMPONENTS[:start]
+        for truth_ll in (0.0, -0.0, 5e-324, -1e300, -46.75):
+            for shared in (True, False):
+                edge = _with_components(event, values, truth_ll, shared, root if start % 2 else None)
+                line = event_to_json(edge)
+                assert line == _reference_event_line(edge)
+                assert "-0," not in line and "-0]" not in line and "-0}" not in line
+    # A non-finite truth_ll or component raises the ValueError dumps raises,
+    # naming the first non-finite float in the line.
+    for bad in (math.nan, math.inf, -math.inf):
+        cases = [_with_components(event, _EDGE_COMPONENTS, bad),
+                 _with_components(event, [1.0, 2.0, bad, -0.0], -1.0),
+                 _with_components(event, [bad, 1.0], math.nan, shared=False)]
+        for edge in cases:
+            raised = _written(event_to_json, edge)
+            assert raised == _written(_reference_event_line, edge)
+            assert raised == (ValueError, f"cannot serialize non-finite float {bad!r}")
+
+
+_DESK_EVENT = jc.generate_events(jc.DESK_CONFIG, 1)[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.one_of(st.floats(), _edge_floats), min_size=1, max_size=12),
+       truth_ll=st.one_of(st.floats(), _edge_floats), shared=st.booleans())
+def test_event_to_json_matches_the_reference_writer_on_any_floats(values, truth_ll, shared):
+    event = _with_components(_DESK_EVENT, values, truth_ll, shared)
+    assert _written(event_to_json, event) == _written(_reference_event_line, event)
 
 
 def test_config_hash_sensitivity(small_config):
@@ -191,6 +275,32 @@ def test_config_hash_sensitivity(small_config):
 # ---------------------------------------------------------------------------
 # generation
 # ---------------------------------------------------------------------------
+
+# The dataset of generate_events(DESK_CONFIG, 200): the sha256 of the file
+# write_events writes, and _sampled_ll_digest of its events.
+DESK_200_SHA256 = "69f0a13468d9bdcfc162ec94b991930c58e8e7c4c032091ed0bf4573c57089bb"
+DESK_200_LL_DIGEST = "362427ad876dcc7bcbf0d992c9384ea017329c751aa30f7d72dffaff2ed74b34"
+
+
+def _sampled_ll_digest(events) -> str:
+    """sha256 over every truth node's split_ll.hex() ("-" for a leaf's None)
+    and every truth_ll.hex(), event by event."""
+    digest = hashlib.sha256()
+    for event in events:
+        for node in event.truth.nodes:
+            digest.update(b"-;" if node.split_ll is None else node.split_ll.hex().encode() + b";")
+        digest.update(event.truth_ll.hex().encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_desk_dataset_bytes_and_sampled_lls_are_pinned(tmp_path):
+    # One ulp in the sampler or one digit less in the writer changes these.
+    events = jc.generate_events(jc.DESK_CONFIG, 200)
+    assert _sampled_ll_digest(events) == DESK_200_LL_DIGEST
+    path = tmp_path / "d.jsonl"
+    jc.write_events(path, events)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DESK_200_SHA256
+
 
 def test_generate_single_event_round_trip(tmp_path, small_config):
     path = tmp_path / "one.jsonl"
@@ -348,6 +458,25 @@ def test_cli_rejects_bad_event_line(tmp_path, capsys, small_config, corrupt, rea
     err = capsys.readouterr().err
     assert f"{data}:2: " in err
     assert reason in err
+
+
+@pytest.mark.parametrize("corrupt, shown", [
+    (lambda obj: _set(obj["leaves"], 0, [10**400, 0, 0, 1]),
+     "leaves[0] [100000000000000000...0000000000000000000, 0, 0, 1] is not four finite numbers"),
+    (lambda obj: _set(obj, "truth_ll", "x" * 5000), "truth_ll 'xxxxxxxxxxxx...xxxxxxxxxxxxx' is not a finite number"),
+    (lambda obj: _set(obj, "schema_version", 10**400),
+     "event has schema_version 100000000000000000...0000000000000000000, this version reads 2"),
+    (lambda obj: _set(obj["truth"]["nodes"][0], "children", list(range(1, 1000))),
+     "truth tree node 0 has children [1, 2, 3, 4, 5, 6, ...], not two"),
+], ids=["huge-int-leaf", "long-string-truth_ll", "huge-int-schema-version", "long-children"])
+def test_a_long_value_is_cut_short_in_its_message(tmp_path, small_config, corrupt, shown):
+    obj = json.loads(event_to_json(jc.generate_events(small_config, 1)[0]))
+    data = tmp_path / "d.jsonl"
+    corrupt(obj)
+    data.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(ValueError) as info:
+        jc.load_events(data)
+    assert str(info.value) == f"{data}:1: {shown}"
 
 
 def _first_leaf(nodes):

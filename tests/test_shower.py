@@ -62,6 +62,15 @@ def test_density_rejects_bad_parameters():
         jc.truncated_exp_log_density(0.5, 1.0, -2.0)
 
 
+@pytest.mark.parametrize("t_max, lam, name", [
+    (math.nan, 1.0, "t_max"), (math.inf, 1.0, "t_max"), (1.0, math.nan, "lam"), (1.0, math.inf, "lam"),
+], ids=["nan-t_max", "inf-t_max", "nan-lam", "inf-lam"])
+def test_density_rejects_a_non_finite_scale(t_max, lam, name):
+    # NaN passes a `<= 0.0` check, and inf gives an infinite or NaN density.
+    with pytest.raises(ValueError, match=f"{name} must be finite and > 0, got {t_max if name == 't_max' else lam}"):
+        jc.truncated_exp_log_density(0.5, t_max, lam)
+
+
 def test_density_normalization_by_quadrature():
     rng = make_rng(101)
     for _ in range(10):
@@ -106,6 +115,14 @@ def test_sampler_rejects_bad_parameters():
         jc.sample_truncated_exp(0.0, 1.0, make_rng(0))
     with pytest.raises(ValueError):
         jc.sample_truncated_exp(1.0, 0.0, make_rng(0))
+
+
+@pytest.mark.parametrize("t_max, lam, name", [
+    (math.nan, 1.0, "t_max"), (math.inf, 1.0, "t_max"), (1.0, math.nan, "lam"), (1.0, math.inf, "lam"),
+], ids=["nan-t_max", "inf-t_max", "nan-lam", "inf-lam"])
+def test_sampler_rejects_a_non_finite_scale(t_max, lam, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite and > 0, got {t_max if name == 't_max' else lam}"):
+        jc.sample_truncated_exp(t_max, lam, make_rng(0))
 
 
 def test_two_body_symmetric_massless():
@@ -637,7 +654,7 @@ def test_kernel_is_the_pair_density_of_its_masses(a, b, lam):
     t_p = jc.invariant_mass_sq(a + b)
     if t_p > 0.0:
         expected = _unordered_pair_log_density(
-            jc.invariant_mass_sq(a), jc.invariant_mass_sq(b), t_p, lam)
+            jc.invariant_mass_sq(a), jc.invariant_mass_sq(b), t_p, lam, shower._log_norm(lam))
     else:
         expected = 2.0 * LOG_DENSITY_FLOOR - math.log(4.0 * math.pi)
     assert value.hex() == expected.hex()
@@ -754,7 +771,8 @@ def test_repeated_query_of_the_same_children_matches_the_first(a, b, raises):
         assert isinstance(first, str)
         t = [jc.invariant_mass_sq(jc.FourMomentum(*p)) for p in (a, b)]
         expected = _unordered_pair_log_density(
-            *t, jc.invariant_mass_sq(jc.FourMomentum(*a) + jc.FourMomentum(*b)), config.lam)
+            *t, jc.invariant_mass_sq(jc.FourMomentum(*a) + jc.FourMomentum(*b)), config.lam,
+            shower._log_norm(config.lam))
         assert first == expected.hex()
     else:
         assert first[0] is ValueError and raises in first[1]
