@@ -67,6 +67,6 @@ from .shower import (
     truncated_exp_log_density,
     two_body_decay,
 )
-from .trellis import enumerate_all_trees, exact_mle
+from .trellis import exact_mle
 
 __version__ = "0.1.0"

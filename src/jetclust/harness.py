@@ -31,7 +31,7 @@ from .rng import make_rng
 from .shower import FourMomentum, ShowerConfig, Tree, TreeNode, sample_shower, tree_log_likelihood
 
 SCHEMA_VERSION = 2  # run-result files; version 1 also stored the aggregates of its rows
-EVENT_SCHEMA_VERSION = 2  # dataset lines; version 1 stored a config hash, not the config
+EVENT_SCHEMA_VERSION = 3  # dataset lines; version 2 also stored the leaves, version 1 a config hash, not the config
 # Largest |truth_ll - tree_log_likelihood(truth)| a loaded event may show.
 TRUTH_LL_TOLERANCE = 1e-9
 
@@ -135,7 +135,7 @@ def config_hash(config: ShowerConfig) -> str:
 class EventRecord:
     event_id: int
     config: ShowerConfig  # the model that generated the event, and so the density that scores it
-    leaves: tuple[FourMomentum, ...]
+    leaves: tuple[FourMomentum, ...]  # the truth tree's leaf momenta, in pre-order
     truth: Tree
     truth_ll: float
 
@@ -159,7 +159,7 @@ def _check_schema(obj, what: str, expected: int = SCHEMA_VERSION) -> None:
 _NUMBER = frozenset((int, float))
 # The fields of each level of a dataset line and of a run-result file, as _decode reads them.
 _CONFIG_FIELDS = {"lam": float, "t_cut": float, "root": FourMomentum, "rng_seed": (int,)}
-_EVENT_FIELDS = {"id": (int,), "config": _CONFIG_FIELDS, "leaves": [FourMomentum], "truth_ll": float,
+_EVENT_FIELDS = {"id": (int,), "config": _CONFIG_FIELDS, "truth_ll": float,
                  "truth": {"nodes": [{"p": FourMomentum, "parent": (int, type(None)), "children": (list, type(None))}],
                            "root": (int,)}}
 _ROW_FIELDS = {"seed": (int,), "id": (int,), "n_leaves": (int,), "ll": float, "cost": float}
@@ -224,12 +224,10 @@ def _decode(value, kind):
     raise _FieldError(f"is {type(value).__name__}, not {' or '.join(names)}")
 
 
-def _truth_tree(rows: list, root: int, leaves: list) -> Tree:
-    """The truth tree of a line's decoded nodes and root; ValueError unless
-    it is one binary tree whose parent and child links agree and whose
-    leaves, in the order the sampler lists them (pre-order, first child
-    first), are the line's `leaves`, so that leaf k of the tree is
-    particle k of the event."""
+def _truth_tree(rows: list, root: int) -> Tree:
+    """The truth tree of a line's decoded nodes and root, its leaves listed
+    as the sampler lists them (pre-order, first child first); ValueError
+    unless it is one binary tree whose parent and child links agree."""
     nodes = []
     for k, (momentum, parent, children) in enumerate(rows):
         if children is not None and len(children) != 2:
@@ -262,14 +260,12 @@ def _truth_tree(rows: list, root: int, leaves: list) -> Tree:
             stack.append(c)
     if len(reached) != size:
         raise ValueError(f"truth tree nodes {sorted(set(range(size)) - reached)} are not reached from the root")
-    if [nodes[k].momentum for k in leaf_indices] != leaves:
-        raise ValueError("truth tree leaves, in pre-order, differ from the event's leaves")
     return Tree(nodes, root, leaf_indices)
 
 
 # A dataset line and one truth node in it, as event_to_json fills them in.
 _LINE = '{"schema_version":%d,"id":%d,"config":{"lam":%.17g,"t_cut":%.17g,"root":%s,"rng_seed":%d},' \
-        '"leaves":[%s],"truth":{"nodes":[%s],"root":%d},"truth_ll":%.17g}'
+        '"truth":{"nodes":[%s],"root":%d},"truth_ll":%.17g}'
 _NODE = '{"p":%s,"parent":%s,"children":%s}'
 _MOMENTUM = "[%.17g,%.17g,%.17g,%.17g]"
 # %.17g writes a float as _format_float does but in two cases: -0.0, which
@@ -286,8 +282,6 @@ def _event_floats(event: EventRecord) -> Iterator[float]:
     yield config.lam
     yield config.t_cut
     yield from config.root.as_tuple()
-    for p in event.leaves:
-        yield from p.as_tuple()
     for node in event.truth.nodes:
         yield from node.momentum.as_tuple()
     yield event.truth_ll
@@ -295,20 +289,20 @@ def _event_floats(event: EventRecord) -> Iterator[float]:
 
 def event_to_json(event: EventRecord) -> str:
     """One dataset line: the text dumps writes for the event's fields,
-    formatted straight from them.  ValueError for a non-finite float, as
-    dumps raises."""
-    config, nodes = event.config, event.truth.nodes
-    texts = [_MOMENTUM % node.momentum.as_tuple() for node in nodes]
-    # A generated event's leaves are its truth leaves' momenta, the same
-    # objects, so each of those is written once.
-    text_of = {id(node.momentum): text for node, text in zip(nodes, texts)}
+    formatted straight from them.  The line stores no leaves, which load
+    as the truth tree's, so ValueError naming the event unless its leaves
+    are its truth tree's leaves in pre-order; ValueError for a non-finite
+    float, as dumps raises."""
+    if list(event.leaves) != event.truth.leaf_momenta():
+        raise ValueError(f"event {event.event_id}'s leaves are not its truth tree's leaves in pre-order")
+    config = event.config
     line = _LINE % (
         EVENT_SCHEMA_VERSION, event.event_id,
         config.lam, config.t_cut, _MOMENTUM % config.root.as_tuple(), config.rng_seed,
-        ",".join([text_of.get(id(p)) or _MOMENTUM % p.as_tuple() for p in event.leaves]),
-        ",".join([_NODE % (text, "null" if node.parent is None else "%d" % node.parent,
+        ",".join([_NODE % (_MOMENTUM % node.momentum.as_tuple(),
+                           "null" if node.parent is None else "%d" % node.parent,
                            "null" if node.children is None else "[%d,%d]" % node.children)
-                  for node, text in zip(nodes, texts)]),
+                  for node in event.truth.nodes]),
         event.truth.root_index, event.truth_ll)
     if "inf" in line or "nan" in line:
         for x in _event_floats(event):
@@ -317,33 +311,34 @@ def event_to_json(event: EventRecord) -> str:
 
 
 def event_from_json(line: str, config: ShowerConfig | None = None) -> EventRecord:
-    """Decode one dataset line; ValueError if it is not an event of this
-    schema version, lacks a field or holds one of another kind (named by
-    its path, as in truth.nodes[3].p), if its truth root momentum is not
-    its config's `root`, its `truth_ll` is over TRUTH_LL_TOLERANCE from
-    its truth tree's log-likelihood, or it stores a config other than
-    `config`, which the record then shares.
+    """Decode one dataset line into an event whose leaves are its truth
+    tree's leaves in pre-order, the same objects.  ValueError if it is not
+    an event of this schema version, lacks a field or holds one of another
+    kind (named by its path, as in truth.nodes[3].p), if its truth root
+    momentum is not its config's `root`, its `truth_ll` is over
+    TRUTH_LL_TOLERANCE from its truth tree's log-likelihood, or it stores
+    a config other than `config`, which the record then shares.
 
     Scoring the truth tree makes n - 1 kernel queries for n leaves, which
     add to the global PS_EVALUATIONS tally outside every planner call."""
     obj = json.loads(line)
     _check_schema(obj, "event", EVENT_SCHEMA_VERSION)
-    event_id, (lam, t_cut, root, rng_seed), leaves, truth_ll, (nodes, root_index) = _decode(obj, _EVENT_FIELDS)
+    event_id, (lam, t_cut, root, rng_seed), truth_ll, (nodes, root_index) = _decode(obj, _EVENT_FIELDS)
     if len(obj["config"]) > len(_CONFIG_FIELDS):
         raise ValueError(f"config holds keys other than {', '.join(_CONFIG_FIELDS)}")
     if config is None or (lam, t_cut, root, rng_seed) != (config.lam, config.t_cut, config.root, config.rng_seed):
         first, config = config, ShowerConfig(lam, t_cut, root, rng_seed)  # which rejects a value out of range
         if first is not None:
             raise ValueError("config differs from the first event's; a dataset holds one shower config")
-    event = EventRecord(event_id, config, tuple(leaves), _truth_tree(nodes, root_index, leaves), truth_ll)
-    truth_root = event.truth.nodes[root_index].momentum
+    truth = _truth_tree(nodes, root_index)
+    truth_root = truth.nodes[root_index].momentum
     if truth_root != config.root:
         raise ValueError(f"truth root momentum {truth_root.as_tuple()} is not the config root "
                          f"{config.root.as_tuple()}, where the sampler starts every tree")
-    ll = tree_log_likelihood(event.truth, config)
+    ll = tree_log_likelihood(truth, config)
     if not abs(ll - truth_ll) <= TRUTH_LL_TOLERANCE:
         raise ValueError(f"truth_ll {truth_ll!r} differs from the truth tree's log-likelihood {ll!r}")
-    return event
+    return EventRecord(event_id, config, tuple(truth.leaf_momenta()), truth, truth_ll)
 
 
 def generate_events(config: ShowerConfig, n_events: int) -> list[EventRecord]:

@@ -10,6 +10,7 @@ equivariant.  Training is plain SGD with gradient-norm clipping.
 
 import json
 import math
+import reprlib
 from pathlib import Path
 from typing import Sequence
 
@@ -346,6 +347,11 @@ def weights_bytes(w: PolicyWeights, config_hash: str | None = None) -> bytes:
     return json.dumps(header, sort_keys=True).encode() + b"\n" + np.ascontiguousarray(w.theta, dtype="<f8").tobytes()
 
 
+# A header value, as load_weights' messages show it: its repr, cut short
+# as harness._short cuts a value read from a dataset.
+_short = reprlib.repr
+
+
 def load_weights(path: str | Path) -> tuple[PolicyWeights, dict]:
     """The weights and header of a save_weights file.  ValueError unless
     the header is this format's, with little-endian float64 weights
@@ -364,21 +370,21 @@ def load_weights(path: str | Path) -> tuple[PolicyWeights, dict]:
         if not isinstance(header, dict) or header.get("magic") != WEIGHTS_MAGIC:
             raise ValueError(f"{path}: not a weights file")
         if header.get("version") != WEIGHTS_FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported weights format version {header.get('version')}")
+            raise ValueError(f"{path}: unsupported weights format version {_short(header.get('version'))}")
         if header.get("feature_schema") != FEATURE_SCHEMA_VERSION:
-            raise ValueError(f"{path}: feature schema {header.get('feature_schema')!r}, "
+            raise ValueError(f"{path}: feature schema {_short(header.get('feature_schema'))}, "
                              f"this version reads {FEATURE_SCHEMA_VERSION}")
         if header.get("dtype") != "<f8":
-            raise ValueError(f"{path}: weights dtype {header.get('dtype')!r}, this version reads '<f8'")
+            raise ValueError(f"{path}: weights dtype {_short(header.get('dtype'))}, this version reads '<f8'")
         if "shapes" not in header:
             raise ValueError(f"{path}: weights header has no 'shapes' field")
         include_ps = next((flag for flag in (True, False)
                            if header["shapes"] == weight_shapes(feature_dim(flag))), None)
         if include_ps is None:
-            raise ValueError(f"{path}: weights header shapes {header['shapes']!r} are not "
+            raise ValueError(f"{path}: weights header shapes {_short(header['shapes'])} are not "
                              f"this network's")
         if header.get("include_ps") is not include_ps:
-            raise ValueError(f"{path}: weights header include_ps {header.get('include_ps')!r} is not "
+            raise ValueError(f"{path}: weights header include_ps {_short(header.get('include_ps'))} is not "
                              f"{include_ps}, which its shapes imply")
         payload = f.read()
     input_dim = feature_dim(include_ps)

@@ -21,6 +21,7 @@ from jetclust.policy import PolicyWeights, init_weights
 from jetclust.rng import make_rng
 
 from conftest import SMALL_CONFIG, make_event
+from oracles import enumerate_all_trees
 
 EVAL_SEED = 100
 N_EVAL = 200
@@ -125,7 +126,7 @@ def test_03_oracle_equivalence(oracle_events):
     for event in oracle_events:
         assert 3 <= event.n_leaves <= 7
         mle_ll, _ = jc.exact_mle(event.leaves, config)
-        enum_ll, _ = jc.enumerate_all_trees(event.leaves, config)
+        enum_ll, _ = enumerate_all_trees(event.leaves, config)
         assert abs(mle_ll - enum_ll) <= 1e-9
         lls = [
             jc.cluster_random(event.leaves, config, make_rng(19, event.event_id))[1],

@@ -179,7 +179,6 @@ def _reference_event_obj(event) -> dict:
         "id": event.event_id,
         "config": {"lam": config.lam, "t_cut": config.t_cut, "root": list(config.root.as_tuple()),
                    "rng_seed": config.rng_seed},
-        "leaves": [list(p.as_tuple()) for p in event.leaves],
         "truth": {"nodes": [{"p": list(node.momentum.as_tuple()), "parent": node.parent,
                              "children": None if node.children is None else list(node.children)}
                             for node in event.truth.nodes],
@@ -278,7 +277,7 @@ def test_config_hash_sensitivity(small_config):
 
 # The dataset of generate_events(DESK_CONFIG, 200): the sha256 of the file
 # write_events writes, and _sampled_ll_digest of its events.
-DESK_200_SHA256 = "69f0a13468d9bdcfc162ec94b991930c58e8e7c4c032091ed0bf4573c57089bb"
+DESK_200_SHA256 = "fcfeede65c95e530b59faa57dea07a29e5b67a87f4c6bbb5390a40fd32e7073f"
 DESK_200_LL_DIGEST = "362427ad876dcc7bcbf0d992c9384ea017329c751aa30f7d72dffaff2ed74b34"
 
 
@@ -427,14 +426,12 @@ def test_load_missing_file_reports_path(tmp_path):
 @pytest.mark.parametrize("corrupt,reason", [
     (lambda obj: "{not json", "Expecting property name"),
     (lambda obj: json.dumps({k: v for k, v in obj.items() if k != "truth_ll"}), "truth_ll"),
-    (lambda obj: json.dumps({**obj, "leaves": [obj["leaves"][0][:3], *obj["leaves"][1:]]}),
-     "not four finite numbers"),
+    (lambda obj: _with_leaf_p(obj, lambda p: p[:3]), "not four finite numbers"),
     (lambda obj: json.dumps({**obj, "schema_version": 99}), "schema_version 99"),
     (lambda obj: json.dumps({**obj, "schema_version": 1}), "schema_version 1"),
-    (lambda obj: json.dumps({**obj, "leaves": [[math.nan, 0, 0, 1], *obj["leaves"][1:]]}),
-     "not four finite numbers"),
-    (lambda obj: json.dumps({**obj, "leaves": [[10**400, 0, 0, 1], *obj["leaves"][1:]]}),
-     "0, 0, 1] is not four finite numbers"),
+    (lambda obj: json.dumps(_schema_2(obj)), "event has schema_version 2, this version reads 3"),
+    (lambda obj: _with_leaf_p(obj, lambda p: [math.nan, 0, 0, 1]), "not four finite numbers"),
+    (lambda obj: _with_leaf_p(obj, lambda p: [10**400, 0, 0, 1]), "0, 0, 1] is not four finite numbers"),
     (lambda obj: json.dumps({**obj, "truth_ll": math.inf}), "truth_ll inf is not a finite number"),
     (lambda obj: json.dumps({**obj, "config": {**obj["config"], "lam": math.nan}}),
      "config.lam nan is not a finite number"),
@@ -445,7 +442,7 @@ def test_load_missing_file_reports_path(tmp_path):
     (lambda obj: json.dumps({**obj, "config": {**obj["config"], "rng_seed": 8.0}}),
      "config.rng_seed is float, not int"),
 ], ids=["invalid-json", "missing-truth_ll", "three-number-leaf", "other-schema-version",
-        "schema-1-line", "nan-leaf", "huge-int-leaf", "infinite-truth_ll", "nan-lam", "tiny-lam",
+        "schema-1-line", "schema-2-line", "nan-leaf", "huge-int-leaf", "infinite-truth_ll", "nan-lam", "tiny-lam",
         "mixed-config", "float-seed"])
 def test_cli_rejects_bad_event_line(tmp_path, capsys, small_config, corrupt, reason):
     lines = [event_to_json(e) for e in jc.generate_events(small_config, 3)]
@@ -461,11 +458,11 @@ def test_cli_rejects_bad_event_line(tmp_path, capsys, small_config, corrupt, rea
 
 
 @pytest.mark.parametrize("corrupt, shown", [
-    (lambda obj: _set(obj["leaves"], 0, [10**400, 0, 0, 1]),
-     "leaves[0] [100000000000000000...0000000000000000000, 0, 0, 1] is not four finite numbers"),
+    (lambda obj: _set(obj["truth"]["nodes"][2], "p", [10**400, 0, 0, 1]),
+     "truth.nodes[2].p [100000000000000000...0000000000000000000, 0, 0, 1] is not four finite numbers"),
     (lambda obj: _set(obj, "truth_ll", "x" * 5000), "truth_ll 'xxxxxxxxxxxx...xxxxxxxxxxxxx' is not a finite number"),
     (lambda obj: _set(obj, "schema_version", 10**400),
-     "event has schema_version 100000000000000000...0000000000000000000, this version reads 2"),
+     "event has schema_version 100000000000000000...0000000000000000000, this version reads 3"),
     (lambda obj: _set(obj["truth"]["nodes"][0], "children", list(range(1, 1000))),
      "truth tree node 0 has children [1, 2, 3, 4, 5, 6, ...], not two"),
 ], ids=["huge-int-leaf", "long-string-truth_ll", "huge-int-schema-version", "long-children"])
@@ -486,6 +483,27 @@ def _first_leaf(nodes):
 def _set(obj, key, value):
     obj[key] = value
     return obj
+
+
+def _with_leaf_p(obj, change) -> str:
+    """The line of event obj with the p of its first truth leaf replaced by change(p)."""
+    leaf = obj["truth"]["nodes"][_first_leaf(obj["truth"]["nodes"])]
+    leaf["p"] = change(leaf["p"])
+    return json.dumps(obj)
+
+
+def _schema_2(obj) -> dict:
+    """Event obj as a schema-2 line writes it, with its truth leaves'
+    momenta, in pre-order, stored again as its leaves."""
+    nodes, leaves, stack = obj["truth"]["nodes"], [], [obj["truth"]["root"]]
+    while stack:
+        node = nodes[stack.pop()]
+        if node["children"] is None:
+            leaves.append(node["p"])
+        else:
+            stack += reversed(node["children"])
+    old = {key: value for key, value in obj.items() if key not in ("truth", "truth_ll")}
+    return {**old, "schema_version": 2, "leaves": leaves, "truth": obj["truth"], "truth_ll": obj["truth_ll"]}
 
 
 def _cycle(truth):
@@ -510,8 +528,10 @@ def _cycle(truth):
     (lambda t: _set(t["nodes"][1], "parent", 2), "node 1 is a child of node 0 but names parent 2"),
     (lambda t: _set(t["nodes"][0], "children", [1, 1]), "node 1 is reached twice"),
     (_cycle, "are not reached from the root"),
+    # A line stores no leaves but its truth tree's, so another leaf
+    # momentum is caught by the tree's log-likelihood.
     (lambda t: _set(t["nodes"][_first_leaf(t["nodes"])], "p", [9.0, 0.0, 0.0, 1.0]),
-     "leaves, in pre-order, differ"),
+     "differs from the truth tree's log-likelihood"),
 ], ids=["child-out-of-range", "negative-child", "bool-child", "parent-out-of-range",
         "root-out-of-range", "root-with-parent", "one-child", "three-children",
         "child-names-another-parent", "child-twice", "cycle", "other-leaf"])
@@ -531,16 +551,23 @@ def test_cli_rejects_malformed_truth_tree(tmp_path, capsys, small_config, corrup
     assert not weights.exists()
 
 
-def test_load_rejects_leaves_in_another_order(tmp_path, small_config):
-    # Bit k of a BC target is particle k of the event, so the line's leaves
-    # must list the truth tree's leaves in the sampler's order.
-    event = next(e for e in jc.generate_events(small_config, 20) if len(set(e.leaves)) >= 3)
-    obj = json.loads(event_to_json(event))
-    obj["leaves"] = obj["leaves"][1:] + obj["leaves"][:1]
+@pytest.mark.parametrize("change", ["rotate", "replace"])
+def test_write_events_rejects_leaves_that_are_not_the_truth_leaves(tmp_path, small_config, change):
+    # Bit k of a BC target is particle k of the event, and a line stores no
+    # leaves but its truth tree's, in the sampler's order; so the writer
+    # refuses an event whose leaves are others, or in another order, and
+    # writes no file.
+    events = jc.generate_events(small_config, 20)
+    k = next(k for k, e in enumerate(events) if len(set(e.leaves)) >= 3)
+    leaves = events[k].leaves
+    leaves = leaves[1:] + leaves[:1] if change == "rotate" else (jc.FourMomentum(9.0, 0.0, 0.0, 1.0), *leaves[1:])
+    bad = [*events[:k], dataclasses.replace(events[k], leaves=leaves), *events[k + 1:]]
     data = tmp_path / "d.jsonl"
-    data.write_text(json.dumps(obj) + "\n")
-    with pytest.raises(ValueError, match=f"{re.escape(str(data))}:1: .*differ from the event's leaves"):
-        jc.load_events(data)
+    message = f"event {events[k].event_id}'s leaves are not its truth tree's leaves in pre-order"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        jc.write_events(data, bad)
+    assert not data.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_loaded_truth_lists_its_leaves_as_the_sampler_did(tmp_path, desk_config):
@@ -550,6 +577,9 @@ def test_loaded_truth_lists_its_leaves_as_the_sampler_did(tmp_path, desk_config)
     for made, loaded in zip(events, jc.load_events(path)):
         assert loaded.truth.leaf_indices == made.truth.leaf_indices
         assert loaded.truth.leaf_momenta() == list(loaded.leaves)
+        # The line stores each momentum once: leaf k is truth leaf k's momentum.
+        assert all(p is loaded.truth.nodes[k].momentum
+                   for p, k in zip(loaded.leaves, loaded.truth.leaf_indices, strict=True))
         state = jc.reset(loaded.leaves)
         while not jc.is_terminal(state):
             demonstrated = jc.truth_actions(state, loaded.truth)
@@ -619,8 +649,8 @@ def test_a_config_holds_exactly_its_four_keys(tmp_path, small_config, change, me
 # its list), with the kind of value it takes.
 _LINE_FIELDS = {
     ("id",): "int", ("config",): "object", ("config", "lam"): "number", ("config", "t_cut"): "number",
-    ("config", "root"): "momentum", ("config", "rng_seed"): "int", ("leaves",): "list",
-    ("leaves", "K"): "momentum", ("truth",): "object", ("truth", "nodes"): "list", ("truth", "nodes", "K"): "object",
+    ("config", "root"): "momentum", ("config", "rng_seed"): "int",
+    ("truth",): "object", ("truth", "nodes"): "list", ("truth", "nodes", "K"): "object",
     ("truth", "nodes", "K", "p"): "momentum", ("truth", "nodes", "K", "parent"): "int or null",
     ("truth", "nodes", "K", "children"): "list or null", ("truth", "root"): "int", ("truth_ll",): "number",
 }

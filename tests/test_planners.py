@@ -27,6 +27,7 @@ from jetclust.rng import make_rng
 from jetclust.shower import FourMomentum
 
 from conftest import as_frozensets, make_event
+from oracles import enumerate_all_trees
 
 
 def _event(small_config, seed, n):
@@ -133,7 +134,7 @@ def test_beam_width_one_equals_greedy(small_config, small_events):
 def test_beam_saturated_equals_enumeration(small_config):
     ev = _event(small_config, 11, 4)
     _, beam_ll = jc.cluster_beam(ev, 1000, small_config)
-    enum_ll, count = jc.enumerate_all_trees(ev, small_config)
+    enum_ll, count = enumerate_all_trees(ev, small_config)
     assert count == 15
     assert abs(beam_ll - enum_ll) <= 1e-9
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import jetclust as jc
 from jetclust.env import action_table, is_terminal, leaf_sets, reset, step
-from jetclust.features import N_BASE_FEATURES, extract_pair_features, feature_dim
+from jetclust.features import FEATURE_SCHEMA_VERSION, N_BASE_FEATURES, extract_pair_features, feature_dim
 from jetclust.shower import invariant_mass_sq
 from jetclust.policy import (
     GRAD_CLIP_NORM,
@@ -1026,6 +1026,27 @@ def test_load_weights_takes_include_ps_from_the_shapes(tmp_path, include_ps):
     path.write_bytes(json.dumps(obj).encode() + b"\n" + payload)
     with pytest.raises(ValueError, match="weights.bin: weights header include_ps"):
         jc.load_weights(path)
+
+
+@pytest.mark.parametrize("field, value, shown", [
+    ("version", 10**400, "unsupported weights format version 100000000000000000...0000000000000000000"),
+    ("feature_schema", "x" * 100_000, "feature schema 'xxxxxxxxxxxx...xxxxxxxxxxxxx', this version reads "
+                                      f"{FEATURE_SCHEMA_VERSION}"),
+    ("dtype", "x" * 100_000, "weights dtype 'xxxxxxxxxxxx...xxxxxxxxxxxxx', this version reads '<f8'"),
+    ("shapes", list(range(100_000)), "weights header shapes [0, 1, 2, 3, 4, 5, ...] are not this network's"),
+    ("include_ps", "x" * 100_000, "weights header include_ps 'xxxxxxxxxxxx...xxxxxxxxxxxxx' is not True, "
+                                  "which its shapes imply"),
+], ids=["version", "feature_schema", "dtype", "shapes", "include_ps"])
+def test_a_long_weights_header_value_is_cut_short_in_its_message(tmp_path, field, value, shown):
+    path = tmp_path / "weights.bin"
+    jc.save_weights(path, init_weights(feature_dim(), make_rng(9)))
+    header, payload = path.read_bytes().split(b"\n", 1)
+    obj = json.loads(header)
+    obj[field] = value
+    path.write_bytes(json.dumps(obj).encode() + b"\n" + payload)
+    with pytest.raises(ValueError) as info:
+        jc.load_weights(path)
+    assert str(info.value) == f"{path}: {shown}"
 
 
 def test_neural_policy_validates_dims(small_config):

@@ -10,6 +10,7 @@ from jetclust.shower import Splitting
 from jetclust.trellis import _fill_table
 
 from conftest import make_event
+from oracles import enumerate_all_trees
 
 
 def test_two_leaf_event_is_the_unique_tree(small_config):
@@ -26,7 +27,7 @@ def test_two_leaf_event_is_the_unique_tree(small_config):
 @pytest.mark.parametrize("n,expected", [(3, 3), (4, 15), (5, 105), (6, 945)])
 def test_enumeration_counts_double_factorial(small_config, n, expected):
     leaves = make_event(small_config, seed=5, n_leaves=n).leaf_momenta()
-    _, count = jc.enumerate_all_trees(leaves, small_config)
+    _, count = enumerate_all_trees(leaves, small_config)
     assert count == expected
 
 
@@ -34,7 +35,7 @@ def test_enumeration_counts_double_factorial(small_config, n, expected):
 def test_exact_mle_matches_enumeration(small_config, n):
     leaves = make_event(small_config, seed=7, n_leaves=n).leaf_momenta()
     mle_ll, tree = jc.exact_mle(leaves, small_config)
-    enum_ll, _ = jc.enumerate_all_trees(leaves, small_config)
+    enum_ll, _ = enumerate_all_trees(leaves, small_config)
     assert abs(mle_ll - enum_ll) <= 1e-9
     assert abs(jc.tree_log_likelihood(tree, small_config) - mle_ll) <= 1e-9
 
@@ -65,11 +66,11 @@ def test_guards(small_config):
         jc.exact_mle(leaves * 4, small_config)
     assert jc.PS_EVALUATIONS.count == 0  # the guard raises before any fill
     with pytest.raises(ValueError):
-        jc.enumerate_all_trees(leaves * 2, small_config)
+        enumerate_all_trees(leaves * 2, small_config)
     with pytest.raises(ValueError):
         jc.exact_mle(leaves[:1], small_config)
     with pytest.raises(ValueError, match="need at least 2 particles, got 1"):
-        jc.enumerate_all_trees(leaves[:1], small_config)
+        enumerate_all_trees(leaves[:1], small_config)
 
 
 def test_mle_dominates_planners(small_config, oracle_events):
