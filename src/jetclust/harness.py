@@ -289,12 +289,10 @@ def _event_floats(event: EventRecord) -> Iterator[float]:
 
 def event_to_json(event: EventRecord) -> str:
     """One dataset line: the text dumps writes for the event's fields,
-    formatted straight from them.  The line stores no leaves, which load
-    as the truth tree's, so ValueError naming the event unless its leaves
-    are its truth tree's leaves in pre-order; ValueError for a non-finite
-    float, as dumps raises."""
-    if list(event.leaves) != event.truth.leaf_momenta():
-        raise ValueError(f"event {event.event_id}'s leaves are not its truth tree's leaves in pre-order")
+    formatted straight from them.  ValueError for a non-finite float, as
+    dumps raises; then, since the line stores no leaves and they load as
+    the truth tree's, ValueError naming the event unless its leaves are
+    its truth tree's leaves in pre-order."""
     config = event.config
     line = _LINE % (
         EVENT_SCHEMA_VERSION, event.event_id,
@@ -307,6 +305,8 @@ def event_to_json(event: EventRecord) -> str:
     if "inf" in line or "nan" in line:
         for x in _event_floats(event):
             _format_float(x)  # raises for the first non-finite float, as dumps does
+    if list(event.leaves) != event.truth.leaf_momenta():
+        raise ValueError(f"event {event.event_id}'s leaves are not its truth tree's leaves in pre-order")
     return _NEGATIVE_ZERO.sub("0", line)
 
 

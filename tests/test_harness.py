@@ -202,15 +202,16 @@ def _reference_event_line(event):
 def _with_components(event, values, truth_ll, shared=True, root=None):
     """event with the components of its truth momenta taken in turn from
     values, its leaves the new momenta of its truth leaves (the same objects
-    if shared, else equal copies), its truth_ll and, if given, its config's
-    root replaced."""
+    if shared, else equal copies of new float objects, so that a NaN copy is
+    not its original), its truth_ll and, if given, its config's root
+    replaced."""
     draw = itertools.cycle(values).__next__
     moved = {id(node.momentum): jc.FourMomentum(draw(), draw(), draw(), draw()) for node in event.truth.nodes}
     nodes = [jc.TreeNode(moved[id(node.momentum)], node.parent, node.children, node.split_ll)
              for node in event.truth.nodes]
     leaves = [moved[id(p)] for p in event.leaves]
     if not shared:
-        leaves = [jc.FourMomentum(*p.as_tuple()) for p in leaves]
+        leaves = [jc.FourMomentum(*(float.fromhex(x.hex()) for x in p.as_tuple())) for p in leaves]
     config = event.config if root is None else dataclasses.replace(event.config, root=root)
     truth = jc.Tree(nodes, event.truth.root_index, list(event.truth.leaf_indices))
     return harness.EventRecord(event.event_id, config, tuple(leaves), truth, truth_ll)
