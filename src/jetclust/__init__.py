@@ -9,7 +9,7 @@ events, imitation-trained neural merge priors, and an experiment
 harness with strict cost accounting.
 """
 
-from .costs import PS_EVALUATIONS, CostCounter
+from .costs import PS_EVALUATIONS
 from .env import (
     Action,
     ClusterState,

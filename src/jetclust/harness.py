@@ -55,7 +55,6 @@ def _format_float(x: float) -> str:
 
 # What json.dumps does to a str: quoted, with non-ASCII text \u-escaped.
 _encode_str = json.encoder.encode_basestring_ascii
-_FLOAT = frozenset((float,))
 
 
 def dumps(obj) -> str:
@@ -66,22 +65,7 @@ def dumps(obj) -> str:
 
 
 def _write_json(obj, write) -> None:
-    # The exact types the files hold take the first branches; bools, numpy
-    # scalars and subclasses (a NamedTuple is a tuple) reach the isinstance
-    # chain at the end, which decides them as it always has.
-    kind = type(obj)
-    if kind is float:
-        write(_format_float(obj))
-    elif kind is list or kind is tuple:
-        if _FLOAT.issuperset(map(type, obj)):  # plain floats only, as in every momentum
-            write("[" + ",".join(map(_format_float, obj)) + "]")
-        else:
-            _write_array(obj, write)
-    elif kind is dict:
-        _write_object(obj, write)
-    elif kind is int:
-        write(str(obj))
-    elif obj is None:
+    if obj is None:
         write("null")
     elif isinstance(obj, dict):
         _write_object(obj, write)
@@ -227,7 +211,8 @@ def _decode(value, kind):
 def _truth_tree(rows: list, root: int) -> Tree:
     """The truth tree of a line's decoded nodes and root, its leaves listed
     as the sampler lists them (pre-order, first child first); ValueError
-    unless it is one binary tree whose parent and child links agree."""
+    unless it is one binary tree, of at least 2 leaves, whose parent and
+    child links agree."""
     nodes = []
     for k, (momentum, parent, children) in enumerate(rows):
         if children is not None and len(children) != 2:
@@ -238,6 +223,8 @@ def _truth_tree(rows: list, root: int) -> Tree:
         raise ValueError(f"truth tree root {_short(root)} is not a node index below {size}")
     if nodes[root].parent is not None:
         raise ValueError(f"truth tree root {root} has parent {_short(nodes[root].parent)}")
+    if nodes[root].children is None:
+        raise ValueError(f"truth tree root {root} is a leaf; an event needs at least 2 leaves")
     # Every other node must be reached once, from the parent it names.
     reached = set()
     leaf_indices = []

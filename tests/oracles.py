@@ -1,6 +1,11 @@
 """Oracles the tests share: independent checks of the package that it
 does not ship, since no caller of the package needs them."""
 
+import io
+import json
+
+import numpy as np
+
 from jetclust.shower import FourMomentum, ShowerConfig, Splitting, splitting_log_likelihood
 
 ENUMERATION_N_MAX = 7
@@ -51,3 +56,52 @@ def enumerate_all_trees(
         if best_ll is None or ll > best_ll:
             best_ll = ll
     return best_ll, count
+
+
+# A JSON writer written apart from harness.dumps, through json.dumps, as
+# its oracle: dumps must give the same string, or raise the same exception
+# type, for every value.
+def _reference_format_float(x: float) -> str:
+    if not np.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite float {x!r}")
+    if x == 0.0:
+        return "0"  # normalizes -0.0 so round-trips stay byte-identical
+    return format(x, ".17g")
+
+
+def reference_dumps(obj) -> str:
+    """Compact JSON with floats at 17 significant digits."""
+    out = io.StringIO()
+    _reference_write_json(obj, out)
+    return out.getvalue()
+
+
+def _reference_write_json(obj, out) -> None:
+    if isinstance(obj, dict):
+        out.write("{")
+        first = True
+        for k, v in obj.items():
+            if not first:
+                out.write(",")
+            first = False
+            out.write(json.dumps(str(k)))
+            out.write(":")
+            _reference_write_json(v, out)
+        out.write("}")
+    elif isinstance(obj, (list, tuple)):
+        out.write("[")
+        for i, v in enumerate(obj):
+            if i:
+                out.write(",")
+            _reference_write_json(v, out)
+        out.write("]")
+    elif isinstance(obj, bool) or obj is None:
+        out.write(json.dumps(obj))
+    elif isinstance(obj, (int, np.integer)):
+        out.write(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.write(_reference_format_float(float(obj)))
+    elif isinstance(obj, str):
+        out.write(json.dumps(obj))
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
